@@ -1,0 +1,129 @@
+"""Behaviour pins: sha256 digests of traces and checker reports.
+
+A ``(scenario, seed)`` pair gives byte-identical traces, so a refactor that
+keeps these digests preserves the simulator's behaviour, and one that keeps
+the report digests preserves every verdict, violation string, staleness and
+latency figure of the checker. A digest may change only with a behaviour
+change that ``CHANGES.md`` names.
+
+To print the current digests: ``PYTHONPATH=src python tests/test_pins.py``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from causalsim.checker import run_checks
+from causalsim.scenarios import PRESETS, load_scenario, run_scenario
+
+# counter churn at three DCs under a crash during commit, a scout
+# disconnect with failover, a partition and a plain crash, all healed
+CHURN = {
+    "schema": "causalsim-scenario-1",
+    "name": "churn-pin",
+    "sim": {
+        "num_dcs": 3,
+        "num_scouts": 6,
+        "k": 2,
+        "rtt_dc_ms": [[0, 161, 86], [161, 0, 92], [86, 92, 0]],
+        "scout_rtt_ms": [[30, 170, 110], [170, 30, 92], [110, 92, 30]],
+        "gossip_ms": 20,
+        "notify_ms": 25,
+        "retry_ms": 300,
+        "think_ms": 5,
+        "cache_capacity": 8,
+        "drain_ms": 4000,
+    },
+    "faults": [
+        {"at": 100, "kind": "dc_crash_on_commit", "dc": 0},
+        {"at": 400, "kind": "dc_recover", "dc": 0},
+        {"at": 500, "kind": "scout_disconnect", "scout": "s3"},
+        {"at": 800, "kind": "scout_reconnect", "scout": "s3", "to": 2},
+        {"at": 900, "kind": "partition", "links": [["dc1", "dc2"]]},
+        {"at": 1300, "kind": "heal", "links": [["dc1", "dc2"]]},
+        {"at": 1500, "kind": "dc_crash", "dc": 1},
+        {"at": 1900, "kind": "dc_recover", "dc": 1},
+    ],
+    "workload": {"kind": "counter_churn", "txs_per_scout": 20, "counters": 4},
+    "expected": {},
+}
+
+# name -> (scenario, sim overrides, check that must flag it or None)
+RUNS = {
+    **{name: (name, {}, None) for name in PRESETS},
+    "churn-faults": (CHURN, {}, None),
+    "dedup-off": (CHURN, {"mutations": ["disable_dedup"]}, "exactly_once"),
+    "k-gating-off": ("staleness-stress", {"mutations": ["disable_k_gating"]}, "causal_snapshots"),
+    "session-reorder": (
+        "failover-demo",
+        {"mutations": ["reorder_session", "disable_guards"], "notify_mode": "invalidations"},
+        "session_guarantees",
+    ),
+}
+
+# name -> (trace sha256, report sha256), generated at seed 1
+PINS = {
+    "churn-faults": (
+        "72fc0003486e104c0b56aaeb5614f3bd75b9df6dcc5d17f3dc30482df160bcb4",
+        "6eb82ba33bef132b811193d0b3be802a36225003c86d26bba3e211312e687d5a",
+    ),
+    "dedup-off": (
+        "021bc20360d6ab1be445ca0903a1b6d3ea9cbebba55ac9591a6c01042743ec4c",
+        "efb123b95c036adda9e1b93ec7ec869ec13e3ee4b8c3bf961bcf4ff5d547fdd3",
+    ),
+    "failover-demo": (
+        "43908508ab38c152a3e0b951d89387d8ccf8f8eb09c501c0628570525ae6e775",
+        "36ffa32435eb91607594f3d49aace957c408c9ead8e0e434091e61055c62c087",
+    ),
+    "k-gating-off": (
+        "24a16355e5db3c81dbe56648dbbad4fd4dcfbc7b522fb63fbdefb0d9cde789cc",
+        "3b1995be5392869453dfeffa5cad49d4fd349ac44c13edaa50ebb37253a935df",
+    ),
+    "session-reorder": (
+        "c4b3e82b6c125a98674f1fa595aed1c2526433902cb010ab72225abb7508a324",
+        "20ecb341e029fb3764c88e88d57c7c7bb00cefa72dddeb86a9348ea2ea662b4c",
+    ),
+    "social-50-50": (
+        "7c53a178b2a59bd1111b0b887bc608a9c822ad85aef067a43d5c4e8b2b107c3b",
+        "55a5b7328a8c45f1bcec21cbcfc19bbc26d2c45b8636f9a7721df98a187e36d5",
+    ),
+    "social-90-10": (
+        "874ad294f04a45ad2d679bc01f30428943316f38bb6b447b76ad3458bcac0396",
+        "528256edbfe339958b3ecc155b0fb9e0da4f06f8e508c6f00bbf48fee423dfdd",
+    ),
+    "staleness-stress": (
+        "50b86afd6ba476fb1fa2c89b0662d58ee093d31a9cc294317cb14abfe9a4f3bb",
+        "9e638166cde710a52782a30505b8ae6b7a3b9ef351d5b55d366c66e41b2260ea",
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(name: str) -> tuple[str, str, dict]:
+    base, overrides, _ = RUNS[name]
+    scenario = load_scenario(base) if isinstance(base, str) else base
+    result = run_scenario(scenario, seed=1, overrides=overrides)
+    report = run_checks(result.trace)
+    report_bytes = json.dumps(report, sort_keys=True).encode()
+    return _sha(result.trace_bytes()), _sha(report_bytes), report
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_trace_and_report_digests_are_pinned(name):
+    trace_sha, report_sha, report = digests(name)
+    flagged_by = RUNS[name][2]
+    if flagged_by is None:
+        assert report["ok"], report["verdicts"]
+    else:
+        assert not report["verdicts"][flagged_by]["ok"]
+    assert (trace_sha, report_sha) == PINS[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(RUNS):
+        trace_sha, report_sha, _ = digests(name)
+        print(f'    "{name}": (\n        "{trace_sha}",\n        "{report_sha}",\n    ),')
