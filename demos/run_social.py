@@ -6,9 +6,7 @@ time, updates included; the rest pay one round trip per miss batch. The
 consistency checkers run over the trace afterwards.
 """
 
-import numpy as np
-
-from causalsim.checker import TraceAnalysis, measure_latency, run_checks
+from causalsim.checker import TraceAnalysis, measure_latency, percentile, run_checks
 from causalsim.scenarios import load_scenario, run_scenario
 
 scenario = load_scenario("social-90-10")
@@ -26,9 +24,9 @@ print(f"zero-round-trip fraction: {latency['zero_rt_fraction']:.3f} "
 print(f"mean round trips per transaction: {latency['mean_rts']:.3f}")
 
 print("\nlatency CDF (simulated ms):")
-durs = np.array([d for d, _ in latency["cdf"]])
+durs = [d for d, _ in latency["cdf"]]
 for q in (0.50, 0.90, 0.95, 0.99):
-    print(f"  p{int(q * 100):2d}: {np.percentile(durs, q * 100):6.0f} ms")
+    print(f"  p{int(q * 100):2d}: {percentile(durs, q * 100):6.0f} ms")
 
 print("\nround trips by transaction type:")
 for label, mean_rts in latency["rts_by_label"].items():

@@ -8,7 +8,7 @@ not-yet-K-durable one existed somewhere. Growing the pool dilutes the
 contention, so staleness falls.
 """
 
-import numpy as np
+from statistics import fmean
 
 from causalsim.checker import TraceAnalysis, measure_staleness
 from causalsim.scenarios import load_scenario, run_scenario
@@ -24,7 +24,7 @@ for users in scenario["expected"]["pool_sizes"]:
         m = measure_staleness(TraceAnalysis(res.trace))
         reads.append(m["stale_read_fraction"])
         txs.append(m["stale_tx_fraction"])
-    print(f"{users:9d}   {np.mean(reads):16.4f}   {np.max(reads):15.4f}   {np.mean(txs):14.4f}")
+    print(f"{users:9d}   {fmean(reads):16.4f}   {max(reads):15.4f}   {fmean(txs):14.4f}")
 
 print("\nbaseline with K=1 (nothing is withheld, staleness is zero by definition):")
 res = run_scenario(scenario, seed=1, overrides={"k": 1})

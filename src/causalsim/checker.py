@@ -9,6 +9,23 @@ the initial state in a linear extension of the causality order.
 A quiesced, healed run must additionally show every replica with equal
 object values matching a full brute-force replay, and every counter equal
 to the sum of increments over distinct transaction identities.
+
+Parsing builds every index the checks need, once:
+
+- the linear extension itself: records sorted by (first apply time, OTID),
+  each tagged with its position;
+- per object, the records that touch it, in that order, each with its
+  effects on the object already decoded;
+- reads per transaction, and records by OTID, which is also how
+  origin-chain dependencies ``(deps_local, origin)`` are looked up.
+
+Replaying one object's list therefore applies exactly the effects, in
+exactly the order, that a replay of the whole sorted record list filtered
+to that object applies. A scout's materialized state of an object is
+extended from its previous snapshot only when every newly covered record
+sorts after the last record already applied; otherwise the list is
+replayed from the initial state, so the order never departs from the
+sorted one. The checker shares no code with the DC's materialization.
 """
 
 from __future__ import annotations
@@ -16,8 +33,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-import numpy as np
 
 from causalsim import workload
 from causalsim.crdt import CrdtType, ObjectId, apply_effect, effect_from_wire, new_state, value_to_wire
@@ -50,6 +65,7 @@ class RecordInfo:
     aliases: list[tuple]  # (counter, dc)
     commit_time: int
     apply_times: dict[int, int]  # dc -> first durable apply time
+    pos: int = -1  # position in the causal order
 
 
 @dataclass
@@ -82,6 +98,17 @@ class TxInfo:
     label: Optional[str] = None
 
 
+@dataclass
+class _Replay:
+    """One scout's replay of one object, at its latest snapshot of it."""
+
+    state: Any
+    ver_dc: tuple = ()
+    ver_local: int = 0
+    end: int = 0  # entries of the object's list before this one are replayed
+    skipped: list = field(default_factory=list)  # ... or not covered, among them
+
+
 class TraceAnalysis:
     """Indexes a trace for the checkers."""
 
@@ -93,6 +120,7 @@ class TraceAnalysis:
         self.num_dcs = self.header["num_dcs"]
         self.records: dict[tuple, RecordInfo] = {}
         self.reads: list[ReadInfo] = []
+        self.reads_by_tx: dict[tuple, list[ReadInfo]] = {}
         self.txs: dict[tuple, TxInfo] = {}
         self.tx_order: dict[str, list[tuple]] = {}
         self.tx_updates: dict[tuple, list] = {}
@@ -100,11 +128,22 @@ class TraceAnalysis:
         self.by_alias: dict[tuple, tuple] = {}
         self.duplicate_applies: list[str] = []
         self._parse(trace)
-        scenario = self.header.get("scenario", {})
-        self.initial = workload.initial_states_for(
-            scenario.get("workload", {"kind": "none"}), self.header.get("seed", 0)
+        self.initial = self._load_workload()
+        # the linear extension of causality every replay follows
+        self.order = sorted(
+            self.records.values(), key=lambda r: (r.commit_time, r.otid[0], r.otid[1])
         )
+        # object -> [(record, its decoded effects on the object)] in causal order
+        self.by_obj: dict[tuple, list[tuple[RecordInfo, list]]] = {}
+        self.decoded: dict[tuple, list] = {}
+        for pos, rec in enumerate(self.order):
+            rec.pos = pos
+            effects = self.decoded[rec.otid] = [effect_from_wire(ew) for ew in rec.effects]
+            for obj in rec.objs:
+                mine = [e for e in effects if (e.target.key, e.target.crdt_type.value) == obj]
+                self.by_obj.setdefault(obj, []).append((rec, mine))
         self._oracle_cache: dict = {}
+        self._replays: dict[tuple, _Replay] = {}  # (scout, object) -> replay
 
     def _parse(self, trace: list[dict]) -> None:
         seen_applies = set()
@@ -123,20 +162,20 @@ class TraceAnalysis:
                 self.tx_updates[otid] = []
             elif kind == "read":
                 otid = tuple(ev["otid"])
-                self.reads.append(
-                    ReadInfo(
-                        scout=ev["node"],
-                        tx=otid,
-                        obj=tuple(ev["obj"]),
-                        value=ev["value"],
-                        ver_dc=tuple(ev["ver"][0]),
-                        ver_local=ev["ver"][1],
-                        t=ev["t"],
-                        src=ev["src"],
-                        dc=ev.get("dc"),
-                        updates_before=len(self.tx_updates.get(otid, [])),
-                    )
+                read = ReadInfo(
+                    scout=ev["node"],
+                    tx=otid,
+                    obj=tuple(ev["obj"]),
+                    value=ev["value"],
+                    ver_dc=tuple(ev["ver"][0]),
+                    ver_local=ev["ver"][1],
+                    t=ev["t"],
+                    src=ev["src"],
+                    dc=ev.get("dc"),
+                    updates_before=len(self.tx_updates.get(otid, [])),
                 )
+                self.reads.append(read)
+                self.reads_by_tx.setdefault(otid, []).append(read)
             elif kind == "update":
                 self.tx_updates[tuple(ev["otid"])].append(ev["effect"])
             elif kind == "local_commit":
@@ -181,24 +220,25 @@ class TraceAnalysis:
                 rec.apply_times.setdefault(dc, ev["t"])
             elif kind == "quiesce":
                 self.quiesce = ev
-        # a tx's label arrives via the driver script, which the sim does not
-        # know; recover labels from the scenario if present
-        self._recover_labels()
 
-    def _recover_labels(self) -> None:
+    def _load_workload(self) -> dict:
+        """Rebuild the social workload once: its initial states seed every
+        replay, and its scripts give back the transaction labels, which the
+        simulator does not know and so does not trace. Other workloads start
+        from empty objects and carry their labels in the trace."""
         scenario = self.header.get("scenario")
         if not scenario:
-            return
-        wl = scenario.get("workload", {})
+            return {}
+        wl = scenario.get("workload", {"kind": "none"})
         if wl.get("kind") != "social":
-            return
+            return workload.initial_states_for(wl, self.header.get("seed", 0))
         sim_cfg = scenario.get("sim", {})
-        scripts = workload.build(
+        scripts, initial, _ = workload.build(
             wl,
             sim_cfg.get("num_scouts", self.header.get("num_scouts", 0)),
             self.header.get("seed", 0),
             sim_cfg.get("cache_capacity", 64),
-        )[0]
+        )
         for scout, order in self.tx_order.items():
             script = scripts.get(scout, [])
             # transactions map to script entries in order, with retries of an
@@ -210,6 +250,7 @@ class TraceAnalysis:
                     tx.label = script[spec_idx].get("label")
                 if not tx.aborted:
                     spec_idx += 1
+        return initial
 
     # -- coverage and materialization ------------------------------------------
 
@@ -219,26 +260,55 @@ class TraceAnalysis:
         return any(counter <= ver_dc[dc] for counter, dc in rec.aliases)
 
     def causal_order(self) -> list[RecordInfo]:
-        return sorted(self.records.values(), key=lambda r: (r.commit_time, r.otid[0], r.otid[1]))
+        return self.order
+
+    def initial_state(self, obj: tuple):
+        oid = ObjectId(obj[0], CrdtType(obj[1]))
+        return self.initial.get(oid, new_state(oid.crdt_type))
 
     def oracle_value(self, obj: tuple, ver_dc: tuple, ver_local: int, reader: str):
         """Independent replay of every covered record's effects on one object."""
         key = (obj, ver_dc, ver_local, reader)
         if key in self._oracle_cache:
             return self._oracle_cache[key]
-        oid = ObjectId(obj[0], CrdtType(obj[1]))
-        state = self.initial.get(oid, new_state(oid.crdt_type))
-        for rec in self.causal_order():
-            if obj not in rec.objs:
-                continue
+        rep = self._replays.get((reader, obj))
+        if rep is None or not self._extends(rep, ver_dc, ver_local, reader):
+            rep = self._replays[(reader, obj)] = _Replay(self.initial_state(obj))
+        rep.ver_dc, rep.ver_local = ver_dc, ver_local
+        entries = self.by_obj.get(obj, [])
+        state = rep.state
+        uncovered = []
+        for i in range(rep.end, len(entries)):
+            rec, effects = entries[i]
             if not self.covers(rec, ver_dc, ver_local, reader):
+                uncovered.append(rec)
                 continue
-            for ew in rec.effects:
-                effect = effect_from_wire(ew)
-                if (effect.target.key, effect.target.crdt_type.value) == obj:
-                    state = apply_effect(state, effect)
+            for effect in effects:
+                state = apply_effect(state, effect)
+            rep.skipped += uncovered
+            uncovered = []
+            rep.end = i + 1
+        rep.state = state
         self._oracle_cache[key] = state
         return state
+
+    def _extends(self, rep: "_Replay", ver_dc: tuple, ver_local: int, reader: str) -> bool:
+        """Whether the records this snapshot covers, in causal order, are the
+        ones ``rep`` applied followed by records that sort after them."""
+        return (
+            ver_local >= rep.ver_local
+            and all(a <= b for a, b in zip(rep.ver_dc, ver_dc))
+            and not any(self.covers(rec, ver_dc, ver_local, reader) for rec in rep.skipped)
+        )
+
+    def own_updates(self, read: ReadInfo) -> list:
+        """The reading transaction's own effects on the read object that were
+        applied before the read, decoded."""
+        return [
+            effect
+            for effect in map(effect_from_wire, self.tx_updates[read.tx][: read.updates_before])
+            if (effect.target.key, effect.target.crdt_type.value) == read.obj
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -248,25 +318,21 @@ class TraceAnalysis:
 
 def check_history_acyclic(tr: TraceAnalysis) -> Verdict:
     """The reconstructed potential-causality relation must be a partial order."""
-    order = {otid: i for i, otid in enumerate(r.otid for r in tr.causal_order())}
     violations = []
     for rec in tr.records.values():
-        my = order[rec.otid]
         for dc in range(tr.num_dcs):
             counter = rec.deps_dc[dc]
             while counter > 0:
                 dep = tr.by_alias.get((counter, dc))
                 if dep is not None:
-                    if order[dep] > my and dep != rec.otid:
+                    if tr.records[dep].pos > rec.pos and dep != rec.otid:
                         violations.append(f"{rec.otid} depends on later record {dep}")
                     break
                 counter -= 1
         if rec.deps_local:
-            prev = next(
-                (o for o in tr.records if o[1] == rec.origin and o[0] == rec.deps_local), None
-            )
-            if prev is not None and order[prev] > my:
-                violations.append(f"{rec.otid} precedes its own dependency {prev}")
+            prev = tr.records.get((rec.deps_local, rec.origin))
+            if prev is not None and prev.pos > rec.pos:
+                violations.append(f"{rec.otid} precedes its own dependency {prev.otid}")
     return Verdict("history_acyclic", not violations, violations)
 
 
@@ -280,10 +346,8 @@ def check_causal_snapshots(tr: TraceAnalysis) -> Verdict:
             violations.append(f"{read.scout} tx {read.tx}: read outside the frozen snapshot")
             continue
         state = tr.oracle_value(read.obj, read.ver_dc, read.ver_local, read.scout)
-        for ew in tr.tx_updates[read.tx][: read.updates_before]:
-            effect = effect_from_wire(ew)
-            if (effect.target.key, effect.target.crdt_type.value) == read.obj:
-                state = apply_effect(state, effect)
+        for effect in tr.own_updates(read):
+            state = apply_effect(state, effect)
         expected = value_to_wire(state)
         if expected != read.value:
             violations.append(
@@ -312,20 +376,11 @@ def _closure_violations(tr: TraceAnalysis) -> list[str]:
                             f"{scout} snapshot {ver} includes {dep} but not its deps {rec.deps_dc}"
                         )
                     if rec.deps_local and rec.origin != scout:
-                        chain = next(
-                            (
-                                o
-                                for o in tr.records
-                                if o[1] == rec.origin and o[0] == rec.deps_local
-                            ),
-                            None,
-                        )
-                        if chain is not None and not tr.covers(
-                            tr.records[chain], ver, tx.snap_local, scout
-                        ):
+                        chain = tr.records.get((rec.deps_local, rec.origin))
+                        if chain is not None and not tr.covers(chain, ver, tx.snap_local, scout):
                             out.append(
                                 f"{scout} snapshot {ver} includes {dep} but not "
-                                f"its origin-chain dependency {chain}"
+                                f"its origin-chain dependency {chain.otid}"
                             )
             prev_dc = tuple(max(prev_dc[j], ver[j]) for j in range(tr.num_dcs))
     return out
@@ -334,25 +389,36 @@ def _closure_violations(tr: TraceAnalysis) -> list[str]:
 def check_atomicity(tr: TraceAnalysis) -> Verdict:
     """No snapshot reflects a proper subset of a transaction's effects."""
     violations = []
-    reads_by_tx: dict[tuple, list[ReadInfo]] = {}
-    for read in tr.reads:
-        reads_by_tx.setdefault(read.tx, []).append(read)
-    for tx_otid, reads in reads_by_tx.items():
+    seq = {otid: i for i, otid in enumerate(tr.records)}
+    wire: dict[int, tuple] = {}  # id(read) -> (value with, value with own updates)
+    for tx_otid, reads in tr.reads_by_tx.items():
         objs = {r.obj for r in reads}
         if len(objs) < 2:
             continue
-        for rec in tr.records.values():
+        # records touching two or more of the objects read, in trace order
+        touching: dict[tuple, int] = {}
+        for obj in objs:
+            for rec, _ in tr.by_obj.get(obj, ()):
+                touching[rec.otid] = touching.get(rec.otid, 0) + 1
+        candidates = sorted(
+            (otid for otid, n in touching.items() if n >= 2 and otid != tx_otid), key=seq.__getitem__
+        )
+        for otid in candidates:
+            rec = tr.records[otid]
             touched = rec.objs & objs
-            if len(touched) < 2 or rec.otid == tx_otid:
-                continue
             presence = {}
             for read in reads:
                 if read.obj not in touched:
                     continue
-                reader = read.scout
-                with_r = tr.oracle_value(read.obj, read.ver_dc, read.ver_local, reader)
-                without = _oracle_without(tr, read, rec)
-                vw, vo = value_to_wire(with_r), value_to_wire(without)
+                if id(read) not in wire:
+                    with_r = tr.oracle_value(read.obj, read.ver_dc, read.ver_local, read.scout)
+                    own = with_r
+                    for effect in tr.own_updates(read):
+                        own = apply_effect(own, effect)
+                    wire[id(read)] = (value_to_wire(with_r), value_to_wire(own))
+                vw, vo = wire[id(read)]
+                if tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
+                    vo = value_to_wire(_oracle_without(tr, read, rec))
                 if vw == vo:
                     continue  # record not distinguishable on this object
                 if read.value == vw:
@@ -367,21 +433,16 @@ def check_atomicity(tr: TraceAnalysis) -> Verdict:
 
 
 def _oracle_without(tr: TraceAnalysis, read: ReadInfo, skip: RecordInfo):
-    oid = ObjectId(read.obj[0], CrdtType(read.obj[1]))
-    state = tr.initial.get(oid, new_state(oid.crdt_type))
-    for rec in tr.causal_order():
-        if rec.otid == skip.otid or read.obj not in rec.objs:
+    """The read's snapshot value with one record left out, plus the reading
+    transaction's own prior updates."""
+    state = tr.initial_state(read.obj)
+    for rec, effects in tr.by_obj.get(read.obj, ()):
+        if rec is skip or not tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
             continue
-        if not tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
-            continue
-        for ew in rec.effects:
-            effect = effect_from_wire(ew)
-            if (effect.target.key, effect.target.crdt_type.value) == read.obj:
-                state = apply_effect(state, effect)
-    for ew in tr.tx_updates[read.tx][: read.updates_before]:
-        effect = effect_from_wire(ew)
-        if (effect.target.key, effect.target.crdt_type.value) == read.obj:
+        for effect in effects:
             state = apply_effect(state, effect)
+    for effect in tr.own_updates(read):
+        state = apply_effect(state, effect)
     return state
 
 
@@ -392,7 +453,7 @@ def check_session_guarantees(tr: TraceAnalysis) -> Verdict:
     for scout, order in tr.tx_order.items():
         prev_dc = None
         prev_local = 0
-        committed_updates: list[tuple] = []
+        own_writes: dict[tuple, list[RecordInfo]] = {}  # object -> committed records
         for otid in order:
             tx = tr.txs[otid]
             if prev_dc is not None:
@@ -402,17 +463,17 @@ def check_session_guarantees(tr: TraceAnalysis) -> Verdict:
                         f"to {tx.snap_dc}|{tx.snap_local}"
                     )
             prev_dc, prev_local = tx.snap_dc, tx.snap_local
-            for read in (r for r in tr.reads if r.tx == otid):
-                for up_otid in committed_updates:
-                    up = tr.records.get(up_otid)
-                    if up is None or read.obj not in up.objs:
-                        continue
+            for read in tr.reads_by_tx.get(otid, ()):
+                for up in own_writes.get(read.obj, ()):
                     if not tr.covers(up, read.ver_dc, read.ver_local, scout):
                         violations.append(
-                            f"{scout}: read of {read.obj} in {otid} misses own write {up_otid}"
+                            f"{scout}: read of {read.obj} in {otid} misses own write {up.otid}"
                         )
             if tx.committed and not tx.read_only and not tx.aborted:
-                committed_updates.append(otid)
+                up = tr.records.get(otid)
+                if up is not None:
+                    for obj in up.objs:
+                        own_writes.setdefault(obj, []).append(up)
     return Verdict("session_guarantees", not violations, violations)
 
 
@@ -422,23 +483,30 @@ def check_exactly_once(tr: TraceAnalysis) -> Verdict:
     violations = list(tr.duplicate_applies)
     if tr.quiesce is None:
         return Verdict("exactly_once", False, ["trace has no quiesce event"])
+    # per record, its counter increments as (value key, amount), in trace order
+    increments = []
+    for rec in tr.records.values():
+        incs = [
+            (f"{ew['obj'][0]}#counter", ew["payload"][0])
+            for ew in rec.effects
+            if ew["kind"] == "inc" and ew["obj"][1] == "counter"
+        ]
+        if incs:
+            increments.append((rec.apply_times, incs))
     for dc_name, info in tr.quiesce["dcs"].items():
         dc = int(dc_name[2:])
         sums: dict[str, int] = {}
-        for rec in tr.records.values():
-            if dc not in rec.apply_times:
-                continue
-            for ew in rec.effects:
-                if ew["kind"] == "inc" and ew["obj"][1] == "counter":
-                    key = f"{ew['obj'][0]}#counter"
-                    sums[key] = sums.get(key, 0) + ew["payload"][0]
+        for apply_times, incs in increments:
+            if dc in apply_times:
+                for key, amount in incs:
+                    sums[key] = sums.get(key, 0) + amount
         for key, value in info["values"].items():
             if key.endswith("#counter") and value != sums.get(key, 0):
                 violations.append(
                     f"{dc_name} {key} = {value}, distinct-identity sum over "
                     f"applied records = {sums.get(key, 0)}"
                 )
-        for key, expected in sums.items():
+        for key in sums:
             if key not in info["values"]:
                 violations.append(f"{dc_name} applied records for {key} but holds no value")
     return Verdict("exactly_once", not violations, violations)
@@ -479,9 +547,8 @@ def check_convergence(tr: TraceAnalysis) -> Verdict:
 
 def _full_replay(tr: TraceAnalysis) -> dict:
     states: dict[ObjectId, Any] = dict(tr.initial)
-    for rec in tr.causal_order():
-        for ew in rec.effects:
-            effect = effect_from_wire(ew)
+    for rec in tr.order:
+        for effect in tr.decoded[rec.otid]:
             obj = effect.target
             states[obj] = apply_effect(states.get(obj, new_state(obj.crdt_type)), effect)
     return {f"{o.key}#{o.crdt_type.value}": value_to_wire(s) for o, s in sorted(states.items())}
@@ -505,18 +572,18 @@ def measure_staleness(tr: TraceAnalysis) -> dict:
     for read in tr.reads:
         total += 1
         tx_seen.add(read.tx)
-        for rec in tr.records.values():
-            if read.obj not in rec.objs or rec.origin == read.scout:
-                continue
+        for rec, _ in tr.by_obj.get(read.obj, ()):
             if rec.commit_time > read.t:
+                break  # the list is sorted by commit time
+            if rec.origin == read.scout:
                 continue
+            if bisect.bisect_right(apply_times[rec.otid], read.t) >= tr.k:
+                continue  # K-durable at read time
             if tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
                 continue
-            durable_count = bisect.bisect_right(apply_times[rec.otid], read.t)
-            if durable_count < tr.k:
-                stale_reads += 1
-                stale_txs.add(read.tx)
-                break
+            stale_reads += 1
+            stale_txs.add(read.tx)
+            break
     return {
         "reads": total,
         "stale_reads": stale_reads,
@@ -525,6 +592,23 @@ def measure_staleness(tr: TraceAnalysis) -> dict:
         "stale_transactions": len(stale_txs),
         "stale_tx_fraction": len(stale_txs) / len(tx_seen) if tx_seen else 0.0,
     }
+
+
+def percentile(ordered: list, q: float) -> float:
+    """The q-th percentile of sorted values, interpolated linearly between
+    the closest ranks; the same float, bit for bit, as numpy's default
+    ``percentile`` method."""
+    index = (len(ordered) - 1) * (q / 100)
+    if index >= len(ordered) - 1:
+        return float(ordered[-1])
+    lo = int(index)
+    a, b = float(ordered[lo]), float(ordered[lo + 1])
+    t = index - lo
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
+def _mean(values: list) -> float:
+    return sum(values) / len(values)
 
 
 def measure_latency(tr: TraceAnalysis, warmup_labels: Optional[list[str]] = None) -> dict:
@@ -536,10 +620,9 @@ def measure_latency(tr: TraceAnalysis, warmup_labels: Optional[list[str]] = None
     measured = [t for t in committed if t.label not in warmup_labels]
     if not measured:
         return {"transactions": 0}
-    rts = np.array([t.rts for t in measured])
-    durs = np.array(sorted(t.dur for t in measured), dtype=float)
-    fractions = np.arange(1, len(durs) + 1) / len(durs)
-    cdf = [[float(d), float(f)] for d, f in zip(durs, fractions)]
+    rts = [t.rts for t in measured]
+    durs = sorted(t.dur for t in measured)
+    cdf = [[float(d), (i + 1) / len(durs)] for i, d in enumerate(durs)]
     # thin the CDF for reporting
     step = max(len(cdf) // 100, 1)
     by_label: dict[str, list[int]] = {}
@@ -547,13 +630,13 @@ def measure_latency(tr: TraceAnalysis, warmup_labels: Optional[list[str]] = None
         by_label.setdefault(t.label or "tx", []).append(t.rts)
     return {
         "transactions": len(measured),
-        "zero_rt_fraction": float(np.mean(rts == 0)),
-        "mean_rts": float(np.mean(rts)),
-        "mean_duration_ms": float(np.mean(durs)),
-        "p50_duration_ms": float(np.percentile(durs, 50)),
-        "p95_duration_ms": float(np.percentile(durs, 95)),
+        "zero_rt_fraction": rts.count(0) / len(rts),
+        "mean_rts": _mean(rts),
+        "mean_duration_ms": _mean(durs),
+        "p50_duration_ms": percentile(durs, 50),
+        "p95_duration_ms": percentile(durs, 95),
         "cdf": cdf[::step],
-        "rts_by_label": {k: float(np.mean(v)) for k, v in sorted(by_label.items())},
+        "rts_by_label": {k: _mean(v) for k, v in sorted(by_label.items())},
         "aborted": sum(1 for t in tr.txs.values() if t.aborted),
     }
 

@@ -12,7 +12,7 @@ are compact enough to live in dependency vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 DcId = int
 ScoutId = str
@@ -61,9 +61,6 @@ class VersionVector:
 
     __le__ = leq
 
-    def __ge__(self, other: "VersionVector") -> bool:
-        return other.leq(self)
-
     def join(self, other: "VersionVector") -> "VersionVector":
         """Least upper bound: component-wise maximum."""
         self._check_domain(other)
@@ -80,13 +77,6 @@ class VersionVector:
             raise DomainError(f"unknown DC index {gtid.origin}")
         return self.entries[gtid.origin] >= gtid.counter
 
-    def with_entry(self, dc: DcId, value: int) -> "VersionVector":
-        if not 0 <= dc < len(self.entries):
-            raise DomainError(f"unknown DC index {dc}")
-        e = list(self.entries)
-        e[dc] = value
-        return VersionVector(tuple(e))
-
     def __getitem__(self, dc: DcId) -> int:
         return self.entries[dc]
 
@@ -95,16 +85,6 @@ class VersionVector:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(c) for c in self.entries) + "]"
-
-
-def join_all(vectors: Iterable[VersionVector]) -> VersionVector:
-    vs = list(vectors)
-    if not vs:
-        raise DomainError("join_all of empty collection")
-    out = vs[0]
-    for v in vs[1:]:
-        out = out.join(v)
-    return out
 
 
 def k_stable_vector(known: Sequence[VersionVector], k: int) -> VersionVector:

@@ -49,10 +49,6 @@ class Unavailable(Exception):
     """Cache miss while disconnected: the scout cannot make progress."""
 
 
-class ReadFailed(Exception):
-    """The DC pruned the snapshot version; the transaction may abort."""
-
-
 class UsageError(Exception):
     """API misuse: overlapping transactions, update without read."""
 
@@ -145,7 +141,6 @@ class Scout:
         self.req_counter = 0
         self.wake = False
         self.pruned_read = False
-        self.stored_result = None
         self.ever_connected = False
 
     # -- identity helpers ----------------------------------------------------
@@ -558,7 +553,6 @@ class Scout:
                 "results": reply.results,
             }
         )
-        self.stored_result = reply.results
         self.wake = True
 
     # -- sessions and failover ------------------------------------------------------------------

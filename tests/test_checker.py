@@ -1,3 +1,7 @@
+import random
+
+import pytest
+
 from causalsim.checker import (
     TraceAnalysis,
     check_atomicity,
@@ -8,10 +12,12 @@ from causalsim.checker import (
     check_session_guarantees,
     measure_latency,
     measure_staleness,
+    percentile,
     run_checks,
 )
-from causalsim.crdt import CrdtType, EffectTag, ObjectId, new_state, prepare
+from causalsim.crdt import CrdtType, EffectTag, ObjectId, apply_effect, effect_from_wire, new_state, prepare
 from causalsim.crdt import effect_to_wire
+from causalsim.scenarios import load_scenario, run_scenario
 
 CTR = ("ctr", "counter")
 SET = ("s", "awset")
@@ -318,3 +324,47 @@ class TestLatencyMetrics:
     def test_checker_is_deterministic_over_a_trace(self):
         trace = base_trace()
         assert run_checks(trace) == run_checks(trace)
+
+    def test_percentile_interpolates_between_closest_ranks(self):
+        assert percentile([10], 95) == 10.0
+        assert percentile([0, 10], 50) == 5.0
+        assert percentile([1, 2, 3, 4, 5], 100) == 5.0
+        assert percentile([0, 10, 20, 30], 50) == 15.0
+
+    def test_percentile_matches_numpy_bit_for_bit(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(5)
+        for n in (1, 2, 3, 7, 100, 2601):
+            values = sorted(rng.randrange(0, 2000) for _ in range(n))
+            for q in (0, 1, 33, 50, 90, 95, 99, 100):
+                assert percentile(values, q) == float(np.percentile(np.array(values, dtype=float), q))
+
+
+def reference_oracle(tr, read):
+    """Brute-force replay: every record in the sorted linear extension that
+    the read's snapshot covers, filtered to the read object."""
+    oid = ObjectId(read.obj[0], CrdtType(read.obj[1]))
+    state = tr.initial.get(oid, new_state(oid.crdt_type))
+    for rec in sorted(tr.records.values(), key=lambda r: (r.commit_time, r.otid[0], r.otid[1])):
+        if read.obj not in rec.objs or not tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
+            continue
+        for ew in rec.effects:
+            effect = effect_from_wire(ew)
+            if (effect.target.key, effect.target.crdt_type.value) == read.obj:
+                state = apply_effect(state, effect)
+    return state
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [("social-90-10", {}), ("staleness-stress", {"mutations": ["disable_k_gating"]})],
+)
+def test_oracle_matches_brute_force_replay_on_every_read(preset, overrides):
+    tr = TraceAnalysis(run_scenario(load_scenario(preset), seed=1, overrides=overrides).trace)
+    assert len(tr.reads) > 500
+    expected = {}
+    for read in tr.reads:
+        key = (read.obj, read.ver_dc, read.ver_local, read.scout)
+        if key not in expected:
+            expected[key] = reference_oracle(tr, read)
+        assert tr.oracle_value(*key) == expected[key], key

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import causalsim
 from causalsim.cli import main
 from causalsim.scenarios import PRESETS, load_scenario
 
@@ -90,3 +95,11 @@ class TestPresets:
         for name in PRESETS:
             doc = load_scenario(name)
             sim_config(doc).validate()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(causalsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, causalsim.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
