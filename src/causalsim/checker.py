@@ -105,8 +105,8 @@ class _Replay:
     state: Any
     ver_dc: tuple = ()
     ver_local: int = 0
-    end: int = 0  # entries of the object's list before this one are replayed
-    skipped: list = field(default_factory=list)  # ... or not covered, among them
+    end: int = 0  # the object's list entries before this index are settled
+    skipped: list = field(default_factory=list)  # settled records the snapshot does not cover
 
 
 class TraceAnalysis:
@@ -258,9 +258,6 @@ class TraceAnalysis:
         if rec.origin == reader and rec.otid[0] <= ver_local:
             return True
         return any(counter <= ver_dc[dc] for counter, dc in rec.aliases)
-
-    def causal_order(self) -> list[RecordInfo]:
-        return self.order
 
     def initial_state(self, obj: tuple):
         oid = ObjectId(obj[0], CrdtType(obj[1]))
