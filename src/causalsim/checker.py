@@ -298,6 +298,14 @@ class TraceAnalysis:
             and not any(self.covers(rec, ver_dc, ver_local, reader) for rec in rep.skipped)
         )
 
+    def read_state(self, read: ReadInfo):
+        """What the read should return: its snapshot plus the reading
+        transaction's own updates made before it."""
+        state = self.oracle_value(read.obj, read.ver_dc, read.ver_local, read.scout)
+        for effect in self.own_updates(read):
+            state = apply_effect(state, effect)
+        return state
+
     def own_updates(self, read: ReadInfo) -> list:
         """The reading transaction's own effects on the read object that were
         applied before the read, decoded."""
@@ -342,10 +350,7 @@ def check_causal_snapshots(tr: TraceAnalysis) -> Verdict:
         if (read.ver_dc, read.ver_local) != (tx.snap_dc, tx.snap_local):
             violations.append(f"{read.scout} tx {read.tx}: read outside the frozen snapshot")
             continue
-        state = tr.oracle_value(read.obj, read.ver_dc, read.ver_local, read.scout)
-        for effect in tr.own_updates(read):
-            state = apply_effect(state, effect)
-        expected = value_to_wire(state)
+        expected = value_to_wire(tr.read_state(read))
         if expected != read.value:
             violations.append(
                 f"{read.scout} tx {read.tx} read {read.obj}: got {read.value!r}, "
@@ -387,7 +392,7 @@ def check_atomicity(tr: TraceAnalysis) -> Verdict:
     """No snapshot reflects a proper subset of a transaction's effects."""
     violations = []
     seq = {otid: i for i, otid in enumerate(tr.records)}
-    wire: dict[int, tuple] = {}  # id(read) -> (value with, value with own updates)
+    wire: dict[int, tuple] = {}  # id(read) -> wire values of its snapshot, and with own updates
     for tx_otid, reads in tr.reads_by_tx.items():
         objs = {r.obj for r in reads}
         if len(objs) < 2:
@@ -409,11 +414,9 @@ def check_atomicity(tr: TraceAnalysis) -> Verdict:
                     continue
                 if id(read) not in wire:
                     with_r = tr.oracle_value(read.obj, read.ver_dc, read.ver_local, read.scout)
-                    own = with_r
-                    for effect in tr.own_updates(read):
-                        own = apply_effect(own, effect)
-                    wire[id(read)] = (value_to_wire(with_r), value_to_wire(own))
+                    wire[id(read)] = (value_to_wire(with_r), value_to_wire(tr.read_state(read)))
                 vw, vo = wire[id(read)]
+                # leaving out a record the snapshot does not cover changes nothing
                 if tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
                     vo = value_to_wire(_oracle_without(tr, read, rec))
                 if vw == vo:

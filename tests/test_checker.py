@@ -355,6 +355,23 @@ def reference_oracle(tr, read):
     return state
 
 
+def test_oracle_replays_from_the_start_when_a_snapshot_regresses():
+    # the reader's own record (1, "r") and a remote one (1, "w"), both at dc0
+    trace = base_trace()[:-1] + [
+        apply_ev(70, 0, (1, "r"), [(2, 0)], [CTR], effects=[inc_effect(7, counter=1, origin="r")]),
+    ]
+    tr = TraceAnalysis(trace)
+
+    def counter(ver_dc, ver_local):
+        return tr.oracle_value(CTR, ver_dc, ver_local, "r").value
+
+    assert counter((2, 0), 1) == 12
+    assert counter((1, 0), 1) == 12  # own record covered by the local entry alone
+    assert counter((1, 0), 0) == 5
+    assert counter((0, 0), 0) == 0
+    assert counter((2, 0), 0) == 12
+
+
 @pytest.mark.parametrize(
     "preset, overrides",
     [("social-90-10", {}), ("staleness-stress", {"mutations": ["disable_k_gating"]})],
