@@ -289,7 +289,7 @@ class TraceAnalysis:
         self._oracle_cache[key] = state
         return state
 
-    def _extends(self, rep: "_Replay", ver_dc: tuple, ver_local: int, reader: str) -> bool:
+    def _extends(self, rep: _Replay, ver_dc: tuple, ver_local: int, reader: str) -> bool:
         """Whether the records this snapshot covers, in causal order, are the
         ones ``rep`` applied followed by records that sort after them."""
         return (
