@@ -3,7 +3,9 @@
 A DC is a single logical state machine; the simulator invokes one handler
 at a time. Durable state (the commit log with its per-object checkpoints,
 the per-scout high-water OTID map, and the prune frontier) survives a
-crash; sessions, peer knowledge and deferred work do not.
+crash; sessions, peer knowledge and deferred work do not. The log's
+indexes (by OTID, by alias slot, by origin scout, admission order) are
+derived from the log and survive with it.
 
 Commit identity is tracked at slot granularity: every alias GTID of a
 record occupies one slot in its origin DC's gapless sequence, and the
@@ -76,6 +78,7 @@ class Session:
     subscriptions: set[ObjectId]
     last_announced: VersionVector
     acked: set[Otid] = field(default_factory=set)
+    acked_through: int = 0  # admission number of the last record examined for acks
 
 
 class DataCenter:
@@ -101,10 +104,19 @@ class DataCenter:
         self.log: list[CommitRecord] = []
         self.by_otid: dict[Otid, CommitRecord] = {}
         self.by_gtid: dict[Gtid, CommitRecord] = {}
+        # origin DC -> counter -> the log records holding that alias slot
+        self.by_slot: list[dict[int, list[CommitRecord]]] = [{} for _ in range(num_dcs)]
+        # origin scout -> its records, in log order
+        self.by_origin: dict[ScoutId, list[CommitRecord]] = {}
+        # id(record) -> admission number, increasing along the log;
+        # `admitted` is the last number given
+        self.admission: dict[int, int] = {}
+        self.admitted = 0
         self.max_otid: dict[ScoutId, int] = {}
         self.prune_vector = VersionVector.zero(num_dcs)
         self.store: dict[ObjectId, StoredObject] = {}
         self.slots: list[set[int]] = [set() for _ in range(num_dcs)]
+        self.top_slot = [0] * num_dcs  # highest slot ever marked, per origin
         self.vdc = VersionVector.zero(num_dcs)
         self.apply_counts: dict[tuple[ObjectId, tuple], int] = {}
 
@@ -164,10 +176,8 @@ class DataCenter:
             dc.store[obj] = StoredObject(state_from_wire(cp), VersionVector(tuple(base)))
         for rw in snapshot["records"]:
             record = record_from_wire(rw)
-            dc.log.append(record)
-            dc.by_otid[record.otid] = record
+            dc._log_record(record)
             for g in record.gtids:
-                dc.by_gtid[g] = record
                 dc.slots[g.origin].add(g.counter)
             for e in record.effects:
                 so = dc.store.get(e.target)
@@ -185,6 +195,7 @@ class DataCenter:
             while vdc[origin] + 1 in dc.slots[origin]:
                 vdc[origin] += 1
         dc.vdc = VersionVector(tuple(vdc))
+        dc.top_slot = [max(s, default=0) for s in dc.slots]
         return dc
 
     def seed_store(self, states: dict[ObjectId, Any]) -> None:
@@ -217,12 +228,38 @@ class DataCenter:
             return False
         return True
 
-    def _admit_record(self, env, record: CommitRecord, via: str) -> None:
-        """Durably log a record, apply its effects once, then advance vdc."""
+    def _log_record(self, record: CommitRecord) -> None:
+        """Append a record to the log and to every index over it."""
         self.log.append(record)
+        self.admitted += 1
+        self.admission[id(record)] = self.admitted
         self.by_otid[record.otid] = record
         for g in record.gtids:
             self.by_gtid[g] = record
+            self.by_slot[g.origin].setdefault(g.counter, []).append(record)
+        self.by_origin.setdefault(record.otid.origin, []).append(record)
+
+    def _unlog_records(self, dropped: list[CommitRecord], pruned: set[Otid]) -> None:
+        """Remove the records just pruned from the log, which are every
+        record whose OTID is in `pruned`, from the indexes that list them."""
+
+        def keep_unpruned(index: dict, key) -> None:
+            rest = [r for r in index[key] if r.otid not in pruned]
+            if rest:
+                index[key] = rest
+            else:
+                del index[key]
+
+        for record in dropped:
+            del self.admission[id(record)]
+        for origin, counter in {(g.origin, g.counter) for r in dropped for g in r.gtids}:
+            keep_unpruned(self.by_slot[origin], counter)
+        for scout in {r.otid.origin for r in dropped}:
+            keep_unpruned(self.by_origin, scout)
+
+    def _admit_record(self, env, record: CommitRecord, via: str) -> None:
+        """Durably log a record, apply its effects once, then advance vdc."""
+        self._log_record(record)
         prev = self.max_otid.get(record.otid.origin, 0)
         if record.otid.counter > prev:
             self.max_otid[record.otid.origin] = record.otid.counter
@@ -251,6 +288,8 @@ class DataCenter:
     def _mark_slots(self, gtids: list[Gtid]) -> None:
         for g in gtids:
             self.slots[g.origin].add(g.counter)
+            if g.counter > self.top_slot[g.origin]:
+                self.top_slot[g.origin] = g.counter
         vdc = list(self.vdc.entries)
         for origin in range(self.num_dcs):
             while vdc[origin] + 1 in self.slots[origin]:
@@ -264,6 +303,7 @@ class DataCenter:
         existing.gtids.extend(new)
         for g in new:
             self.by_gtid[g] = existing
+            self.by_slot[g.origin].setdefault(g.counter, []).append(existing)
         self._mark_slots(new)
 
     # -- global commit (scout -> DC) ----------------------------------------
@@ -345,10 +385,19 @@ class DataCenter:
             if peer == self.id:
                 continue
             known = self.known_vectors.get(peer, VersionVector.zero(self.num_dcs))
-            # resend until the peer covers every alias, so alias slots learned
-            # here eventually fill the peer's sequence gaps too
-            suffix = [r for r in self.log if not all(known.covers(g) for g in r.gtids)]
+            suffix = self.gossip_suffix(known)
             env.send(f"dc{self.id}", f"dc{peer}", GossipBatch(self.id, suffix, self.vdc))
+
+    def gossip_suffix(self, known: VersionVector) -> list[CommitRecord]:
+        """The log records with some alias slot that `known` does not cover,
+        in log order. Resending until the peer covers every alias lets alias
+        slots learned here fill the peer's sequence gaps too."""
+        found: dict[int, CommitRecord] = {}
+        for origin, slot_records in enumerate(self.by_slot):
+            for counter in range(known[origin] + 1, self.top_slot[origin] + 1):
+                for record in slot_records.get(counter, ()):
+                    found[self.admission[id(record)]] = record
+        return [found[n] for n in sorted(found)]
 
     # -- deferred work -------------------------------------------------------
 
@@ -518,11 +567,7 @@ class DataCenter:
                 items.append(("effects", effects))
             else:
                 items.append(("invalidate", touched))
-        acks = []
-        for record in self.log:
-            if record.otid.origin == session.scout and record.otid not in session.acked:
-                session.acked.add(record.otid)
-                acks.append((record.otid, record.primary_gtid))
+        acks = self._take_acks(session)
         if target == session.last_announced and not acks:
             return
         env.send(
@@ -531,6 +576,23 @@ class DataCenter:
             NotifyBatch(self.id, session.epoch, session.last_announced, target, items, acks),
         )
         session.last_announced = target
+
+    def _take_acks(self, session: Session) -> list[tuple[Otid, Gtid]]:
+        """Ack the session scout's logged records, in log order, once per
+        OTID; acks go out before the records are K-durable. Only records
+        admitted since the last call are examined."""
+        mine = self.by_origin.get(session.scout, [])
+        start = len(mine)
+        while start and self.admission[id(mine[start - 1])] > session.acked_through:
+            start -= 1
+        acks = []
+        for record in mine[start:]:
+            if record.otid not in session.acked:
+                session.acked.add(record.otid)
+                acks.append((record.otid, record.primary_gtid))
+        if mine:
+            session.acked_through = self.admission[id(mine[-1])]
+        return acks
 
     # -- pruning ---------------------------------------------------------------
 
@@ -558,7 +620,9 @@ class DataCenter:
             so.entries = keep
             so.base = pv
         if pruned:
+            dropped = [r for r in self.log if r.otid in pruned]
             self.log = [r for r in self.log if r.otid not in pruned]
+            self._unlog_records(dropped, pruned)
             for otid in pruned:
                 record = self.by_otid.pop(otid, None)
                 if record is not None:

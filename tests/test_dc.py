@@ -9,14 +9,18 @@ from causalsim.crdt import (
     prepare,
     value_of,
 )
-from causalsim.dc import DataCenter, VersionPruned
+from causalsim.dc import DataCenter, Session, VersionPruned
 from causalsim.messages import (
+    CommitRecord,
     CommitRequest,
     FetchRequest,
     GossipBatch,
     SessionRequest,
     StoredTxRequest,
+    record_to_wire,
 )
+from causalsim.scenarios import load_scenario, run_scenario
+from test_pins import CHURN
 
 
 class FakeEnv:
@@ -443,3 +447,136 @@ class TestInvariants:
         for before, after in zip(history, history[1:]):
             for scout, counter in before.items():
                 assert after.get(scout, 0) >= counter
+
+
+# -- log indexes against whole-log scans ---------------------------------------
+
+
+def brute_suffix(dc, known):
+    """The records a peer at `known` still needs, by scanning the whole log."""
+    return [r for r in dc.log if not all(known.covers(g) for g in r.gtids)]
+
+
+def brute_acks(dc, session):
+    """The acks a notify would carry, by scanning the whole log."""
+    acked, out = set(session.acked), []
+    for r in dc.log:
+        if r.otid.origin == session.scout and r.otid not in acked:
+            acked.add(r.otid)
+            out.append((r.otid, r.primary_gtid))
+    return out
+
+
+# name -> (scenario, sim overrides, what the run must exercise); short prune
+# periods make records leave the log mid-run, and CHURN crashes DCs, which
+# resets their knowledge of their peers to zero
+INDEXED_RUNS = {
+    "preset": ("social-90-10", {}, ()),
+    "churn": (CHURN, {"prune_ms": 200}, ("pruned", "aliases", "after_reset")),
+    "dedup-off": (
+        CHURN,
+        {"prune_ms": 200, "mutations": ["disable_dedup"]},
+        ("pruned", "aliases", "shared_otid"),
+    ),
+    "failover": ("failover-demo", {}, ("aliases",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED_RUNS))
+def test_indexed_suffix_and_acks_match_whole_log_scans(name, monkeypatch):
+    base, overrides, exercised = INDEXED_RUNS[name]
+    seen = dict.fromkeys(
+        ("suffixes", "records", "acks", "pruned", "aliases", "after_reset", "shared_otid"), 0
+    )
+    gossip_suffix, take_acks, prune_tick = (
+        DataCenter.gossip_suffix,
+        DataCenter._take_acks,
+        DataCenter.prune_tick,
+    )
+
+    def checked_suffix(dc, known):
+        expected = brute_suffix(dc, known)
+        got = gossip_suffix(dc, known)
+        assert [id(r) for r in got] == [id(r) for r in expected]
+        seen["suffixes"] += 1
+        seen["records"] += len(got)
+        seen["aliases"] += sum(len(r.gtids) > 1 for r in got)
+        seen["after_reset"] += bool(got) and not any(known.entries)
+        seen["shared_otid"] += len({r.otid for r in dc.log}) < len(dc.log)
+        return got
+
+    def checked_acks(dc, session):
+        expected = brute_acks(dc, session)
+        got = take_acks(dc, session)
+        assert got == expected
+        seen["acks"] += len(got)
+        return got
+
+    def counted_prune(dc, env):
+        before = len(dc.log)
+        out = prune_tick(dc, env)
+        seen["pruned"] += before - len(dc.log)
+        by_origin = {}
+        for r in dc.log:
+            by_origin.setdefault(r.otid.origin, []).append(id(r))
+        assert {o: [id(r) for r in rs] for o, rs in dc.by_origin.items()} == by_origin
+        assert sorted(dc.admission) == sorted(id(r) for r in dc.log)
+        return out
+
+    monkeypatch.setattr(DataCenter, "gossip_suffix", checked_suffix)
+    monkeypatch.setattr(DataCenter, "_take_acks", checked_acks)
+    monkeypatch.setattr(DataCenter, "prune_tick", counted_prune)
+    scenario = load_scenario(base) if isinstance(base, str) else base
+    run_scenario(scenario, seed=1, overrides=overrides)
+    assert seen["suffixes"] and seen["records"] and seen["acks"], seen
+    for what in exercised:
+        assert seen[what] > 0, (what, seen)
+
+
+def replica_views(dc, knowns, scouts):
+    suffixes = [[record_to_wire(r) for r in dc.gossip_suffix(k)] for k in knowns]
+    acks = {s: dc._take_acks(dc.sessions[s]) for s in scouts}
+    return suffixes, acks
+
+
+def inc(otid):
+    tag = EffectTag(otid.counter, otid.origin, 0)
+    return prepare(CTR, new_state(CrdtType.COUNTER), ("inc", 1), tag)
+
+
+def admit_more(dc, top):
+    """A new commit, a remote record, and a new alias slot for the oldest
+    logged record, which puts that record back in some suffixes."""
+    env, late, far, old = FakeEnv(), Otid(1, "late"), Otid(1, "far"), dc.log[0]
+    dc.on_commit_request(env, CommitRequest("late", late, CausalClock.zero(3), (inc(late),)))
+    records = [
+        CommitRecord(far, [Gtid(top + 1, 1)], CausalClock.zero(3), (inc(far),), "far"),
+        CommitRecord(old.otid, [Gtid(top + 2, 1)], old.deps, old.effects, old.origin_session),
+    ]
+    dc.on_gossip(env, GossipBatch(1, records, dc.known_vectors.get(1, vv(0, 0, 0))))
+    dc.sessions["late"] = Session("late", 1, set(), VersionVector.zero(3))
+    return old
+
+
+def test_rebuilt_replica_indexes_match_the_original():
+    result = run_scenario(CHURN, seed=1, overrides={"prune_ms": 500, "horizon_ms": 700})
+    dc = result.dcs[0]
+    rebuilt = DataCenter.from_durable(dc.durable_snapshot(), dc.num_dcs, dc.k)
+    assert dc.log and dc.prune_vector != VersionVector.zero(3)
+    assert rebuilt.admitted == len(rebuilt.log)
+    scouts = sorted(dc.by_origin)
+    for replica in (dc, rebuilt):
+        replica.sessions = {s: Session(s, 1, set(), VersionVector.zero(3)) for s in scouts}
+    knowns = [VersionVector.zero(3), dc.prune_vector, dc.vdc, *dc.known_vectors.values()]
+    assert replica_views(rebuilt, knowns, scouts) == replica_views(dc, knowns, scouts)
+
+    top = max(dc.top_slot[1], rebuilt.top_slot[1])
+    old = admit_more(dc, top)
+    admit_more(rebuilt, top)
+    knowns += [dc.vdc, VersionVector((dc.vdc[0], top + 1, dc.vdc[2]))]
+    after = replica_views(dc, knowns, scouts + ["late"])
+    assert replica_views(rebuilt, knowns, scouts + ["late"]) == after
+    # admission order continues past the rebuilt log
+    assert [w["otid"] for w in after[0][0][-2:]] == [[1, "late"], [1, "far"]]
+    assert [w["otid"] for w in after[0][-1]] == [[old.otid.counter, old.otid.origin]]
+    assert after[1]["late"] == [(Otid(1, "late"), dc.by_otid[Otid(1, "late")].primary_gtid)]
