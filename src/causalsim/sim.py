@@ -261,6 +261,11 @@ class Simulation:
             self.scouts[sid] = scout
             self.drivers[sid] = ScriptDriver(scout, scripts.get(sid, []), config.think_ms)
 
+        # node address -> (kind, index), parsed once
+        self.addrs: dict[str, tuple[str, int]] = {
+            f"dc{i}": ("dc", i) for i in range(config.num_dcs)
+        }
+        self.addrs.update((sid, ("s", idx)) for idx, sid in enumerate(self.scouts))
         self._reorder_armed = "reorder_session" in mut
         self.meta: dict = {}
 
@@ -313,10 +318,7 @@ class Simulation:
     # -- network model ---------------------------------------------------------
 
     def _one_way(self, src: str, dst: str) -> int:
-        def parse(n):
-            return ("dc", int(n[2:])) if n.startswith("dc") else ("s", int(n[1:]))
-
-        (ka, ia), (kb, ib) = parse(src), parse(dst)
+        (ka, ia), (kb, ib) = self.addrs[src], self.addrs[dst]
         if ka == "dc" and kb == "dc":
             return max(self.config.dc_rtt(ia, ib) // 2, 0)
         if ka == "s":
@@ -327,7 +329,8 @@ class Simulation:
         if frozenset((a, b)) in self.partitions:
             return True
         for n in (a, b):
-            if n.startswith("dc") and int(n[2:]) in self.crashed:
+            kind, idx = self.addrs[n]
+            if kind == "dc" and idx in self.crashed:
                 return True
             if n in self.disconnected:
                 return True
@@ -439,8 +442,9 @@ class Simulation:
                 self.stats["dropped"] += 1
                 return
             msg = message_from_wire(wire)
-            if dst.startswith("dc"):
-                dc = self.dcs[int(dst[2:])]
+            dst_kind, idx = self.addrs[dst]
+            if dst_kind == "dc":
+                dc = self.dcs[idx]
                 dc.dispatch(self, msg)
                 self.stats["max_pending_remote"] = max(
                     self.stats["max_pending_remote"], len(dc.pending_remote)
