@@ -31,6 +31,8 @@ sorted one. The checker shares no code with the DC's materialization.
 from __future__ import annotations
 
 import bisect
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -107,6 +109,18 @@ class _Replay:
     ver_local: int = 0
     end: int = 0  # the object's list entries before this index are settled
     skipped: list = field(default_factory=list)  # settled records the snapshot does not cover
+
+
+@contextmanager
+def _gc_paused():
+    """Pause cyclic garbage collection, restoring the caller's setting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TraceAnalysis:
@@ -235,7 +249,7 @@ class TraceAnalysis:
         sim_cfg = scenario.get("sim", {})
         scripts, initial, _ = workload.build(
             wl,
-            sim_cfg.get("num_scouts", self.header.get("num_scouts", 0)),
+            self.header.get("num_scouts", sim_cfg.get("num_scouts", 0)),
             self.header.get("seed", 0),
             sim_cfg.get("cache_capacity", 64),
         )
@@ -655,6 +669,9 @@ ALL_CHECKS = [
 ]
 
 
+# checking allocates many long-lived objects and no cyclic garbage; left on,
+# the collector would traverse the trace and its indexes again and again
+@_gc_paused()
 def run_checks(trace: list[dict]) -> dict:
     tr = TraceAnalysis(trace)
     verdicts = {}

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -385,3 +386,24 @@ def test_oracle_matches_brute_force_replay_on_every_read(preset, overrides):
         if key not in expected:
             expected[key] = reference_oracle(tr, read)
         assert tr.oracle_value(*key) == expected[key], key
+
+
+def test_labels_follow_the_run_scout_count_not_the_scenario_file():
+    trace = run_scenario(load_scenario("failover-demo"), seed=1, overrides={"num_scouts": 6}).trace
+    tr = TraceAnalysis(trace)
+    late = [tx for tx in tr.txs.values() if tx.scout in ("s4", "s5")]
+    assert late and all(tx.label is not None for tx in late)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_checks_restores_the_callers_gc_setting(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run_checks(base_trace())["ok"]
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError):
+            run_checks([{"ev": "read"}])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
