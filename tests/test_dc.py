@@ -570,7 +570,8 @@ def test_rebuilt_replica_indexes_match_the_original():
     knowns = [VersionVector.zero(3), dc.prune_vector, dc.vdc, *dc.known_vectors.values()]
     assert replica_views(rebuilt, knowns, scouts) == replica_views(dc, knowns, scouts)
 
-    top = max(dc.top_slot[1], rebuilt.top_slot[1])
+    assert rebuilt.top_slot == dc.top_slot
+    top = dc.top_slot[1]
     old = admit_more(dc, top)
     admit_more(rebuilt, top)
     knowns += [dc.vdc, VersionVector((dc.vdc[0], top + 1, dc.vdc[2]))]
