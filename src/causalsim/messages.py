@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from causalsim.clocks import CausalClock, DcId, Gtid, Otid, ScoutId, VersionVector
-from causalsim.crdt import CrdtType, EffectOp, ObjectId, effect_from_wire, effect_to_wire
+from causalsim.crdt import EffectOp, ObjectId, effect_from_wire, effect_to_wire, object_from_wire
 
 SCHEMA = "causalsim-wire-1"
 
@@ -86,9 +86,10 @@ class FetchReply:
     scout: ScoutId
     req_id: int
     status: str  # "ok" | "pruned"
-    # per object: state at the requested snapshot, plus the state and
-    # frontier the cache may admit (aligned with the notify stream)
-    versions: list[tuple[ObjectId, dict, dict]] = field(default_factory=list)
+    # per object: state at the requested snapshot, plus the state the cache
+    # may admit at `admit_frontier` (aligned with the notify stream), or
+    # None when it is the snapshot state
+    versions: list[tuple[ObjectId, dict, Optional[dict]]] = field(default_factory=list)
     admit_frontier: Optional[VersionVector] = None
 
 
@@ -170,7 +171,7 @@ def _obj_w(o: ObjectId) -> list:
 
 
 def _obj_r(w) -> ObjectId:
-    return ObjectId(w[0], CrdtType(w[1]))
+    return object_from_wire(w[0], w[1])
 
 
 def record_to_wire(r: CommitRecord) -> dict:
@@ -320,7 +321,7 @@ def message_from_wire(w: dict):
             w["scout"],
             w["req_id"],
             w["status"],
-            [( _obj_r(o), snap, admit) for o, snap, admit in w["versions"]],
+            [(_obj_r(o), snap, admit) for o, snap, admit in w["versions"]],
             None if w["admit_frontier"] is None else _vv_r(w["admit_frontier"]),
         )
     if m == "stored_req":

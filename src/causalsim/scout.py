@@ -510,12 +510,15 @@ class Scout:
             self.pruned_read = True
             return
         for obj, snap_wire, admit_wire in reply.versions:
+            # states are immutable, so the transaction and the cache can share one
+            snap = state_from_wire(snap_wire)
             if tx is not None and tx.status == "active":
-                tx.working[obj] = state_from_wire(snap_wire)
+                tx.working[obj] = snap
                 tx.fetched.add(obj)
             admit_clock = CausalClock(reply.admit_frontier, self.clock.local_part)
             self._stash_protect(obj)
-            self.admit(env, obj, state_from_wire(admit_wire), admit_clock)
+            admit = snap if admit_wire is None else state_from_wire(admit_wire)
+            self.admit(env, obj, admit, admit_clock)
         self._drain_notify_backlog(env)
         self.wake = True
 

@@ -23,6 +23,7 @@ from typing import Any, Optional
 
 from causalsim.crdt import ObjectId
 from causalsim.dc import DataCenter
+from causalsim.gcpause import gc_paused
 from causalsim.messages import message_from_wire, message_to_wire
 from causalsim.scout import Scout, Unavailable
 
@@ -383,6 +384,7 @@ class Simulation:
 
     # -- main loop -------------------------------------------------------------------
 
+    @gc_paused()
     def run(self) -> RunResult:
         header = {
             "ev": "config",

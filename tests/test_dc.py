@@ -1,12 +1,14 @@
 import pytest
 
 from causalsim.clocks import CausalClock, Gtid, Otid, VersionVector
+from causalsim.checker import run_checks
 from causalsim.crdt import (
     CrdtType,
     EffectTag,
     ObjectId,
     new_state,
     prepare,
+    state_to_wire,
     value_of,
 )
 from causalsim.dc import DataCenter, Session, VersionPruned
@@ -581,3 +583,132 @@ def test_rebuilt_replica_indexes_match_the_original():
     assert [w["otid"] for w in after[0][0][-2:]] == [[1, "late"], [1, "far"]]
     assert [w["otid"] for w in after[0][-1]] == [[old.otid.counter, old.otid.origin]]
     assert after[1]["late"] == [(Otid(1, "late"), dc.by_otid[Otid(1, "late")].primary_gtid)]
+
+
+# -- fetch replies against two independent replays ------------------------------
+
+
+class SendTap:
+    """Forwards to the simulator and keeps what the DC sends."""
+
+    def __init__(self, env):
+        self.env, self.sent = env, []
+
+    def send(self, src, dst, msg):
+        self.sent.append(msg)
+        self.env.send(src, dst, msg)
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+
+def covered_entries(dc, obj, at, own):
+    so = dc.store.get(obj)
+    return [i for i, (_, r) in enumerate(so.entries if so else ()) if dc._covered(r, at, own)]
+
+
+FETCH_RUNS = {
+    "social-90-10": ("social-90-10", {}),
+    "staleness-stress": ("staleness-stress", {}),
+    "churn-pruned": (CHURN, {"prune_ms": 200}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FETCH_RUNS))
+def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
+    base, overrides = FETCH_RUNS[name]
+    seen = {"objects": 0, "shared": 0}
+    serve_fetch = DataCenter._serve_fetch
+
+    def checked_serve(dc, env, msg):
+        session = dc.sessions.get(msg.scout)
+        admit_dc = session.last_announced if session else msg.snapshot.dc_part
+        admit_at = CausalClock(admit_dc, msg.snapshot.local_part)
+        tap = SendTap(env)
+        serve_fetch(dc, tap, msg)
+        (reply,) = tap.sent
+        if reply.status == "pruned":
+            with pytest.raises(VersionPruned):
+                for obj in msg.objects:
+                    dc.materialize(obj, msg.snapshot, msg.scout)
+                    dc.materialize(obj, admit_at, msg.scout)
+            return
+        assert [v[0] for v in reply.versions] == msg.objects
+        for obj, snap_wire, admit_wire in reply.versions:
+            # the two-call path that the one-pass walk replaced
+            snap = dc.materialize(obj, msg.snapshot, msg.scout)
+            admit = dc.materialize(obj, admit_at, msg.scout)
+            same = covered_entries(dc, obj, msg.snapshot, msg.scout) == covered_entries(
+                dc, obj, admit_at, msg.scout
+            )
+            got_snap, got_admit = dc.fetch_states(obj, msg.snapshot, admit_at, msg.scout)
+            assert got_snap == snap
+            assert (got_admit is None) == same
+            assert (got_snap if got_admit is None else got_admit) == admit
+            assert snap_wire == state_to_wire(snap)
+            assert admit_wire == (None if same else state_to_wire(admit))
+            seen["objects"] += 1
+            seen["shared"] += same
+
+    monkeypatch.setattr(DataCenter, "_serve_fetch", checked_serve)
+    scenario = load_scenario(base) if isinstance(base, str) else base
+    run_scenario(scenario, seed=1, overrides=overrides)
+    assert seen["objects"] > seen["shared"] > 0, seen
+
+
+class TestFetchStates:
+    def _dc(self):
+        env, dc = friendship_dc()
+        dc.known_vectors[1] = vv(1, 0)
+        dc.prune_tick(env)
+        return dc
+
+    @pytest.mark.parametrize("low", ["snapshot", "admit"])
+    def test_either_clock_below_the_prune_frontier_fails(self, low):
+        dc = self._dc()
+        ok, below = clock([2, 0]), clock([0, 0])
+        snap, admit = (below, ok) if low == "snapshot" else (ok, below)
+        with pytest.raises(VersionPruned):
+            dc.fetch_states(B_FRD, snap, admit, "R")
+
+    def test_equal_coverage_shares_one_state(self):
+        dc = self._dc()
+        snap, admit = dc.fetch_states(B_FRD, clock([2, 0]), clock([2, 0]), "R")
+        assert admit is None and value_of(snap) == frozenset({"A", "C"})
+
+    def test_different_coverage_gives_two_states(self):
+        dc = self._dc()
+        snap, admit = dc.fetch_states(B_FRD, clock([2, 0]), clock([1, 0]), "R")
+        assert value_of(snap) == frozenset({"A", "C"})
+        assert value_of(admit) == frozenset({"A"})
+
+    def test_unknown_object_is_empty(self):
+        dc = self._dc()
+        nobody = ObjectId("nobody", CrdtType.COUNTER)
+        snap, admit = dc.fetch_states(nobody, clock([1, 0]), clock([2, 0]), "R")
+        assert admit is None and value_of(snap) == 0
+
+
+# -- alias index after pruning with duplicate OTIDs --------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pruning_unindexes_every_dropped_alias(seed, monkeypatch):
+    overrides = {"prune_ms": 200, "mutations": ["disable_dedup"]}
+    seen = {"pruned": 0, "shared_otid": 0}
+    prune_tick = DataCenter.prune_tick
+
+    def checked_prune(dc, env):
+        before = len(dc.log)
+        seen["shared_otid"] += len({r.otid for r in dc.log}) < before
+        out = prune_tick(dc, env)
+        seen["pruned"] += before - len(dc.log)
+        logged = {id(r) for r in dc.log}
+        assert all(id(r) in logged for r in dc.by_gtid.values())
+        return out
+
+    monkeypatch.setattr(DataCenter, "prune_tick", checked_prune)
+    result = run_scenario(CHURN, seed=seed, overrides=overrides)
+    assert seen["pruned"] and seen["shared_otid"], seen
+    report = run_checks(result.trace)
+    assert not report["verdicts"]["exactly_once"]["ok"]

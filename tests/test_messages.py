@@ -1,0 +1,115 @@
+import json
+
+import pytest
+
+from causalsim.clocks import CausalClock, Gtid, Otid, VersionVector
+from causalsim.crdt import (
+    AwSetState,
+    CmapState,
+    CounterState,
+    CrdtType,
+    EffectTag,
+    ObjectId,
+    new_state,
+    object_from_wire,
+    prepare,
+    state_to_wire,
+)
+from causalsim.messages import (
+    CommitRecord,
+    CommitReply,
+    CommitRequest,
+    FetchReply,
+    FetchRequest,
+    GossipBatch,
+    NotifyBatch,
+    SessionReply,
+    SessionRequest,
+    StoredTxReply,
+    StoredTxRequest,
+    message_from_wire,
+    message_to_wire,
+)
+
+CTR = ObjectId("ctr", CrdtType.COUNTER)
+SET = ObjectId("user:A/frd", CrdtType.AW_SET)
+MAP = ObjectId("user:A", CrdtType.CMAP)
+OTID = Otid(3, "s1")
+DEPS = CausalClock(VersionVector((4, 0, 2)), 2)
+
+
+def _effects():
+    tag = EffectTag(OTID.counter, OTID.origin, 0)
+    added = AwSetState({"B": frozenset({EffectTag(1, "s0", 0)})})
+    return (
+        prepare(CTR, new_state(CrdtType.COUNTER), ("inc", 5), tag),
+        prepare(SET, added, ("remove", "B"), EffectTag(OTID.counter, OTID.origin, 1)),
+        prepare(MAP, CmapState(), ("entry", "name", CrdtType.LWW_REGISTER, ("assign", "A")), tag),
+    )
+
+
+def _record():
+    return CommitRecord(OTID, [Gtid(5, 0), Gtid(7, 2)], DEPS, _effects(), "s1", [1, "x"])
+
+
+MESSAGES = {
+    "session_req": SessionRequest("s1", 2, VersionVector((4, 0, 2)), [CTR, SET]),
+    "session_rep": SessionReply("s1", 2, 2, True, VersionVector((4, 1, 2))),
+    "commit_req": CommitRequest("s1", OTID, DEPS, _effects()),
+    "commit_rep": CommitReply(OTID, "new", Gtid(5, 0)),
+    "commit_rep_null": CommitReply(OTID, "null", None),
+    "fetch_req": FetchRequest("s1", 9, [SET, MAP], DEPS, [CTR]),
+    "fetch_rep_shared": FetchReply(
+        "s1", 9, "ok", [(CTR, state_to_wire(CounterState(4)), None)], VersionVector((4, 0, 2))
+    ),
+    "fetch_rep_admit": FetchReply(
+        "s1",
+        9,
+        "ok",
+        [
+            (CTR, state_to_wire(CounterState(4)), state_to_wire(CounterState(3))),
+            (SET, state_to_wire(AwSetState()), None),
+        ],
+        VersionVector((3, 0, 2)),
+    ),
+    "fetch_rep_pruned": FetchReply("s1", 9, "pruned"),
+    "stored_req": StoredTxRequest("s1", "wall", {"obj": "ctr"}, OTID, DEPS),
+    "stored_rep": StoredTxReply(OTID, "new", Gtid(5, 0), [4, None]),
+    "gossip": GossipBatch(0, [_record()], VersionVector((7, 0, 2))),
+    "notify": NotifyBatch(
+        0,
+        2,
+        VersionVector((4, 0, 2)),
+        VersionVector((7, 0, 2)),
+        [("effects", list(_effects()[:2])), ("invalidate", [MAP])],
+        [(OTID, Gtid(5, 0))],
+    ),
+}
+
+
+def test_every_message_kind_is_covered():
+    kinds = {message_to_wire(m)["m"] for m in MESSAGES.values()}
+    assert kinds == {
+        "session_req", "session_rep", "commit_req", "commit_rep", "fetch_req",
+        "fetch_rep", "stored_req", "stored_rep", "gossip", "notify",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGES))
+def test_json_round_trip(name):
+    msg = MESSAGES[name]
+    assert message_from_wire(json.loads(json.dumps(message_to_wire(msg)))) == msg
+
+
+def test_shared_admit_state_is_null_on_the_wire():
+    wire = message_to_wire(MESSAGES["fetch_rep_admit"])
+    assert wire["versions"][0][2] == {"t": "counter", "value": 3}
+    assert wire["versions"][1][2] is None
+
+
+def test_object_from_wire_uses_the_enum_members():
+    for t in CrdtType:
+        obj = object_from_wire("k", t.value)
+        assert obj == ObjectId("k", t) and obj.crdt_type is t
+    with pytest.raises(ValueError):
+        object_from_wire("k", "no-such-type")

@@ -1,7 +1,8 @@
 import pytest
 
 from causalsim.clocks import CausalClock, Otid, VersionVector
-from causalsim.crdt import CrdtType, ObjectId, new_state
+from causalsim.crdt import CounterState, CrdtType, ObjectId, new_state, state_to_wire
+from causalsim.messages import FetchReply
 from causalsim.scout import CachePinOverflow, Unavailable, UsageError
 from causalsim.sim import SimConfig, Simulation
 
@@ -162,6 +163,33 @@ class TestCache:
         s = sim.scouts["s0"]
         s.admit(sim, CTR, new_state(CrdtType.COUNTER), CausalClock.zero(2))
         assert len(s.cache) == 0
+
+
+class TestFetchReply:
+    def _fetching(self):
+        sim = harness()
+        s = sim.scouts["s0"]
+        s.session = 0
+        tx = s.begin(sim)
+        assert s.read(sim, tx, CTR) is None  # a miss: the fetch is out
+        return sim, s, tx
+
+    def _reply(self, s, snap, admit):
+        admit_wire = None if admit is None else state_to_wire(CounterState(admit))
+        versions = [(CTR, state_to_wire(CounterState(snap)), admit_wire)]
+        return FetchReply("s0", s.fetch.req_id, "ok", versions, VersionVector.zero(2))
+
+    def test_one_state_serves_the_transaction_and_the_cache(self):
+        sim, s, tx = self._fetching()
+        s.on_fetch_reply(sim, self._reply(s, 3, None))
+        assert tx.working[CTR] is s.cache[CTR].state
+        assert s.read(sim, tx, CTR) == 3
+
+    def test_a_separate_admit_state_goes_to_the_cache(self):
+        sim, s, tx = self._fetching()
+        s.on_fetch_reply(sim, self._reply(s, 3, 1))
+        assert s.read(sim, tx, CTR) == 3
+        assert s.cache[CTR].state == CounterState(1)
 
 
 def run_pair(scripts, **kw):

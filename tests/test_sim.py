@@ -1,6 +1,9 @@
+import gc
+from pathlib import Path
+
 from causalsim.crdt import CrdtType, ObjectId
 from causalsim.checker import run_checks
-from causalsim.scenarios import load_scenario, run_scenario
+from causalsim.scenarios import PRESETS, load_scenario, run_scenario
 from causalsim.sim import FaultEvent, SimConfig, Simulation
 
 import pytest
@@ -192,3 +195,51 @@ class TestValidation:
     def test_unknown_commit_target_rejected(self):
         with pytest.raises(ValueError):
             SimConfig(commit_target="nearest").validate()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_gc_setting(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert Simulation(small_cfg(), scripts={"s0": [inc_tx()]}).run().synced
+        assert gc.isenabled() == enabled
+        bad = {"kind": "tx", "label": "bad", "ops": [("frob", CTR)]}
+        with pytest.raises(ValueError):
+            Simulation(small_cfg(), scripts={"s0": [bad]}).run()
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# the benchmark's churn workload, at the size the benchmark runs it
+CHURN_FAULTS = Path(__file__).parents[1] / "perfbench" / "scenarios" / "churn-faults.json"
+CHURN_SIZE = ({"num_scouts": 12}, {"txs_per_scout": 50})
+GC_MUTATIONS = {
+    "plain": {},
+    "dedup-off": {"prune_ms": 200, "mutations": ["disable_dedup"]},
+    "session-reorder": {"mutations": ["reorder_session", "disable_guards"]},
+    "k-gating-off": {"mutations": ["disable_k_gating"]},
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(GC_MUTATIONS))
+@pytest.mark.parametrize("name", [*PRESETS, "churn-faults"])
+def test_a_run_leaves_no_cyclic_garbage(name, mutation):
+    """Simulation.run pauses the cyclic collector, which is sound only while
+    a run makes no reference cycles for it to free."""
+    overrides, wl = dict(GC_MUTATIONS[mutation]), None
+    if name == "churn-faults":
+        scenario = load_scenario(CHURN_FAULTS)
+        overrides.update(CHURN_SIZE[0])
+        wl = CHURN_SIZE[1]
+    else:
+        scenario = load_scenario(name)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(scenario, seed=1, overrides=overrides, workload_overrides=wl)
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
