@@ -56,6 +56,14 @@ from causalsim.messages import (
     record_to_wire,
 )
 
+# Every DC gossips at the same period over FIFO links with a fixed delay,
+# so one batch from a live peer arrives between any two of our ticks. A
+# second tick without one means batches were lost to a crash or a
+# partition, and with them maybe records we sent: until the peer is heard
+# again, and once after, it gets everything its vector lacks. Jitter can
+# make a live peer look silent, which costs resends but loses nothing.
+SILENT_TICKS = 2
+
 # a stored procedure reads through `reader(obj) -> value` and returns
 # (results, [(obj, intent), ...]); it must be deterministic given the reader
 StoredProcedure = Callable[[Any, Callable[[ObjectId], Any]], tuple]
@@ -123,6 +131,10 @@ class DataCenter:
 
         # volatile
         self.known_vectors: dict[DcId, VersionVector] = {}
+        # peer -> top_slot at our last gossip to it, and our gossip ticks
+        # since its last batch reached us
+        self.send_marks: dict[DcId, VersionVector] = {}
+        self.quiet_ticks: dict[DcId, int] = {}
         self.sessions: dict[ScoutId, Session] = {}
         self.pending_remote: list[CommitRecord] = []
         self.pending_commits: list[CommitRequest] = []
@@ -136,6 +148,8 @@ class DataCenter:
     def crash(self) -> None:
         """Drop volatile state; the durable log and store survive."""
         self.known_vectors = {}
+        self.send_marks = {}
+        self.quiet_ticks = {}
         self.sessions = {}
         self.pending_remote = []
         self.pending_commits = []
@@ -292,14 +306,25 @@ class DataCenter:
 
     def _mark_slots(self, gtids: list[Gtid]) -> None:
         for g in gtids:
-            self.slots[g.origin].add(g.counter)
             if g.counter > self.top_slot[g.origin]:
                 self.top_slot[g.origin] = g.counter
+            elif g.counter not in self.slots[g.origin]:
+                self._lower_send_marks(g)
+            self.slots[g.origin].add(g.counter)
         vdc = list(self.vdc.entries)
         for origin in range(self.num_dcs):
             while vdc[origin] + 1 in self.slots[origin]:
                 vdc[origin] += 1
         self.vdc = VersionVector(tuple(vdc))
+
+    def _lower_send_marks(self, g: Gtid) -> None:
+        """A slot below the top filled in: lower every send mark that covers
+        it, so that the next gossip carries it."""
+        for peer, mark in list(self.send_marks.items()):
+            if mark[g.origin] >= g.counter:
+                entries = list(mark.entries)
+                entries[g.origin] = g.counter - 1
+                self.send_marks[peer] = VersionVector(tuple(entries))
 
     def _merge_aliases(self, existing: CommitRecord, incoming: CommitRecord) -> None:
         new = [g for g in incoming.gtids if g not in existing.gtids]
@@ -353,6 +378,11 @@ class DataCenter:
     # -- epidemic propagation ------------------------------------------------
 
     def on_gossip(self, env, msg: GossipBatch) -> None:
+        if self.quiet_ticks.get(msg.src, 0) >= SILENT_TICKS:
+            # back from a silence that may have lost records: resend from
+            # what the peer reports, not from what we last sent it
+            self.send_marks.pop(msg.src, None)
+        self.quiet_ticks[msg.src] = 0
         for record in msg.records:
             self._receive_remote(env, record)
         prior = self.known_vectors.get(msg.src, VersionVector.zero(self.num_dcs))
@@ -390,13 +420,21 @@ class DataCenter:
             if peer == self.id:
                 continue
             known = self.known_vectors.get(peer, VersionVector.zero(self.num_dcs))
+            quiet = self.quiet_ticks[peer] = self.quiet_ticks.get(peer, 0) + 1
+            mark = self.send_marks.get(peer)
+            if mark is not None and quiet < SILENT_TICKS:
+                # a talking peer has every slot sent at or below the mark
+                known = known.join(mark)
             suffix = self.gossip_suffix(known)
+            self.send_marks[peer] = VersionVector(tuple(self.top_slot))
             env.send(f"dc{self.id}", f"dc{peer}", GossipBatch(self.id, suffix, self.vdc))
 
     def gossip_suffix(self, known: VersionVector) -> list[CommitRecord]:
         """The log records with some alias slot that `known` does not cover,
-        in log order. Resending until the peer covers every alias lets alias
-        slots learned here fill the peer's sequence gaps too."""
+        in log order. `gossip_tick` passes the peer's vector, joined with the
+        peer's send mark while it talks: a record then goes out once, and
+        again only for an alias slot the mark does not cover, which can fill
+        a gap in the peer's sequence."""
         found: dict[int, CommitRecord] = {}
         for origin, slot_records in enumerate(self.by_slot):
             for counter in range(known[origin] + 1, self.top_slot[origin] + 1):
@@ -556,20 +594,26 @@ class DataCenter:
 
     def notify_tick(self, env) -> None:
         target = self.announceable_frontier()
+        # most sessions share their last frontier, and so the delta from it
+        deltas: dict[VersionVector, tuple[bool, list]] = {}
         for session in list(self.sessions.values()):
-            self._notify_session(env, session, target)
+            base = session.last_announced
+            if not base.leq(target) and not self.disable_k_gating:
+                continue  # the mutation announces a non-monotonic frontier instead
+            if base not in deltas:
+                deltas[base] = self._notify_delta(base, target)
+            self._notify_session(env, session, target, *deltas[base])
 
-    def _notify_session(self, env, session: Session, target: VersionVector) -> None:
-        if not session.last_announced.leq(target):
-            if not self.disable_k_gating:
-                return
-            # mutation: announce a non-monotonic frontier instead of waiting
-        delta_records = []
+    def _notify_delta(
+        self, base: VersionVector, target: VersionVector
+    ) -> tuple[bool, list[tuple[CommitRecord, list[ObjectId]]]]:
+        """The records first announced by moving from `base` to `target`, each
+        with its objects, and whether some slot between them is pruned."""
+        delta = []
         gap_in_log = False
         seen: set[Otid] = set()
         for origin in range(self.num_dcs):
-            lo, hi = session.last_announced[origin], target[origin]
-            for counter in range(lo + 1, hi + 1):
+            for counter in range(base[origin] + 1, target[origin] + 1):
                 record = self.by_gtid.get(Gtid(counter, origin))
                 if record is None:
                     # already pruned: effects cannot be delivered piecemeal
@@ -580,16 +624,26 @@ class DataCenter:
                 seen.add(record.otid)
                 # a record can surface in a new slot range through an alias
                 # even though an older alias was announced long ago
-                if any(session.last_announced.covers(g) for g in record.gtids):
+                if any(base.covers(g) for g in record.gtids):
                     continue
-                delta_records.append(record)
+                delta.append((record, record.objects()))
+        return gap_in_log, delta
+
+    def _notify_session(
+        self,
+        env,
+        session: Session,
+        target: VersionVector,
+        gap_in_log: bool,
+        delta: list[tuple[CommitRecord, list[ObjectId]]],
+    ) -> None:
         items: list[tuple[str, list]] = []
         if gap_in_log and session.subscriptions:
             items.append(("invalidate", sorted(session.subscriptions)))
-        for record in delta_records:
+        for record, objs in delta:
             if record.otid.origin == session.scout:
                 continue  # the scout applied its own updates at local commit
-            touched = [o for o in record.objects() if o in session.subscriptions]
+            touched = [o for o in objs if o in session.subscriptions]
             if not touched:
                 continue
             if self.notify_mode == "effects":

@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from causalsim.clocks import CausalClock, DcId, Gtid, Otid, ScoutId
+from causalsim.clocks import CausalClock, DcId, Gtid, Otid, ScoutId, VersionVector
 from causalsim.crdt import (
     EffectOp,
     EffectTag,
@@ -64,9 +64,10 @@ class ProtocolError(Exception):
 @dataclass
 class CacheEntry:
     state: Any
-    clock: CausalClock
+    clock: CausalClock  # while `current`, only its local part holds
     pinned: bool = False
     valid: bool = True
+    current: bool = False  # at the scout's clock, and advancing with it
 
 
 @dataclass
@@ -124,6 +125,9 @@ class Scout:
 
         self.clock = CausalClock.zero(num_dcs)
         self.cache: OrderedDict[ObjectId, CacheEntry] = OrderedDict()
+        # dc part -> objects whose entries were admitted there, ahead of the
+        # clock; they become current when the clock reaches it
+        self.waiting: dict[VersionVector, set[ObjectId]] = {}
         self.pending: list[PendingCommit] = []
         self.durability: dict[int, str] = {}
         self.otid_counter = 0
@@ -378,11 +382,29 @@ class Scout:
 
     # -- cache ----------------------------------------------------------------------
 
+    def entry_clock(self, entry: CacheEntry) -> CausalClock:
+        if entry.current:
+            return CausalClock(self.clock.dc_part, entry.clock.local_part)
+        return entry.clock
+
+    def _set_clock(self, obj: ObjectId, entry: CacheEntry, clock: CausalClock) -> None:
+        entry.clock = clock
+        entry.current = clock.dc_part == self.clock.dc_part
+        if not entry.current:
+            self.waiting.setdefault(clock.dc_part, set()).add(obj)
+
+    def _invalidate(self, entry: CacheEntry) -> None:
+        # an invalid entry keeps the clock it had, so it stops following
+        entry.clock = self.entry_clock(entry)
+        entry.current = False
+        entry.valid = False
+        entry.state = None
+
     def admit(self, env, obj: ObjectId, state, clock: CausalClock, pin: bool = False) -> None:
         entry = self.cache.get(obj)
         if entry is not None:
             entry.state = state
-            entry.clock = clock
+            self._set_clock(obj, entry, clock)
             entry.valid = True
             entry.pinned = entry.pinned or pin
             self.cache.move_to_end(obj)
@@ -397,7 +419,8 @@ class Scout:
                 raise CachePinOverflow(f"{self.id}: all {len(self.cache)} entries pinned")
             del self.cache[victim]
             self.pending_unsub.append(victim)
-        self.cache[obj] = CacheEntry(state, clock, pinned=pin)
+        entry = self.cache[obj] = CacheEntry(state, clock, pinned=pin)
+        self._set_clock(obj, entry, clock)
 
     def pin(self, objs: list[ObjectId]) -> None:
         pinned = sum(1 for e in self.cache.values() if e.pinned)
@@ -423,7 +446,9 @@ class Scout:
             if entry is None:
                 self.tx_stash[obj] = None
             else:
-                self.tx_stash[obj] = CacheEntry(entry.state, entry.clock, entry.pinned, entry.valid)
+                self.tx_stash[obj] = CacheEntry(
+                    entry.state, self.entry_clock(entry), entry.pinned, entry.valid
+                )
 
     # -- notifications -----------------------------------------------------------------
 
@@ -436,7 +461,8 @@ class Scout:
         self._apply_notify(env, batch)
 
     def _apply_notify(self, env, batch: NotifyBatch) -> None:
-        if batch.prev != self.clock.dc_part or not self.clock.dc_part.leq(batch.frontier):
+        on_clock = batch.prev == self.clock.dc_part
+        if not on_clock or not self.clock.dc_part.leq(batch.frontier):
             if not self.disable_guards:
                 raise ProtocolError(
                     f"{self.id}: notify base {batch.prev} does not match clock {self.clock}"
@@ -449,28 +475,26 @@ class Scout:
                     entry = self.cache.get(effect.target)
                     if entry is None or not entry.valid:
                         continue
-                    if not self.disable_guards and entry.clock.dc_part != batch.prev:
+                    # with the guard, an entry is at batch.prev iff it is current
+                    if not self.disable_guards and not entry.current:
                         if batch.prev.leq(entry.clock.dc_part):
                             continue  # admitted ahead of this batch already
-                        entry.valid = False
-                        entry.state = None
+                        self._invalidate(entry)
                         continue
                     self._stash_protect(effect.target)
-                    # the entry clock advances in the sweep below, after every
-                    # effect of this batch has been applied
+                    # a current entry reaches the frontier with the clock below,
+                    # after every effect of this batch has been applied
                     entry.state = apply_effect(entry.state, effect)
             else:
                 for obj in payload:
                     entry = self.cache.get(obj)
                     if entry is not None:
                         self._stash_protect(obj)
-                        entry.valid = False
-                        entry.state = None
-        # entries untouched by this batch are still current at the frontier
-        for obj, entry in self.cache.items():
-            if entry.valid and entry.clock.dc_part == batch.prev:
-                entry.clock = CausalClock(batch.frontier, entry.clock.local_part)
-        self.clock = self.clock.with_dc_part(batch.frontier)
+                        self._invalidate(entry)
+        if on_clock:
+            self._advance_clock(batch.frontier)
+        else:
+            self._advance_off_clock(batch.prev, batch.frontier)
         for otid, gtid in batch.acks:
             pc = next((p for p in self.pending if p.record.otid == otid), None)
             if pc is not None:
@@ -489,6 +513,33 @@ class Scout:
                 "acks": [[o.counter, o.origin] for o, _ in batch.acks],
             }
         )
+
+    def _advance_clock(self, frontier: VersionVector) -> None:
+        """Move the clock, and the current entries with it, to `frontier`;
+        entries admitted there become current."""
+        self.clock = self.clock.with_dc_part(frontier)
+        for obj in self.waiting.pop(frontier, ()):
+            entry = self.cache.get(obj)
+            if entry is not None and entry.valid and entry.clock.dc_part == frontier:
+                entry.current = True
+        if not self.disable_guards:
+            # the guarded clock only grows, so it cannot reach these again
+            for dc_part in [v for v in self.waiting if v.leq(frontier)]:
+                del self.waiting[dc_part]
+
+    def _advance_off_clock(self, prev: VersionVector, frontier: VersionVector) -> None:
+        """A batch that does not start at the clock (guards disabled): entries
+        at `prev` move to `frontier` and the rest keep their clocks, so every
+        clock is made explicit for one sweep."""
+        self.waiting = {}
+        for obj, entry in self.cache.items():
+            clock = self.entry_clock(entry)
+            if entry.valid and clock.dc_part == prev:
+                clock = CausalClock(frontier, clock.local_part)
+            entry.clock, entry.current = clock, False
+            if entry.valid:
+                self.waiting.setdefault(clock.dc_part, set()).add(obj)
+        self._advance_clock(frontier)
 
     # -- fetch replies --------------------------------------------------------------------
 
@@ -601,6 +652,22 @@ class Scout:
         # DC's duplicate filter turns re-deliveries into alias lookups
         for pc in sorted(self.pending, key=lambda p: p.record.otid.counter):
             self._send_commit(env, pc)
+        self._resend_requests(env)
+        self.wake = True
+
+    def retry_tick(self, env) -> None:
+        """Periodic at-least-once machinery: reconnects and resends."""
+        if not self.connected:
+            # a probe that got no reply within a tick hit a dead DC: move on
+            self.probe_inflight = None
+            self.ensure_session(env)
+            return
+        self.pump_tick(env)
+        self._resend_requests(env)
+
+    def _resend_requests(self, env) -> None:
+        """Resend the outstanding stored call and reissue the outstanding
+        fetch to the session DC."""
         if self.stored is not None:
             call = self.stored
             env.send(
@@ -612,28 +679,6 @@ class Scout:
             objs = self.fetch.objects
             self.fetch = None
             self.tx.round_trips -= 1  # reissue, not a new application round trip
-            self._issue_fetch(env, self.tx, objs)
-        self.wake = True
-
-    def retry_tick(self, env) -> None:
-        """Periodic at-least-once machinery: reconnects and resends."""
-        if not self.connected:
-            # a probe that got no reply within a tick hit a dead DC: move on
-            self.probe_inflight = None
-            self.ensure_session(env)
-            return
-        self.pump_tick(env)
-        if self.stored is not None:
-            call = self.stored
-            env.send(
-                self.id,
-                self._dc_addr(self.session),
-                StoredTxRequest(self.id, call.name, call.params, call.otid, call.deps),
-            )
-        if self.fetch is not None and self.tx is not None and self.tx.status == "active":
-            objs = self.fetch.objects
-            self.fetch = None
-            self.tx.round_trips -= 1
             self._issue_fetch(env, self.tx, objs)
 
     # -- dispatch -----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from causalsim.crdt import (
     state_to_wire,
     value_of,
 )
-from causalsim.dc import DataCenter, Session, VersionPruned
+from causalsim.dc import SILENT_TICKS, DataCenter, Session, VersionPruned
 from causalsim.messages import (
     CommitRecord,
     CommitRequest,
@@ -215,6 +215,81 @@ class TestGossipTick:
         dc.gossip_tick(env)
         (_, _, batch), = env.sent
         assert batch.records == []
+
+
+def tick(dc):
+    """One gossip tick: destination -> OTIDs of the records sent there."""
+    env = FakeEnv()
+    dc.gossip_tick(env)
+    return {dst: [r.otid for r in batch.records] for _, dst, batch in env.sent}
+
+
+def hear(dc, src, vdc, records=()):
+    dc.on_gossip(FakeEnv(), GossipBatch(src, list(records), vdc))
+
+
+class TestSendMarks:
+    BOTH = [Otid(1, "A"), Otid(1, "C")]
+
+    def test_talking_peer_gets_each_record_once(self):
+        env, dc = friendship_dc()
+        hear(dc, 1, vv(0, 0))
+        assert tick(dc) == {"dc1": self.BOTH}
+        # the peer's next batch left before ours arrived
+        hear(dc, 1, vv(0, 0))
+        assert tick(dc) == {"dc1": []}
+        dc.on_commit_request(env, commit_req("A", 2, [set_add(B_FRD, "D", Otid(2, "A"))]))
+        hear(dc, 1, vv(0, 0))
+        assert tick(dc) == {"dc1": [Otid(2, "A")]}
+
+    def test_silent_peer_gets_the_full_suffix_again(self):
+        env, dc = friendship_dc()
+        hear(dc, 1, vv(0, 0))
+        assert tick(dc) == {"dc1": self.BOTH}
+        hear(dc, 1, vv(0, 0))
+        for _ in range(SILENT_TICKS - 1):
+            assert tick(dc) == {"dc1": []}
+        # a batch from the peer is overdue: resend on every tick
+        assert tick(dc) == {"dc1": self.BOTH}
+        assert tick(dc) == {"dc1": self.BOTH}
+        # back, holding the first record: what it lacks goes out once more
+        hear(dc, 1, vv(1, 0))
+        assert tick(dc) == {"dc1": [Otid(1, "C")]}
+        hear(dc, 1, vv(1, 0))
+        assert tick(dc) == {"dc1": []}
+
+    def test_crash_clears_the_send_marks(self):
+        env, dc = friendship_dc()
+        hear(dc, 1, vv(0, 0))
+        tick(dc)
+        assert dc.send_marks and dc.quiet_ticks
+        dc.crash()
+        dc.recover()
+        assert dc.send_marks == {} and dc.quiet_ticks == {}
+        assert tick(dc) == {"dc1": self.BOTH}
+
+    def test_rebuilt_replica_starts_without_send_marks(self):
+        env, dc = friendship_dc()
+        hear(dc, 1, vv(0, 0))
+        tick(dc)
+        rebuilt = DataCenter.from_durable(dc.durable_snapshot(), 2, 2)
+        assert rebuilt.send_marks == {} and rebuilt.quiet_ticks == {}
+        assert tick(rebuilt) == {"dc1": self.BOTH}
+
+    def test_a_slot_filled_below_the_mark_goes_out(self):
+        dc = DataCenter(0, num_dcs=3, k=2)
+        first, second = (
+            CommitRecord(otid, [Gtid(n, 1)], CausalClock.zero(3), (inc(otid),), otid.origin)
+            for n, otid in ((1, Otid(1, "x")), (2, Otid(1, "y")))
+        )
+        # slot 2 of DC1 arrives relayed by DC2, ahead of slot 1
+        hear(dc, 1, vv(0, 0, 0))
+        hear(dc, 2, vv(0, 0, 0), [second])
+        assert tick(dc) == {"dc1": [second.otid], "dc2": [second.otid]}
+        hear(dc, 1, vv(0, 2, 0), [first])
+        hear(dc, 2, vv(0, 0, 0))
+        # the mark drops below slot 1, so slot 2 goes out again with it
+        assert tick(dc) == {"dc1": [], "dc2": [second.otid, first.otid]}
 
 
 class TestFrontiers:
@@ -583,6 +658,54 @@ def test_rebuilt_replica_indexes_match_the_original():
     assert [w["otid"] for w in after[0][0][-2:]] == [[1, "late"], [1, "far"]]
     assert [w["otid"] for w in after[0][-1]] == [[old.otid.counter, old.otid.origin]]
     assert after[1]["late"] == [(Otid(1, "late"), dc.by_otid[Otid(1, "late")].primary_gtid)]
+
+
+# -- gossip send marks against resending every tick ------------------------------
+
+
+def resend_all_tick(dc, env):
+    """The gossip tick without send marks: every record the peer's vector
+    does not cover, on every tick."""
+    for peer in range(dc.num_dcs):
+        if peer != dc.id:
+            known = dc.known_vectors.get(peer, VersionVector.zero(dc.num_dcs))
+            batch = GossipBatch(dc.id, dc.gossip_suffix(known), dc.vdc)
+            env.send(f"dc{dc.id}", f"dc{peer}", batch)
+
+
+# name -> (scenario, sim overrides); CHURN crashes both a committing and a
+# receiving DC and partitions two DCs, each for longer than a one-way delay
+MARK_RUNS = {
+    "preset": ("social-90-10", {}),
+    "failover": ("failover-demo", {}),
+    **{f"churn-{ms}": (CHURN, {"prune_ms": ms}) for ms in (200, 500, 5000)},
+    **{
+        f"dedup-off-{ms}": (CHURN, {"prune_ms": ms, "mutations": ["disable_dedup"]})
+        for ms in (200, 500, 5000)
+    },
+}
+
+
+def gossip_run(base, overrides):
+    """Non-gossip trace events, checker report, message counts per kind and
+    gossiped record copies received."""
+    scenario = load_scenario(base) if isinstance(base, str) else base
+    result = run_scenario(scenario, seed=1, overrides=overrides)
+    rest = [e for e in result.trace if e["ev"] != "gossip"]
+    copies = sum(e["records"] for e in result.trace if e["ev"] == "gossip")
+    return rest, run_checks(result.trace), dict(result.stats["messages"]), copies
+
+
+@pytest.mark.parametrize("name", sorted(MARK_RUNS))
+def test_send_marks_change_only_the_gossiped_copies(name, monkeypatch):
+    base, overrides = MARK_RUNS[name]
+    events, report, messages, copies = gossip_run(base, overrides)
+    monkeypatch.setattr(DataCenter, "gossip_tick", resend_all_tick)
+    ref_events, ref_report, ref_messages, ref_copies = gossip_run(base, overrides)
+    assert events == ref_events
+    assert report == ref_report
+    assert messages == ref_messages
+    assert copies < ref_copies
 
 
 # -- fetch replies against two independent replays ------------------------------

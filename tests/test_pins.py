@@ -65,35 +65,35 @@ RUNS = {
 # name -> (trace sha256, report sha256), generated at seed 1
 PINS = {
     "churn-faults": (
-        "72fc0003486e104c0b56aaeb5614f3bd75b9df6dcc5d17f3dc30482df160bcb4",
+        "199a7a04ed9107634c0ab13a60fd10a0e31cdbe1a952ee94e6f38cff9c11c822",
         "6eb82ba33bef132b811193d0b3be802a36225003c86d26bba3e211312e687d5a",
     ),
     "dedup-off": (
-        "021bc20360d6ab1be445ca0903a1b6d3ea9cbebba55ac9591a6c01042743ec4c",
+        "adfbb057636807a5ac4e6646b51b656e0c95b22881860f20b1c22542d5dc685c",
         "efb123b95c036adda9e1b93ec7ec869ec13e3ee4b8c3bf961bcf4ff5d547fdd3",
     ),
     "failover-demo": (
-        "43908508ab38c152a3e0b951d89387d8ccf8f8eb09c501c0628570525ae6e775",
+        "dd326e42edd6bf124272a5a88dbd652e7ecf77507d65dc85a1359acffdfae2fb",
         "36ffa32435eb91607594f3d49aace957c408c9ead8e0e434091e61055c62c087",
     ),
     "k-gating-off": (
-        "24a16355e5db3c81dbe56648dbbad4fd4dcfbc7b522fb63fbdefb0d9cde789cc",
+        "1b80689cae38af3aa53ac8cb6803f42c9ece1649b50753ef8935e28fda81e387",
         "3b1995be5392869453dfeffa5cad49d4fd349ac44c13edaa50ebb37253a935df",
     ),
     "session-reorder": (
-        "c4b3e82b6c125a98674f1fa595aed1c2526433902cb010ab72225abb7508a324",
+        "4fb5f11d2c1513b89e877072bbece4059786a85ed31e85a010ae490302d54d03",
         "20ecb341e029fb3764c88e88d57c7c7bb00cefa72dddeb86a9348ea2ea662b4c",
     ),
     "social-50-50": (
-        "7c53a178b2a59bd1111b0b887bc608a9c822ad85aef067a43d5c4e8b2b107c3b",
+        "df569ea48f81b47b41d496dfe3bf7d4078bb397f8113ffb45a9e7d4b7a2156db",
         "55a5b7328a8c45f1bcec21cbcfc19bbc26d2c45b8636f9a7721df98a187e36d5",
     ),
     "social-90-10": (
-        "874ad294f04a45ad2d679bc01f30428943316f38bb6b447b76ad3458bcac0396",
+        "7b3127b775850af2577f98f4ffbe919c6a27bd62572653a5e7ae04bfc8490a97",
         "528256edbfe339958b3ecc155b0fb9e0da4f06f8e508c6f00bbf48fee423dfdd",
     ),
     "staleness-stress": (
-        "50b86afd6ba476fb1fa2c89b0662d58ee093d31a9cc294317cb14abfe9a4f3bb",
+        "db8fef0d90841b953b6157c7fab40e95d06985a143d4b0534f826a941c04a2f5",
         "9e638166cde710a52782a30505b8ae6b7a3b9ef351d5b55d366c66e41b2260ea",
     ),
 }

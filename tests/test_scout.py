@@ -1,9 +1,11 @@
 import pytest
 
+from causalsim import sim as sim_module
 from causalsim.clocks import CausalClock, Otid, VersionVector
-from causalsim.crdt import CounterState, CrdtType, ObjectId, new_state, state_to_wire
+from causalsim.crdt import CounterState, CrdtType, ObjectId, apply_effect, new_state, state_to_wire
 from causalsim.messages import FetchReply
-from causalsim.scout import CachePinOverflow, Unavailable, UsageError
+from causalsim.scenarios import load_scenario, run_scenario
+from causalsim.scout import CachePinOverflow, ProtocolError, Scout, Unavailable, UsageError
 from causalsim.sim import SimConfig, Simulation
 
 CTR = ObjectId("ctr:0", CrdtType.COUNTER)
@@ -310,3 +312,112 @@ class TestFailover:
         assert not s.connected
         rejected = [e for e in sim.trace_log if e.get("ev") == "session"]
         assert rejected and rejected[-1]["result"] == "rejected"
+
+
+# -- implicit entry clocks against the whole-cache sweep --------------------------
+
+
+class SweepScout(Scout):
+    """Every entry clock explicit, and every notify batch sweeps the cache to
+    move the entries at its base to its frontier."""
+
+    def _set_clock(self, obj, entry, clock):
+        entry.clock, entry.current = clock, False
+
+    def _apply_notify(self, env, batch):
+        if batch.prev != self.clock.dc_part or not self.clock.dc_part.leq(batch.frontier):
+            if not self.disable_guards:
+                raise ProtocolError(f"{self.id}: notify base {batch.prev} off {self.clock}")
+        for kind, payload in batch.items:
+            if kind == "effects":
+                for effect in payload:
+                    if effect.tag.origin == self.id:
+                        continue
+                    entry = self.cache.get(effect.target)
+                    if entry is None or not entry.valid:
+                        continue
+                    if not self.disable_guards and entry.clock.dc_part != batch.prev:
+                        if batch.prev.leq(entry.clock.dc_part):
+                            continue
+                        entry.valid = False
+                        entry.state = None
+                        continue
+                    self._stash_protect(effect.target)
+                    entry.state = apply_effect(entry.state, effect)
+            else:
+                for obj in payload:
+                    entry = self.cache.get(obj)
+                    if entry is not None:
+                        self._stash_protect(obj)
+                        entry.valid = False
+                        entry.state = None
+        for entry in self.cache.values():
+            if entry.valid and entry.clock.dc_part == batch.prev:
+                entry.clock = CausalClock(batch.frontier, entry.clock.local_part)
+        self.clock = self.clock.with_dc_part(batch.frontier)
+        for otid, gtid in batch.acks:
+            pc = next((p for p in self.pending if p.record.otid == otid), None)
+            if pc is not None:
+                pc.acked = True
+                if gtid not in pc.gtids:
+                    pc.gtids.append(gtid)
+                if self.durability.get(otid.counter) == "local":
+                    self.durability[otid.counter] = "global"
+        self._sweep_k_durable()
+        env.trace(
+            {
+                "ev": "notify",
+                "node": self.id,
+                "dc": batch.dc,
+                "frontier": list(batch.frontier.entries),
+                "acks": [[o.counter, o.origin] for o, _ in batch.acks],
+            }
+        )
+
+
+SWEEP_RUNS = {
+    "preset": ("social-90-10", {}),
+    "session-reorder": (
+        "failover-demo",
+        {"mutations": ["reorder_session", "disable_guards"], "notify_mode": "invalidations"},
+    ),
+}
+
+
+def entry_clocks_after_each_batch(base, overrides, scout_cls, monkeypatch):
+    """Every scout's cache entry clocks after each notify batch, how many
+    valid entries were off the scout's clock then, and the trace bytes."""
+    seen, off = [], [0]
+    apply = scout_cls._apply_notify
+
+    def recorded(scout, env, batch):
+        apply(scout, env, batch)
+        clocks = [(obj, scout.entry_clock(e), e.valid) for obj, e in scout.cache.items()]
+        seen.append((scout.id, clocks))
+        off[0] += sum(valid and c.dc_part != scout.clock.dc_part for _, c, valid in clocks)
+
+    monkeypatch.setattr(scout_cls, "_apply_notify", recorded)
+    monkeypatch.setattr(sim_module, "Scout", scout_cls)
+    result = run_scenario(load_scenario(base), seed=1, overrides=overrides)
+    return seen, off[0], result.trace_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_RUNS))
+def test_implicit_entry_clocks_match_the_sweep(name, monkeypatch):
+    base, overrides = SWEEP_RUNS[name]
+    off_clock = [0]
+    advance_off_clock = Scout._advance_off_clock
+
+    def counted(scout, prev, frontier):
+        off_clock[0] += 1
+        advance_off_clock(scout, prev, frontier)
+
+    monkeypatch.setattr(Scout, "_advance_off_clock", counted)
+    clocks, off, trace = entry_clocks_after_each_batch(base, overrides, Scout, monkeypatch)
+    ref_clocks, _, ref_trace = entry_clocks_after_each_batch(
+        base, overrides, SweepScout, monkeypatch
+    )
+    assert clocks and off
+    assert clocks == ref_clocks
+    assert trace == ref_trace
+    assert bool(off_clock[0]) == (name == "session-reorder")
