@@ -16,6 +16,7 @@ equivalently.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -56,13 +57,28 @@ from causalsim.messages import (
     record_to_wire,
 )
 
-# Every DC gossips at the same period over FIFO links with a fixed delay,
-# so one batch from a live peer arrives between any two of our ticks. A
-# second tick without one means batches were lost to a crash or a
-# partition, and with them maybe records we sent: until the peer is heard
-# again, and once after, it gets everything its vector lacks. Jitter can
-# make a live peer look silent, which costs resends but loses nothing.
+# Every DC gossips at the same period over FIFO links, so one batch from a
+# live peer arrives between any two of our ticks. A second tick without one
+# means batches were lost to a crash or a partition, and with them maybe
+# records we sent: until the peer is heard again, and once after, it gets
+# everything its vector lacks. Jitter can make a live peer look silent,
+# which costs resends only.
 SILENT_TICKS = 2
+
+
+def ack_wait_ticks(round_trip_ms: int, gossip_ms: int, jitter_ms: int) -> int:
+    """Our gossip ticks after a send by which a live peer's reported vector
+    covers our vdc at that send, unless a record was lost on the way: the
+    batch takes a one-way delay plus jitter, the peer's next tick follows
+    within a period, and its batch takes the other delay plus jitter back.
+    A loss the peer does not go silent over, such as a crash shorter than
+    the gap between two deliveries, which empties its `pending_remote`, is
+    found this way."""
+    return (round_trip_ms + gossip_ms + 2 * jitter_ms) // gossip_ms + 1
+
+
+# the simulator's default links: 100 ms round trips, a 20 ms period, no jitter
+DEFAULT_ACK_TICKS = ack_wait_ticks(100, 20, 0)
 
 # a stored procedure reads through `reader(obj) -> value` and returns
 # (results, [(obj, intent), ...]); it must be deterministic given the reader
@@ -100,6 +116,7 @@ class DataCenter:
         notify_mode: str = "effects",
         disable_dedup: bool = False,
         disable_k_gating: bool = False,
+        ack_ticks: Optional[list[int]] = None,
     ):
         self.id = dc_id
         self.num_dcs = num_dcs
@@ -108,6 +125,8 @@ class DataCenter:
         self.notify_mode = notify_mode
         self.disable_dedup = disable_dedup
         self.disable_k_gating = disable_k_gating
+        # peer -> `ack_wait_ticks` over the link to it
+        self.ack_ticks = ack_ticks or [DEFAULT_ACK_TICKS] * num_dcs
 
         # durable
         self.log: list[CommitRecord] = []
@@ -131,9 +150,10 @@ class DataCenter:
 
         # volatile
         self.known_vectors: dict[DcId, VersionVector] = {}
-        # peer -> top_slot at our last gossip to it, and our gossip ticks
-        # since its last batch reached us
-        self.send_marks: dict[DcId, VersionVector] = {}
+        # peer -> our vdc at each of our last `ack_ticks[peer]` gossips to
+        # it, oldest first: the newest is the send mark, the oldest is due
+        # to be acknowledged; and our gossip ticks since its last batch
+        self.send_marks: dict[DcId, deque[VersionVector]] = {}
         self.quiet_ticks: dict[DcId, int] = {}
         self.sessions: dict[ScoutId, Session] = {}
         self.pending_remote: list[CommitRecord] = []
@@ -308,23 +328,12 @@ class DataCenter:
         for g in gtids:
             if g.counter > self.top_slot[g.origin]:
                 self.top_slot[g.origin] = g.counter
-            elif g.counter not in self.slots[g.origin]:
-                self._lower_send_marks(g)
             self.slots[g.origin].add(g.counter)
         vdc = list(self.vdc.entries)
         for origin in range(self.num_dcs):
             while vdc[origin] + 1 in self.slots[origin]:
                 vdc[origin] += 1
         self.vdc = VersionVector(tuple(vdc))
-
-    def _lower_send_marks(self, g: Gtid) -> None:
-        """A slot below the top filled in: lower every send mark that covers
-        it, so that the next gossip carries it."""
-        for peer, mark in list(self.send_marks.items()):
-            if mark[g.origin] >= g.counter:
-                entries = list(mark.entries)
-                entries[g.origin] = g.counter - 1
-                self.send_marks[peer] = VersionVector(tuple(entries))
 
     def _merge_aliases(self, existing: CommitRecord, incoming: CommitRecord) -> None:
         new = [g for g in incoming.gtids if g not in existing.gtids]
@@ -421,20 +430,23 @@ class DataCenter:
                 continue
             known = self.known_vectors.get(peer, VersionVector.zero(self.num_dcs))
             quiet = self.quiet_ticks[peer] = self.quiet_ticks.get(peer, 0) + 1
-            mark = self.send_marks.get(peer)
-            if mark is not None and quiet < SILENT_TICKS:
-                # a talking peer has every slot sent at or below the mark
-                known = known.join(mark)
+            sent = self.send_marks.get(peer)
+            if sent is None:
+                sent = self.send_marks[peer] = deque(maxlen=self.ack_ticks[peer])
+            elif quiet < SILENT_TICKS and (len(sent) < sent.maxlen or sent[0].leq(known)):
+                # a talking peer that has acknowledged every send it had
+                # time to holds every slot at or below the mark
+                known = known.join(sent[-1])
             suffix = self.gossip_suffix(known)
-            self.send_marks[peer] = VersionVector(tuple(self.top_slot))
+            sent.append(self.vdc)
             env.send(f"dc{self.id}", f"dc{peer}", GossipBatch(self.id, suffix, self.vdc))
 
     def gossip_suffix(self, known: VersionVector) -> list[CommitRecord]:
         """The log records with some alias slot that `known` does not cover,
         in log order. `gossip_tick` passes the peer's vector, joined with the
-        peer's send mark while it talks: a record then goes out once, and
-        again only for an alias slot the mark does not cover, which can fill
-        a gap in the peer's sequence."""
+        send mark (our vdc at the last gossip to the peer) while the peer
+        talks and acknowledges in time: a record goes out once if our vdc
+        covers it when first sent, and on every tick until it does if not."""
         found: dict[int, CommitRecord] = {}
         for origin, slot_records in enumerate(self.by_slot):
             for counter in range(known[origin] + 1, self.top_slot[origin] + 1):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from causalsim.crdt import ObjectId
-from causalsim.dc import DataCenter
+from causalsim.dc import DataCenter, ack_wait_ticks
 from causalsim.gcpause import gc_paused
 from causalsim.messages import message_from_wire, message_to_wire
 from causalsim.scout import Scout, Unavailable
@@ -235,6 +235,14 @@ class Simulation:
                 notify_mode="invalidations" if config.notify_mode == "invalidations" else "effects",
                 disable_dedup="disable_dedup" in mut,
                 disable_k_gating="disable_k_gating" in mut,
+                ack_ticks=[
+                    ack_wait_ticks(
+                        config.dc_rtt(i, j) // 2 + config.dc_rtt(j, i) // 2,
+                        config.gossip_ms,
+                        config.jitter_ms,
+                    )
+                    for j in range(config.num_dcs)
+                ],
             )
             for i in range(config.num_dcs)
         ]

@@ -21,6 +21,7 @@ from causalsim.messages import (
     StoredTxRequest,
     record_to_wire,
 )
+from causalsim import sim
 from causalsim.scenarios import load_scenario, run_scenario
 from test_pins import CHURN
 
@@ -276,7 +277,24 @@ class TestSendMarks:
         assert rebuilt.send_marks == {} and rebuilt.quiet_ticks == {}
         assert tick(rebuilt) == {"dc1": self.BOTH}
 
-    def test_a_slot_filled_below_the_mark_goes_out(self):
+    def test_a_send_left_unacknowledged_goes_out_again(self):
+        env, dc = friendship_dc()
+        hear(dc, 1, vv(0, 0))
+        assert tick(dc) == {"dc1": self.BOTH}
+        # the peer talks on every tick, but a round trip later its vector
+        # still lacks the records: they were lost without a silence
+        for _ in range(dc.ack_ticks[1] - 1):
+            hear(dc, 1, vv(0, 0))
+            assert tick(dc) == {"dc1": []}
+        hear(dc, 1, vv(0, 0))
+        assert tick(dc) == {"dc1": self.BOTH}
+        hear(dc, 1, vv(0, 0))
+        assert tick(dc) == {"dc1": self.BOTH}
+        # acknowledged: each record goes out once again
+        hear(dc, 1, vv(2, 0))
+        assert tick(dc) == {"dc1": []}
+
+    def test_a_record_above_a_gap_goes_out_until_the_gap_fills(self):
         dc = DataCenter(0, num_dcs=3, k=2)
         first, second = (
             CommitRecord(otid, [Gtid(n, 1)], CausalClock.zero(3), (inc(otid),), otid.origin)
@@ -286,10 +304,16 @@ class TestSendMarks:
         hear(dc, 1, vv(0, 0, 0))
         hear(dc, 2, vv(0, 0, 0), [second])
         assert tick(dc) == {"dc1": [second.otid], "dc2": [second.otid]}
+        # the mark is the contiguous vdc, which stays below slot 2
+        hear(dc, 1, vv(0, 0, 0))
+        hear(dc, 2, vv(0, 0, 0))
+        assert tick(dc) == {"dc1": [second.otid], "dc2": [second.otid]}
         hear(dc, 1, vv(0, 2, 0), [first])
         hear(dc, 2, vv(0, 0, 0))
-        # the mark drops below slot 1, so slot 2 goes out again with it
         assert tick(dc) == {"dc1": [], "dc2": [second.otid, first.otid]}
+        hear(dc, 1, vv(0, 2, 0))
+        hear(dc, 2, vv(0, 0, 0))
+        assert tick(dc) == {"dc1": [], "dc2": []}
 
 
 class TestFrontiers:
@@ -706,6 +730,64 @@ def test_send_marks_change_only_the_gossiped_copies(name, monkeypatch):
     assert report == ref_report
     assert messages == ref_messages
     assert copies < ref_copies
+
+
+# two DCs whose one-way delays differ by 5 ms: DC0's batches reach DC1 15 ms
+# after each 20 ms tick and DC1's reach DC0 10 ms after, so DC1 down from
+# 14 to 17 ms after a tick loses one batch to it, none from it and no tick
+SHORT_CRASH = {
+    "schema": "causalsim-scenario-1",
+    "name": "short-crash",
+    "sim": {
+        "num_dcs": 2,
+        "num_scouts": 2,
+        "k": 1,
+        "rtt_dc_ms": [[0, 110], [100, 0]],
+        "scout_rtt_ms": [[30, 200]],
+        "gossip_ms": 20,
+        "notify_ms": 25,
+        "retry_ms": 300,
+        "think_ms": 5,
+        "drain_ms": 4000,
+    },
+    # the second crash, between deliveries, empties DC1's pending_remote:
+    # the records that depend on the lost batch wait there
+    "faults": [
+        {"at": 194, "kind": "dc_crash", "dc": 1},
+        {"at": 197, "kind": "dc_recover", "dc": 1},
+        {"at": 246, "kind": "dc_crash", "dc": 1},
+        {"at": 248, "kind": "dc_recover", "dc": 1},
+    ],
+    "workload": {"kind": "counter_churn", "txs_per_scout": 20, "counters": 4},
+    "expected": {},
+}
+
+
+@pytest.mark.parametrize("jitter_ms", [0, 8])
+def test_records_lost_without_a_silence_are_sent_again(jitter_ms, monkeypatch):
+    parked = []
+    crash = DataCenter.crash
+
+    def crash_counting_parked(dc):
+        parked.append(len(dc.pending_remote))
+        crash(dc)
+
+    monkeypatch.setattr(DataCenter, "crash", crash_counting_parked)
+    result = run_scenario(SHORT_CRASH, seed=1, overrides={"jitter_ms": jitter_ms})
+    # one batch lost, and records parked when the second crash came
+    assert result.stats["dropped"] == 1 and parked[1] > 0
+    assert result.synced
+    assert run_checks(result.trace)["ok"]
+
+
+@pytest.mark.parametrize("jitter_ms", [0, 15])
+def test_a_live_peer_acknowledges_within_the_wait(jitter_ms, monkeypatch):
+    """Without faults no acknowledgement comes late: the run is the same,
+    byte for byte, as one whose acknowledgement check never fires."""
+    scenario, overrides = load_scenario("staleness-stress"), {"jitter_ms": jitter_ms}
+    checked = run_scenario(scenario, seed=1, overrides=overrides).trace_bytes()
+    monkeypatch.setattr(sim, "ack_wait_ticks", lambda *link: 10**6)
+    assert run_scenario(scenario, seed=1, overrides=overrides).trace_bytes() == checked
 
 
 # -- fetch replies against two independent replays ------------------------------
