@@ -1,11 +1,14 @@
 """Data-centre replica: versioned store, sequenced commit, gossip, pruning.
 
 A DC is a single logical state machine; the simulator invokes one handler
-at a time. Durable state (the commit log with its per-object checkpoints,
-the per-scout high-water OTID map, and the prune frontier) survives a
-crash; sessions, peer knowledge and deferred work do not. The log's
-indexes (by OTID, by alias slot, by origin scout, admission order) are
-derived from the log and survive with it.
+at a time. Its durable state is the stream of `durable_snapshot`: the
+commit log with its per-object checkpoints, the per-scout high-water OTID
+map, the prune frontier and the alias slots marked above it. A crash
+keeps nothing else: the simulator replaces the replica with one that
+`from_durable` rebuilds from that stream, so sessions, peer knowledge,
+send marks and deferred work are lost by construction. The log's indexes
+(by OTID, by alias slot, by origin scout, admission order) are derived
+from the log and rebuilt with it.
 
 Commit identity is tracked at slot granularity: every alias GTID of a
 record occupies one slot in its origin DC's gapless sequence, and the
@@ -146,7 +149,6 @@ class DataCenter:
         self.slots: list[set[int]] = [set() for _ in range(num_dcs)]
         self.top_slot = [0] * num_dcs  # highest slot ever marked, per origin
         self.vdc = VersionVector.zero(num_dcs)
-        self.apply_counts: dict[tuple[ObjectId, tuple], int] = {}
 
         # volatile
         self.known_vectors: dict[DcId, VersionVector] = {}
@@ -156,30 +158,16 @@ class DataCenter:
         self.send_marks: dict[DcId, deque[VersionVector]] = {}
         self.quiet_ticks: dict[DcId, int] = {}
         self.sessions: dict[ScoutId, Session] = {}
-        self.pending_remote: list[CommitRecord] = []
-        self.pending_commits: list[CommitRequest] = []
+        # deferred work by OTID, in arrival order
+        self.pending_remote: dict[Otid, CommitRecord] = {}
+        self.pending_commits: dict[Otid, CommitRequest] = {}
         self.pending_fetches: list[FetchRequest] = []
-        self.pending_stored: list[StoredTxRequest] = []
+        self.pending_stored: dict[Otid, StoredTxRequest] = {}
         self.crash_on_next_commit = False
-        self.crashed = False
+        # set on a crashed instance, whose handler may still be on the stack
+        self.dead = False
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def crash(self) -> None:
-        """Drop volatile state; the durable log and store survive."""
-        self.known_vectors = {}
-        self.send_marks = {}
-        self.quiet_ticks = {}
-        self.sessions = {}
-        self.pending_remote = []
-        self.pending_commits = []
-        self.pending_fetches = []
-        self.pending_stored = []
-        self.crash_on_next_commit = False
-        self.crashed = True
-
-    def recover(self) -> None:
-        self.crashed = False
+    # -- durable stream ------------------------------------------------------
 
     def durable_snapshot(self) -> dict:
         """The crash-surviving state as an append-only record stream plus a
@@ -198,6 +186,12 @@ class DataCenter:
             ],
             "max_otid": dict(sorted(self.max_otid.items())),
             "prune_vector": list(self.prune_vector.entries),
+            # per origin, the marked slots above the prune frontier; this
+            # includes aliases of records already pruned here
+            "slots": [
+                sorted(c for c in marked if c > self.prune_vector[origin])
+                for origin, marked in enumerate(self.slots)
+            ],
         }
 
     @classmethod
@@ -212,25 +206,13 @@ class DataCenter:
         for rw in snapshot["records"]:
             record = record_from_wire(rw)
             dc._log_record(record)
-            for g in record.gtids:
-                dc.slots[g.origin].add(g.counter)
-            for e in record.effects:
-                so = dc.store.get(e.target)
-                if so is None:
-                    so = StoredObject(
-                        new_state(e.target.crdt_type), VersionVector.zero(num_dcs)
-                    )
-                    dc.store[e.target] = so
-                so.entries.append((e, record))
-        # slots below the prune frontier were folded into checkpoints
-        vdc = list(dc.prune_vector.entries)
-        for origin in range(num_dcs):
-            for counter in range(1, vdc[origin] + 1):
-                dc.slots[origin].add(counter)
-            while vdc[origin] + 1 in dc.slots[origin]:
-                vdc[origin] += 1
-        dc.vdc = VersionVector(tuple(vdc))
+            dc._store_effects(record)
+        # slots at or below the prune frontier were folded into checkpoints
+        for origin, marked in enumerate(snapshot["slots"]):
+            dc.slots[origin].update(range(1, dc.prune_vector[origin] + 1), marked)
         dc.top_slot = [max(s, default=0) for s in dc.slots]
+        dc.vdc = dc.prune_vector
+        dc._advance_vdc()
         return dc
 
     def seed_store(self, states: dict[ObjectId, Any]) -> None:
@@ -274,27 +256,43 @@ class DataCenter:
             self.by_slot[g.origin].setdefault(g.counter, []).append(record)
         self.by_origin.setdefault(record.otid.origin, []).append(record)
 
-    def _unlog_records(self, dropped: list[CommitRecord], pruned: set[Otid]) -> None:
-        """Remove the records just pruned from the log, which are every
-        record whose OTID is in `pruned`, from the indexes that list them."""
+    def _unlog_records(self, dropped: dict[int, CommitRecord]) -> None:
+        """Remove the records just pruned from the log, by identity, from the
+        indexes that list them. With dedup off another record may share an
+        OTID or an alias slot with a dropped one: the index then points at
+        the last such record left, as a rebuild from the log would."""
 
-        def keep_unpruned(index: dict, key) -> None:
-            rest = [r for r in index[key] if r.otid not in pruned]
+        def keep_rest(index: dict, key) -> list[CommitRecord]:
+            rest = [r for r in index[key] if id(r) not in dropped]
             if rest:
                 index[key] = rest
             else:
                 del index[key]
+            return rest
 
-        for record in dropped:
-            del self.admission[id(record)]
-            # with dedup off another record may hold the same OTID and aliases
-            for g in record.gtids:
-                if self.by_gtid.get(g) is record:
-                    del self.by_gtid[g]
-        for origin, counter in {(g.origin, g.counter) for r in dropped for g in r.gtids}:
-            keep_unpruned(self.by_slot[origin], counter)
-        for scout in {r.otid.origin for r in dropped}:
-            keep_unpruned(self.by_origin, scout)
+        def repoint(index: dict, key, rest: list[CommitRecord]) -> None:
+            if rest:
+                index[key] = rest[-1]
+            else:
+                del index[key]
+
+        for n in dropped:
+            del self.admission[n]
+        for origin, counter in {(g.origin, g.counter) for r in dropped.values() for g in r.gtids}:
+            repoint(self.by_gtid, Gtid(counter, origin), keep_rest(self.by_slot[origin], counter))
+        for scout in {r.otid.origin for r in dropped.values()}:
+            keep_rest(self.by_origin, scout)
+        for otid in {r.otid for r in dropped.values()}:
+            mine = self.by_origin.get(otid.origin, ())
+            repoint(self.by_otid, otid, [r for r in mine if r.otid == otid])
+
+    def _store_effects(self, record: CommitRecord) -> None:
+        for e in record.effects:
+            so = self.store.get(e.target)
+            if so is None:
+                so = StoredObject(new_state(e.target.crdt_type), VersionVector.zero(self.num_dcs))
+                self.store[e.target] = so
+            so.entries.append((e, record))
 
     def _admit_record(self, env, record: CommitRecord, via: str) -> None:
         """Durably log a record, apply its effects once, then advance vdc."""
@@ -302,14 +300,7 @@ class DataCenter:
         prev = self.max_otid.get(record.otid.origin, 0)
         if record.otid.counter > prev:
             self.max_otid[record.otid.origin] = record.otid.counter
-        for e in record.effects:
-            so = self.store.get(e.target)
-            if so is None:
-                so = StoredObject(new_state(e.target.crdt_type), VersionVector.zero(self.num_dcs))
-                self.store[e.target] = so
-            so.entries.append((e, record))
-            key = (e.target, (e.tag.counter, e.tag.origin, e.tag.seq))
-            self.apply_counts[key] = self.apply_counts.get(key, 0) + 1
+        self._store_effects(record)
         self._mark_slots(record.gtids)
         env.trace(
             {
@@ -329,6 +320,10 @@ class DataCenter:
             if g.counter > self.top_slot[g.origin]:
                 self.top_slot[g.origin] = g.counter
             self.slots[g.origin].add(g.counter)
+        self._advance_vdc()
+
+    def _advance_vdc(self) -> None:
+        """Move vdc along the contiguous prefix of marked slots."""
         vdc = list(self.vdc.entries)
         for origin in range(self.num_dcs):
             while vdc[origin] + 1 in self.slots[origin]:
@@ -349,40 +344,43 @@ class DataCenter:
 
     def on_commit_request(self, env, msg: CommitRequest) -> None:
         if not self._try_commit(env, msg):
-            if all(p.otid != msg.otid for p in self.pending_commits):
-                self.pending_commits.append(msg)
+            self.pending_commits.setdefault(msg.otid, msg)
         else:
             self._drain(env)
 
     def _try_commit(self, env, msg: CommitRequest) -> bool:
-        dup = self._duplicate_reply(msg.scout, msg.otid)
-        if dup is not None:
-            env.send(f"dc{self.id}", msg.scout, dup)
+        if self._is_duplicate(msg.scout, msg.otid):
+            record = self.by_otid.get(msg.otid)
+            if record is not None:
+                reply = CommitReply(msg.otid, "existing", record.primary_gtid)
+            else:
+                # seen but no longer in the log: pruned everywhere, so any
+                # dependency on it is already satisfied at every DC
+                reply = CommitReply(msg.otid, "null", None)
+            env.send(f"dc{self.id}", msg.scout, reply)
             return True
         if not self.deps_satisfied(msg.deps, msg.scout):
             return False
-        gtid = Gtid(self.vdc[self.id] + 1, self.id)
-        record = CommitRecord(msg.otid, [gtid], msg.deps, msg.effects, msg.scout)
-        self._admit_record(env, record, via="commit")
+        gtid = self._sequence(env, msg, msg.effects)
         if self.crash_on_next_commit:
             # fault hook: the record is durably logged but the reply is lost
-            self.crash_on_next_commit = False
             env.request_crash(self.id)
             return True
         env.send(f"dc{self.id}", msg.scout, CommitReply(msg.otid, "new", gtid))
         return True
 
-    def _duplicate_reply(self, scout: ScoutId, otid: Otid) -> Optional[CommitReply]:
-        if self.disable_dedup:
-            return None
-        if otid.counter > self.max_otid.get(scout, 0):
-            return None
-        record = self.by_otid.get(otid)
-        if record is not None:
-            return CommitReply(otid, "existing", record.primary_gtid)
-        # seen but no longer in the log: pruned everywhere, so any
-        # dependency on it is already satisfied at every DC
-        return CommitReply(otid, "null", None)
+    def _is_duplicate(self, scout: ScoutId, otid: Otid) -> bool:
+        """The duplicate filter: a scout's OTIDs up to its high-water mark
+        were committed before. The record is in `by_otid` unless pruned."""
+        return not self.disable_dedup and otid.counter <= self.max_otid.get(scout, 0)
+
+    def _sequence(self, env, msg, effects: tuple, results: Any = None) -> Gtid:
+        """Give a scout's transaction (a commit or stored request) this DC's
+        next GTID, then log and apply its record."""
+        gtid = Gtid(self.vdc[self.id] + 1, self.id)
+        record = CommitRecord(msg.otid, [gtid], msg.deps, effects, msg.scout, results)
+        self._admit_record(env, record, via="commit")
+        return gtid
 
     # -- epidemic propagation ------------------------------------------------
 
@@ -409,20 +407,24 @@ class DataCenter:
         self._drain(env)
 
     def _receive_remote(self, env, record: CommitRecord) -> None:
+        if not self._place_remote(env, record):
+            self.pending_remote.setdefault(record.otid, record)
+
+    def _place_remote(self, env, record: CommitRecord) -> bool:
+        """Merge, acknowledge or admit a remote record; False while its
+        dependencies are missing."""
         existing = self.by_otid.get(record.otid)
         if existing is not None:
             self._merge_aliases(existing, record)
-            return
-        if record.otid.counter <= self.max_otid.get(record.otid.origin, 0):
+        elif record.otid.counter <= self.max_otid.get(record.otid.origin, 0):
             # known but pruned here: effects are already folded into the
             # checkpoints, so only acknowledge the alias slots
             self._mark_slots(record.gtids)
-            return
-        if self.deps_satisfied(record.deps, record.otid.origin):
+        elif self.deps_satisfied(record.deps, record.otid.origin):
             self._admit_record(env, record, via="gossip")
         else:
-            if all(p.otid != record.otid for p in self.pending_remote):
-                self.pending_remote.append(record)
+            return False
+        return True
 
     def gossip_tick(self, env) -> None:
         for peer in range(self.num_dcs):
@@ -458,33 +460,19 @@ class DataCenter:
 
     def _drain(self, env) -> None:
         progress = True
-        while progress and not self.crashed:
+        while progress and not self.dead:
             progress = False
-            for record in list(self.pending_remote):
-                if self.by_otid.get(record.otid) is not None:
-                    self.pending_remote.remove(record)
-                    self._merge_aliases(self.by_otid[record.otid], record)
-                    progress = True
-                elif self.deps_satisfied(record.deps, record.otid.origin):
-                    self.pending_remote.remove(record)
-                    self._admit_record(env, record, via="gossip")
-                    progress = True
-            for msg in list(self.pending_commits):
-                if self.crashed:
-                    return
-                if self._duplicate_reply(msg.scout, msg.otid) is not None or self.deps_satisfied(
-                    msg.deps, msg.scout
-                ):
-                    self.pending_commits.remove(msg)
-                    self._try_commit(env, msg)
-                    progress = True
-            for msg in list(self.pending_stored):
-                if self.crashed:
-                    return
-                if self._stored_ready(msg):
-                    self.pending_stored.remove(msg)
-                    self._run_stored(env, msg)
-                    progress = True
+            for pending, attempt in (
+                (self.pending_remote, self._place_remote),
+                (self.pending_commits, self._try_commit),
+                (self.pending_stored, self._try_stored),
+            ):
+                for otid, item in list(pending.items()):
+                    if self.dead:
+                        return
+                    if attempt(env, item):
+                        del pending[otid]
+                        progress = True
             for msg in list(self.pending_fetches):
                 if self._fetch_ready(msg):
                     self.pending_fetches.remove(msg)
@@ -702,7 +690,7 @@ class DataCenter:
         if not (self.prune_vector.leq(pv) and pv != self.prune_vector):
             return self.prune_vector
         self.prune_vector = pv
-        pruned: set[Otid] = set()
+        folded: dict[int, CommitRecord] = {}
         for so in self.store.values():
             keep = []
             for effect, record in so.entries:
@@ -710,23 +698,20 @@ class DataCenter:
                 # still carry slot information some replica has not marked
                 if all(pv.covers(g) for g in record.gtids):
                     so.checkpoint = apply_effect(so.checkpoint, effect)
-                    pruned.add(record.otid)
+                    folded[id(record)] = record
                 else:
                     keep.append((effect, record))
             so.entries = keep
             so.base = pv
-        if pruned:
-            dropped = [r for r in self.log if r.otid in pruned]
-            self.log = [r for r in self.log if r.otid not in pruned]
-            self._unlog_records(dropped, pruned)
-            for otid in pruned:
-                self.by_otid.pop(otid, None)
+        if folded:
+            self.log = [r for r in self.log if id(r) not in folded]
+            self._unlog_records(folded)
         env.trace(
             {
                 "ev": "prune",
                 "node": f"dc{self.id}",
                 "vector": list(pv.entries),
-                "dropped": len(pruned),
+                "dropped": len(folded),
             }
         )
         return pv
@@ -741,36 +726,25 @@ class DataCenter:
                 StoredTxReply(msg.otid, "unknown-proc", None),
             )
             return
-        if self._stored_ready(msg):
-            self._run_stored(env, msg)
+        if self._try_stored(env, msg):
             self._drain(env)
         else:
-            if all(p.otid != msg.otid for p in self.pending_stored):
-                self.pending_stored.append(msg)
+            self.pending_stored.setdefault(msg.otid, msg)
 
-    def _stored_ready(self, msg: StoredTxRequest) -> bool:
-        if self._stored_duplicate(msg) is not None:
+    def _try_stored(self, env, msg: StoredTxRequest) -> bool:
+        if self._is_duplicate(msg.scout, msg.otid):
+            record = self.by_otid.get(msg.otid)
+            if record is not None:
+                reply = StoredTxReply(msg.otid, "existing", record.primary_gtid, record.stored_results)
+            else:
+                reply = StoredTxReply(msg.otid, "pruned", None)
+            env.send(f"dc{self.id}", msg.scout, reply)
             return True
-        return self.deps_satisfied(msg.deps, msg.scout)
-
-    def _stored_duplicate(self, msg: StoredTxRequest) -> Optional[StoredTxReply]:
-        if self.disable_dedup:
-            return None
-        if msg.otid.counter > self.max_otid.get(msg.scout, 0):
-            return None
-        record = self.by_otid.get(msg.otid)
-        if record is not None:
-            return StoredTxReply(msg.otid, "existing", record.primary_gtid, record.stored_results)
-        return StoredTxReply(msg.otid, "pruned", None)
-
-    def _run_stored(self, env, msg: StoredTxRequest) -> None:
-        dup = self._stored_duplicate(msg)
-        if dup is not None:
-            env.send(f"dc{self.id}", msg.scout, dup)
-            return
+        if not self.deps_satisfied(msg.deps, msg.scout):
+            return False
         if not self.prune_vector.leq(msg.deps.dc_part):
             env.send(f"dc{self.id}", msg.scout, StoredTxReply(msg.otid, "pruned", None))
-            return
+            return True
         # snapshot pinned to the client-supplied dependency clock so that a
         # retried request re-executes deterministically at any DC
         working: dict[ObjectId, Any] = {}
@@ -792,15 +766,9 @@ class DataCenter:
             e = prepare(obj, working[obj], intent, tag)
             working[obj] = apply_effect(working[obj], e)
             effects.append(e)
-        if effects:
-            gtid = Gtid(self.vdc[self.id] + 1, self.id)
-            record = CommitRecord(
-                msg.otid, [gtid], msg.deps, tuple(effects), msg.scout, stored_results=results
-            )
-            self._admit_record(env, record, via="commit")
-            env.send(f"dc{self.id}", msg.scout, StoredTxReply(msg.otid, "new", gtid, results))
-        else:
-            env.send(f"dc{self.id}", msg.scout, StoredTxReply(msg.otid, "new", None, results))
+        gtid = self._sequence(env, msg, tuple(effects), results) if effects else None
+        env.send(f"dc{self.id}", msg.scout, StoredTxReply(msg.otid, "new", gtid, results))
+        return True
 
     # -- inspection ---------------------------------------------------------------
 

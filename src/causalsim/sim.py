@@ -7,10 +7,12 @@ one-way delays (half the round-trip time) and optional seeded jitter.
 Messages are dropped while a link is partitioned, an endpoint is crashed,
 or a scout is disconnected; nothing is ever reordered within a link.
 
-Faults are scheduled or scripted: DC crash (volatile state lost, durable
-log kept), DC recovery, link partitions, scout disconnection, and a
-targeted crash armed to fire right after a commit is durably logged but
-before its reply is sent.
+Faults are scheduled or scripted: DC crash, DC recovery, link partitions,
+scout disconnection, and a targeted crash armed to fire right after a
+commit is durably logged but before its reply is sent. A crash replaces
+the DC with a replica rebuilt from its durable stream
+(`DataCenter.from_durable`), so only durable state survives it; the
+replica stays cut off from the network and its ticks until it recovers.
 """
 
 from __future__ import annotations
@@ -225,31 +227,16 @@ class Simulation:
             "frontier_lag_max": 0,
         }
 
-        mut = set(config.mutations)
+        self.procedures = procedures or {}
         self.dcs = [
-            DataCenter(
-                i,
-                config.num_dcs,
-                config.k,
-                procedures=dict(procedures or {}),
-                notify_mode="invalidations" if config.notify_mode == "invalidations" else "effects",
-                disable_dedup="disable_dedup" in mut,
-                disable_k_gating="disable_k_gating" in mut,
-                ack_ticks=[
-                    ack_wait_ticks(
-                        config.dc_rtt(i, j) // 2 + config.dc_rtt(j, i) // 2,
-                        config.gossip_ms,
-                        config.jitter_ms,
-                    )
-                    for j in range(config.num_dcs)
-                ],
-            )
+            DataCenter(i, config.num_dcs, config.k, **self._dc_options(i))
             for i in range(config.num_dcs)
         ]
         if initial_states:
             for dc in self.dcs:
                 dc.seed_store(dict(initial_states))
 
+        mut = set(config.mutations)
         self.scouts: dict[str, Scout] = {}
         self.drivers: dict[str, ScriptDriver] = {}
         scripts = scripts or {}
@@ -277,6 +264,24 @@ class Simulation:
         self.addrs.update((sid, ("s", idx)) for idx, sid in enumerate(self.scouts))
         self._reorder_armed = "reorder_session" in mut
         self.meta: dict = {}
+
+    def _dc_options(self, i: int) -> dict:
+        """DC `i`'s constructor options, the same at start and after a crash."""
+        config, mut = self.config, self.config.mutations
+        return dict(
+            procedures=dict(self.procedures),
+            notify_mode=config.notify_mode,
+            disable_dedup="disable_dedup" in mut,
+            disable_k_gating="disable_k_gating" in mut,
+            ack_ticks=[
+                ack_wait_ticks(
+                    config.dc_rtt(i, j) // 2 + config.dc_rtt(j, i) // 2,
+                    config.gossip_ms,
+                    config.jitter_ms,
+                )
+                for j in range(config.num_dcs)
+            ],
+        )
 
     # -- env interface -------------------------------------------------------
 
@@ -349,7 +354,12 @@ class Simulation:
 
     def _crash_dc(self, dc_id: int) -> None:
         self.crashed.add(dc_id)
-        self.dcs[dc_id].crash()
+        dc = self.dcs[dc_id]
+        # the crashed instance may be inside a handler: it must do no more
+        dc.dead = True
+        self.dcs[dc_id] = DataCenter.from_durable(
+            dc.durable_snapshot(), dc.num_dcs, dc.k, **self._dc_options(dc_id)
+        )
         self.trace({"ev": "fault", "kind": "dc_crash", "dc": dc_id})
         for scout in self.scouts.values():
             if scout.session == dc_id:
@@ -364,7 +374,6 @@ class Simulation:
             self.trace({"ev": "fault", "kind": "dc_crash_on_commit", "dc": f.dc})
         elif f.kind == "dc_recover":
             self.crashed.discard(f.dc)
-            self.dcs[f.dc].recover()
             self.trace({"ev": "fault", "kind": "dc_recover", "dc": f.dc})
         elif f.kind == "partition":
             for a, b in f.links:
@@ -454,8 +463,8 @@ class Simulation:
             msg = message_from_wire(wire)
             dst_kind, idx = self.addrs[dst]
             if dst_kind == "dc":
-                dc = self.dcs[idx]
-                dc.dispatch(self, msg)
+                self.dcs[idx].dispatch(self, msg)
+                dc = self.dcs[idx]  # a crash in the handler replaced it
                 self.stats["max_pending_remote"] = max(
                     self.stats["max_pending_remote"], len(dc.pending_remote)
                 )

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from causalsim.clocks import CausalClock, Gtid, Otid, VersionVector
@@ -179,7 +181,7 @@ class TestRemoteCommit:
         assert len(dc.pending_remote) == 1
         dc.on_gossip(env, GossipBatch(0, [rec1], vv(2, 0)))
         assert dc.vdc == vv(2, 0)
-        assert dc.pending_remote == []
+        assert dc.pending_remote == {}
 
     def test_duplicate_otid_records_alias_without_reapply(self):
         env, dc = friendship_dc()
@@ -258,16 +260,6 @@ class TestSendMarks:
         assert tick(dc) == {"dc1": [Otid(1, "C")]}
         hear(dc, 1, vv(1, 0))
         assert tick(dc) == {"dc1": []}
-
-    def test_crash_clears_the_send_marks(self):
-        env, dc = friendship_dc()
-        hear(dc, 1, vv(0, 0))
-        tick(dc)
-        assert dc.send_marks and dc.quiet_ticks
-        dc.crash()
-        dc.recover()
-        assert dc.send_marks == {} and dc.quiet_ticks == {}
-        assert tick(dc) == {"dc1": self.BOTH}
 
     def test_rebuilt_replica_starts_without_send_marks(self):
         env, dc = friendship_dc()
@@ -498,8 +490,13 @@ class TestExactlyOnceInstrumentation:
         # duplicate gossip deliveries of the same records
         for _ in range(3):
             dc1.on_gossip(env1, GossipBatch(0, list(dc0.log), dc0.vdc))
-        assert all(n == 1 for n in dc1.apply_counts.values())
-        assert all(n == 1 for n in dc0.apply_counts.values())
+        applied = Counter(
+            (e["node"], tuple(e["otid"])) for e in env.events + env1.events if e["ev"] == "apply"
+        )
+        assert sorted(applied) == [
+            (node, otid) for node in ("dc0", "dc1") for otid in ((1, "A"), (1, "C"))
+        ]
+        assert set(applied.values()) == {1}
 
 
 class TestCrashRecovery:
@@ -507,9 +504,8 @@ class TestCrashRecovery:
         env, dc = friendship_dc()
         dc.known_vectors[1] = vv(9, 9)
         dc.on_session_request(env, SessionRequest("R", 1, vv(0, 0), [B_FRD]))
-        dc.crash()
+        dc = DataCenter.from_durable(dc.durable_snapshot(), 2, 2)
         assert dc.known_vectors == {} and dc.sessions == {}
-        dc.recover()
         assert dc.vdc == vv(2, 0)
         assert dc.max_otid == {"A": 1, "C": 1}
         assert value_of(dc.materialize(B_FRD, clock([2, 0]))) == frozenset({"A", "C"})
@@ -579,6 +575,11 @@ INDEXED_RUNS = {
         {"prune_ms": 200, "mutations": ["disable_dedup"]},
         ("pruned", "aliases", "shared_otid"),
     ),
+    "dedup-off-100": (
+        CHURN,
+        {"prune_ms": 100, "mutations": ["disable_dedup"]},
+        ("pruned", "aliases", "shared_otid"),
+    ),
     "failover": ("failover-demo", {}, ("aliases",)),
 }
 
@@ -622,6 +623,9 @@ def test_indexed_suffix_and_acks_match_whole_log_scans(name, monkeypatch):
             by_origin.setdefault(r.otid.origin, []).append(id(r))
         assert {o: [id(r) for r in rs] for o, rs in dc.by_origin.items()} == by_origin
         assert sorted(dc.admission) == sorted(id(r) for r in dc.log)
+        # the log keeps every record whose effects are not yet folded
+        logged = {id(r) for r in dc.log}
+        assert all(id(r) in logged for so in dc.store.values() for _, r in so.entries)
         return out
 
     monkeypatch.setattr(DataCenter, "gossip_suffix", checked_suffix)
@@ -766,13 +770,13 @@ SHORT_CRASH = {
 @pytest.mark.parametrize("jitter_ms", [0, 8])
 def test_records_lost_without_a_silence_are_sent_again(jitter_ms, monkeypatch):
     parked = []
-    crash = DataCenter.crash
+    crash = sim.Simulation._crash_dc
 
-    def crash_counting_parked(dc):
-        parked.append(len(dc.pending_remote))
-        crash(dc)
+    def crash_counting_parked(simulation, dc_id):
+        parked.append(len(simulation.dcs[dc_id].pending_remote))
+        crash(simulation, dc_id)
 
-    monkeypatch.setattr(DataCenter, "crash", crash_counting_parked)
+    monkeypatch.setattr(sim.Simulation, "_crash_dc", crash_counting_parked)
     result = run_scenario(SHORT_CRASH, seed=1, overrides={"jitter_ms": jitter_ms})
     # one batch lost, and records parked when the second crash came
     assert result.stats["dropped"] == 1 and parked[1] > 0
@@ -917,3 +921,74 @@ def test_pruning_unindexes_every_dropped_alias(seed, monkeypatch):
     assert seen["pruned"] and seen["shared_otid"], seen
     report = run_checks(result.trace)
     assert not report["verdicts"]["exactly_once"]["ok"]
+
+
+# -- a crash rebuilds the replica from its durable stream -------------------------
+
+# CHURN's scout disconnect and partition, with four short DC crashes instead
+# of its two; the last two come after dc1 has pruned records
+REBUILD_FAULTS = [f for f in CHURN["faults"] if not f["kind"].startswith("dc_")] + [
+    {"at": 86, "kind": "dc_crash", "dc": 2},
+    {"at": 103, "kind": "dc_recover", "dc": 2},
+    {"at": 249, "kind": "dc_crash", "dc": 0},
+    {"at": 298, "kind": "dc_recover", "dc": 0},
+    {"at": 438, "kind": "dc_crash", "dc": 1},
+    {"at": 480, "kind": "dc_recover", "dc": 1},
+    {"at": 553, "kind": "dc_crash", "dc": 1},
+    {"at": 560, "kind": "dc_recover", "dc": 1},
+]
+# CHURN's faults and four more crashes; with dedup off, dc0 crashes at 797 ms
+# holding alias slots of records it has already pruned
+MORE_CRASHES = CHURN["faults"] + [
+    {"at": at, "kind": kind, "dc": dc}
+    for dc, down, up in ((1, 261, 360), (0, 797, 811), (1, 940, 1025), (0, 1185, 1219))
+    for at, kind in ((down, "dc_crash"), (up, "dc_recover"))
+]
+# name -> (faults, mutations, DCs crashed in order, whether some crash comes
+# while the replica holds marked slots above its prune frontier that no
+# logged record holds)
+REBUILD_RUNS = {
+    "dedup": (REBUILD_FAULTS, [], [2, 0, 1, 1], False),
+    "dedup-off": (REBUILD_FAULTS, ["disable_dedup"], [2, 0, 1, 1], False),
+    "marks-dedup-off": (MORE_CRASHES, ["disable_dedup"], [0, 1, 0, 1, 0, 1], True),
+}
+
+
+def replica_state(dc):
+    fields = ("vdc", "slots", "top_slot", "max_otid", "prune_vector")
+    return {**{f: getattr(dc, f) for f in fields}, "values": dc.object_values()}
+
+
+def unlogged_marks(dc):
+    """Marked slots above the prune frontier that no logged record holds."""
+    held = {(g.origin, g.counter) for r in dc.log for g in r.gtids}
+    return [
+        (origin, c)
+        for origin, marked in enumerate(dc.slots)
+        for c in marked
+        if c > dc.prune_vector[origin] and (origin, c) not in held
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(REBUILD_RUNS))
+def test_a_crash_rebuilds_the_replica_that_crashed(name, monkeypatch):
+    faults, mutations, expected, marks = REBUILD_RUNS[name]
+    crashed, seen = [], {"pruned": 0, "unlogged_marks": 0}
+    crash = sim.Simulation._crash_dc
+
+    def checked_crash(simulation, dc_id):
+        before = simulation.dcs[dc_id]
+        state = replica_state(before)
+        seen["pruned"] += before.prune_vector != VersionVector.zero(3)
+        seen["unlogged_marks"] += bool(unlogged_marks(before))
+        crash(simulation, dc_id)
+        after = simulation.dcs[dc_id]
+        assert after is not before and before.dead and not after.dead
+        assert replica_state(after) == state
+        crashed.append(dc_id)
+
+    monkeypatch.setattr(sim.Simulation, "_crash_dc", checked_crash)
+    scenario = dict(CHURN, faults=faults)
+    run_scenario(scenario, seed=1, overrides={"prune_ms": 200, "mutations": mutations})
+    assert crashed == expected
+    assert seen["pruned"] and bool(seen["unlogged_marks"]) == marks, seen
