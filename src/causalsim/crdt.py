@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from causalsim.clocks import Otid, ScoutId
 
@@ -59,9 +59,13 @@ def object_from_wire(key: str, type_value: str) -> ObjectId:
     return ObjectId(key, _TYPE_BY_VALUE[type_value])
 
 
-@dataclass(frozen=True, order=True)
-class EffectTag:
-    """Unique effect identity: producing transaction plus intra-tx sequence."""
+class EffectTag(NamedTuple):
+    """Unique effect identity: producing transaction plus intra-tx sequence.
+
+    A named tuple, so decoding a state builds its tags at tuple cost. Hash
+    and order are those of the field tuple, on which the iteration order of
+    tag sets and dicts, and so the traces, depend. Like any tuple it equals
+    a plain tuple of the same fields, but never an `Otid`."""
 
     counter: int
     origin: ScoutId
@@ -283,11 +287,11 @@ def value_of(state):
 
 
 def _tag_to_wire(tag: EffectTag) -> list:
-    return [tag.counter, tag.origin, tag.seq]
+    return list(tag)
 
 
-def _tag_from_wire(w) -> EffectTag:
-    return EffectTag(w[0], w[1], w[2])
+# a tag's wire form is its field list; `_make` checks the length
+_tag_from_wire = EffectTag._make
 
 
 def effect_to_wire(effect: EffectOp) -> dict:
@@ -307,7 +311,7 @@ def effect_from_wire(w: dict) -> EffectOp:
         kind,
         _payload_from_wire(kind, w["payload"]),
         _tag_from_wire(w["tag"]),
-        tuple(_tag_from_wire(t) for t in w["deps"]),
+        tuple(map(_tag_from_wire, w["deps"])),
     )
 
 
@@ -364,12 +368,12 @@ def state_from_wire(w: dict):
     if t == "mv":
         return MvState(
             {_tag_from_wire(tw): v for tw, v in w["candidates"]},
-            frozenset(_tag_from_wire(tw) for tw in w["overwritten"]),
+            frozenset(map(_tag_from_wire, w["overwritten"])),
         )
     if t == "awset":
         return AwSetState(
-            {elem: frozenset(_tag_from_wire(tw) for tw in tws) for elem, tws in w["alive"]},
-            frozenset(_tag_from_wire(tw) for tw in w["tombstones"]),
+            {elem: frozenset(map(_tag_from_wire, tws)) for elem, tws in w["alive"]},
+            frozenset(map(_tag_from_wire, w["tombstones"])),
         )
     if t == "cmap":
         return CmapState(

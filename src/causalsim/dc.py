@@ -10,6 +10,13 @@ send marks and deferred work are lost by construction. The log's indexes
 (by OTID, by alias slot, by origin scout, admission order) are derived
 from the log and rebuilt with it.
 
+A fetch is served in wire form. Each stored object remembers the last
+version it served: the positions of the log entries that version covers,
+and its wire form. A fetch whose clock covers the same entries gets that
+wire form again without a replay or an encode. The memo is volatile, kept
+only while the object has entries above its checkpoint, and dropped when a
+prune folds some of them, which changes the checkpoint and the positions.
+
 Commit identity is tracked at slot granularity: every alias GTID of a
 record occupies one slot in its origin DC's gapless sequence, and the
 replica's version vector advances along the contiguous prefix of applied
@@ -97,6 +104,9 @@ class StoredObject:
     checkpoint: Any
     base: VersionVector
     entries: list[tuple[EffectOp, CommitRecord]] = field(default_factory=list)
+    # volatile: the positions in `entries` covered by the last version
+    # served, and its wire form, which receivers only decode
+    served: Optional[tuple[list[int], dict]] = None
 
 
 @dataclass
@@ -525,39 +535,51 @@ class DataCenter:
 
     def fetch_states(
         self, obj: ObjectId, snapshot: CausalClock, admit_clock: CausalClock, own: ScoutId
-    ):
-        """`materialize` at both clocks in one walk over the object's entries.
-        Returns (snapshot state, admit state), with None for the admit state
-        when both clocks cover the same entries. The walk keeps one state for
-        both up to the first entry that only one clock covers."""
+    ) -> tuple[dict, Optional[dict]]:
+        """The wire forms of `materialize` at both clocks, from one walk over
+        the object's entries. Returns (snapshot wire, admit wire), with None
+        for the admit wire when both clocks cover the same entries."""
         for c in (snapshot, admit_clock):
             if not self.prune_vector.leq(c.dc_part):
                 raise VersionPruned(f"{obj} at {c} below prune frontier {self.prune_vector}")
         so = self.store.get(obj)
         if so is None:
-            return new_state(obj.crdt_type), None
-        snap = admit = so.checkpoint
-        same = True
-        for effect, record in so.entries:
-            in_snap = self._covered(record, snapshot, own)
-            in_admit = self._covered(record, admit_clock, own)
-            same = same and in_snap == in_admit
-            if in_snap:
-                snap = apply_effect(snap, effect)
-            if in_admit:
-                admit = snap if same else apply_effect(admit, effect)
-        return snap, (None if same else admit)
+            return state_to_wire(new_state(obj.crdt_type)), None
+        covered = self._covered
+        snap_key, admit_key = [], []
+        for i, (_, record) in enumerate(so.entries):
+            if covered(record, snapshot, own):
+                snap_key.append(i)
+            if covered(record, admit_clock, own):
+                admit_key.append(i)
+        snap = self._served(so, snap_key)
+        return snap, (None if admit_key == snap_key else self._served(so, admit_key))
+
+    @staticmethod
+    def _served(so: StoredObject, key: list[int]) -> dict:
+        """The wire form of the checkpoint plus the entries at positions
+        `key`: the memo's if it covers the same ones, else replayed, encoded
+        and remembered. The wire form is canonical, so the memo's is the one
+        a fresh encode gives."""
+        if so.served is not None and so.served[0] == key:
+            return so.served[1]
+        state = so.checkpoint
+        for i in key:
+            state = apply_effect(state, so.entries[i][0])
+        wire = state_to_wire(state)
+        if so.entries:
+            so.served = (key, wire)
+        return wire
 
     def _serve_fetch(self, env, msg: FetchRequest) -> None:
         session = self.sessions.get(msg.scout)
         admit_frontier = session.last_announced if session else msg.snapshot.dc_part
         admit_clock = CausalClock(admit_frontier, msg.snapshot.local_part)
-        versions = []
         try:
-            for obj in msg.objects:
-                snap, admit = self.fetch_states(obj, msg.snapshot, admit_clock, msg.scout)
-                admit_wire = None if admit is None else state_to_wire(admit)
-                versions.append((obj, state_to_wire(snap), admit_wire))
+            versions = [
+                (obj, *self.fetch_states(obj, msg.snapshot, admit_clock, msg.scout))
+                for obj in msg.objects
+            ]
         except VersionPruned:
             env.send(f"dc{self.id}", msg.scout, FetchReply(msg.scout, msg.req_id, "pruned"))
             return
@@ -701,6 +723,8 @@ class DataCenter:
                     folded[id(record)] = record
                 else:
                     keep.append((effect, record))
+            if len(keep) < len(so.entries):
+                so.served = None  # a new checkpoint, and positions moved
             so.entries = keep
             so.base = pv
         if folded:

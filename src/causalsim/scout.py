@@ -217,7 +217,11 @@ class Scout:
                 return None
             return stashed.state
         entry = self.cache.get(obj)
-        if entry is not None and entry.valid:
+        if entry is not None and entry.valid and (
+            self.disable_guards or self.entry_clock(entry).dc_part == self.clock.dc_part
+        ):
+            # an entry admitted ahead of the clock waits for the clock: a
+            # DC crash can lose the notify batches that would bring it there
             self.cache.move_to_end(obj)
             return entry.state
         return None

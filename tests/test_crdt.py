@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalsim.clocks import Otid
 from causalsim.crdt import (
     CrdtType,
     EffectTag,
@@ -280,3 +281,43 @@ def test_commutes_under_hypothesis_seeds(seed):
     for e in line_b + line_a:
         ba = apply_effect(ba, e)
     assert ab == ba
+
+
+class TestEffectTag:
+    TAGS = [tag(2, "a"), tag(1, "b", 3), tag(1, "b"), tag(1, "a", 9), tag(10, "a")]
+
+    def test_fields_cannot_be_assigned(self):
+        t = tag(1, "s0", 2)
+        with pytest.raises(AttributeError):
+            t.counter = 5
+        with pytest.raises(AttributeError):
+            t.note = "x"
+        assert t == tag(1, "s0", 2)
+
+    def test_hash_and_order_follow_the_field_tuple(self):
+        fields = [(t.counter, t.origin, t.seq) for t in self.TAGS]
+        assert [hash(t) for t in self.TAGS] == [hash(f) for f in fields]
+        assert [(t.counter, t.origin, t.seq) for t in sorted(self.TAGS)] == sorted(fields)
+        assert tag(1, "b", 3) < tag(2, "a") and tag(1, "a", 9) < tag(1, "b")
+
+    def test_otid_drops_the_sequence(self):
+        assert tag(3, "s1", 2).otid == Otid(3, "s1")
+
+    def test_never_equals_an_otid(self):
+        for t in self.TAGS:
+            assert t != t.otid and t.otid != t
+            assert t.otid not in set(self.TAGS)
+
+    def test_repr(self):
+        assert repr(tag(1, "s0", 2)) == "EffectTag(counter=1, origin='s0', seq=2)"
+
+    def test_decoded_tags_are_effect_tags(self):
+        empty = new_state(CrdtType.MV_REGISTER)
+        state = apply_effect(empty, prepare(MV, empty, ("assign", 1), tag(4, "s2", 1)))
+        (decoded,) = state_from_wire(state_to_wire(state)).candidates
+        assert type(decoded) is EffectTag and decoded.otid == Otid(4, "s2")
+        effect = effect_from_wire(effect_to_wire(prepare(MV, state, ("assign", 2), tag(5, "s2"))))
+        assert type(effect.tag) is EffectTag
+        assert [type(d) for d in effect.deps] == [EffectTag]
+        with pytest.raises(TypeError):
+            state_from_wire({"t": "mv", "candidates": [[[4, "s2"], 1]], "overwritten": []})

@@ -10,6 +10,7 @@ from causalsim.crdt import (
     ObjectId,
     new_state,
     prepare,
+    state_from_wire,
     state_to_wire,
     value_of,
 )
@@ -796,6 +797,20 @@ def test_a_live_peer_acknowledges_within_the_wait(jitter_ms, monkeypatch):
 
 # -- fetch replies against two independent replays ------------------------------
 
+# CHURN's scout disconnect and partition, with four short DC crashes instead
+# of its two; the last two come after dc1 has pruned records. Fetches are
+# served by rebuilt replicas, and the rebuild tests below crash on it too
+REBUILD_FAULTS = [f for f in CHURN["faults"] if not f["kind"].startswith("dc_")] + [
+    {"at": 86, "kind": "dc_crash", "dc": 2},
+    {"at": 103, "kind": "dc_recover", "dc": 2},
+    {"at": 249, "kind": "dc_crash", "dc": 0},
+    {"at": 298, "kind": "dc_recover", "dc": 0},
+    {"at": 438, "kind": "dc_crash", "dc": 1},
+    {"at": 480, "kind": "dc_recover", "dc": 1},
+    {"at": 553, "kind": "dc_crash", "dc": 1},
+    {"at": 560, "kind": "dc_recover", "dc": 1},
+]
+
 
 class SendTap:
     """Forwards to the simulator and keeps what the DC sends."""
@@ -816,23 +831,54 @@ def covered_entries(dc, obj, at, own):
     return [i for i, (_, r) in enumerate(so.entries if so else ()) if dc._covered(r, at, own)]
 
 
+# name -> (scenario, sim overrides, what the run must exercise)
 FETCH_RUNS = {
-    "social-90-10": ("social-90-10", {}),
-    "staleness-stress": ("staleness-stress", {}),
-    "churn-pruned": (CHURN, {"prune_ms": 200}),
+    "social-90-10": ("social-90-10", {}, ("memo_hits",)),
+    "staleness-stress": ("staleness-stress", {}, ("memo_hits",)),
+    "churn-pruned": (CHURN, {"prune_ms": 200}, ("memo_hits", "memo_after_prune")),
+    "dedup-off-100": (
+        CHURN,
+        {"prune_ms": 100, "mutations": ["disable_dedup"]},
+        ("memo_hits", "memo_after_prune", "shared_otid"),
+    ),
+    "crash-rebuilds": (
+        dict(CHURN, faults=REBUILD_FAULTS),
+        {"prune_ms": 200},
+        ("memo_hits", "memo_after_prune", "rebuilt"),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FETCH_RUNS))
 def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
-    base, overrides = FETCH_RUNS[name]
-    seen = {"objects": 0, "shared": 0}
-    serve_fetch = DataCenter._serve_fetch
+    base, overrides, exercised = FETCH_RUNS[name]
+    seen = dict.fromkeys(
+        ("objects", "shared", "memo_hits", "memo_after_prune", "shared_otid", "rebuilt"), 0
+    )
+    serve_fetch, prune_tick, from_durable = (
+        DataCenter._serve_fetch,
+        DataCenter.prune_tick,
+        DataCenter.from_durable.__func__,
+    )
+    pruned, rebuilt = set(), set()
+
+    def counted_prune(dc, env):
+        before = len(dc.log)
+        out = prune_tick(dc, env)
+        if len(dc.log) < before:
+            pruned.add(dc)
+        return out
+
+    def counted_rebuild(cls, *args, **kw):
+        dc = from_durable(cls, *args, **kw)
+        rebuilt.add(dc)
+        return dc
 
     def checked_serve(dc, env, msg):
         session = dc.sessions.get(msg.scout)
         admit_dc = session.last_announced if session else msg.snapshot.dc_part
         admit_at = CausalClock(admit_dc, msg.snapshot.local_part)
+        memo = {o: dc.store[o].served for o in msg.objects if o in dc.store}
         tap = SendTap(env)
         serve_fetch(dc, tap, msg)
         (reply,) = tap.sent
@@ -844,25 +890,36 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
             return
         assert [v[0] for v in reply.versions] == msg.objects
         for obj, snap_wire, admit_wire in reply.versions:
-            # the two-call path that the one-pass walk replaced
-            snap = dc.materialize(obj, msg.snapshot, msg.scout)
-            admit = dc.materialize(obj, admit_at, msg.scout)
-            same = covered_entries(dc, obj, msg.snapshot, msg.scout) == covered_entries(
-                dc, obj, admit_at, msg.scout
-            )
+            # the two-call path that the memo and the one-pass walk replaced
+            snap = state_to_wire(dc.materialize(obj, msg.snapshot, msg.scout))
+            admit = state_to_wire(dc.materialize(obj, admit_at, msg.scout))
+            snap_key = covered_entries(dc, obj, msg.snapshot, msg.scout)
+            same = snap_key == covered_entries(dc, obj, admit_at, msg.scout)
+            assert snap_wire == snap
+            assert admit_wire == (None if same else admit)
             got_snap, got_admit = dc.fetch_states(obj, msg.snapshot, admit_at, msg.scout)
-            assert got_snap == snap
-            assert (got_admit is None) == same
-            assert (got_snap if got_admit is None else got_admit) == admit
-            assert snap_wire == state_to_wire(snap)
-            assert admit_wire == (None if same else state_to_wire(admit))
+            assert (got_snap, got_admit) == (snap_wire, admit_wire)
+            hit = memo.get(obj) is not None and memo[obj][0] == snap_key
             seen["objects"] += 1
             seen["shared"] += same
+            seen["memo_hits"] += hit
+            seen["memo_after_prune"] += hit and dc in pruned
+            seen["rebuilt"] += dc in rebuilt
+            records = [r for _, r in dc.store[obj].entries] if obj in dc.store else []
+            seen["shared_otid"] += len({r.otid for r in records}) < len({id(r) for r in records})
 
     monkeypatch.setattr(DataCenter, "_serve_fetch", checked_serve)
+    monkeypatch.setattr(DataCenter, "prune_tick", counted_prune)
+    monkeypatch.setattr(DataCenter, "from_durable", classmethod(counted_rebuild))
     scenario = load_scenario(base) if isinstance(base, str) else base
     run_scenario(scenario, seed=1, overrides=overrides)
     assert seen["objects"] > seen["shared"] > 0, seen
+    for what in exercised:
+        assert seen[what] > 0, (what, seen)
+
+
+def wire_at(dc, obj, at, own):
+    return state_to_wire(dc.materialize(obj, at, own))
 
 
 class TestFetchStates:
@@ -883,19 +940,71 @@ class TestFetchStates:
     def test_equal_coverage_shares_one_state(self):
         dc = self._dc()
         snap, admit = dc.fetch_states(B_FRD, clock([2, 0]), clock([2, 0]), "R")
-        assert admit is None and value_of(snap) == frozenset({"A", "C"})
+        assert admit is None and snap == wire_at(dc, B_FRD, clock([2, 0]), "R")
+        assert value_of(state_from_wire(snap)) == frozenset({"A", "C"})
 
     def test_different_coverage_gives_two_states(self):
         dc = self._dc()
         snap, admit = dc.fetch_states(B_FRD, clock([2, 0]), clock([1, 0]), "R")
-        assert value_of(snap) == frozenset({"A", "C"})
-        assert value_of(admit) == frozenset({"A"})
+        assert snap == wire_at(dc, B_FRD, clock([2, 0]), "R")
+        assert admit == wire_at(dc, B_FRD, clock([1, 0]), "R")
+        assert value_of(state_from_wire(snap)) == frozenset({"A", "C"})
+        assert value_of(state_from_wire(admit)) == frozenset({"A"})
 
     def test_unknown_object_is_empty(self):
         dc = self._dc()
         nobody = ObjectId("nobody", CrdtType.COUNTER)
         snap, admit = dc.fetch_states(nobody, clock([1, 0]), clock([2, 0]), "R")
-        assert admit is None and value_of(snap) == 0
+        assert admit is None and value_of(state_from_wire(snap)) == 0
+
+    def test_the_same_entries_are_served_from_the_memo(self):
+        env, dc = friendship_dc()
+        first, _ = dc.fetch_states(B_FRD, clock([1, 0]), clock([1, 0]), "R")
+        # another clock, and an entry logged since, that it does not cover
+        dc.on_commit_request(env, commit_req("D", 1, [set_add(B_FRD, "D", Otid(1, "D"))]))
+        again, _ = dc.fetch_states(B_FRD, clock([1, 7]), clock([1, 7]), "R")
+        assert again is first
+        assert dc.store[B_FRD].served == ([0], first)
+
+    def test_the_memo_is_keyed_on_entries_not_on_the_clock(self):
+        dc = self._dc()
+        # one clock; only the scout that committed the entry sees it
+        at = clock([1, 0], local=1)
+        for own, elems in (("R", {"A"}), ("C", {"A", "C"}), ("R", {"A"})):
+            snap, _ = dc.fetch_states(B_FRD, at, at, own)
+            assert snap == wire_at(dc, B_FRD, at, own)
+            assert value_of(state_from_wire(snap)) == elems
+
+    def test_a_prune_that_folds_entries_clears_the_memo(self):
+        env, dc = friendship_dc()
+        for obj in (B_FRD, C_FRD):
+            dc.fetch_states(obj, clock([1, 0]), clock([2, 0]), "R")
+            assert dc.store[obj].served is not None
+        c_frd_memo = dc.store[C_FRD].served
+        dc.known_vectors[1] = vv(1, 0)
+        dc.prune_tick(env)
+        # B_FRD's first entry was folded; C_FRD's only entry was not
+        assert dc.store[B_FRD].served is None
+        assert dc.store[C_FRD].served is c_frd_memo
+        snap, admit = dc.fetch_states(B_FRD, clock([1, 0]), clock([2, 0]), "R")
+        assert snap == wire_at(dc, B_FRD, clock([1, 0]), "R")
+        assert admit == wire_at(dc, B_FRD, clock([2, 0]), "R")
+
+    def test_an_object_without_entries_holds_no_memo(self):
+        dc = self._dc()
+        assert dc.store[A_FRD].entries == []
+        snap, admit = dc.fetch_states(A_FRD, clock([2, 0]), clock([1, 0]), "R")
+        assert admit is None and snap == wire_at(dc, A_FRD, clock([2, 0]), "R")
+        assert dc.store[A_FRD].served is None
+
+    def test_the_memo_is_not_durable(self):
+        dc = self._dc()
+        durable = dc.durable_snapshot()
+        dc.fetch_states(B_FRD, clock([2, 0]), clock([1, 0]), "R")
+        assert dc.store[B_FRD].served is not None
+        assert dc.durable_snapshot() == durable
+        rebuilt = DataCenter.from_durable(durable, dc.num_dcs, dc.k)
+        assert all(so.served is None for so in rebuilt.store.values())
 
 
 # -- alias index after pruning with duplicate OTIDs --------------------------------
@@ -925,18 +1034,6 @@ def test_pruning_unindexes_every_dropped_alias(seed, monkeypatch):
 
 # -- a crash rebuilds the replica from its durable stream -------------------------
 
-# CHURN's scout disconnect and partition, with four short DC crashes instead
-# of its two; the last two come after dc1 has pruned records
-REBUILD_FAULTS = [f for f in CHURN["faults"] if not f["kind"].startswith("dc_")] + [
-    {"at": 86, "kind": "dc_crash", "dc": 2},
-    {"at": 103, "kind": "dc_recover", "dc": 2},
-    {"at": 249, "kind": "dc_crash", "dc": 0},
-    {"at": 298, "kind": "dc_recover", "dc": 0},
-    {"at": 438, "kind": "dc_crash", "dc": 1},
-    {"at": 480, "kind": "dc_recover", "dc": 1},
-    {"at": 553, "kind": "dc_crash", "dc": 1},
-    {"at": 560, "kind": "dc_recover", "dc": 1},
-]
 # CHURN's faults and four more crashes; with dedup off, dc0 crashes at 797 ms
 # holding alias slots of records it has already pruned
 MORE_CRASHES = CHURN["faults"] + [

@@ -5,8 +5,10 @@ from causalsim.clocks import CausalClock, Otid, VersionVector
 from causalsim.crdt import CounterState, CrdtType, ObjectId, apply_effect, new_state, state_to_wire
 from causalsim.messages import FetchReply
 from causalsim.scenarios import load_scenario, run_scenario
+from causalsim.checker import run_checks
 from causalsim.scout import CachePinOverflow, ProtocolError, Scout, Unavailable, UsageError
 from causalsim.sim import SimConfig, Simulation
+from test_pins import CHURN
 
 CTR = ObjectId("ctr:0", CrdtType.COUNTER)
 SET = ObjectId("set:0", CrdtType.AW_SET)
@@ -192,6 +194,22 @@ class TestFetchReply:
         s.on_fetch_reply(sim, self._reply(s, 3, 1))
         assert s.read(sim, tx, CTR) == 3
         assert s.cache[CTR].state == CounterState(1)
+
+    @pytest.mark.parametrize("guards", [True, False])
+    def test_an_entry_admitted_ahead_of_the_clock_waits_for_it(self, guards):
+        sim, s, tx = self._fetching()
+        s.disable_guards = not guards
+        ahead = VersionVector((1, 0))
+        versions = [(CTR, state_to_wire(CounterState(3)), None)]
+        s.on_fetch_reply(sim, FetchReply("s0", s.fetch.req_id, "ok", versions, ahead))
+        s.commit(sim, tx)
+        tx = s.begin(sim)
+        if guards:
+            assert s.read(sim, tx, CTR) is None  # a miss: the fetch is out
+            s.rollback(sim, tx)
+            s._advance_clock(ahead)
+            tx = s.begin(sim)
+        assert s.read(sim, tx, CTR) == 3
 
 
 def run_pair(scripts, **kw):
@@ -421,3 +439,21 @@ def test_implicit_entry_clocks_match_the_sweep(name, monkeypatch):
     assert clocks == ref_clocks
     assert trace == ref_trace
     assert bool(off_clock[0]) == (name == "session-reorder")
+
+
+# CHURN's faults and five more DC crashes, with fast pruning: a fetch reply
+# that reaches s0 after its DC crashed and recovered admits ctr:0 at a
+# frontier whose notify batches the crash lost, ahead of s0's clock
+AHEAD_CRASHES = ((1, 31, 142), (2, 507, 537), (0, 873, 932), (1, 980, 1018), (2, 1366, 1401))
+AHEAD_FAULTS = CHURN["faults"] + [
+    {"at": at, "kind": kind, "dc": dc}
+    for dc, down, up in AHEAD_CRASHES
+    for at, kind in ((down, "dc_crash"), (up, "dc_recover"))
+]
+
+
+def test_reads_skip_entries_admitted_ahead_of_the_clock():
+    result = run_scenario(dict(CHURN, faults=AHEAD_FAULTS), seed=17, overrides={"prune_ms": 100})
+    report = run_checks(result.trace)
+    assert result.synced
+    assert report["ok"], report["verdicts"]["causal_snapshots"]["violations"]
