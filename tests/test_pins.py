@@ -11,11 +11,19 @@ To print the current digests: ``PYTHONPATH=src python tests/test_pins.py``.
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from causalsim.checker import run_checks
 from causalsim.scenarios import PRESETS, load_scenario, run_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import run as bench  # noqa: E402
 
 # counter churn at three DCs under a crash during commit, a scout
 # disconnect with failover, a partition and a plain crash, all healed
@@ -62,8 +70,30 @@ RUNS = {
     ),
 }
 
-# name -> (trace sha256, report sha256), generated at seed 1
+# one scenario of each benchmark workload, built as perfbench/run.py builds
+# it; the scenario carries its own seed
+BENCH_SEED = 36
+BENCH_RUNS = {
+    f"bench-{name}": bench.make_scenario(spec["base"], spec["sim"], spec["workload"], BENCH_SEED, name)
+    for name, spec in bench.WORKLOADS.items()
+}
+RUNS.update({name: (scenario, {}, None) for name, scenario in BENCH_RUNS.items()})
+
+# name -> (trace sha256, report sha256), generated at seed 1, or at
+# BENCH_SEED for the benchmark workloads
 PINS = {
+    "bench-churn-faults": (
+        "ba8991471b6fc423fa776bc22cc612f13aa00214692e29bf2234cd06e5fd05fe",
+        "65654def5ff52bebc2682f39f4930ff7b36a2bf8e37757f23500598f93bcfaac",
+    ),
+    "bench-fetch-bound": (
+        "f4981b80b90a1a4394c3ac583c9d150db05a6bd918ff2fb24e8c16d1fcc20485",
+        "b8488a62db8bc8b7cf0f8a0a888b56c9de0cac1f9888d13f69133fae15f7c2d1",
+    ),
+    "bench-social-cached": (
+        "52449e4d3917f15debbe84f19b994105a95569a31218cd29f8878bc3619f1ec8",
+        "41a6a7164795a3ebb3b92e6185c973936cfcf4b4785f9157895727f8b709a610",
+    ),
     "churn-faults": (
         "199a7a04ed9107634c0ab13a60fd10a0e31cdbe1a952ee94e6f38cff9c11c822",
         "6eb82ba33bef132b811193d0b3be802a36225003c86d26bba3e211312e687d5a",
@@ -106,7 +136,8 @@ def _sha(data: bytes) -> str:
 def digests(name: str) -> tuple[str, str, dict]:
     base, overrides, _ = RUNS[name]
     scenario = load_scenario(base) if isinstance(base, str) else base
-    result = run_scenario(scenario, seed=1, overrides=overrides)
+    seed = None if name in BENCH_RUNS else 1
+    result = run_scenario(scenario, seed=seed, overrides=overrides)
     report = run_checks(result.trace)
     report_bytes = json.dumps(report, sort_keys=True).encode()
     return _sha(result.trace_bytes()), _sha(report_bytes), report
