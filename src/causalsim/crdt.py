@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Optional
 
 from causalsim.clocks import Otid, ScoutId
 
@@ -55,8 +55,18 @@ class ObjectId:
     crdt_type: CrdtType
 
 
+# (key, type value) -> the one ObjectId decoded for it; an ObjectId is a
+# frozen value, so every node may hold the same one. The table holds one
+# entry per distinct object id decoded in the process.
+_OBJECT_IDS: dict[tuple[str, str], ObjectId] = {}
+
+
 def object_from_wire(key: str, type_value: str) -> ObjectId:
-    return ObjectId(key, _TYPE_BY_VALUE[type_value])
+    obj = _OBJECT_IDS.get((key, type_value))
+    if obj is None:
+        # an unknown type value raises here, before anything is cached
+        obj = _OBJECT_IDS[key, type_value] = ObjectId(key, _TYPE_BY_VALUE[type_value])
+    return obj
 
 
 class EffectTag(NamedTuple):
@@ -85,6 +95,10 @@ class EffectOp:
     payload: tuple
     tag: EffectTag
     deps: tuple[EffectTag, ...] = ()
+    # the wire form: the dict it was decoded from, or its first encoding.
+    # Never mutated, so nodes may share it; outside eq, hash and repr, and
+    # `dataclasses.replace` does not carry it over.
+    wire: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
 
 class TypeMismatch(TypeError):
@@ -295,24 +309,33 @@ _tag_from_wire = EffectTag._make
 
 
 def effect_to_wire(effect: EffectOp) -> dict:
-    return {
-        "obj": [effect.target.key, effect.target.crdt_type.value],
-        "kind": effect.kind,
-        "payload": _payload_to_wire(effect.kind, effect.payload),
-        "tag": _tag_to_wire(effect.tag),
-        "deps": [_tag_to_wire(t) for t in effect.deps],
-    }
+    """The effect's wire form, encoded on the first call only. Callers must
+    not mutate it."""
+    w = effect.wire
+    if w is None:
+        w = {
+            "obj": [effect.target.key, effect.target.crdt_type.value],
+            "kind": effect.kind,
+            "payload": _payload_to_wire(effect.kind, effect.payload),
+            "tag": _tag_to_wire(effect.tag),
+            "deps": [_tag_to_wire(t) for t in effect.deps],
+        }
+        object.__setattr__(effect, "wire", w)
+    return w
 
 
 def effect_from_wire(w: dict) -> EffectOp:
+    """A fresh effect that keeps `w` as its wire form."""
     kind, obj = w["kind"], w["obj"]
-    return EffectOp(
+    effect = EffectOp(
         object_from_wire(obj[0], obj[1]),
         kind,
         _payload_from_wire(kind, w["payload"]),
         _tag_from_wire(w["tag"]),
         tuple(map(_tag_from_wire, w["deps"])),
     )
+    object.__setattr__(effect, "wire", w)
+    return effect
 
 
 def _payload_to_wire(kind: str, payload: tuple) -> list:

@@ -1,8 +1,16 @@
 """Wire formats exchanged between scouts and data centres.
 
-Every message has a canonical JSON-compatible form. The simulator round
-trips each message through the codec on send, so anything that would not
-survive real serialization fails loudly in tests.
+Every message has a canonical JSON-compatible form. The simulator encodes
+each message when it is sent and decodes it on every delivery, so a node
+never holds another node's records, effects or clocks, and anything that
+would not survive real serialization fails loudly in tests.
+
+Effects and commit records are encoded at most once. Each keeps its wire
+form in a `wire` field: the dict it was decoded from, or its first
+encoding. A record's `gtids` grow when aliases merge, so `record_to_wire`
+encodes them on every call and takes the other fields from the memo. Wire
+dicts are shared between nodes and are never mutated. See README.md,
+"Wire forms".
 """
 
 from __future__ import annotations
@@ -27,6 +35,10 @@ class CommitRecord:
     effects: tuple[EffectOp, ...]
     origin_session: ScoutId
     stored_results: Any = None
+    # the wire form of every field but `gtids`, which alias merges extend:
+    # the dict the record was decoded from (its "gtids" is never read), or
+    # the first encoding. Never mutated; outside eq and repr
+    wire: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def primary_gtid(self) -> Gtid:
@@ -175,18 +187,30 @@ def _obj_r(w) -> ObjectId:
 
 
 def record_to_wire(r: CommitRecord) -> dict:
+    """A new dict whose `gtids` is encoded now; the other fields are the
+    record's memoized wire form, encoded on the first call."""
+    w = r.wire
+    if w is None:
+        w = r.wire = {
+            "otid": _otid_w(r.otid),
+            "deps": _clock_w(r.deps),
+            "effects": [effect_to_wire(e) for e in r.effects],
+            "session": r.origin_session,
+            "results": r.stored_results,
+        }
     return {
-        "otid": _otid_w(r.otid),
+        "otid": w["otid"],
         "gtids": [_gtid_w(g) for g in r.gtids],
-        "deps": _clock_w(r.deps),
-        "effects": [effect_to_wire(e) for e in r.effects],
-        "session": r.origin_session,
-        "results": r.stored_results,
+        "deps": w["deps"],
+        "effects": w["effects"],
+        "session": w["session"],
+        "results": w["results"],
     }
 
 
 def record_from_wire(w: dict) -> CommitRecord:
-    return CommitRecord(
+    """A fresh record that keeps `w` as its wire form."""
+    record = CommitRecord(
         otid=_otid_r(w["otid"]),
         gtids=[_gtid_r(g) for g in w["gtids"]],
         deps=_clock_r(w["deps"]),
@@ -194,6 +218,8 @@ def record_from_wire(w: dict) -> CommitRecord:
         origin_session=w["session"],
         stored_results=w["results"],
     )
+    record.wire = w
+    return record
 
 
 def message_to_wire(msg) -> dict:
