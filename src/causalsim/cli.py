@@ -149,6 +149,13 @@ def cmd_sweep(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalsim",
@@ -176,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a scenario across many seeds")
     sweep_p.add_argument("scenario", nargs="?", default=None)
     sweep_p.add_argument("--scenario", dest="scenario_flag", default=None)
-    sweep_p.add_argument("--sweep", type=int, required=True, metavar="N", help="number of seeds")
+    sweep_p.add_argument("--sweep", type=_positive_int, required=True, metavar="N",
+                         help="number of seeds, at least 1")
     sweep_p.add_argument("--seed", type=int, default=None, help="first seed (default 1)")
     sweep_p.add_argument("--out", default=None)
     sweep_p.add_argument("--k", type=int, default=None)

@@ -87,6 +87,13 @@ class TestSweep:
         assert agg["failures"] == 0
         assert 0 <= agg["stale_read_fraction"]["max"] <= 1
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sweep_of_fewer_than_one_seed_is_a_usage_error(self, small_scenario, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(small_scenario), "--sweep", count])
+        assert exc.value.code == 2
+        assert "--sweep: must be at least 1" in capsys.readouterr().err
+
 
 class TestPresets:
     def test_all_presets_load_and_validate(self):
