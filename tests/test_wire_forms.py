@@ -18,7 +18,6 @@ from causalsim.crdt import (
     AwSetState,
     CmapState,
     CrdtType,
-    EffectOp,
     EffectTag,
     LwwState,
     MvState,
@@ -110,10 +109,6 @@ class TestEffectMemo:
         assert effect_to_bytes(effect_from_wire(effect_to_wire(original))) == data
         # a decoded dict in another key order gives the same canonical bytes
         assert effect_to_bytes(effect_from_bytes(data)) == data
-
-    def test_memo_is_not_a_constructor_argument(self):
-        with pytest.raises(TypeError):
-            EffectOp(ObjectId("c", CrdtType.COUNTER), "inc", (1,), tag(), (), {})
 
 
 class TestRecordMemo:
