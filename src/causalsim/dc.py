@@ -10,6 +10,12 @@ send marks and deferred work are lost by construction. The log's indexes
 (by OTID, by alias slot, by origin scout, admission order) are derived
 from the log and rebuilt with it.
 
+Gossip sends records only to a peer it hears. A replica starts knowing
+that each peer is at the zero vector; a rebuilt one knows nothing of its
+peers. A peer that it has not heard yet, or that has gone silent, gets a
+heartbeat: an empty batch carrying our vdc. Once the peer's batch
+arrives, the next tick sends it everything its reported vector lacks.
+
 A fetch is served in wire form. Each stored object remembers the last
 version it served: the positions of the log entries that version covers,
 and its wire form. A fetch whose clock covers the same entries gets that
@@ -70,9 +76,9 @@ from causalsim.messages import (
 # Every DC gossips at the same period over FIFO links, so one batch from a
 # live peer arrives between any two of our ticks. A second tick without one
 # means batches were lost to a crash or a partition, and with them maybe
-# records we sent: until the peer is heard again, and once after, it gets
-# everything its vector lacks. Jitter can make a live peer look silent,
-# which costs resends only.
+# records we sent: until the peer is heard again it gets heartbeats only,
+# and once after, everything its vector lacks. Jitter can make a live peer
+# look silent, which delays records by a tick or two.
 SILENT_TICKS = 2
 
 
@@ -160,8 +166,10 @@ class DataCenter:
         self.top_slot = [0] * num_dcs  # highest slot ever marked, per origin
         self.vdc = VersionVector.zero(num_dcs)
 
-        # volatile
-        self.known_vectors: dict[DcId, VersionVector] = {}
+        # volatile; at run start every peer is at the zero vector
+        self.known_vectors: dict[DcId, VersionVector] = {
+            j: VersionVector.zero(num_dcs) for j in range(num_dcs) if j != dc_id
+        }
         # peer -> our vdc at each of our last `ack_ticks[peer]` gossips to
         # it, oldest first: the newest is the send mark, the oldest is due
         # to be acknowledged; and our gossip ticks since its last batch
@@ -208,6 +216,7 @@ class DataCenter:
     def from_durable(cls, snapshot: dict, num_dcs: int, k: int, **kw) -> "DataCenter":
         """Rebuild a replica from its durable stream, as crash recovery does."""
         dc = cls(snapshot["dc"], num_dcs, k, **kw)
+        dc.known_vectors = {}  # a peer's vector is known again once it is heard
         dc.max_otid = dict(snapshot["max_otid"])
         dc.prune_vector = VersionVector(tuple(snapshot["prune_vector"]))
         for obj_w, base, cp in snapshot["checkpoints"]:
@@ -395,10 +404,6 @@ class DataCenter:
     # -- epidemic propagation ------------------------------------------------
 
     def on_gossip(self, env, msg: GossipBatch) -> None:
-        if self.quiet_ticks.get(msg.src, 0) >= SILENT_TICKS:
-            # back from a silence that may have lost records: resend from
-            # what the peer reports, not from what we last sent it
-            self.send_marks.pop(msg.src, None)
         self.quiet_ticks[msg.src] = 0
         for record in msg.records:
             self._receive_remote(env, record)
@@ -440,25 +445,31 @@ class DataCenter:
         for peer in range(self.num_dcs):
             if peer == self.id:
                 continue
-            known = self.known_vectors.get(peer, VersionVector.zero(self.num_dcs))
             quiet = self.quiet_ticks[peer] = self.quiet_ticks.get(peer, 0) + 1
-            sent = self.send_marks.get(peer)
-            if sent is None:
-                sent = self.send_marks[peer] = deque(maxlen=self.ack_ticks[peer])
-            elif quiet < SILENT_TICKS and (len(sent) < sent.maxlen or sent[0].leq(known)):
-                # a talking peer that has acknowledged every send it had
-                # time to holds every slot at or below the mark
-                known = known.join(sent[-1])
-            suffix = self.gossip_suffix(known)
-            sent.append(self.vdc)
+            known = self.known_vectors.get(peer)
+            if known is None or quiet >= SILENT_TICKS:
+                # a peer we do not hear gets a heartbeat; with no marks left,
+                # the first tick after its batch arrives sends all it lacks
+                self.send_marks.pop(peer, None)
+                suffix = []
+            else:
+                sent = self.send_marks.get(peer)
+                if sent is None:
+                    sent = self.send_marks[peer] = deque(maxlen=self.ack_ticks[peer])
+                elif len(sent) < sent.maxlen or sent[0].leq(known):
+                    # a talking peer that has acknowledged every send it had
+                    # time to holds every slot at or below the mark
+                    known = known.join(sent[-1])
+                suffix = self.gossip_suffix(known)
+                sent.append(self.vdc)
             env.send(f"dc{self.id}", f"dc{peer}", GossipBatch(self.id, suffix, self.vdc))
 
     def gossip_suffix(self, known: VersionVector) -> list[CommitRecord]:
         """The log records with some alias slot that `known` does not cover,
         in log order. `gossip_tick` passes the peer's vector, joined with the
         send mark (our vdc at the last gossip to the peer) while the peer
-        talks and acknowledges in time: a record goes out once if our vdc
-        covers it when first sent, and on every tick until it does if not."""
+        acknowledges in time: a record goes out once if our vdc covers it
+        when first sent, and on every tick until it does if not."""
         found: dict[int, CommitRecord] = {}
         for origin, slot_records in enumerate(self.by_slot):
             for counter in range(known[origin] + 1, self.top_slot[origin] + 1):
@@ -759,7 +770,13 @@ class DataCenter:
         if self._is_duplicate(msg.scout, msg.otid):
             record = self.by_otid.get(msg.otid)
             if record is not None:
-                reply = StoredTxReply(msg.otid, "existing", record.primary_gtid, record.stored_results)
+                reply = StoredTxReply(
+                    msg.otid,
+                    "existing",
+                    record.primary_gtid,
+                    record.stored_results,
+                    record.objects(),
+                )
             else:
                 reply = StoredTxReply(msg.otid, "pruned", None)
             env.send(f"dc{self.id}", msg.scout, reply)
@@ -791,7 +808,8 @@ class DataCenter:
             working[obj] = apply_effect(working[obj], e)
             effects.append(e)
         gtid = self._sequence(env, msg, tuple(effects), results) if effects else None
-        env.send(f"dc{self.id}", msg.scout, StoredTxReply(msg.otid, "new", gtid, results))
+        objects = list(dict.fromkeys(e.target for e in effects))
+        env.send(f"dc{self.id}", msg.scout, StoredTxReply(msg.otid, "new", gtid, results, objects))
         return True
 
     # -- inspection ---------------------------------------------------------------

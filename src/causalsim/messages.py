@@ -120,6 +120,8 @@ class StoredTxReply:
     status: str  # "new" | "existing" | "null" | "pruned" | "unknown-proc"
     gtid: Optional[Gtid]
     results: Any = None
+    # the objects the call updated, whose cached states lack its effects
+    objects: list[ObjectId] = field(default_factory=list)
 
 
 @dataclass
@@ -289,6 +291,7 @@ def message_to_wire(msg) -> dict:
             "status": msg.status,
             "gtid": _gtid_w(msg.gtid),
             "results": msg.results,
+            "objects": [_obj_w(o) for o in msg.objects],
         }
     if isinstance(msg, GossipBatch):
         return {
@@ -355,7 +358,13 @@ def message_from_wire(w: dict):
             w["scout"], w["name"], w["params"], _otid_r(w["otid"]), _clock_r(w["deps"])
         )
     if m == "stored_rep":
-        return StoredTxReply(_otid_r(w["otid"]), w["status"], _gtid_r(w["gtid"]), w["results"])
+        return StoredTxReply(
+            _otid_r(w["otid"]),
+            w["status"],
+            _gtid_r(w["gtid"]),
+            w["results"],
+            [_obj_r(o) for o in w["objects"]],
+        )
     if m == "gossip":
         return GossipBatch(w["src"], [record_from_wire(r) for r in w["records"]], _vv_r(w["vdc"]))
     if m == "notify":

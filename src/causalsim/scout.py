@@ -598,6 +598,11 @@ class Scout:
             return
         call, self.stored = self.stored, None
         if reply.gtid is not None:
+            # cached objects the call updated lack its effects, which the
+            # clock is about to cover: drop them, and their subscriptions
+            for obj in reply.objects:
+                if self.cache.pop(obj, None) is not None:
+                    self.pending_unsub.append(obj)
             self.clock = self.clock.with_local(reply.otid.counter)
             self.durability[reply.otid.counter] = "global"
         env.trace(

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -14,7 +15,7 @@ from causalsim.crdt import (
     state_to_wire,
     value_of,
 )
-from causalsim.dc import SILENT_TICKS, DataCenter, Session, VersionPruned
+from causalsim.dc import SILENT_TICKS, DataCenter, Session, VersionPruned, ack_wait_ticks
 from causalsim.messages import (
     CommitRecord,
     CommitRequest,
@@ -246,6 +247,12 @@ class TestSendMarks:
         hear(dc, 1, vv(0, 0))
         assert tick(dc) == {"dc1": [Otid(2, "A")]}
 
+    def test_fresh_replica_gossips_on_its_first_tick(self):
+        env, dc = friendship_dc()
+        # at run start every peer is known to hold nothing
+        assert dc.known_vectors == {1: vv(0, 0)}
+        assert tick(dc) == {"dc1": self.BOTH}
+
     def test_silent_peer_gets_the_full_suffix_again(self):
         env, dc = friendship_dc()
         hear(dc, 1, vv(0, 0))
@@ -253,12 +260,18 @@ class TestSendMarks:
         hear(dc, 1, vv(0, 0))
         for _ in range(SILENT_TICKS - 1):
             assert tick(dc) == {"dc1": []}
-        # a batch from the peer is overdue: resend on every tick
-        assert tick(dc) == {"dc1": self.BOTH}
-        assert tick(dc) == {"dc1": self.BOTH}
-        # back, holding the first record: what it lacks goes out once more
+        # a batch from the peer is overdue: heartbeats carrying our vdc, and
+        # no marks, while it stays silent, even with a new record to send
+        dc.on_commit_request(env, commit_req("A", 2, [set_add(B_FRD, "D", Otid(2, "A"))]))
+        for _ in range(2):
+            heartbeat = FakeEnv()
+            dc.gossip_tick(heartbeat)
+            ((_, _, batch),) = heartbeat.sent
+            assert batch.records == [] and batch.vdc == vv(3, 0)
+            assert dc.send_marks == {}
+        # back, holding the first record: what it lacks goes out once
         hear(dc, 1, vv(1, 0))
-        assert tick(dc) == {"dc1": [Otid(1, "C")]}
+        assert tick(dc) == {"dc1": [Otid(1, "C"), Otid(2, "A")]}
         hear(dc, 1, vv(1, 0))
         assert tick(dc) == {"dc1": []}
 
@@ -268,7 +281,16 @@ class TestSendMarks:
         tick(dc)
         rebuilt = DataCenter.from_durable(dc.durable_snapshot(), 2, 2)
         assert rebuilt.send_marks == {} and rebuilt.quiet_ticks == {}
+        assert rebuilt.known_vectors == {}
+        # the peer is not heard yet: heartbeats only
+        assert tick(rebuilt) == {"dc1": []}
+        assert tick(rebuilt) == {"dc1": []}
+        assert rebuilt.send_marks == {}
+        # then the whole log it lacks, once
+        hear(rebuilt, 1, vv(0, 0))
         assert tick(rebuilt) == {"dc1": self.BOTH}
+        hear(rebuilt, 1, vv(0, 0))
+        assert tick(rebuilt) == {"dc1": []}
 
     def test_a_send_left_unacknowledged_goes_out_again(self):
         env, dc = friendship_dc()
@@ -665,7 +687,7 @@ def admit_more(dc, top):
 
 
 def test_rebuilt_replica_indexes_match_the_original():
-    result = run_scenario(CHURN, seed=1, overrides={"prune_ms": 500, "horizon_ms": 700})
+    result = run_scenario(CHURN, seed=1, overrides={"prune_ms": 200, "horizon_ms": 700})
     dc = result.dcs[0]
     rebuilt = DataCenter.from_durable(dc.durable_snapshot(), dc.num_dcs, dc.k)
     assert dc.log and dc.prune_vector != VersionVector.zero(3)
@@ -715,26 +737,158 @@ MARK_RUNS = {
 }
 
 
-def gossip_run(base, overrides):
-    """Non-gossip trace events, checker report, message counts per kind and
-    gossiped record copies received."""
-    scenario = load_scenario(base) if isinstance(base, str) else base
-    result = run_scenario(scenario, seed=1, overrides=overrides)
-    rest = [e for e in result.trace if e["ev"] != "gossip"]
+def gossip_run(scenario, overrides, seed=1):
+    """The run's result, its checker report and the gossiped record copies
+    received."""
+    result = run_scenario(scenario, seed=seed, overrides=overrides)
     copies = sum(e["records"] for e in result.trace if e["ev"] == "gossip")
-    return rest, run_checks(result.trace), dict(result.stats["messages"]), copies
+    return result, run_checks(result.trace), copies
+
+
+def apply_times(trace):
+    """(node, OTID) -> the times of its applies there, in order."""
+    times: dict[tuple, list[int]] = {}
+    for e in trace:
+        if e["ev"] == "apply":
+            times.setdefault((e["node"], tuple(e["otid"])), []).append(e["t"])
+    return times
+
+
+def max_one_way(scenario):
+    return max(rtt // 2 for row in scenario["sim"]["rtt_dc_ms"] for rtt in row)
+
+
+def silence_delay_bound(scenario):
+    """How much later than resend-every-tick a record can reach a peer that
+    was silent: the peer's next tick comes within a period, its batch takes
+    the one-way delay to us, and our next tick comes within a period."""
+    return max_one_way(scenario) + 2 * scenario["sim"]["gossip_ms"]
 
 
 @pytest.mark.parametrize("name", sorted(MARK_RUNS))
 def test_send_marks_change_only_the_gossiped_copies(name, monkeypatch):
     base, overrides = MARK_RUNS[name]
-    events, report, messages, copies = gossip_run(base, overrides)
+    scenario = load_scenario(base) if isinstance(base, str) else base
+    result, report, copies = gossip_run(scenario, overrides)
     monkeypatch.setattr(DataCenter, "gossip_tick", resend_all_tick)
-    ref_events, ref_report, ref_messages, ref_copies = gossip_run(base, overrides)
-    assert events == ref_events
+    ref, ref_report, ref_copies = gossip_run(scenario, overrides)
     assert report == ref_report
-    assert messages == ref_messages
     assert copies < ref_copies
+    if base is not CHURN:
+        # no peer goes silent: only the gossip events differ
+        def rest(trace):
+            return [e for e in trace if e["ev"] != "gossip"]
+
+        assert rest(result.trace) == rest(ref.trace)
+        assert result.stats["messages"] == ref.stats["messages"]
+        return
+    # records wait for a silent or rebuilt peer to be heard again
+    quiesce, ref_quiesce = result.trace[-1], ref.trace[-1]
+    for part in ("synced", "dcs", "scouts"):
+        assert quiesce[part] == ref_quiesce[part]
+    times, ref_times = apply_times(result.trace), apply_times(ref.trace)
+    assert times.keys() == ref_times.keys()
+    bound = silence_delay_bound(scenario)
+    later = 0
+    for key, ts in times.items():
+        assert len(ts) == len(ref_times[key])
+        for t, ref_t in zip(ts, ref_times[key]):
+            assert ref_t <= t <= ref_t + bound, (key, t, ref_t)
+            later += t > ref_t
+    assert later > 0
+
+
+def gossip_fuzz_schedule(n):
+    """Seeded CHURN fault schedule `n`: per DC up to two crashes, each either
+    shorter than a gossip period (1-9 ms) or long (20-300 ms), and up to two
+    DC-DC partitions of 20-300 ms, under one of three prune periods and with
+    or without jitter. Returns the scenario, the sim overrides and the
+    (start, end) of every fault."""
+    rng = random.Random(f"gossip-fuzz/{n}")
+    faults, spans = [], []
+
+    def add(start, length, down, up):
+        faults.extend([dict(down, at=start), dict(up, at=start + length)])
+        spans.append((start, start + length))
+
+    for dc in range(3):
+        at = rng.randrange(50, 400)
+        for _ in range(rng.randrange(3)):
+            length = rng.randrange(1, 10) if rng.random() < 0.5 else rng.randrange(20, 301)
+            add(at, length, {"kind": "dc_crash", "dc": dc}, {"kind": "dc_recover", "dc": dc})
+            at += length + rng.randrange(50, 500)
+    for _ in range(rng.randrange(3)):
+        links = [rng.sample(["dc0", "dc1", "dc2"], 2)]
+        start, length = rng.randrange(50, 1500), rng.randrange(20, 301)
+        add(start, length, {"kind": "partition", "links": links}, {"kind": "heal", "links": links})
+    overrides = {"prune_ms": rng.choice([200, 500, 5000]), "jitter_ms": rng.choice([0, 5])}
+    return dict(CHURN, faults=faults), overrides, spans
+
+
+def script_apply_times(trace):
+    """(node, (scout, n)) -> the times of the applies there of the scout's
+    n-th committed update, and (scout, n) -> its first apply anywhere. The
+    key names the same scripted transaction in two runs whose aborts
+    differ."""
+    rank, count = {}, Counter()
+    for e in trace:
+        if e["ev"] == "local_commit" and not e["read_only"]:
+            rank[tuple(e["otid"])] = (e["node"], count[e["node"]])
+            count[e["node"]] += 1
+    times, first = {}, {}
+    for (node, otid), ts in apply_times(trace).items():
+        tx = rank[otid]
+        times[(node, tx)] = ts
+        first[tx] = min(first.get(tx, ts[0]), ts[0])
+    return times, first
+
+
+FUZZ_SCHEDULES = 20
+
+
+def test_heartbeats_to_unheard_peers_keep_fuzzed_verdicts(monkeypatch):
+    """Gossip with send marks and heartbeats against resending every tick,
+    on seeded fault schedules, the known-failing ones included: the same
+    checks fail, the same runs end synced, every apply happens in both, and
+    a late one is late only in the shadow of a fault. Once both the time
+    resend-every-tick took (from the record's first apply in this run) and
+    the end of the last fault before the apply are past, a record lost to a
+    fault goes out again within one acknowledgement wait and arrives one
+    one-way delay later."""
+    seen = Counter()
+    for n in range(FUZZ_SCHEDULES):
+        scenario, overrides, spans = gossip_fuzz_schedule(n)
+        runs = []
+        for tick in (DataCenter.gossip_tick, resend_all_tick):
+            with monkeypatch.context() as patch:
+                patch.setattr(DataCenter, "gossip_tick", tick)
+                result, report, _ = gossip_run(scenario, overrides, seed=n)
+            failing = sorted(c for c, v in report["verdicts"].items() if not v["ok"])
+            runs.append((failing, result.synced, *script_apply_times(result.trace)))
+        (failing, synced, times, first), (ref_failing, ref_synced, ref_times, ref_first) = runs
+        assert (failing, synced) == (ref_failing, ref_synced), n
+        assert times.keys() == ref_times.keys(), n
+
+        one_way, jitter = max_one_way(scenario), overrides["jitter_ms"]
+        period = scenario["sim"]["gossip_ms"]
+        bound = ack_wait_ticks(2 * one_way, period, jitter) * period + one_way + jitter
+        for key, ts in times.items():
+            ref_ts, tx = ref_times[key], key[1]
+            assert len(ts) == len(ref_ts), (n, key)
+            for t, ref_t in zip(ts, ref_ts):
+                settled = max([end for start, end in spans if start < t], default=0)
+                due = first[tx] + ref_t - ref_first[tx]
+                assert t <= max(due, settled) + bound, (n, key, t)
+        lengths = [end - start for start, end in spans]
+        seen["short"] += any(length < 10 for length in lengths)
+        seen["long"] += any(length >= 20 for length in lengths)
+        seen["partition"] += any(f["kind"] == "partition" for f in scenario["faults"])
+        seen[f"prune-{overrides['prune_ms']}"] += 1
+        seen[f"jitter-{jitter}"] += 1
+        seen["failing"] += bool(failing) or not synced
+    for what in ("short", "long", "partition", "prune-200", "prune-500", "prune-5000",
+                 "jitter-0", "jitter-5", "failing"):
+        assert seen[what], (what, seen)
 
 
 # two DCs whose one-way delays differ by 5 ms: DC0's batches reach DC1 15 ms

@@ -74,7 +74,7 @@ MESSAGES = {
     ),
     "fetch_rep_pruned": FetchReply("s1", 9, "pruned"),
     "stored_req": StoredTxRequest("s1", "wall", {"obj": "ctr"}, OTID, DEPS),
-    "stored_rep": StoredTxReply(OTID, "new", Gtid(5, 0), [4, None]),
+    "stored_rep": StoredTxReply(OTID, "new", Gtid(5, 0), [4, None], [CTR]),
     "gossip": GossipBatch(0, [_record()], VersionVector((7, 0, 2))),
     "notify": NotifyBatch(
         0,

@@ -83,7 +83,7 @@ RUNS.update({name: (scenario, {}, None) for name, scenario in BENCH_RUNS.items()
 # BENCH_SEED for the benchmark workloads
 PINS = {
     "bench-churn-faults": (
-        "ba8991471b6fc423fa776bc22cc612f13aa00214692e29bf2234cd06e5fd05fe",
+        "b90fc11623c3f5848b464ffc6a5ee9ab3dd0de1ff1ec921a6a9c2cebb474e2ab",
         "65654def5ff52bebc2682f39f4930ff7b36a2bf8e37757f23500598f93bcfaac",
     ),
     "bench-fetch-bound": (
@@ -95,11 +95,11 @@ PINS = {
         "41a6a7164795a3ebb3b92e6185c973936cfcf4b4785f9157895727f8b709a610",
     ),
     "churn-faults": (
-        "199a7a04ed9107634c0ab13a60fd10a0e31cdbe1a952ee94e6f38cff9c11c822",
+        "e7b71f56d7cb6390609595d1b4fbc59525b20ec384530d72e3125048bb996980",
         "6eb82ba33bef132b811193d0b3be802a36225003c86d26bba3e211312e687d5a",
     ),
     "dedup-off": (
-        "adfbb057636807a5ac4e6646b51b656e0c95b22881860f20b1c22542d5dc685c",
+        "fb7286bb42f45bc086d7dfe747190974b31bfbb4dfe5425dec15d839025cea78",
         "efb123b95c036adda9e1b93ec7ec869ec13e3ee4b8c3bf961bcf4ff5d547fdd3",
     ),
     "failover-demo": (

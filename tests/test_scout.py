@@ -4,11 +4,13 @@ from causalsim import sim as sim_module
 from causalsim.clocks import CausalClock, Otid, VersionVector
 from causalsim.crdt import CounterState, CrdtType, ObjectId, apply_effect, new_state, state_to_wire
 from causalsim.messages import FetchReply
-from causalsim.scenarios import load_scenario, run_scenario
+from causalsim.scenarios import load_scenario, run_scenario, sim_config
 from causalsim.checker import run_checks
 from causalsim.scout import CachePinOverflow, ProtocolError, Scout, Unavailable, UsageError
 from causalsim.sim import SimConfig, Simulation
+from causalsim.workload import counter_scripts
 from test_pins import CHURN
+from test_wire_forms import tally
 
 CTR = ObjectId("ctr:0", CrdtType.COUNTER)
 SET = ObjectId("set:0", CrdtType.AW_SET)
@@ -457,3 +459,35 @@ def test_reads_skip_entries_admitted_ahead_of_the_clock():
     report = run_checks(result.trace)
     assert result.synced
     assert report["ok"], report["verdicts"]["causal_snapshots"]["violations"]
+
+
+def stored_call_simulation():
+    """CHURN's DCs without faults, with every third transaction a stored call
+    that reads and increments the counter that transaction would have."""
+    scripts = counter_scripts(6, 18, 4, seed=1)
+    for script in scripts.values():
+        for i in range(0, len(script), 3):
+            obj, n = script[i]["ops"][0][1], i + 1
+            params = {"obj": obj.key, "n": n}
+            script[i] = {"kind": "stored", "name": "tally", "params": params}
+    config = sim_config(dict(CHURN, faults=[]), seed=1)
+    return Simulation(config, scripts=scripts, procedures={"tally": tally})
+
+
+def test_a_stored_call_drops_the_cached_objects_it_updated(monkeypatch):
+    dropped = []
+    on_stored_reply = Scout.on_stored_reply
+
+    def noting_reply(scout, env, reply):
+        cached = [o for o in reply.objects if o in scout.cache]
+        on_stored_reply(scout, env, reply)
+        if cached:
+            assert not any(o in scout.cache for o in cached)
+            assert all(o in scout.pending_unsub for o in cached)
+            dropped.extend(cached)
+
+    monkeypatch.setattr(Scout, "on_stored_reply", noting_reply)
+    result = stored_call_simulation().run()
+    report = run_checks(result.trace)
+    assert result.synced and dropped
+    assert report["ok"], report["verdicts"]["causal_snapshots"]["violations"][:3]
