@@ -122,8 +122,20 @@ class LwwState:
     origin: ScoutId = ""
 
 
+class _Memo:
+    """Memo slots for the wire form and the value form of an immutable
+    state, each filled on its first render. They are class-level defaults,
+    not dataclass fields, so eq, hash, repr, `fields()` and
+    `dataclasses.replace` ignore them and construction does not set them.
+    The memoized dicts and lists are shared by every holder: never mutate
+    them."""
+
+    _wire = None
+    _value = None
+
+
 @dataclass(frozen=True)
-class MvState:
+class MvState(_Memo):
     # candidates maps tag -> value; overwritten remembers superseded tags so
     # assign effects commute even when delivered before their predecessors
     candidates: dict[EffectTag, Any] = field(default_factory=dict)
@@ -131,14 +143,16 @@ class MvState:
 
 
 @dataclass(frozen=True)
-class AwSetState:
+class AwSetState(_Memo):
     # alive maps element -> surviving add tags; tombstones are removed tags
     alive: dict[Any, frozenset[EffectTag]] = field(default_factory=dict)
     tombstones: frozenset[EffectTag] = frozenset()
 
 
 @dataclass(frozen=True)
-class CmapState:
+class CmapState(_Memo):
+    # `_apply` copies only this dict, so sub-states an effect does not touch
+    # are shared between versions, memos included
     entries: dict[tuple[str, CrdtType], Any] = field(default_factory=dict)
 
 
@@ -352,18 +366,26 @@ def _payload_from_wire(kind: str, w: list) -> tuple:
 
 
 def state_to_wire(state) -> dict:
+    """The canonical wire form. Sets, MV registers and maps encode once and
+    keep it (`_Memo`); counters and LWW registers are flat, and rendering
+    them costs what a memo lookup would. Callers must not mutate it."""
     if isinstance(state, CounterState):
         return {"t": "counter", "value": state.value}
     if isinstance(state, LwwState):
         return {"t": "lww", "value": state.value, "ts": state.ts, "origin": state.origin}
+    if not isinstance(state, _Memo):
+        raise TypeMismatch(f"cannot serialize {type(state).__name__}")
+    w = state._wire
+    if w is not None:
+        return w
     if isinstance(state, MvState):
-        return {
+        w = {
             "t": "mv",
             "candidates": [[_tag_to_wire(t), v] for t, v in sorted(state.candidates.items())],
             "overwritten": [_tag_to_wire(t) for t in sorted(state.overwritten)],
         }
-    if isinstance(state, AwSetState):
-        return {
+    elif isinstance(state, AwSetState):
+        w = {
             "t": "awset",
             "alive": [
                 [elem, [_tag_to_wire(t) for t in sorted(tags)]]
@@ -371,18 +393,21 @@ def state_to_wire(state) -> dict:
             ],
             "tombstones": [_tag_to_wire(t) for t in sorted(state.tombstones)],
         }
-    if isinstance(state, CmapState):
-        return {
+    else:
+        w = {
             "t": "cmap",
             "entries": [
                 [name, entry_type.value, state_to_wire(sub)]
                 for (name, entry_type), sub in sorted(state.entries.items())
             ],
         }
-    raise TypeMismatch(f"cannot serialize {type(state).__name__}")
+    object.__setattr__(state, "_wire", w)
+    return w
 
 
 def state_from_wire(w: dict):
+    """A fresh state with empty memos: keeping `w` would pin every decoded
+    wire dict for as long as a cache holds the state."""
     t = w["t"]
     if t == "counter":
         return CounterState(w["value"])
@@ -423,18 +448,25 @@ def effect_from_bytes(data: bytes) -> EffectOp:
 
 
 def value_to_wire(state) -> Any:
-    """Canonical JSON form of a readable value, for traces and comparisons."""
+    """Canonical JSON form of a readable value, for traces and comparisons.
+    Memoized like `state_to_wire`; callers must not mutate it."""
     if isinstance(state, CounterState):
         return state.value
     if isinstance(state, LwwState):
         return state.value
+    if not isinstance(state, _Memo):
+        raise TypeMismatch(f"no value for {type(state).__name__}")
+    v = state._value
+    if v is not None:
+        return v
     if isinstance(state, MvState):
-        return sorted(state.candidates.values(), key=repr)
-    if isinstance(state, AwSetState):
-        return sorted(state.alive, key=repr)
-    if isinstance(state, CmapState):
-        return {
+        v = sorted(state.candidates.values(), key=repr)
+    elif isinstance(state, AwSetState):
+        v = sorted(state.alive, key=repr)
+    else:
+        v = {
             f"{name}#{entry_type.value}": value_to_wire(sub)
             for (name, entry_type), sub in sorted(state.entries.items())
         }
-    raise TypeMismatch(f"no value for {type(state).__name__}")
+    object.__setattr__(state, "_value", v)
+    return v

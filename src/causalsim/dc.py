@@ -22,6 +22,8 @@ and its wire form. A fetch whose clock covers the same entries gets that
 wire form again without a replay or an encode. The memo is volatile, kept
 only while the object has entries above its checkpoint, and dropped when a
 prune folds some of them, which changes the checkpoint and the positions.
+An object without entries serves its checkpoint, whose state keeps its own
+wire form (`crdt.state_to_wire`), so it too is encoded once.
 
 Commit identity is tracked at slot granularity: every alias GTID of a
 record occupies one slot in its origin DC's gapless sequence, and the

@@ -556,6 +556,11 @@ class Scout:
     def on_fetch_reply(self, env, reply: FetchReply) -> None:
         if self.fetch is None or reply.req_id != self.fetch.req_id:
             return  # stale reply from a previous session
+        if not self.connected:
+            # stale too: a probe in flight listed the cache without these
+            # objects, so the next session would not notify them. The fetch
+            # stays outstanding, and `_resend_requests` reissues it
+            return
         self.fetch = None
         tx = self.tx
         if reply.status == "pruned":

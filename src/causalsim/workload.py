@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from causalsim.crdt import AwSetState, CmapState, CrdtType, EffectTag, LwwState, ObjectId
 
@@ -47,10 +48,13 @@ def user_object(uid: int) -> ObjectId:
 def friend_graph(cfg: SocialConfig, rng: random.Random) -> dict[int, list[int]]:
     """Symmetric friendship lists: per user a uniform sample of others."""
     friends: dict[int, set[int]] = {u: set() for u in range(cfg.users)}
+    others = range(cfg.users - 1)
+    k = min(cfg.friends_per_user, len(others))
     for u in range(cfg.users):
-        others = [v for v in range(cfg.users) if v != u]
-        picks = rng.sample(others, min(cfg.friends_per_user, len(others)))
-        for v in picks:
+        # index i of the users other than u is user i, or i + 1 from u on;
+        # `sample` picks the same indices from any population of this length
+        for i in rng.sample(others, k):
+            v = i + (i >= u)
             friends[u].add(v)
             friends[v].add(u)
     return {u: sorted(vs) for u, vs in friends.items()}
@@ -87,11 +91,18 @@ def _friend_add(uid: int) -> tuple:
 
 
 def social_scripts(
-    cfg: SocialConfig, num_scouts: int, seed, cache_capacity: int
+    cfg: SocialConfig,
+    num_scouts: int,
+    seed,
+    cache_capacity: int,
+    graph: Optional[dict[int, list[int]]] = None,
 ) -> dict[str, list[dict]]:
+    """Per-scout scripts; `graph` is the seed's friend graph, built here
+    when the caller has not built it already."""
     cfg.validate()
     rng = random.Random(f"{seed}/social")
-    graph = friend_graph(cfg, random.Random(f"{seed}/graph"))
+    if graph is None:
+        graph = friend_graph(cfg, random.Random(f"{seed}/graph"))
     scripts: dict[str, list[dict]] = {}
     for idx in range(num_scouts):
         sid = f"s{idx}"
@@ -214,7 +225,7 @@ def build(workload_cfg: dict, num_scouts: int, seed, cache_capacity: int):
         )
         graph = friend_graph(cfg, random.Random(f"{seed}/graph"))
         return (
-            social_scripts(cfg, num_scouts, seed, cache_capacity),
+            social_scripts(cfg, num_scouts, seed, cache_capacity, graph),
             initial_states(cfg, graph),
             {},
         )

@@ -111,8 +111,8 @@ PINS = {
         "3b1995be5392869453dfeffa5cad49d4fd349ac44c13edaa50ebb37253a935df",
     ),
     "session-reorder": (
-        "4fb5f11d2c1513b89e877072bbece4059786a85ed31e85a010ae490302d54d03",
-        "20ecb341e029fb3764c88e88d57c7c7bb00cefa72dddeb86a9348ea2ea662b4c",
+        "cafc36988fbd21d4fc12faeeee0e38c7531a5ec234b236dc3eb77b642c89bb35",
+        "c0ea2bd420a5bfb8f0532dd12769bc23cb51e1e1588fd21eee6219f14c2a5c8f",
     ),
     "social-50-50": (
         "df569ea48f81b47b41d496dfe3bf7d4078bb397f8113ffb45a9e7d4b7a2156db",

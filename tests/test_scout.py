@@ -447,16 +447,57 @@ def test_implicit_entry_clocks_match_the_sweep(name, monkeypatch):
 # that reaches s0 after its DC crashed and recovered admits ctr:0 at a
 # frontier whose notify batches the crash lost, ahead of s0's clock
 AHEAD_CRASHES = ((1, 31, 142), (2, 507, 537), (0, 873, 932), (1, 980, 1018), (2, 1366, 1401))
-AHEAD_FAULTS = CHURN["faults"] + [
-    {"at": at, "kind": kind, "dc": dc}
-    for dc, down, up in AHEAD_CRASHES
-    for at, kind in ((down, "dc_crash"), (up, "dc_recover"))
-]
+
+
+def churn_with_crashes(crashes):
+    """CHURN with its faults plus a crash of `dc` from `down` to `up` ms for
+    each (dc, down, up)."""
+    faults = CHURN["faults"] + [
+        {"at": at, "kind": kind, "dc": dc}
+        for dc, down, up in crashes
+        for at, kind in ((down, "dc_crash"), (up, "dc_recover"))
+    ]
+    return dict(CHURN, faults=faults)
 
 
 def test_reads_skip_entries_admitted_ahead_of_the_clock():
-    result = run_scenario(dict(CHURN, faults=AHEAD_FAULTS), seed=17, overrides={"prune_ms": 100})
+    result = run_scenario(churn_with_crashes(AHEAD_CRASHES), seed=17, overrides={"prune_ms": 100})
     report = run_checks(result.trace)
+    assert result.synced
+    assert report["ok"], report["verdicts"]["causal_snapshots"]["violations"]
+
+
+# CHURN's faults and eight more DC crashes: dc2's crash at 386 ms ends s0's
+# session with a fetch out; s0's probe to dc1 lists its cache without ctr:0,
+# so the new session never subscribes it, and the rebuilt dc2's reply to the
+# fetch reaches s0 while the reply to that probe is still on its way
+NO_SESSION_CRASHES = (
+    (0, 62, 108),
+    (0, 205, 221),
+    (0, 507, 570),
+    (1, 261, 287),
+    (1, 1146, 1181),
+    (1, 1645, 1761),
+    (2, 386, 394),
+    (2, 1219, 1338),
+)
+
+
+def test_a_fetch_reply_without_a_session_is_stale(monkeypatch):
+    sessionless = []
+    on_fetch_reply = Scout.on_fetch_reply
+
+    def noting_reply(scout, env, reply):
+        if not scout.connected and scout.fetch is not None and reply.req_id == scout.fetch.req_id:
+            sessionless.append((scout.id, reply.req_id))
+        on_fetch_reply(scout, env, reply)
+
+    monkeypatch.setattr(Scout, "on_fetch_reply", noting_reply)
+    result = run_scenario(
+        churn_with_crashes(NO_SESSION_CRASHES), seed=50, overrides={"prune_ms": 200}
+    )
+    report = run_checks(result.trace)
+    assert sessionless
     assert result.synced
     assert report["ok"], report["verdicts"]["causal_snapshots"]["violations"]
 

@@ -1,15 +1,20 @@
 """Memoized wire forms: an effect or commit record is encoded once, and a
-decoded one keeps the dict it came from.
+decoded one keeps the dict it came from; a set, MV register or map state
+encodes and renders its value once, and a decoded one starts without memos.
 
 The unit tests show that the memo is invisible to equality, hashing, repr
 and ``dataclasses.replace``. The run tests compare every message the
-simulator encodes, and every record a DC holds, with the encoding of a copy
-that holds no memo, so a stale alias list or a mutated wire dict fails them.
+simulator encodes, every record a DC holds, every state a fetch reply
+carries and every value a read traces with the encoding of a copy that
+holds no memo, so a stale alias list or memo, or a mutated wire dict, fails
+them.
 """
 
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalsim import crdt, sim
 from causalsim.checker import run_checks
@@ -17,11 +22,13 @@ from causalsim.clocks import CausalClock, Gtid, Otid, VersionVector
 from causalsim.crdt import (
     AwSetState,
     CmapState,
+    CounterState,
     CrdtType,
     EffectTag,
     LwwState,
     MvState,
     ObjectId,
+    apply_effect,
     effect_from_bytes,
     effect_from_wire,
     effect_to_bytes,
@@ -29,18 +36,24 @@ from causalsim.crdt import (
     new_state,
     object_from_wire,
     prepare,
+    state_from_wire,
+    state_to_wire,
+    value_to_wire,
 )
-from causalsim.dc import DataCenter
+from causalsim.dc import DataCenter, VersionPruned
 from causalsim.messages import (
     CommitRecord,
     CommitRequest,
+    FetchReply,
     GossipBatch,
     NotifyBatch,
     record_from_wire,
     record_to_wire,
 )
 from causalsim.scenarios import build_simulation, load_scenario, sim_config
+from causalsim.scout import Scout
 from causalsim.workload import counter_scripts
+from crdt_random import ALL_TYPES, TagSource, random_intent
 from test_dc import REBUILD_FAULTS
 from test_pins import CHURN
 
@@ -140,6 +153,117 @@ class TestRecordMemo:
         assert second == record_to_wire(replace(r, effects=tuple(map(replace, r.effects))))
 
 
+def fresh_state(state):
+    """A copy of `state` that holds no memo, at any depth."""
+    if isinstance(state, CmapState):
+        return CmapState({key: fresh_state(sub) for key, sub in state.entries.items()})
+    return replace(state)
+
+
+MEMO_TYPES = (MvState, AwSetState, CmapState)
+MV = CrdtType.MV_REGISTER
+
+
+def has_memo(state) -> bool:
+    if state._wire is not None or state._value is not None:
+        return True
+    return isinstance(state, CmapState) and any(
+        has_memo(sub) for sub in state.entries.values() if isinstance(sub, MEMO_TYPES)
+    )
+
+
+def states():
+    """One state of each memoized type, each with its memos filled."""
+    a, b = tag(0, 1, "s0"), tag(0, 2, "s2")
+    out = (
+        MvState({a: "x", b: ["y", 1]}, frozenset({tag(0, 0, "s1")})),
+        AwSetState({"B": frozenset({a}), "A": frozenset({a, b})}, frozenset({tag(1)})),
+        CmapState(
+            {
+                ("wall", CrdtType.AW_SET): AwSetState({"p": frozenset({a})}),
+                ("name", CrdtType.LWW_REGISTER): LwwState("A", 2, "s0"),
+                ("inner", CrdtType.CMAP): CmapState({("n", CrdtType.COUNTER): CounterState(3)}),
+            }
+        ),
+    )
+    for state in out:
+        state_to_wire(state)
+        value_to_wire(state)
+    return out
+
+
+class TestStateMemo:
+    @pytest.mark.parametrize("i", range(len(MEMO_TYPES)))
+    def test_eq_hash_repr_and_fields_ignore_the_memo(self, i):
+        memoized, plain = states()[i], fresh_state(states()[i])
+        assert memoized._wire is not None and memoized._value is not None
+        assert plain._wire is None and plain._value is None
+        assert memoized == plain and repr(memoized) == repr(plain)
+        assert [f.name for f in fields(memoized)] == [f.name for f in fields(plain)]
+        assert not {"_wire", "_value"} & {f.name for f in fields(memoized)}
+        # the dict fields make every such state unhashable, memo or not
+        for state in (memoized, plain):
+            with pytest.raises(TypeError):
+                hash(state)
+
+    @pytest.mark.parametrize("i", range(len(MEMO_TYPES)))
+    def test_replace_and_construction_leave_the_memo_empty(self, i):
+        state = states()[i]
+        copy = replace(state)
+        assert copy == state and copy._wire is None and copy._value is None
+        empty = type(state)()
+        assert "_wire" not in vars(empty) and "_value" not in vars(empty)
+
+    @pytest.mark.parametrize("i", range(len(MEMO_TYPES)))
+    def test_encodes_and_renders_once(self, i):
+        state = states()[i]
+        assert state_to_wire(state) is state_to_wire(state)
+        assert value_to_wire(state) is value_to_wire(state)
+        if isinstance(state, CmapState):
+            for sub in state.entries.values():
+                if isinstance(sub, MEMO_TYPES):
+                    # the map's forms hold its sub-states' memos
+                    assert any(w is state_to_wire(sub) for _, _, w in state_to_wire(state)["entries"])
+                    assert any(v is value_to_wire(sub) for v in value_to_wire(state).values())
+
+    @pytest.mark.parametrize("i", range(len(MEMO_TYPES)))
+    def test_decoded_states_carry_no_memo(self, i):
+        state = states()[i]
+        decoded = state_from_wire(state_to_wire(state))
+        assert decoded == state and not has_memo(decoded)
+
+    def test_flat_states_have_no_memo(self):
+        for state in (CounterState(4), LwwState("v", 1, "s0")):
+            assert not hasattr(state, "_wire") and not hasattr(state, "_value")
+            assert state_to_wire(state) is not state_to_wire(state)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_memoized_forms_match_a_memo_free_render(seed):
+    """Random replicas of all five types evolve through prepared effects;
+    some maps are forked from others, so the two share every sub-state that
+    neither has changed since. After every apply, every replica's forms
+    equal those of a memo-free copy."""
+    rng = random.Random(seed)
+    tags = TagSource()
+    replicas = [(ObjectId(f"o{i}", t), new_state(t)) for i, t in enumerate(ALL_TYPES)]
+    for _ in range(rng.randrange(1, 30)):
+        i = rng.randrange(len(replicas))
+        obj, state = replicas[i]
+        if isinstance(state, CmapState) and rng.random() < 0.2:
+            replicas.append((obj, CmapState(dict(state.entries))))
+        intent = random_intent(rng, obj.crdt_type)
+        if isinstance(state, CmapState) and rng.random() < 0.25:
+            intent = ("entry", "m", MV, random_intent(rng, MV))
+        state = apply_effect(state, prepare(obj, state, intent, tags.next(f"r{i}")))
+        replicas[i] = (obj, state)
+        for _, s in replicas:
+            plain = fresh_state(s)
+            assert state_to_wire(s) == state_to_wire(plain)
+            assert value_to_wire(s) == value_to_wire(plain)
+
+
 class TestObjectIds:
     def test_interned_ids_equal_and_hash_like_fresh_ones(self):
         for t in CrdtType:
@@ -207,8 +331,15 @@ RUNS = {
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
-    seen = dict.fromkeys(("messages", "records", "pending", "merged", "reencoded_after_merge"), 0)
+    seen = dict.fromkeys(
+        ("messages", "records", "pending", "merged", "reencoded_after_merge", "states", "reads"), 0
+    )
     merged: dict[int, CommitRecord] = {}  # records whose aliases grew after a wire form was taken
+    # (scout, req_id) -> per object, memo-free encodings at the snapshot and admit clocks
+    served: dict[tuple, list[tuple[dict, dict]]] = {}
+    # (form sent or traced, its memo-free encoding), compared again at the
+    # end: a shared form mutated after it went out no longer matches
+    shared: list[tuple] = []
 
     def check_record(r, wire):
         seen["reencoded_after_merge"] += id(r) in merged
@@ -222,8 +353,43 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
         if isinstance(msg, GossipBatch):
             for r, rw in zip(msg.records, wire["records"]):
                 check_record(r, rw)
+        if isinstance(msg, FetchReply) and msg.status == "ok":
+            for (_, snap, admit), want in zip(msg.versions, served.pop((msg.scout, msg.req_id))):
+                got = (snap, snap if admit is None else admit)
+                assert got == want
+                shared.extend(zip(got, want))
+                seen["states"] += 1
         assert wire == encode(memo_free(msg))
         return wire
+
+    serve_fetch = DataCenter._serve_fetch
+
+    def checked_serve_fetch(dc, env, msg):
+        session = dc.sessions.get(msg.scout)
+        admit = CausalClock(
+            session.last_announced if session else msg.snapshot.dc_part, msg.snapshot.local_part
+        )
+        try:
+            served[msg.scout, msg.req_id] = [
+                tuple(
+                    state_to_wire(fresh_state(dc.materialize(obj, c, msg.scout)))
+                    for c in (msg.snapshot, admit)
+                )
+                for obj in msg.objects
+            ]
+        except VersionPruned:
+            pass  # the reply says "pruned" and carries no state
+        serve_fetch(dc, env, msg)
+
+    trace_read = Scout._trace_read
+
+    def checked_trace_read(scout, env, tx, obj, src):
+        want = value_to_wire(fresh_state(tx.working[obj]))
+        trace_read(scout, env, tx, obj, src)
+        event = env.trace_log[-1]
+        assert event["ev"] == "read" and event["value"] == want
+        shared.append((event["value"], want))
+        seen["reads"] += 1
 
     merge = DataCenter._merge_aliases
 
@@ -262,6 +428,8 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
     monkeypatch.setattr(DataCenter, "_merge_aliases", noting_merge)
     monkeypatch.setattr(DataCenter, "gossip_tick", checked_gossip_tick)
     monkeypatch.setattr(sim.Simulation, "_crash_dc", checked_crash)
+    monkeypatch.setattr(DataCenter, "_serve_fetch", checked_serve_fetch)
+    monkeypatch.setattr(Scout, "_trace_read", checked_trace_read)
 
     base, overrides = RUNS[name]
     if base is None:
@@ -278,7 +446,8 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
     else:
         assert report["ok"], report["verdicts"]
     assert result.synced
-    assert seen["messages"] and seen["records"], seen
+    assert seen["messages"] and seen["records"] and seen["states"] and seen["reads"], seen
+    assert all(form == want for form, want in shared)
     if name.startswith("churn"):
         assert seen["pending"], seen
     if name == "failover-demo":

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from causalsim import workload
 from causalsim.crdt import value_of
 from causalsim.workload import (
     FRIENDS,
@@ -40,6 +41,38 @@ class TestGraph:
 
     def test_deterministic(self):
         assert friend_graph(cfg(), random.Random("g")) == friend_graph(cfg(), random.Random("g"))
+
+    @pytest.mark.parametrize("users,friends", [(2, 1), (3, 5), (11, 10), (60, 10), (300, 15)])
+    def test_equals_sampling_from_a_list_of_the_others(self, users, friends):
+        """The reference draws from an explicit list of the other users."""
+
+        def reference(c, rng):
+            graph = {u: set() for u in range(c.users)}
+            for u in range(c.users):
+                others = [v for v in range(c.users) if v != u]
+                for v in rng.sample(others, min(c.friends_per_user, len(others))):
+                    graph[u].add(v)
+                    graph[v].add(u)
+            return {u: sorted(vs) for u, vs in graph.items()}
+
+        c = cfg(users=users, friends_per_user=friends)
+        for seed in range(3):
+            assert friend_graph(c, random.Random(seed)) == reference(c, random.Random(seed))
+
+    def test_build_makes_the_graph_once(self, monkeypatch):
+        calls = []
+        make = workload.friend_graph
+
+        def counted(c, rng):
+            calls.append(c)
+            return make(c, rng)
+
+        monkeypatch.setattr(workload, "friend_graph", counted)
+        wl = {"kind": "social", "users": 30, "friends": 4}
+        scripts, _, _ = build(wl, 3, 7, 16)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert scripts == social_scripts(SocialConfig(users=30, friends_per_user=4), 3, 7, 16)
 
 
 class TestInitialStates:
