@@ -229,6 +229,7 @@ class TraceAnalysis:
             elif kind == "quiesce":
                 self.quiesce = ev
 
+    @gc_paused()
     def _load_workload(self) -> dict:
         """Rebuild the social workload once: its initial states seed every
         replay, and its scripts give back the transaction labels, which the

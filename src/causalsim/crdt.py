@@ -19,7 +19,6 @@ to deliver effects exactly once rather than merely at least once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, NamedTuple, Optional
@@ -407,7 +406,8 @@ def state_to_wire(state) -> dict:
 
 def state_from_wire(w: dict):
     """A fresh state with empty memos: keeping `w` would pin every decoded
-    wire dict for as long as a cache holds the state."""
+    wire dict for as long as a cache holds the state. The simulator's decode
+    table (`messages.decode_once`) pins it only until the run ends."""
     t = w["t"]
     if t == "counter":
         return CounterState(w["value"])
@@ -428,23 +428,6 @@ def state_from_wire(w: dict):
             {(name, _TYPE_BY_VALUE[tv]): state_from_wire(sw) for name, tv, sw in w["entries"]}
         )
     raise TypeMismatch(f"cannot deserialize type tag {t!r}")
-
-
-def state_to_bytes(state) -> bytes:
-    """Canonical byte form: self-describing type tag plus payload."""
-    return json.dumps(state_to_wire(state), sort_keys=True, separators=(",", ":")).encode()
-
-
-def state_from_bytes(data: bytes):
-    return state_from_wire(json.loads(data.decode()))
-
-
-def effect_to_bytes(effect: EffectOp) -> bytes:
-    return json.dumps(effect_to_wire(effect), sort_keys=True, separators=(",", ":")).encode()
-
-
-def effect_from_bytes(data: bytes) -> EffectOp:
-    return effect_from_wire(json.loads(data.decode()))
 
 
 def value_to_wire(state) -> Any:

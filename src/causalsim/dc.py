@@ -224,8 +224,9 @@ class DataCenter:
         for obj_w, base, cp in snapshot["checkpoints"]:
             obj = object_from_wire(obj_w[0], obj_w[1])
             dc.store[obj] = StoredObject(state_from_wire(cp), VersionVector(tuple(base)))
+        decoded = {}  # the stream's own decode table: nothing is shared with the run
         for rw in snapshot["records"]:
-            record = record_from_wire(rw)
+            record = record_from_wire(rw, decoded)
             dc._log_record(record)
             dc._store_effects(record)
         # slots at or below the prune frontier were folded into checkpoints

@@ -9,8 +9,14 @@ Effects and commit records are encoded at most once. Each keeps its wire
 form in a `wire` field: the dict it was decoded from, or its first
 encoding. A record's `gtids` grow when aliases merge, so `record_to_wire`
 encodes them on every call and takes the other fields from the memo. Wire
-dicts are shared between nodes and are never mutated. See README.md,
-"Wire forms".
+dicts are shared between nodes and are never mutated.
+
+Immutable values are decoded at most once per decode table: every
+receiver of one effect dict, in whatever message, gets the same
+`EffectOp`, and every scout sent one state dict the same state. The
+simulator keeps one table per run. Mutable containers, such as a
+`CommitRecord` and its `gtids`, are built fresh on every delivery. See
+README.md, "Wire forms".
 """
 
 from __future__ import annotations
@@ -210,13 +216,31 @@ def record_to_wire(r: CommitRecord) -> dict:
     }
 
 
-def record_from_wire(w: dict) -> CommitRecord:
-    """A fresh record that keeps `w` as its wire form."""
+def decode_once(table: dict, w: dict, decode):
+    """`decode(w)`, or what it gave for this same dict earlier with `table`.
+
+    The table maps `id(w)` to `(w, decoded)`. An entry holds its dict, so no
+    other dict can take that id while the table lives, and a hit is always
+    the same dict. Only immutable values may go through it: every holder of
+    the table shares what it returns."""
+    hit = table.get(id(w))
+    if hit is None:
+        hit = table[id(w)] = (w, decode(w))
+    return hit[1]
+
+
+def _effects_r(ws: list, table: dict) -> list[EffectOp]:
+    return [decode_once(table, e, effect_from_wire) for e in ws]
+
+
+def record_from_wire(w: dict, table: dict) -> CommitRecord:
+    """A fresh record that keeps `w` as its wire form; its effects come
+    from `table`."""
     record = CommitRecord(
         otid=_otid_r(w["otid"]),
         gtids=[_gtid_r(g) for g in w["gtids"]],
         deps=_clock_r(w["deps"]),
-        effects=tuple(effect_from_wire(e) for e in w["effects"]),
+        effects=tuple(_effects_r(w["effects"], table)),
         origin_session=w["session"],
         stored_results=w["results"],
     )
@@ -318,7 +342,9 @@ def message_to_wire(msg) -> dict:
     raise TypeError(f"not a wire message: {msg!r}")
 
 
-def message_from_wire(w: dict):
+def message_from_wire(w: dict, table: dict):
+    """A fresh message; its effects come from the decode table `table`
+    (`decode_once`). Fetch replies keep their states in wire form."""
     m = w["m"]
     if m == "session_req":
         return SessionRequest(
@@ -333,7 +359,7 @@ def message_from_wire(w: dict):
             w["scout"],
             _otid_r(w["otid"]),
             _clock_r(w["deps"]),
-            tuple(effect_from_wire(e) for e in w["effects"]),
+            tuple(_effects_r(w["effects"], table)),
         )
     if m == "commit_rep":
         return CommitReply(_otid_r(w["otid"]), w["status"], _gtid_r(w["gtid"]))
@@ -366,12 +392,14 @@ def message_from_wire(w: dict):
             [_obj_r(o) for o in w["objects"]],
         )
     if m == "gossip":
-        return GossipBatch(w["src"], [record_from_wire(r) for r in w["records"]], _vv_r(w["vdc"]))
+        return GossipBatch(
+            w["src"], [record_from_wire(r, table) for r in w["records"]], _vv_r(w["vdc"])
+        )
     if m == "notify":
         items = []
         for kind, payload in w["items"]:
             if kind == "effects":
-                items.append((kind, [effect_from_wire(e) for e in payload]))
+                items.append((kind, _effects_r(payload, table)))
             else:
                 items.append((kind, [_obj_r(o) for o in payload]))
         return NotifyBatch(

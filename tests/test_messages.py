@@ -98,7 +98,7 @@ def test_every_message_kind_is_covered():
 @pytest.mark.parametrize("name", sorted(MESSAGES))
 def test_json_round_trip(name):
     msg = MESSAGES[name]
-    assert message_from_wire(json.loads(json.dumps(message_to_wire(msg)))) == msg
+    assert message_from_wire(json.loads(json.dumps(message_to_wire(msg))), {}) == msg
 
 
 def test_shared_admit_state_is_null_on_the_wire():

@@ -16,7 +16,7 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalsim import crdt, sim
+from causalsim import checker, crdt, sim
 from causalsim.checker import run_checks
 from causalsim.clocks import CausalClock, Gtid, Otid, VersionVector
 from causalsim.crdt import (
@@ -29,9 +29,7 @@ from causalsim.crdt import (
     MvState,
     ObjectId,
     apply_effect,
-    effect_from_bytes,
     effect_from_wire,
-    effect_to_bytes,
     effect_to_wire,
     new_state,
     object_from_wire,
@@ -54,6 +52,7 @@ from causalsim.scenarios import build_simulation, load_scenario, sim_config
 from causalsim.scout import Scout
 from causalsim.workload import counter_scripts
 from crdt_random import ALL_TYPES, TagSource, random_intent
+from test_crdt import effect_from_bytes, effect_to_bytes
 from test_dc import REBUILD_FAULTS
 from test_pins import CHURN
 
@@ -128,7 +127,7 @@ class TestRecordMemo:
     def test_eq_and_repr_ignore_the_memo(self):
         plain, encoded = record(), record()
         record_to_wire(encoded)
-        decoded = record_from_wire(record_to_wire(record()))
+        decoded = record_from_wire(record_to_wire(record()), {})
         for other in (encoded, decoded):
             assert other.wire is not None
             assert other == plain and repr(other) == repr(plain)
@@ -142,7 +141,7 @@ class TestRecordMemo:
         assert copy == r and copy.wire is None
 
     def test_aliases_are_encoded_on_every_call(self):
-        r = record_from_wire(record_to_wire(record()))
+        r = record_from_wire(record_to_wire(record()), {})
         first = record_to_wire(r)
         r.gtids.append(Gtid(7, 2))
         second = record_to_wire(r)
@@ -455,3 +454,143 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
     if name == "stored":
         stored = [r for dc in simulation.dcs for r in dc.log if r.stored_results is not None]
         assert stored and all(r.wire is not None for r in stored)
+
+
+# -- the decode table -----------------------------------------------------------
+
+
+def held_effects(simulation) -> list:
+    """Every effect the DCs' logs hold."""
+    return [e for dc in simulation.dcs for r in dc.log for e in r.effects]
+
+
+def test_receivers_of_one_wire_dict_share_one_decoded_value(monkeypatch):
+    """Every scout notified with one effect dict, and the DCs that decoded
+    it, hold one `EffectOp`; every scout sent one state dict holds one
+    state. None of them is the value the sender encoded."""
+    # id(wire) -> (wire, [(receiver, decoded)]); holding the wire keeps its id
+    effects: dict[int, tuple] = {}
+    states: dict[int, tuple] = {}
+    prepared = []
+
+    def note(table, wire, receiver, value):
+        table.setdefault(id(wire), (wire, []))[1].append((receiver, value))
+
+    on_notify = Scout.on_notify
+
+    def noting_notify(scout, env, batch):
+        for kind, payload in batch.items:
+            if kind == "effects":
+                for e in payload:
+                    note(effects, e.wire, scout.id, e)
+        on_notify(scout, env, batch)
+
+    on_fetch_reply = Scout.on_fetch_reply
+
+    def noting_fetch_reply(scout, env, reply):
+        fresh = scout.fetch is not None and reply.req_id == scout.fetch.req_id and scout.connected
+        on_fetch_reply(scout, env, reply)
+        if fresh and reply.status == "ok":
+            for obj, snap, admit in reply.versions:
+                note(states, snap if admit is None else admit, scout.id, scout.cache[obj].state)
+
+    commit = Scout.commit
+
+    def noting_commit(scout, env, tx):
+        prepared.extend(tx.effects)
+        commit(scout, env, tx)
+
+    monkeypatch.setattr(Scout, "on_notify", noting_notify)
+    monkeypatch.setattr(Scout, "on_fetch_reply", noting_fetch_reply)
+    monkeypatch.setattr(Scout, "commit", noting_commit)
+    simulation = build_simulation(load_scenario("social-90-10"), seed=1)
+    simulation.run()
+    for e in held_effects(simulation):
+        note(effects, e.wire, "dc", e)
+
+    for table in (effects, states):
+        shared = [got for _, got in table.values() if len({r for r, _ in got}) > 1]
+        assert shared
+        for got in shared:
+            assert all(value is got[0][1] for _, value in got)
+    decoded = {id(v) for _, got in effects.values() for _, v in got}
+    assert prepared and not any(id(e) in decoded for e in prepared)
+
+
+def test_receivers_of_one_record_get_their_own_record():
+    """Two DCs sent one record share its effects, not the record: an alias
+    merge at one leaves the other's aliases and wire form alone."""
+    sent = GossipBatch(0, [record()], VersionVector((5, 0, 0)))
+    table: dict = {}
+    mine, theirs = (sim.message_from_wire(sim.message_to_wire(sent), table) for _ in range(2))
+    a, b = mine.records[0], theirs.records[0]
+    assert a is not b and a.gtids is not b.gtids and a == b
+    assert all(x is y for x, y in zip(a.effects, b.effects))
+    assert not any(x is y for x, y in zip(a.effects, sent.records[0].effects))
+    a.gtids.append(Gtid(7, 2))
+    assert b.gtids == [Gtid(5, 0)]
+    assert record_to_wire(b)["gtids"] == [[5, 0]]
+
+
+def test_records_and_aliases_stay_per_dc_in_a_run(monkeypatch):
+    merges = []
+    merge = DataCenter._merge_aliases
+
+    def noting_merge(dc, existing, incoming):
+        merges.append(len(existing.gtids))
+        merge(dc, existing, incoming)
+
+    monkeypatch.setattr(DataCenter, "_merge_aliases", noting_merge)
+    simulation = build_simulation(load_scenario("failover-demo"), seed=1)
+    simulation.run()
+    assert merges
+    records = [r for dc in simulation.dcs for r in dc.log]
+    assert len({id(r) for r in records}) == len(records)
+    assert len({id(r.gtids) for r in records}) == len(records)
+
+
+def test_the_table_lives_for_one_run(monkeypatch):
+    sizes = []
+    handle = sim.Simulation._handle
+
+    def noting_handle(simulation, kind, payload):
+        handle(simulation, kind, payload)
+        sizes.append(len(simulation.decoded))
+
+    monkeypatch.setattr(sim.Simulation, "_handle", noting_handle)
+    scenario = load_scenario("social-90-10")
+    first = build_simulation(scenario, seed=1)
+    first.run()
+    assert max(sizes) > 0 and first.decoded == {}
+    held = held_effects(first) + [
+        e.state for s in first.scouts.values() for e in s.cache.values() if e.valid
+    ]
+    second = build_simulation(scenario, seed=1)
+    second.run()
+    assert second.decoded == {} and second.decoded is not first.decoded
+    again = held_effects(second) + [
+        e.state for s in second.scouts.values() for e in s.cache.values() if e.valid
+    ]
+    # the same scenario decodes equal values, but never the first run's objects
+    assert len(again) == len(held)
+    assert not {id(v) for v in held} & {id(v) for v in again}
+
+
+def test_the_checker_decodes_its_own_effects(monkeypatch):
+    checked = []
+
+    def noting_decode(w):
+        effect = effect_from_wire(w)
+        checked.append(effect)
+        return effect
+
+    simulation = build_simulation(load_scenario("social-90-10"), seed=1)
+    result = simulation.run()
+    simulated = held_effects(simulation)
+    monkeypatch.setattr(checker, "effect_from_wire", noting_decode)
+    assert run_checks(result.trace)["ok"]
+    assert checked and simulated
+    mine = {id(e) for e in simulated}
+    assert not any(id(e) in mine for e in checked)
+    by_tag = {e.tag: e for e in simulated}
+    assert all(by_tag[e.tag] == e for e in checked if e.tag in by_tag)
