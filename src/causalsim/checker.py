@@ -21,16 +21,39 @@ Parsing builds every index the checks need, once:
 
 Replaying one object's list therefore applies exactly the effects, in
 exactly the order, that a replay of the whole sorted record list filtered
-to that object applies. A scout's materialized state of an object is
-extended from its previous snapshot only when every newly covered record
-sorts after the last record already applied; otherwise the list is
-replayed from the initial state, so the order never departs from the
-sorted one. The checker shares no code with the DC's materialization.
+to that object applies. A replay of one snapshot is cut in three parts,
+each applied in list order (``_ObjectLog``):
+
+- the covered prefix. ``reach[i]`` is the elementwise max of the first
+  aliases of the first ``i`` entries. If ``reach[i] <= ver_dc``, every one
+  of those entries is covered through its first alias, whoever reads. The
+  longest such prefix is found by binary search (``reach`` only grows),
+  then extended over the entries after it that the snapshot covers for any
+  reason. A prefix that is covered entry by entry leaves the same state
+  for every reader and snapshot, so that state is built once, from the
+  nearest shorter checkpoint, and shared. Checkpoints are kept only for
+  lengths some replay asked for, never one per entry.
+- the undecided middle, where each entry is tested with ``covers``.
+- the tail. ``floor[j]`` is the elementwise min over every alias of the
+  entries from ``j`` on. Once ``floor[j] > ver_dc`` in every component, no
+  entry from ``j`` on is covered through an alias, so only the reader's own
+  records under its local counter can be; they are looked up in a
+  per-origin index instead of walking the tail.
+
+Snapshot closure is proven per DC before it is walked: ``need[d][c]`` is
+the join of the dependencies of every record with an alias ``(c' <= c, d)``
+and of the first alias of its origin-chain dependency. If
+``need[d][ver[d]] <= ver``, every record the walk over ``d`` would visit has
+its dependencies and its chain dependency covered, so the walk reports
+nothing and is skipped; otherwise it runs unchanged. The checker shares no
+code with the DC's materialization.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -106,15 +129,77 @@ class TxInfo:
     label: Optional[str] = None
 
 
-@dataclass
-class _Replay:
-    """One scout's replay of one object, at its latest snapshot of it."""
+def _leq(a: tuple, b: tuple) -> bool:
+    return all(map(operator.le, a, b))
 
-    state: Any
-    ver_dc: tuple = ()
-    ver_local: int = 0
-    end: int = 0  # the object's list entries before this index are settled
-    skipped: list = field(default_factory=list)  # settled records the snapshot does not cover
+
+class _ObjectLog:
+    """One object's records in causal order, the bounds that cut a replay of
+    them short, and the replay checkpoints every reader shares."""
+
+    __slots__ = ("entries", "reach", "floor", "own", "lengths", "states")
+
+    def __init__(self, entries: list, initial, num_dcs: int):
+        self.entries = entries
+        # reach[i]: elementwise max of the first aliases of entries[:i]
+        top = [0] * num_dcs
+        self.reach = [tuple(top)]
+        for rec, _ in entries:
+            if rec.aliases:
+                counter, dc = rec.aliases[0]
+                top[dc] = max(top[dc], counter)
+            else:  # covered through no alias: ends every shared prefix
+                top = [math.inf] * num_dcs
+            self.reach.append(tuple(top))
+        # floor[j]: elementwise min over every alias of entries[j:]
+        low = [math.inf] * num_dcs
+        self.floor = [tuple(low)]
+        for rec, _ in reversed(entries):
+            for counter, dc in rec.aliases:
+                low[dc] = min(low[dc], counter)
+            self.floor.append(tuple(low))
+        self.floor.reverse()
+        self.own: dict[str, list[int]] = {}  # origin -> indexes of its entries
+        for i, (rec, _) in enumerate(entries):
+            self.own.setdefault(rec.origin, []).append(i)
+        self.lengths = [0]  # sorted prefix lengths with a checkpoint
+        self.states = [initial]  # the state after each of those prefixes
+
+    def covered_prefix(self, ver_dc: tuple) -> int:
+        """The longest prefix that every snapshot at ``ver_dc`` covers."""
+        lo, hi = 0, len(self.entries)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if _leq(self.reach[mid], ver_dc):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    def tail_start(self, start: int, ver_dc: tuple) -> int:
+        """The first index from ``start`` on whose entries, and all later
+        ones, ``ver_dc`` covers through no alias."""
+        lo, hi = start, len(self.entries)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if all(map(operator.gt, self.floor[mid], ver_dc)):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def checkpoint(self, n: int):
+        """The state after ``entries[:n]``, kept for the next replay."""
+        k = bisect.bisect_right(self.lengths, n) - 1
+        state = self.states[k]
+        if self.lengths[k] == n:
+            return state
+        for _, effects in self.entries[self.lengths[k] : n]:
+            for effect in effects:
+                state = apply_effect(state, effect)
+        self.lengths.insert(k + 1, n)
+        self.states.insert(k + 1, state)
+        return state
 
 
 class TraceAnalysis:
@@ -151,7 +236,8 @@ class TraceAnalysis:
                 mine = [e for e in effects if (e.target.key, e.target.crdt_type.value) == obj]
                 self.by_obj.setdefault(obj, []).append((rec, mine))
         self._oracle_cache: dict = {}
-        self._replays: dict[tuple, _Replay] = {}  # (scout, object) -> replay
+        self._logs: dict[tuple, _ObjectLog] = {}
+        self._own: dict[tuple, list] = {}  # tx -> [(object, decoded update)]
 
     def _parse(self, trace: list[dict]) -> None:
         seen_applies = set()
@@ -277,35 +363,40 @@ class TraceAnalysis:
         key = (obj, ver_dc, ver_local, reader)
         if key in self._oracle_cache:
             return self._oracle_cache[key]
-        rep = self._replays.get((reader, obj))
-        if rep is None or not self._extends(rep, ver_dc, ver_local, reader):
-            rep = self._replays[(reader, obj)] = _Replay(self.initial_state(obj))
-        rep.ver_dc, rep.ver_local = ver_dc, ver_local
-        entries = self.by_obj.get(obj, [])
-        state = rep.state
-        uncovered = []
-        for i in range(rep.end, len(entries)):
-            rec, effects = entries[i]
-            if not self.covers(rec, ver_dc, ver_local, reader):
-                uncovered.append(rec)
-                continue
-            for effect in effects:
-                state = apply_effect(state, effect)
-            rep.skipped += uncovered
-            uncovered = []
-            rep.end = i + 1
-        rep.state = state
-        self._oracle_cache[key] = state
+        state = self._oracle_cache[key] = self.replay(obj, ver_dc, ver_local, reader)
         return state
 
-    def _extends(self, rep: _Replay, ver_dc: tuple, ver_local: int, reader: str) -> bool:
-        """Whether the records this snapshot covers, in causal order, are the
-        ones ``rep`` applied followed by records that sort after them."""
-        return (
-            ver_local >= rep.ver_local
-            and all(a <= b for a, b in zip(rep.ver_dc, ver_dc))
-            and not any(self.covers(rec, ver_dc, ver_local, reader) for rec in rep.skipped)
-        )
+    def replay(self, obj: tuple, ver_dc: tuple, ver_local: int, reader: str, skip: int = -1):
+        """The object's state in the snapshot, leaving out the entry at index
+        ``skip`` of its list if one is given."""
+        log = self._logs.get(obj)
+        if log is None:
+            log = self._logs[obj] = _ObjectLog(
+                self.by_obj.get(obj, []), self.initial_state(obj), self.num_dcs
+            )
+        entries = log.entries
+        covered = log.covered_prefix(ver_dc)
+        while covered < len(entries) and self.covers(entries[covered][0], ver_dc, ver_local, reader):
+            covered += 1
+        start = skip if 0 <= skip < covered else covered
+        state = log.checkpoint(start)
+        for i in range(start, covered):
+            if i != skip:
+                for effect in entries[i][1]:
+                    state = apply_effect(state, effect)
+        tail = log.tail_start(covered, ver_dc)
+        for i in range(covered, tail):
+            rec, effects = entries[i]
+            if i != skip and self.covers(rec, ver_dc, ver_local, reader):
+                for effect in effects:
+                    state = apply_effect(state, effect)
+        own = log.own.get(reader, ())
+        for i in own[bisect.bisect_left(own, tail) :]:
+            rec, effects = entries[i]
+            if i != skip and rec.otid[0] <= ver_local:
+                for effect in effects:
+                    state = apply_effect(state, effect)
+        return state
 
     def read_state(self, read: ReadInfo):
         """What the read should return: its snapshot plus the reading
@@ -317,12 +408,16 @@ class TraceAnalysis:
 
     def own_updates(self, read: ReadInfo) -> list:
         """The reading transaction's own effects on the read object that were
-        applied before the read, decoded."""
-        return [
-            effect
-            for effect in map(effect_from_wire, self.tx_updates[read.tx][: read.updates_before])
-            if (effect.target.key, effect.target.crdt_type.value) == read.obj
-        ]
+        applied before the read, decoded once per transaction."""
+        if not read.updates_before:
+            return []
+        updates = self._own.get(read.tx)
+        if updates is None:
+            updates = self._own[read.tx] = [
+                ((e.target.key, e.target.crdt_type.value), e)
+                for e in map(effect_from_wire, self.tx_updates[read.tx])
+            ]
+        return [effect for obj, effect in updates[: read.updates_before] if obj == read.obj]
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +464,51 @@ def check_causal_snapshots(tr: TraceAnalysis) -> Verdict:
     return Verdict("causal_snapshots", not violations, violations)
 
 
+def _closure_bounds(tr: TraceAnalysis) -> list[list[tuple]]:
+    """Per DC ``d``, ``need[d][c]``: the join of ``deps_dc`` of every record
+    with an alias ``(c' <= c, d)``, and of the first alias of each such
+    record's origin-chain dependency. A snapshot ``ver`` with
+    ``need[d][ver[d]] <= ver`` includes no record through DC ``d`` without
+    its dependencies; counters past a DC's last alias share its last row."""
+    n = tr.num_dcs
+    top = [0] * n
+    for counter, dc in tr.by_alias:
+        top[dc] = max(top[dc], counter)
+    need = []
+    for dc in range(n):
+        acc = [0] * n
+        rows = [tuple(acc)]
+        for counter in range(1, top[dc] + 1):
+            dep = tr.by_alias.get((counter, dc))
+            if dep is not None:
+                rec = tr.records[dep]
+                acc = list(map(max, acc, rec.deps_dc))
+                chain = tr.records.get((rec.deps_local, rec.origin)) if rec.deps_local else None
+                if chain is not None:
+                    if chain.aliases:
+                        c, d = chain.aliases[0]
+                        acc[d] = max(acc[d], c)
+                    else:  # covered through no alias: the bound never holds
+                        acc = [math.inf] * n
+            rows.append(tuple(acc))
+        need.append(rows)
+    return need
+
+
 def _closure_violations(tr: TraceAnalysis) -> list[str]:
     out = []
+    need = _closure_bounds(tr)
     for scout, order in tr.tx_order.items():
         prev_dc = tuple([0] * tr.num_dcs)
         for otid in order:
             tx = tr.txs[otid]
             ver = tx.snap_dc
             for dc in range(tr.num_dcs):
+                if ver[dc] <= prev_dc[dc]:
+                    continue
+                rows = need[dc]
+                if _leq(rows[min(ver[dc], len(rows) - 1)], ver):
+                    continue  # every record walked below has its deps covered
                 for counter in range(prev_dc[dc] + 1, ver[dc] + 1):
                     dep = tr.by_alias.get((counter, dc))
                     if dep is None:
@@ -393,7 +525,7 @@ def _closure_violations(tr: TraceAnalysis) -> list[str]:
                                 f"{scout} snapshot {ver} includes {dep} but not "
                                 f"its origin-chain dependency {chain.otid}"
                             )
-            prev_dc = tuple(max(prev_dc[j], ver[j]) for j in range(tr.num_dcs))
+            prev_dc = tuple(map(max, prev_dc, ver))
     return out
 
 
@@ -444,12 +576,11 @@ def check_atomicity(tr: TraceAnalysis) -> Verdict:
 def _oracle_without(tr: TraceAnalysis, read: ReadInfo, skip: RecordInfo):
     """The read's snapshot value with one record left out, plus the reading
     transaction's own prior updates."""
-    state = tr.initial_state(read.obj)
-    for rec, effects in tr.by_obj.get(read.obj, ()):
-        if rec is skip or not tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
-            continue
-        for effect in effects:
-            state = apply_effect(state, effect)
+    entries = tr.by_obj.get(read.obj, [])
+    index = bisect.bisect_left(entries, skip.pos, key=lambda entry: entry[0].pos)
+    if index == len(entries) or entries[index][0] is not skip:
+        index = -1
+    state = tr.replay(read.obj, read.ver_dc, read.ver_local, read.scout, index)
     for effect in tr.own_updates(read):
         state = apply_effect(state, effect)
     return state

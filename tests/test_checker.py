@@ -1,10 +1,17 @@
+import functools
 import gc
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from causalsim import checker
 from causalsim.checker import (
+    ReadInfo,
     TraceAnalysis,
+    _closure_bounds,
+    _closure_violations,
+    _oracle_without,
     check_atomicity,
     check_causal_snapshots,
     check_convergence,
@@ -19,6 +26,7 @@ from causalsim.checker import (
 from causalsim.crdt import CrdtType, EffectTag, ObjectId, apply_effect, effect_from_wire, new_state, prepare
 from causalsim.crdt import effect_to_wire
 from causalsim.scenarios import load_scenario, run_scenario
+from test_pins import RUNS, pinned_run
 
 CTR = ("ctr", "counter")
 SET = ("s", "awset")
@@ -341,18 +349,31 @@ class TestLatencyMetrics:
                 assert percentile(values, q) == float(np.percentile(np.array(values, dtype=float), q))
 
 
-def reference_oracle(tr, read):
+def reference_oracle(tr, read, skip=None):
     """Brute-force replay: every record in the sorted linear extension that
-    the read's snapshot covers, filtered to the read object."""
+    the read's snapshot covers, filtered to the read object, leaving out the
+    record ``skip`` if one is given."""
     oid = ObjectId(read.obj[0], CrdtType(read.obj[1]))
     state = tr.initial.get(oid, new_state(oid.crdt_type))
     for rec in sorted(tr.records.values(), key=lambda r: (r.commit_time, r.otid[0], r.otid[1])):
-        if read.obj not in rec.objs or not tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
+        if rec is skip or read.obj not in rec.objs:
+            continue
+        if not tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
             continue
         for ew in rec.effects:
             effect = effect_from_wire(ew)
             if (effect.target.key, effect.target.crdt_type.value) == read.obj:
                 state = apply_effect(state, effect)
+    return state
+
+
+def reference_own_updates(tr, read, state):
+    """``state`` with the reading transaction's own updates to the read
+    object before the read applied, each decoded afresh."""
+    for ew in tr.tx_updates[read.tx][: read.updates_before]:
+        effect = effect_from_wire(ew)
+        if (effect.target.key, effect.target.crdt_type.value) == read.obj:
+            state = apply_effect(state, effect)
     return state
 
 
@@ -407,3 +428,162 @@ def test_run_checks_restores_the_callers_gc_setting(enabled):
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_analysis(name):
+    return TraceAnalysis(pinned_run(name).trace)
+
+
+def snapshot_queries(name):
+    """Reads on the pinned run ``name`` at arbitrary snapshots: any scout,
+    any counters up to one past the highest alias of each DC and the highest
+    OTID counter, so most are neither closed nor monotone; any transaction,
+    any prefix of its updates, and often an object it updated. Each comes
+    with a number that picks the record to leave out."""
+    tr = pinned_analysis(name)
+    tops = [max((c for c, d in tr.by_alias if d == dc), default=0) + 1 for dc in range(tr.num_dcs)]
+    local_top = max(otid[0] for otid in tr.txs) + 1
+    txs = sorted(tr.tx_updates)
+    writers = [tx for tx in txs if tr.tx_updates[tx]]
+    objs = sorted(tr.by_obj)
+
+    @st.composite
+    def query(draw):
+        tx = draw(st.sampled_from(txs) | st.sampled_from(writers))
+        updated = sorted({tuple(ew["obj"]) for ew in tr.tx_updates[tx]} & set(objs))
+        obj = draw(st.sampled_from(objs) | st.sampled_from(updated or objs))
+        before = draw(st.integers(0, len(tr.tx_updates[tx])))
+        ver_dc = draw(st.tuples(*(st.integers(0, top) for top in tops)))
+        ver_local = draw(st.integers(0, local_top))
+        reader = draw(st.sampled_from(sorted(tr.tx_order)))
+        read = ReadInfo(reader, tx, obj, None, ver_dc, ver_local, 0, "query", None, before)
+        return read, draw(st.integers(0, 10**6))
+
+    return query()
+
+
+@pytest.mark.parametrize("name", ["churn-faults", "failover-demo"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_oracle_matches_brute_force_on_arbitrary_snapshots(name, data):
+    # one analysis serves every example, so its checkpoints are built by
+    # queries in any order: regressing, unclosed and out of every session
+    tr = pinned_analysis(name)
+    for read, pick in data.draw(st.lists(snapshot_queries(name), min_size=1, max_size=12)):
+        expected = reference_oracle(tr, read)
+        assert tr.oracle_value(read.obj, read.ver_dc, read.ver_local, read.scout) == expected
+        assert tr.read_state(read) == reference_own_updates(tr, read, expected)
+        entries = tr.by_obj[read.obj]
+        skip = entries[pick % len(entries)][0]
+        expected = reference_own_updates(tr, read, reference_oracle(tr, read, skip))
+        assert _oracle_without(tr, read, skip) == expected
+
+
+def test_failover_demo_has_records_with_several_aliases():
+    tr = pinned_analysis("failover-demo")
+    assert any(len(rec.aliases) > 1 for rec in tr.records.values())
+
+
+def reference_closure_walk(tr):
+    """The closure check without its fast path: walk every counter each
+    snapshot newly covers, per DC."""
+    out = []
+    for scout, order in tr.tx_order.items():
+        prev_dc = tuple([0] * tr.num_dcs)
+        for otid in order:
+            tx = tr.txs[otid]
+            ver = tx.snap_dc
+            for dc in range(tr.num_dcs):
+                for counter in range(prev_dc[dc] + 1, ver[dc] + 1):
+                    dep = tr.by_alias.get((counter, dc))
+                    if dep is None:
+                        continue
+                    rec = tr.records[dep]
+                    if not all(rec.deps_dc[j] <= ver[j] for j in range(tr.num_dcs)):
+                        out.append(
+                            f"{scout} snapshot {ver} includes {dep} but not its deps {rec.deps_dc}"
+                        )
+                    if rec.deps_local and rec.origin != scout:
+                        chain = tr.records.get((rec.deps_local, rec.origin))
+                        if chain is not None and not tr.covers(chain, ver, tx.snap_local, scout):
+                            out.append(
+                                f"{scout} snapshot {ver} includes {dep} but not "
+                                f"its origin-chain dependency {chain.otid}"
+                            )
+            prev_dc = tuple(max(prev_dc[j], ver[j]) for j in range(tr.num_dcs))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_closure_fast_path_reports_what_the_walk_reports(name):
+    tr = TraceAnalysis(pinned_run(name).trace)
+    assert _closure_violations(tr) == reference_closure_walk(tr)
+
+
+class TestClosureFastPath:
+    def test_own_origin_chain_fails_the_bound_but_reports_nothing(self):
+        # the reader's record (2, r) is seen through dc1; its chain
+        # dependency (1, r) is covered by the reader's local counter only
+        trace = [
+            header(),
+            apply_ev(10, 0, (1, "r"), [(1, 0)], [CTR], effects=[inc_effect(1, origin="r")]),
+            apply_ev(
+                20, 1, (2, "r"), [(1, 1)], [CTR],
+                effects=[inc_effect(2, counter=2, origin="r")], deps=[[0, 0], 1],
+            ),
+            begin_ev(30, "r", (3, "r"), [[0, 1], 2]),
+            read_ev(30, "r", (3, "r"), CTR, 3, [[0, 1], 2]),
+            commit_ev(30, "r", (3, "r"), [[0, 1], 2]),
+        ]
+        tr = TraceAnalysis(trace)
+        assert _closure_bounds(tr)[1][1] == (1, 0)  # not <= (0, 1): the walk runs
+        assert _closure_violations(tr) == reference_closure_walk(tr) == []
+        assert check_causal_snapshots(tr).ok
+
+    def test_unclosed_snapshot_is_flagged_with_the_walks_strings(self):
+        trace = [
+            header(),
+            apply_ev(10, 0, (1, "w"), [(1, 0)], [CTR], effects=[inc_effect(5)]),
+            apply_ev(
+                15, 0, (1, "x"), [(2, 0)], [CTR],
+                effects=[inc_effect(1, origin="x")], deps=[[1, 0], 0],
+            ),
+            apply_ev(
+                20, 1, (2, "x"), [(1, 1)], [CTR],
+                effects=[inc_effect(2, counter=2, origin="x")], deps=[[0, 0], 1],
+            ),
+            apply_ev(
+                25, 1, (1, "y"), [(2, 1)], [CTR],
+                effects=[inc_effect(3, origin="y")], deps=[[1, 0], 0],
+            ),
+            # only the chain dependency fails the first snapshot's bound
+            begin_ev(30, "r", (1, "r"), [[0, 1], 0]),
+            commit_ev(30, "r", (1, "r"), [[0, 1], 0]),
+            begin_ev(40, "r", (2, "r"), [[0, 2], 0]),
+            commit_ev(40, "r", (2, "r"), [[0, 2], 0]),
+        ]
+        tr = TraceAnalysis(trace)
+        expected = [
+            "r snapshot (0, 1) includes (2, 'x') but not its origin-chain dependency (1, 'x')",
+            "r snapshot (0, 2) includes (1, 'y') but not its deps (1, 0)",
+        ]
+        assert _closure_violations(tr) == reference_closure_walk(tr) == expected
+        assert check_causal_snapshots(tr).violations == expected
+
+
+def test_checker_applies_each_covered_prefix_once(monkeypatch):
+    # the benchmark's churn pin: 12 scouts reading 4 counters. Replaying
+    # each object per reader, as a checker without shared checkpoints does,
+    # takes 5,612 applies here
+    trace = pinned_run("bench-churn-faults").trace
+    calls = []
+    apply = checker.apply_effect
+
+    def counting(state, effect):
+        calls.append(effect)
+        return apply(state, effect)
+
+    monkeypatch.setattr(checker, "apply_effect", counting)
+    assert run_checks(trace)["ok"]
+    assert 1_000 < len(calls) <= 1_800

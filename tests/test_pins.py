@@ -133,11 +133,16 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(name: str) -> tuple[str, str, dict]:
+def pinned_run(name: str):
+    """Simulate the pinned run ``name``."""
     base, overrides, _ = RUNS[name]
     scenario = load_scenario(base) if isinstance(base, str) else base
     seed = None if name in BENCH_RUNS else 1
-    result = run_scenario(scenario, seed=seed, overrides=overrides)
+    return run_scenario(scenario, seed=seed, overrides=overrides)
+
+
+def digests(name: str) -> tuple[str, str, dict]:
+    result = pinned_run(name)
     report = run_checks(result.trace)
     report_bytes = json.dumps(report, sort_keys=True).encode()
     return _sha(result.trace_bytes()), _sha(report_bytes), report
