@@ -25,6 +25,12 @@ prune folds some of them, which changes the checkpoint and the positions.
 An object without entries serves its checkpoint, whose state keeps its own
 wire form (`crdt.state_to_wire`), so it too is encoded once.
 
+A session is sent only what its scout keeps. A scout whose session
+request says it keeps no cache gets no admit states in its fetch replies
+and is subscribed to nothing, so its notify batches carry the frontier and
+its acks only. A notify tick skips an idle session: one already announced
+at the target frontier, with no own records admitted since its last acks.
+
 Commit identity is tracked at slot granularity: every alias GTID of a
 record occupies one slot in its origin DC's gapless sequence, and the
 replica's version vector advances along the contiguous prefix of applied
@@ -125,6 +131,7 @@ class Session:
     last_announced: VersionVector
     acked: set[Otid] = field(default_factory=set)
     acked_through: int = 0  # admission number of the last record examined for acks
+    caches: bool = True  # False: the scout keeps no cache, so nothing is subscribed
 
 
 class DataCenter:
@@ -548,18 +555,27 @@ class DataCenter:
         return admit.leq(self.vdc)
 
     def fetch_states(
-        self, obj: ObjectId, snapshot: CausalClock, admit_clock: CausalClock, own: ScoutId
+        self,
+        obj: ObjectId,
+        snapshot: CausalClock,
+        admit_clock: Optional[CausalClock],
+        own: ScoutId,
     ) -> tuple[dict, Optional[dict]]:
         """The wire forms of `materialize` at both clocks, from one walk over
         the object's entries. Returns (snapshot wire, admit wire), with None
-        for the admit wire when both clocks cover the same entries."""
-        for c in (snapshot, admit_clock):
+        for the admit wire when both clocks cover the same entries, or when
+        there is no admit clock."""
+        clocks = (snapshot,) if admit_clock is None else (snapshot, admit_clock)
+        for c in clocks:
             if not self.prune_vector.leq(c.dc_part):
                 raise VersionPruned(f"{obj} at {c} below prune frontier {self.prune_vector}")
         so = self.store.get(obj)
         if so is None:
             return state_to_wire(new_state(obj.crdt_type)), None
         covered = self._covered
+        if admit_clock is None:
+            key = [i for i, (_, r) in enumerate(so.entries) if covered(r, snapshot, own)]
+            return self._served(so, key), None
         snap_key, admit_key = [], []
         for i, (_, record) in enumerate(so.entries):
             if covered(record, snapshot, own):
@@ -588,7 +604,9 @@ class DataCenter:
     def _serve_fetch(self, env, msg: FetchRequest) -> None:
         session = self.sessions.get(msg.scout)
         admit_frontier = session.last_announced if session else msg.snapshot.dc_part
-        admit_clock = CausalClock(admit_frontier, msg.snapshot.local_part)
+        # a scout without a cache admits nothing: no admit state, no subscription
+        caches = session is None or session.caches
+        admit_clock = CausalClock(admit_frontier, msg.snapshot.local_part) if caches else None
         try:
             versions = [
                 (obj, *self.fetch_states(obj, msg.snapshot, admit_clock, msg.scout))
@@ -597,9 +615,8 @@ class DataCenter:
         except VersionPruned:
             env.send(f"dc{self.id}", msg.scout, FetchReply(msg.scout, msg.req_id, "pruned"))
             return
-        if session is not None:
-            for obj in msg.objects:
-                session.subscriptions.add(obj)
+        if session is not None and caches:
+            session.subscriptions.update(msg.objects)
         env.send(
             f"dc{self.id}",
             msg.scout,
@@ -618,6 +635,7 @@ class DataCenter:
                 epoch=msg.epoch,
                 subscriptions=set(msg.cached_objects),
                 last_announced=msg.dc_part,
+                caches=msg.caches,
             )
         env.send(
             f"dc{self.id}",
@@ -625,15 +643,14 @@ class DataCenter:
             SessionReply(msg.scout, self.id, msg.epoch, eligible, self.k_durable_frontier()),
         )
 
-    def drop_session(self, scout: ScoutId) -> None:
-        self.sessions.pop(scout, None)
-
     def notify_tick(self, env) -> None:
         target = self.announceable_frontier()
         # most sessions share their last frontier, and so the delta from it
         deltas: dict[VersionVector, tuple[bool, list]] = {}
         for session in list(self.sessions.values()):
             base = session.last_announced
+            if base == target and not self._acks_due(session):
+                continue  # idle: nothing to announce and nothing to ack
             if not base.leq(target) and not self.disable_k_gating:
                 continue  # the mutation announces a non-monotonic frontier instead
             if base not in deltas:
@@ -696,6 +713,11 @@ class DataCenter:
             NotifyBatch(self.id, session.epoch, session.last_announced, target, items, acks),
         )
         session.last_announced = target
+
+    def _acks_due(self, session: Session) -> bool:
+        """Whether the session scout has records admitted since its last acks."""
+        mine = self.by_origin.get(session.scout)
+        return bool(mine) and self.admission[id(mine[-1])] > session.acked_through
 
     def _take_acks(self, session: Session) -> list[tuple[Otid, Gtid]]:
         """Ack the session scout's logged records, in log order, once per

@@ -64,6 +64,10 @@ class SessionRequest:
     epoch: int
     dc_part: VersionVector
     cached_objects: list[ObjectId] = field(default_factory=list)
+    # whether the scout keeps a cache (capacity > 0). A session without one
+    # is subscribed to nothing and gets no admit states. On the wire only
+    # when False, so a caching scout's request keeps its bytes
+    caches: bool = True
 
 
 @dataclass
@@ -250,13 +254,16 @@ def record_from_wire(w: dict, table: dict) -> CommitRecord:
 
 def message_to_wire(msg) -> dict:
     if isinstance(msg, SessionRequest):
-        return {
+        w = {
             "m": "session_req",
             "scout": msg.scout,
             "epoch": msg.epoch,
             "dc_part": _vv_w(msg.dc_part),
             "cached": [_obj_w(o) for o in msg.cached_objects],
         }
+        if not msg.caches:
+            w["caches"] = False
+        return w
     if isinstance(msg, SessionReply):
         return {
             "m": "session_rep",
@@ -348,7 +355,11 @@ def message_from_wire(w: dict, table: dict):
     m = w["m"]
     if m == "session_req":
         return SessionRequest(
-            w["scout"], w["epoch"], _vv_r(w["dc_part"]), [_obj_r(o) for o in w["cached"]]
+            w["scout"],
+            w["epoch"],
+            _vv_r(w["dc_part"]),
+            [_obj_r(o) for o in w["cached"]],
+            w.get("caches", True),
         )
     if m == "session_rep":
         return SessionReply(

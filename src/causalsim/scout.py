@@ -653,7 +653,9 @@ class Scout:
         env.send(
             self.id,
             self._dc_addr(candidate),
-            SessionRequest(self.id, self.session_epoch, self.clock.dc_part, cached),
+            SessionRequest(
+                self.id, self.session_epoch, self.clock.dc_part, cached, self.capacity > 0
+            ),
         )
 
     def on_session_reply(self, env, reply: SessionReply) -> None:

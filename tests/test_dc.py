@@ -21,8 +21,10 @@ from causalsim.messages import (
     CommitRequest,
     FetchRequest,
     GossipBatch,
+    NotifyBatch,
     SessionRequest,
     StoredTxRequest,
+    message_to_wire,
     record_to_wire,
 )
 from causalsim import sim
@@ -430,6 +432,27 @@ class TestSessionsAndNotify:
         dc.on_session_request(env, SessionRequest("S", 1, vv(23, 0, 0), []))
         assert env.replies("SessionReply")[0].accepted
 
+    def test_an_idle_session_is_skipped_until_its_scout_commits(self, monkeypatch):
+        env, dc = friendship_dc()
+        dc.on_session_request(env, SessionRequest("C", 1, vv(0, 0), []))
+        taken = []
+        take_acks = DataCenter._take_acks
+        monkeypatch.setattr(
+            DataCenter, "_take_acks", lambda dc, s: taken.append(s.scout) or take_acks(dc, s)
+        )
+        env.sent.clear()
+        dc.notify_tick(env)  # the frontier stays at zero, but C's record is acked
+        assert [b.acks for b in env.replies("NotifyBatch")] == [[(Otid(1, "C"), Gtid(2, 0))]]
+        assert taken == ["C"]
+        env.sent.clear()
+        dc.notify_tick(env)
+        assert env.replies("NotifyBatch") == [] and taken == ["C"]
+        dc.on_commit_request(env, commit_req("C", 2, [set_add(C_FRD, "D", Otid(2, "C"))]))
+        env.sent.clear()
+        dc.notify_tick(env)
+        assert [b.acks for b in env.replies("NotifyBatch")] == [[(Otid(2, "C"), Gtid(3, 0))]]
+        assert taken == ["C", "C"]
+
 
 class TestFetch:
     def test_fetch_serves_snapshot_and_admission(self):
@@ -440,6 +463,18 @@ class TestFetch:
         reply = env.replies("FetchReply")[0]
         assert reply.status == "ok"
         assert B_FRD in dc.sessions["R"].subscriptions
+
+    def test_a_session_without_a_cache_gets_no_admit_state(self):
+        env, dc = friendship_dc()
+        for scout, caches in (("R", True), ("N", False)):
+            dc.on_session_request(env, SessionRequest(scout, 1, vv(0, 0), [], caches))
+            dc.on_fetch_request(env, FetchRequest(scout, 1, [B_FRD], clock([2, 0])))
+        caching, cacheless = env.replies("FetchReply")
+        snap = wire_at(dc, B_FRD, clock([2, 0]), "R")
+        assert caching.versions == [(B_FRD, snap, wire_at(dc, B_FRD, clock([0, 0]), "R"))]
+        assert cacheless.versions == [(B_FRD, snap, None)]
+        assert dc.sessions["R"].subscriptions == {B_FRD}
+        assert dc.sessions["N"].subscriptions == set()
 
     def test_fetch_ahead_of_state_defers(self):
         env = FakeEnv()
@@ -985,20 +1020,25 @@ def covered_entries(dc, obj, at, own):
     return [i for i, (_, r) in enumerate(so.entries if so else ()) if dc._covered(r, at, own)]
 
 
-# name -> (scenario, sim overrides, what the run must exercise)
+# what every run whose scouts keep a cache must exercise: versions served
+# with one state for both clocks, and with two
+CACHED = ("shared", "split", "memo_hits")
+
+# name -> (scenario, sim overrides, what the run must exercise); the
+# staleness-stress scouts keep no cache, so their sessions get no admit states
 FETCH_RUNS = {
-    "social-90-10": ("social-90-10", {}, ("memo_hits",)),
-    "staleness-stress": ("staleness-stress", {}, ("memo_hits",)),
-    "churn-pruned": (CHURN, {"prune_ms": 200}, ("memo_hits", "memo_after_prune")),
+    "social-90-10": ("social-90-10", {}, CACHED),
+    "staleness-stress": ("staleness-stress", {}, ("cacheless", "memo_hits")),
+    "churn-pruned": (CHURN, {"prune_ms": 200}, CACHED + ("memo_after_prune",)),
     "dedup-off-100": (
         CHURN,
         {"prune_ms": 100, "mutations": ["disable_dedup"]},
-        ("memo_hits", "memo_after_prune", "shared_otid"),
+        CACHED + ("memo_after_prune", "shared_otid"),
     ),
     "crash-rebuilds": (
         dict(CHURN, faults=REBUILD_FAULTS),
         {"prune_ms": 200},
-        ("memo_hits", "memo_after_prune", "rebuilt"),
+        CACHED + ("memo_after_prune", "rebuilt"),
     ),
 }
 
@@ -1007,7 +1047,17 @@ FETCH_RUNS = {
 def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
     base, overrides, exercised = FETCH_RUNS[name]
     seen = dict.fromkeys(
-        ("objects", "shared", "memo_hits", "memo_after_prune", "shared_otid", "rebuilt"), 0
+        (
+            "objects",
+            "shared",
+            "split",
+            "cacheless",
+            "memo_hits",
+            "memo_after_prune",
+            "shared_otid",
+            "rebuilt",
+        ),
+        0,
     )
     serve_fetch, prune_tick, from_durable = (
         DataCenter._serve_fetch,
@@ -1032,6 +1082,7 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
         session = dc.sessions.get(msg.scout)
         admit_dc = session.last_announced if session else msg.snapshot.dc_part
         admit_at = CausalClock(admit_dc, msg.snapshot.local_part)
+        caches = session is None or session.caches
         memo = {o: dc.store[o].served for o in msg.objects if o in dc.store}
         tap = SendTap(env)
         serve_fetch(dc, tap, msg)
@@ -1046,16 +1097,24 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
         for obj, snap_wire, admit_wire in reply.versions:
             # the two-call path that the memo and the one-pass walk replaced
             snap = state_to_wire(dc.materialize(obj, msg.snapshot, msg.scout))
-            admit = state_to_wire(dc.materialize(obj, admit_at, msg.scout))
             snap_key = covered_entries(dc, obj, msg.snapshot, msg.scout)
-            same = snap_key == covered_entries(dc, obj, admit_at, msg.scout)
             assert snap_wire == snap
-            assert admit_wire == (None if same else admit)
-            got_snap, got_admit = dc.fetch_states(obj, msg.snapshot, admit_at, msg.scout)
-            assert (got_snap, got_admit) == (snap_wire, admit_wire)
+            if caches:
+                admit = state_to_wire(dc.materialize(obj, admit_at, msg.scout))
+                same = snap_key == covered_entries(dc, obj, admit_at, msg.scout)
+                assert admit_wire == (None if same else admit)
+                got = dc.fetch_states(obj, msg.snapshot, admit_at, msg.scout)
+                seen["shared"] += same
+                seen["split"] += not same
+            else:
+                # a session without a cache admits nothing and follows nothing
+                assert admit_wire is None
+                assert obj not in session.subscriptions
+                got = dc.fetch_states(obj, msg.snapshot, None, msg.scout)
+                seen["cacheless"] += 1
+            assert got == (snap_wire, admit_wire)
             hit = memo.get(obj) is not None and memo[obj][0] == snap_key
             seen["objects"] += 1
-            seen["shared"] += same
             seen["memo_hits"] += hit
             seen["memo_after_prune"] += hit and dc in pruned
             seen["rebuilt"] += dc in rebuilt
@@ -1067,7 +1126,7 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
     monkeypatch.setattr(DataCenter, "from_durable", classmethod(counted_rebuild))
     scenario = load_scenario(base) if isinstance(base, str) else base
     run_scenario(scenario, seed=1, overrides=overrides)
-    assert seen["objects"] > seen["shared"] > 0, seen
+    assert seen["objects"] == seen["shared"] + seen["split"] + seen["cacheless"], seen
     for what in exercised:
         assert seen[what] > 0, (what, seen)
 
@@ -1243,3 +1302,83 @@ def test_a_crash_rebuilds_the_replica_that_crashed(name, monkeypatch):
     run_scenario(scenario, seed=1, overrides={"prune_ms": 200, "mutations": mutations})
     assert crashed == expected
     assert seen["pruned"] and bool(seen["unlogged_marks"]) == marks, seen
+
+
+# -- what a scout without a cache is sent, and idle sessions -------------------
+
+
+def tap_sends(monkeypatch):
+    """Keep every message the simulator is asked to send, with its ends."""
+    sent = []
+    send = sim.Simulation.send
+
+    def tapped(simulation, src, dst, msg):
+        sent.append((src, dst, msg))
+        send(simulation, src, dst, msg)
+
+    monkeypatch.setattr(sim.Simulation, "send", tapped)
+    return sent
+
+
+def test_scouts_without_a_cache_are_sent_no_state_they_drop(monkeypatch):
+    sent = tap_sends(monkeypatch)
+    sessions = set()
+    notify_tick = DataCenter.notify_tick
+
+    def checked_tick(dc, env):
+        for session in dc.sessions.values():
+            assert not session.caches and session.subscriptions == set()
+        sessions.update(dc.sessions)
+        notify_tick(dc, env)
+
+    monkeypatch.setattr(DataCenter, "notify_tick", checked_tick)
+    result = run_scenario(load_scenario("staleness-stress"), seed=1, overrides={"num_scouts": 24})
+    assert run_checks(result.trace)["ok"]
+    assert len(sessions) == 24
+    notify = [m for _, _, m in sent if isinstance(m, NotifyBatch)]
+    replies = [m for _, _, m in sent if type(m).__name__ == "FetchReply" and m.status == "ok"]
+    assert notify and replies
+    assert all(batch.items == [] for batch in notify)
+    assert all(admit is None for reply in replies for _, _, admit in reply.versions)
+
+
+def reference_notify_tick(dc, env):
+    """`DataCenter.notify_tick` as it was before idle sessions were skipped:
+    every session goes through `_notify_session`."""
+    target = dc.announceable_frontier()
+    deltas = {}
+    for session in list(dc.sessions.values()):
+        base = session.last_announced
+        if not base.leq(target) and not dc.disable_k_gating:
+            continue
+        if base not in deltas:
+            deltas[base] = dc._notify_delta(base, target)
+        dc._notify_session(env, session, target, *deltas[base])
+
+
+def notify_stream(monkeypatch, scenario, tick):
+    """The notify batches of one run as (src, dst, wire form), in send order,
+    its number of `_notify_session` calls, and its trace."""
+    calls = []
+    notify_session = DataCenter._notify_session
+    with monkeypatch.context() as m:
+        sent = tap_sends(m)
+        m.setattr(DataCenter, "notify_tick", tick)
+        m.setattr(
+            DataCenter,
+            "_notify_session",
+            lambda dc, *a: calls.append(1) or notify_session(dc, *a),
+        )
+        result = run_scenario(scenario, seed=1)
+    batches = [(s, d, message_to_wire(b)) for s, d, b in sent if isinstance(b, NotifyBatch)]
+    return batches, len(calls), result.trace_bytes()
+
+
+@pytest.mark.parametrize("name", ["social-90-10", "churn-pin"])
+def test_skipping_idle_sessions_sends_the_same_notify_stream(name, monkeypatch):
+    scenario = CHURN if name == "churn-pin" else load_scenario(name)
+    batches, calls, trace = notify_stream(monkeypatch, scenario, DataCenter.notify_tick)
+    ref_batches, ref_calls, ref_trace = notify_stream(monkeypatch, scenario, reference_notify_tick)
+    assert batches and batches == ref_batches
+    assert trace == ref_trace
+    assert calls < ref_calls

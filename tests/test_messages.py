@@ -54,6 +54,7 @@ def _record():
 
 MESSAGES = {
     "session_req": SessionRequest("s1", 2, VersionVector((4, 0, 2)), [CTR, SET]),
+    "session_req_cacheless": SessionRequest("s1", 2, VersionVector((4, 0, 2)), [], False),
     "session_rep": SessionReply("s1", 2, 2, True, VersionVector((4, 1, 2))),
     "commit_req": CommitRequest("s1", OTID, DEPS, _effects()),
     "commit_rep": CommitReply(OTID, "new", Gtid(5, 0)),
@@ -99,6 +100,13 @@ def test_every_message_kind_is_covered():
 def test_json_round_trip(name):
     msg = MESSAGES[name]
     assert message_from_wire(json.loads(json.dumps(message_to_wire(msg))), {}) == msg
+
+
+def test_only_a_cacheless_session_request_carries_the_cache_flag():
+    caching = message_to_wire(MESSAGES["session_req"])
+    assert set(caching) == {"m", "scout", "epoch", "dc_part", "cached"}
+    cacheless = message_to_wire(MESSAGES["session_req_cacheless"])
+    assert set(cacheless) - set(caching) == {"caches"} and cacheless["caches"] is False
 
 
 def test_shared_admit_state_is_null_on_the_wire():
