@@ -6,6 +6,10 @@ the report digests preserves every verdict, violation string, staleness and
 latency figure of the checker. A digest may change only with a behaviour
 change that ``CHANGES.md`` names.
 
+The wire digests pin the bytes of every message the simulator encodes, in
+send order and with their key order, so a change to the message codec that
+keeps them keeps the wire format.
+
 To print the current digests: ``PYTHONPATH=src python tests/test_pins.py``.
 """
 
@@ -16,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from causalsim import sim
 from causalsim.checker import run_checks
 from causalsim.scenarios import PRESETS, load_scenario, run_scenario
 
@@ -129,6 +134,20 @@ PINS = {
 }
 
 
+# name -> (scenario, sim overrides), run at seed 1
+WIRE_RUNS = {
+    "churn-faults": (CHURN, {}),
+    "social-90-10@6": ("social-90-10", {"num_scouts": 6}),
+}
+
+# name -> sha256 over the compact JSON of each message `Simulation.send`
+# encodes, one line per message
+WIRE_PINS = {
+    "churn-faults": "60f6808b684a84d5382d3da18dd07351163b9f19f6c95974dd46a5d489ebebad",
+    "social-90-10@6": "47e6e6fa13403b38f1cc6aeebefce22bf1fb1859bbc65eaa348e635888376954",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -159,7 +178,34 @@ def test_trace_and_report_digests_are_pinned(name):
     assert (trace_sha, report_sha) == PINS[name]
 
 
+def wire_digest(name: str) -> str:
+    """Run ``name`` of ``WIRE_RUNS`` and digest every message it sends."""
+    base, overrides = WIRE_RUNS[name]
+    digest = hashlib.sha256()
+    encode = sim.message_to_wire
+
+    def recorded(msg):
+        wire = encode(msg)
+        digest.update(json.dumps(wire, separators=(",", ":")).encode() + b"\n")
+        return wire
+
+    scenario = load_scenario(base) if isinstance(base, str) else base
+    sim.message_to_wire = recorded
+    try:
+        run_scenario(scenario, seed=1, overrides=overrides)
+    finally:
+        sim.message_to_wire = encode
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_RUNS))
+def test_message_bytes_are_pinned(name):
+    assert wire_digest(name) == WIRE_PINS[name]
+
+
 if __name__ == "__main__":
     for name in sorted(RUNS):
         trace_sha, report_sha, _ = digests(name)
         print(f'    "{name}": (\n        "{trace_sha}",\n        "{report_sha}",\n    ),')
+    for name in sorted(WIRE_RUNS):
+        print(f'    "{name}": "{wire_digest(name)}",')
