@@ -7,6 +7,9 @@ locally-committed transactions. Transactions carry two identities: an
 origin id (OTID) assigned by the scout, which is globally unique, and one
 or more global ids (GTID) assigned sequentially by DC sequencers, which
 are compact enough to live in dependency vectors.
+
+Each value type here has one JSON wire form, written and read only by the
+`*_to_wire` / `*_from_wire` pair at the end of this module.
 """
 
 from __future__ import annotations
@@ -139,3 +142,40 @@ class CausalClock:
     def __str__(self) -> str:
         inner = ",".join(str(c) for c in self.dc_part.entries)
         return f"[{inner}|{self.local_part}]"
+
+
+# ---------------------------------------------------------------------------
+# wire forms: the one place that spells out these JSON lists
+# ---------------------------------------------------------------------------
+
+
+def otid_to_wire(o: Otid) -> list:
+    return [o.counter, o.origin]
+
+
+def otid_from_wire(w) -> Otid:
+    return Otid(w[0], w[1])
+
+
+def gtid_to_wire(g: Gtid) -> list:
+    return [g.counter, g.origin]
+
+
+def gtid_from_wire(w) -> Gtid:
+    return Gtid(w[0], w[1])
+
+
+def vector_to_wire(v: VersionVector) -> list:
+    return list(v.entries)
+
+
+def vector_from_wire(w) -> VersionVector:
+    return VersionVector(tuple(w))
+
+
+def clock_to_wire(c: CausalClock) -> list:
+    return [list(c.dc_part.entries), c.local_part]
+
+
+def clock_from_wire(w) -> CausalClock:
+    return CausalClock(VersionVector(tuple(w[0])), w[1])

@@ -60,7 +60,12 @@ class ObjectId:
 _OBJECT_IDS: dict[tuple[str, str], ObjectId] = {}
 
 
+def object_to_wire(obj: ObjectId) -> list:
+    return [obj.key, obj.crdt_type.value]
+
+
 def object_from_wire(key: str, type_value: str) -> ObjectId:
+    """The object id of the wire form `[key, type_value]`."""
     obj = _OBJECT_IDS.get((key, type_value))
     if obj is None:
         # an unknown type value raises here, before anything is cached
@@ -327,7 +332,7 @@ def effect_to_wire(effect: EffectOp) -> dict:
     w = effect.wire
     if w is None:
         w = {
-            "obj": [effect.target.key, effect.target.crdt_type.value],
+            "obj": object_to_wire(effect.target),
             "kind": effect.kind,
             "payload": _payload_to_wire(effect.kind, effect.payload),
             "tag": _tag_to_wire(effect.tag),

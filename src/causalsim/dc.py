@@ -51,7 +51,12 @@ from causalsim.clocks import (
     Otid,
     ScoutId,
     VersionVector,
+    clock_to_wire,
+    gtid_to_wire,
     k_stable_vector,
+    otid_to_wire,
+    vector_from_wire,
+    vector_to_wire,
 )
 from causalsim.crdt import (
     EffectOp,
@@ -60,6 +65,7 @@ from causalsim.crdt import (
     apply_effect,
     new_state,
     object_from_wire,
+    object_to_wire,
     prepare,
     value_of,
     value_to_wire,
@@ -204,15 +210,11 @@ class DataCenter:
             "dc": self.id,
             "records": [record_to_wire(r) for r in self.log],
             "checkpoints": [
-                [
-                    [obj.key, obj.crdt_type.value],
-                    list(so.base.entries),
-                    state_to_wire(so.checkpoint),
-                ]
+                [object_to_wire(obj), vector_to_wire(so.base), state_to_wire(so.checkpoint)]
                 for obj, so in sorted(self.store.items())
             ],
             "max_otid": dict(sorted(self.max_otid.items())),
-            "prune_vector": list(self.prune_vector.entries),
+            "prune_vector": vector_to_wire(self.prune_vector),
             # per origin, the marked slots above the prune frontier; this
             # includes aliases of records already pruned here
             "slots": [
@@ -227,10 +229,10 @@ class DataCenter:
         dc = cls(snapshot["dc"], num_dcs, k, **kw)
         dc.known_vectors = {}  # a peer's vector is known again once it is heard
         dc.max_otid = dict(snapshot["max_otid"])
-        dc.prune_vector = VersionVector(tuple(snapshot["prune_vector"]))
+        dc.prune_vector = vector_from_wire(snapshot["prune_vector"])
         for obj_w, base, cp in snapshot["checkpoints"]:
-            obj = object_from_wire(obj_w[0], obj_w[1])
-            dc.store[obj] = StoredObject(state_from_wire(cp), VersionVector(tuple(base)))
+            obj = object_from_wire(*obj_w)
+            dc.store[obj] = StoredObject(state_from_wire(cp), vector_from_wire(base))
         decoded = {}  # the stream's own decode table: nothing is shared with the run
         for rw in snapshot["records"]:
             record = record_from_wire(rw, decoded)
@@ -335,11 +337,11 @@ class DataCenter:
             {
                 "ev": "apply",
                 "node": f"dc{self.id}",
-                "otid": [record.otid.counter, record.otid.origin],
-                "gtids": [[g.counter, g.origin] for g in record.gtids],
+                "otid": otid_to_wire(record.otid),
+                "gtids": [gtid_to_wire(g) for g in record.gtids],
                 "via": via,
-                "objs": [[o.key, o.crdt_type.value] for o in record.objects()],
-                "deps": [list(record.deps.dc_part.entries), record.deps.local_part],
+                "objs": [object_to_wire(o) for o in record.objects()],
+                "deps": clock_to_wire(record.deps),
                 "effects": [effect_to_wire(e) for e in record.effects] if via == "commit" else None,
             }
         )
@@ -425,7 +427,7 @@ class DataCenter:
                     "ev": "gossip",
                     "node": f"dc{self.id}",
                     "src": msg.src,
-                    "vdc": list(msg.vdc.entries),
+                    "vdc": vector_to_wire(msg.vdc),
                     "records": len(msg.records),
                 }
             )
@@ -535,7 +537,7 @@ class DataCenter:
     def on_fetch_request(self, env, msg: FetchRequest) -> None:
         session = self.sessions.get(msg.scout)
         if session is not None:
-            for obj in msg.unsubscribe:
+            for obj in msg.unsub:
                 session.subscriptions.discard(obj)
         if not self.prune_vector.leq(msg.snapshot.dc_part):
             env.send(f"dc{self.id}", msg.scout, FetchReply(msg.scout, msg.req_id, "pruned"))
@@ -633,7 +635,7 @@ class DataCenter:
             self.sessions[msg.scout] = Session(
                 scout=msg.scout,
                 epoch=msg.epoch,
-                subscriptions=set(msg.cached_objects),
+                subscriptions=set(msg.cached),
                 last_announced=msg.dc_part,
                 caches=msg.caches,
             )
@@ -770,7 +772,7 @@ class DataCenter:
             {
                 "ev": "prune",
                 "node": f"dc{self.id}",
-                "vector": list(pv.entries),
+                "vector": vector_to_wire(pv),
                 "dropped": len(folded),
             }
         )

@@ -5,6 +5,13 @@ each message when it is sent and decodes it on every delivery, so a node
 never holds another node's records, effects or clocks, and anything that
 would not survive real serialization fails loudly in tests.
 
+A message's wire dict is `{"m": kind}` and one key per dataclass field, in
+field order, each encoded by the codec of its annotation (`_CODECS`); a
+`bool` field that defaults to True goes on the wire only when False. An
+annotation with neither a codec nor a plain JSON value raises TypeError at
+import. The JSON form of each value type is spelled out once: OTIDs, GTIDs,
+vectors and clocks in `clocks.py`, object ids, effects and states in `crdt.py`.
+
 Effects and commit records are encoded at most once. Each keeps its wire
 form in a `wire` field: the dict it was decoded from, or its first
 encoding. A record's `gtids` grow when aliases merge, so `record_to_wire`
@@ -21,13 +28,22 @@ README.md, "Wire forms".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from causalsim.clocks import CausalClock, DcId, Gtid, Otid, ScoutId, VersionVector
-from causalsim.crdt import EffectOp, ObjectId, effect_from_wire, effect_to_wire, object_from_wire
+from causalsim.clocks import clock_from_wire, clock_to_wire, gtid_from_wire, gtid_to_wire
+from causalsim.clocks import otid_from_wire, otid_to_wire, vector_from_wire, vector_to_wire
+from causalsim.crdt import EffectOp, ObjectId, effect_from_wire, effect_to_wire
+from causalsim.crdt import object_from_wire, object_to_wire
 
-SCHEMA = "causalsim-wire-1"
+
+# a fetched object, its state at the snapshot in wire form, and its admit
+# state in wire form or None
+FetchedVersion = tuple[ObjectId, dict, Optional[dict]]
+# per externally-originated record newly below a notify frontier:
+# ("effects", [EffectOp...]) or ("invalidate", [ObjectId...])
+NotifyItem = tuple[str, list]
 
 
 @dataclass
@@ -51,11 +67,7 @@ class CommitRecord:
         return self.gtids[0]
 
     def objects(self) -> list[ObjectId]:
-        seen = []
-        for e in self.effects:
-            if e.target not in seen:
-                seen.append(e.target)
-        return seen
+        return list(dict.fromkeys(e.target for e in self.effects))
 
 
 @dataclass
@@ -63,10 +75,9 @@ class SessionRequest:
     scout: ScoutId
     epoch: int
     dc_part: VersionVector
-    cached_objects: list[ObjectId] = field(default_factory=list)
+    cached: list[ObjectId] = field(default_factory=list)
     # whether the scout keeps a cache (capacity > 0). A session without one
-    # is subscribed to nothing and gets no admit states. On the wire only
-    # when False, so a caching scout's request keeps its bytes
+    # is subscribed to nothing and gets no admit states
     caches: bool = True
 
 
@@ -100,7 +111,7 @@ class FetchRequest:
     req_id: int
     objects: list[ObjectId]
     snapshot: CausalClock
-    unsubscribe: list[ObjectId] = field(default_factory=list)
+    unsub: list[ObjectId] = field(default_factory=list)
 
 
 @dataclass
@@ -111,7 +122,7 @@ class FetchReply:
     # per object: state at the requested snapshot, plus the state the cache
     # may admit at `admit_frontier` (aligned with the notify stream), or
     # None when it is the snapshot state
-    versions: list[tuple[ObjectId, dict, Optional[dict]]] = field(default_factory=list)
+    versions: list[FetchedVersion] = field(default_factory=list)
     admit_frontier: Optional[VersionVector] = None
 
 
@@ -147,77 +158,13 @@ class NotifyBatch:
     epoch: int
     prev: VersionVector
     frontier: VersionVector
-    # per externally-originated record newly below the frontier:
-    # ("effects", [EffectOp...]) or ("invalidate", [ObjectId...])
-    items: list[tuple[str, list]] = field(default_factory=list)
+    items: list[NotifyItem] = field(default_factory=list)
     acks: list[tuple[Otid, Gtid]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # codec
 # ---------------------------------------------------------------------------
-
-
-def _vv_w(v: VersionVector) -> list:
-    return list(v.entries)
-
-
-def _vv_r(w) -> VersionVector:
-    return VersionVector(tuple(w))
-
-
-def _clock_w(c: CausalClock) -> list:
-    return [list(c.dc_part.entries), c.local_part]
-
-
-def _clock_r(w) -> CausalClock:
-    return CausalClock(VersionVector(tuple(w[0])), w[1])
-
-
-def _otid_w(o: Otid) -> list:
-    return [o.counter, o.origin]
-
-
-def _otid_r(w) -> Otid:
-    return Otid(w[0], w[1])
-
-
-def _gtid_w(g: Optional[Gtid]):
-    return None if g is None else [g.counter, g.origin]
-
-
-def _gtid_r(w) -> Optional[Gtid]:
-    return None if w is None else Gtid(w[0], w[1])
-
-
-def _obj_w(o: ObjectId) -> list:
-    return [o.key, o.crdt_type.value]
-
-
-def _obj_r(w) -> ObjectId:
-    return object_from_wire(w[0], w[1])
-
-
-def record_to_wire(r: CommitRecord) -> dict:
-    """A new dict whose `gtids` is encoded now; the other fields are the
-    record's memoized wire form, encoded on the first call."""
-    w = r.wire
-    if w is None:
-        w = r.wire = {
-            "otid": _otid_w(r.otid),
-            "deps": _clock_w(r.deps),
-            "effects": [effect_to_wire(e) for e in r.effects],
-            "session": r.origin_session,
-            "results": r.stored_results,
-        }
-    return {
-        "otid": w["otid"],
-        "gtids": [_gtid_w(g) for g in r.gtids],
-        "deps": w["deps"],
-        "effects": w["effects"],
-        "session": w["session"],
-        "results": w["results"],
-    }
 
 
 def decode_once(table: dict, w: dict, decode):
@@ -233,18 +180,40 @@ def decode_once(table: dict, w: dict, decode):
     return hit[1]
 
 
-def _effects_r(ws: list, table: dict) -> list[EffectOp]:
+def _effects_from_wire(ws: list, table: dict) -> list[EffectOp]:
     return [decode_once(table, e, effect_from_wire) for e in ws]
+
+
+def record_to_wire(r: CommitRecord) -> dict:
+    """A new dict whose `gtids` is encoded now; the other fields are the
+    record's memoized wire form, encoded on the first call."""
+    w = r.wire
+    if w is None:
+        w = r.wire = {
+            "otid": otid_to_wire(r.otid),
+            "deps": clock_to_wire(r.deps),
+            "effects": [effect_to_wire(e) for e in r.effects],
+            "session": r.origin_session,
+            "results": r.stored_results,
+        }
+    return {
+        "otid": w["otid"],
+        "gtids": [gtid_to_wire(g) for g in r.gtids],
+        "deps": w["deps"],
+        "effects": w["effects"],
+        "session": w["session"],
+        "results": w["results"],
+    }
 
 
 def record_from_wire(w: dict, table: dict) -> CommitRecord:
     """A fresh record that keeps `w` as its wire form; its effects come
     from `table`."""
     record = CommitRecord(
-        otid=_otid_r(w["otid"]),
-        gtids=[_gtid_r(g) for g in w["gtids"]],
-        deps=_clock_r(w["deps"]),
-        effects=tuple(_effects_r(w["effects"], table)),
+        otid=otid_from_wire(w["otid"]),
+        gtids=[gtid_from_wire(g) for g in w["gtids"]],
+        deps=clock_from_wire(w["deps"]),
+        effects=tuple(_effects_from_wire(w["effects"], table)),
         origin_session=w["session"],
         stored_results=w["results"],
     )
@@ -252,173 +221,112 @@ def record_from_wire(w: dict, table: dict) -> CommitRecord:
     return record
 
 
+_OBJECTS = (
+    lambda objs: [object_to_wire(o) for o in objs],
+    lambda ws, table: [object_from_wire(*o) for o in ws],
+)
+_EFFECTS = (lambda effects: [effect_to_wire(e) for e in effects], _effects_from_wire)
+# a notify item's payload codec, by the item's kind
+_PAYLOADS = {"effects": _EFFECTS, "invalidate": _OBJECTS}
+
+# field annotation -> (encode(value), decode(wire, decode table)). Fetched
+# states stay in wire form: the receiving scout decodes them
+_CODECS = {
+    "VersionVector": (vector_to_wire, lambda w, table: vector_from_wire(w)),
+    "Optional[VersionVector]": (
+        lambda v: None if v is None else vector_to_wire(v),
+        lambda w, table: None if w is None else vector_from_wire(w),
+    ),
+    "Optional[Gtid]": (
+        lambda g: None if g is None else gtid_to_wire(g),
+        lambda w, table: None if w is None else gtid_from_wire(w),
+    ),
+    "CausalClock": (clock_to_wire, lambda w, table: clock_from_wire(w)),
+    "Otid": (otid_to_wire, lambda w, table: otid_from_wire(w)),
+    "list[ObjectId]": _OBJECTS,
+    "tuple[EffectOp, ...]": (_EFFECTS[0], lambda ws, table: tuple(_effects_from_wire(ws, table))),
+    "list[CommitRecord]": (
+        lambda records: [record_to_wire(r) for r in records],
+        lambda ws, table: [record_from_wire(r, table) for r in ws],
+    ),
+    "list[FetchedVersion]": (
+        lambda versions: [[object_to_wire(o), snap, admit] for o, snap, admit in versions],
+        lambda ws, table: [(object_from_wire(*o), snap, admit) for o, snap, admit in ws],
+    ),
+    "list[NotifyItem]": (
+        lambda items: [[kind, _PAYLOADS[kind][0](p)] for kind, p in items],
+        lambda ws, table: [(kind, _PAYLOADS[kind][1](p, table)) for kind, p in ws],
+    ),
+    "list[tuple[Otid, Gtid]]": (
+        lambda acks: [[otid_to_wire(o), gtid_to_wire(g)] for o, g in acks],
+        lambda ws, table: [(otid_from_wire(o), gtid_from_wire(g)) for o, g in ws],
+    ),
+}
+# annotations whose values are JSON already and travel as they are
+_PLAIN = {"str", "int", "bool", "Any", "ScoutId", "DcId"}
+
+_KINDS = {
+    SessionRequest: "session_req",
+    SessionReply: "session_rep",
+    CommitRequest: "commit_req",
+    CommitReply: "commit_rep",
+    FetchRequest: "fetch_req",
+    FetchReply: "fetch_rep",
+    StoredTxRequest: "stored_req",
+    StoredTxReply: "stored_rep",
+    GossipBatch: "gossip",
+    NotifyBatch: "notify",
+}
+
+
+def _plan(cls) -> tuple[list, list, list]:
+    """The codec of each field of `cls`, in field order: (the typed fields'
+    encoders, every field's decoder, the flags). A decoder is None for a
+    plain field. A flag is a `bool` that defaults to True; it goes on the
+    wire only when False. Raises TypeError for an annotation with no codec,
+    so a field cannot travel unencoded."""
+    encoders, decoders, flags = [], [], []
+    for f in fields(cls):
+        codec = _CODECS.get(f.type)
+        if codec is not None:
+            encoders.append((f.name, codec[0]))
+        elif f.type not in _PLAIN:
+            raise TypeError(f"{cls.__name__}.{f.name}: no wire codec for {f.type!r}")
+        elif f.type == "bool" and f.default is True:
+            flags.append(f.name)
+        decoders.append((f.name, None if codec is None else codec[1]))
+    return encoders, decoders, flags
+
+
+# class -> (kind, encoders, decoders, flags), built once
+_PLANS = {cls: (kind, *_plan(cls)) for cls, kind in _KINDS.items()}
+_DECODERS = {kind: (cls, decoders, flags) for cls, (kind, _, decoders, flags) in _PLANS.items()}
+
+
 def message_to_wire(msg) -> dict:
-    if isinstance(msg, SessionRequest):
-        w = {
-            "m": "session_req",
-            "scout": msg.scout,
-            "epoch": msg.epoch,
-            "dc_part": _vv_w(msg.dc_part),
-            "cached": [_obj_w(o) for o in msg.cached_objects],
-        }
-        if not msg.caches:
-            w["caches"] = False
-        return w
-    if isinstance(msg, SessionReply):
-        return {
-            "m": "session_rep",
-            "scout": msg.scout,
-            "dc": msg.dc,
-            "epoch": msg.epoch,
-            "accepted": msg.accepted,
-            "frontier": _vv_w(msg.frontier),
-        }
-    if isinstance(msg, CommitRequest):
-        return {
-            "m": "commit_req",
-            "scout": msg.scout,
-            "otid": _otid_w(msg.otid),
-            "deps": _clock_w(msg.deps),
-            "effects": [effect_to_wire(e) for e in msg.effects],
-        }
-    if isinstance(msg, CommitReply):
-        return {
-            "m": "commit_rep",
-            "otid": _otid_w(msg.otid),
-            "status": msg.status,
-            "gtid": _gtid_w(msg.gtid),
-        }
-    if isinstance(msg, FetchRequest):
-        return {
-            "m": "fetch_req",
-            "scout": msg.scout,
-            "req_id": msg.req_id,
-            "objects": [_obj_w(o) for o in msg.objects],
-            "snapshot": _clock_w(msg.snapshot),
-            "unsub": [_obj_w(o) for o in msg.unsubscribe],
-        }
-    if isinstance(msg, FetchReply):
-        return {
-            "m": "fetch_rep",
-            "scout": msg.scout,
-            "req_id": msg.req_id,
-            "status": msg.status,
-            "versions": [[_obj_w(o), snap, admit] for o, snap, admit in msg.versions],
-            "admit_frontier": None if msg.admit_frontier is None else _vv_w(msg.admit_frontier),
-        }
-    if isinstance(msg, StoredTxRequest):
-        return {
-            "m": "stored_req",
-            "scout": msg.scout,
-            "name": msg.name,
-            "params": msg.params,
-            "otid": _otid_w(msg.otid),
-            "deps": _clock_w(msg.deps),
-        }
-    if isinstance(msg, StoredTxReply):
-        return {
-            "m": "stored_rep",
-            "otid": _otid_w(msg.otid),
-            "status": msg.status,
-            "gtid": _gtid_w(msg.gtid),
-            "results": msg.results,
-            "objects": [_obj_w(o) for o in msg.objects],
-        }
-    if isinstance(msg, GossipBatch):
-        return {
-            "m": "gossip",
-            "src": msg.src,
-            "records": [record_to_wire(r) for r in msg.records],
-            "vdc": _vv_w(msg.vdc),
-        }
-    if isinstance(msg, NotifyBatch):
-        return {
-            "m": "notify",
-            "dc": msg.dc,
-            "epoch": msg.epoch,
-            "prev": _vv_w(msg.prev),
-            "frontier": _vv_w(msg.frontier),
-            "items": [
-                [kind, [effect_to_wire(e) for e in payload]]
-                if kind == "effects"
-                else [kind, [_obj_w(o) for o in payload]]
-                for kind, payload in msg.items
-            ],
-            "acks": [[_otid_w(o), _gtid_w(g)] for o, g in msg.acks],
-        }
-    raise TypeError(f"not a wire message: {msg!r}")
+    """`{"m": kind}` and then one key per field, in field order; a flag
+    only when it is False."""
+    plan = _PLANS.get(type(msg))
+    if plan is None:
+        raise TypeError(f"not a wire message: {msg!r}")
+    kind, encoders, _, flags = plan
+    w = {"m": kind}
+    w.update(vars(msg))
+    for name, encode in encoders:
+        w[name] = encode(w[name])
+    for name in flags:
+        if w[name]:
+            del w[name]
+    return w
 
 
 def message_from_wire(w: dict, table: dict):
     """A fresh message; its effects come from the decode table `table`
     (`decode_once`). Fetch replies keep their states in wire form."""
-    m = w["m"]
-    if m == "session_req":
-        return SessionRequest(
-            w["scout"],
-            w["epoch"],
-            _vv_r(w["dc_part"]),
-            [_obj_r(o) for o in w["cached"]],
-            w.get("caches", True),
-        )
-    if m == "session_rep":
-        return SessionReply(
-            w["scout"], w["dc"], w["epoch"], w["accepted"], _vv_r(w["frontier"])
-        )
-    if m == "commit_req":
-        return CommitRequest(
-            w["scout"],
-            _otid_r(w["otid"]),
-            _clock_r(w["deps"]),
-            tuple(_effects_r(w["effects"], table)),
-        )
-    if m == "commit_rep":
-        return CommitReply(_otid_r(w["otid"]), w["status"], _gtid_r(w["gtid"]))
-    if m == "fetch_req":
-        return FetchRequest(
-            w["scout"],
-            w["req_id"],
-            [_obj_r(o) for o in w["objects"]],
-            _clock_r(w["snapshot"]),
-            [_obj_r(o) for o in w["unsub"]],
-        )
-    if m == "fetch_rep":
-        return FetchReply(
-            w["scout"],
-            w["req_id"],
-            w["status"],
-            [(_obj_r(o), snap, admit) for o, snap, admit in w["versions"]],
-            None if w["admit_frontier"] is None else _vv_r(w["admit_frontier"]),
-        )
-    if m == "stored_req":
-        return StoredTxRequest(
-            w["scout"], w["name"], w["params"], _otid_r(w["otid"]), _clock_r(w["deps"])
-        )
-    if m == "stored_rep":
-        return StoredTxReply(
-            _otid_r(w["otid"]),
-            w["status"],
-            _gtid_r(w["gtid"]),
-            w["results"],
-            [_obj_r(o) for o in w["objects"]],
-        )
-    if m == "gossip":
-        return GossipBatch(
-            w["src"], [record_from_wire(r, table) for r in w["records"]], _vv_r(w["vdc"])
-        )
-    if m == "notify":
-        items = []
-        for kind, payload in w["items"]:
-            if kind == "effects":
-                items.append((kind, _effects_r(payload, table)))
-            else:
-                items.append((kind, [_obj_r(o) for o in payload]))
-        return NotifyBatch(
-            w["dc"],
-            w["epoch"],
-            _vv_r(w["prev"]),
-            _vv_r(w["frontier"]),
-            items,
-            [(_otid_r(o), _gtid_r(g)) for o, g in w["acks"]],
-        )
-    raise TypeError(f"unknown message kind {m!r}")
+    plan = _DECODERS.get(w["m"])
+    if plan is None:
+        raise TypeError(f"unknown message kind {w['m']!r}")
+    cls, decoders, flags = plan
+    if flags:
+        w = dict.fromkeys(flags, True) | w
+    return cls(*[w[name] if dec is None else dec(w[name], table) for name, dec in decoders])

@@ -20,12 +20,14 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from causalsim.clocks import CausalClock, DcId, Gtid, Otid, ScoutId, VersionVector
+from causalsim.clocks import clock_to_wire, gtid_to_wire, otid_to_wire, vector_to_wire
 from causalsim.crdt import (
     EffectOp,
     EffectTag,
     ObjectId,
     apply_effect,
     effect_to_wire,
+    object_to_wire,
     prepare,
     state_from_wire,
     value_of,
@@ -174,8 +176,8 @@ class Scout:
             {
                 "ev": "tx_begin",
                 "node": self.id,
-                "otid": [tx.otid.counter, tx.otid.origin],
-                "snap": [list(tx.snapshot.dc_part.entries), tx.snapshot.local_part],
+                "otid": otid_to_wire(tx.otid),
+                "snap": clock_to_wire(tx.snapshot),
             }
         )
         return tx
@@ -245,10 +247,10 @@ class Scout:
             {
                 "ev": "read",
                 "node": self.id,
-                "otid": [tx.otid.counter, tx.otid.origin],
-                "obj": [obj.key, obj.crdt_type.value],
+                "otid": otid_to_wire(tx.otid),
+                "obj": object_to_wire(obj),
                 "value": value_to_wire(tx.working[obj]),
-                "ver": [list(tx.snapshot.dc_part.entries), tx.snapshot.local_part],
+                "ver": clock_to_wire(tx.snapshot),
                 "src": src,
                 "dc": self.session,
             }
@@ -268,8 +270,8 @@ class Scout:
             {
                 "ev": "update",
                 "node": self.id,
-                "otid": [tx.otid.counter, tx.otid.origin],
-                "obj": [obj.key, obj.crdt_type.value],
+                "otid": otid_to_wire(tx.otid),
+                "obj": object_to_wire(obj),
                 "effect": effect_to_wire(effect),
             }
         )
@@ -289,18 +291,14 @@ class Scout:
             record = CommitRecord(tx.otid, [], tx.snapshot, tuple(tx.effects), self.id)
             self.pending.append(PendingCommit(record))
             self.durability[tx.otid.counter] = "local"
-        touched = []
-        for e in tx.effects:
-            pair = [e.target.key, e.target.crdt_type.value]
-            if pair not in touched:
-                touched.append(pair)
+        touched = dict.fromkeys(e.target for e in tx.effects)
         env.trace(
             {
                 "ev": "local_commit",
                 "node": self.id,
-                "otid": [tx.otid.counter, tx.otid.origin],
-                "deps": [list(tx.snapshot.dc_part.entries), tx.snapshot.local_part],
-                "objs": touched,
+                "otid": otid_to_wire(tx.otid),
+                "deps": clock_to_wire(tx.snapshot),
+                "objs": [object_to_wire(o) for o in touched],
                 "read_only": read_only,
                 "rts": tx.round_trips,
                 "dur": env.now() - tx.begin_time,
@@ -319,7 +317,7 @@ class Scout:
             {
                 "ev": "tx_abort",
                 "node": self.id,
-                "otid": [tx.otid.counter, tx.otid.origin],
+                "otid": otid_to_wire(tx.otid),
                 "rts": tx.round_trips,
             }
         )
@@ -360,9 +358,9 @@ class Scout:
             {
                 "ev": "commit_reply",
                 "node": self.id,
-                "otid": [reply.otid.counter, reply.otid.origin],
+                "otid": otid_to_wire(reply.otid),
                 "status": reply.status,
-                "gtid": None if reply.gtid is None else [reply.gtid.counter, reply.gtid.origin],
+                "gtid": None if reply.gtid is None else gtid_to_wire(reply.gtid),
             }
         )
         if pc is None:
@@ -516,8 +514,8 @@ class Scout:
                 "ev": "notify",
                 "node": self.id,
                 "dc": batch.dc,
-                "frontier": list(batch.frontier.entries),
-                "acks": [[o.counter, o.origin] for o, _ in batch.acks],
+                "frontier": vector_to_wire(batch.frontier),
+                "acks": [otid_to_wire(o) for o, _ in batch.acks],
             }
         )
 
@@ -619,10 +617,10 @@ class Scout:
             {
                 "ev": "stored_tx",
                 "node": self.id,
-                "otid": [reply.otid.counter, reply.otid.origin],
+                "otid": otid_to_wire(reply.otid),
                 "name": call.name,
                 "status": reply.status,
-                "gtid": None if reply.gtid is None else [reply.gtid.counter, reply.gtid.origin],
+                "gtid": None if reply.gtid is None else gtid_to_wire(reply.gtid),
                 "results": reply.results,
             }
         )

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from causalsim.clocks import clock_to_wire, vector_to_wire
 from causalsim.crdt import ObjectId
 from causalsim.dc import DataCenter, ack_wait_ticks
 from causalsim.gcpause import gc_paused
@@ -540,7 +541,7 @@ class Simulation:
             if dc.id in self.crashed:
                 continue
             dcs_out[f"dc{dc.id}"] = {
-                "vdc": list(dc.vdc.entries),
+                "vdc": vector_to_wire(dc.vdc),
                 "values": {
                     f"{obj.key}#{obj.crdt_type.value}": value
                     for obj, value in dc.object_values().items()
@@ -548,7 +549,7 @@ class Simulation:
             }
         scouts_out = {
             sid: {
-                "clock": [list(s.clock.dc_part.entries), s.clock.local_part],
+                "clock": clock_to_wire(s.clock),
                 "pending": len(s.pending),
                 "connected": s.connected,
             }

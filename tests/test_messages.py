@@ -1,7 +1,9 @@
 import json
+from dataclasses import dataclass, fields
 
 import pytest
 
+from causalsim import messages
 from causalsim.clocks import CausalClock, Gtid, Otid, VersionVector
 from causalsim.crdt import (
     AwSetState,
@@ -100,6 +102,41 @@ def test_every_message_kind_is_covered():
 def test_json_round_trip(name):
     msg = MESSAGES[name]
     assert message_from_wire(json.loads(json.dumps(message_to_wire(msg))), {}) == msg
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGES))
+def test_wire_keys_are_the_kind_then_the_fields_in_order(name):
+    msg = MESSAGES[name]
+    # a bool field that defaults to True, such as `caches`, only when False
+    expected = [f.name for f in fields(msg) if f.default is not True or not getattr(msg, f.name)]
+    assert list(message_to_wire(msg)) == ["m", *expected]
+
+
+def test_a_field_without_a_codec_fails_when_its_plan_is_built():
+    @dataclass
+    class Probe:
+        scout: "ScoutId"
+        at: "VersionVector"
+        flag: "bool" = True
+
+    encoders, decoders, flags = messages._plan(Probe)
+    assert [name for name, _ in encoders] == ["at"] and flags == ["flag"]
+    assert [name for name, _ in decoders] == ["scout", "at", "flag"]
+
+    @dataclass
+    class Unknown:
+        scout: "ScoutId"
+        weight: "float"
+
+    with pytest.raises(TypeError, match="Unknown.weight"):
+        messages._plan(Unknown)
+
+
+def test_what_is_not_a_message_is_refused():
+    with pytest.raises(TypeError):
+        message_to_wire(object())
+    with pytest.raises(TypeError):
+        message_from_wire({"m": "nope"}, {})
 
 
 def test_only_a_cacheless_session_request_carries_the_cache_flag():
