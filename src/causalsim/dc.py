@@ -605,10 +605,13 @@ class DataCenter:
 
     def _serve_fetch(self, env, msg: FetchRequest) -> None:
         session = self.sessions.get(msg.scout)
-        admit_frontier = session.last_announced if session else msg.snapshot.dc_part
-        # a scout without a cache admits nothing: no admit state, no subscription
+        # a scout without a cache admits nothing: no admit frontier, no admit
+        # state, no subscription
         caches = session is None or session.caches
-        admit_clock = CausalClock(admit_frontier, msg.snapshot.local_part) if caches else None
+        admit_frontier = admit_clock = None
+        if caches:
+            admit_frontier = session.last_announced if session else msg.snapshot.dc_part
+            admit_clock = CausalClock(admit_frontier, msg.snapshot.local_part)
         try:
             versions = [
                 (obj, *self.fetch_states(obj, msg.snapshot, admit_clock, msg.scout))

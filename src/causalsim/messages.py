@@ -121,7 +121,8 @@ class FetchReply:
     status: str  # "ok" | "pruned"
     # per object: state at the requested snapshot, plus the state the cache
     # may admit at `admit_frontier` (aligned with the notify stream), or
-    # None when it is the snapshot state
+    # None when it is the snapshot state. A session without a cache is sent
+    # no frontier, and None for every admit state
     versions: list[FetchedVersion] = field(default_factory=list)
     admit_frontier: Optional[VersionVector] = None
 

@@ -578,6 +578,8 @@ class Scout:
             if tx is not None and tx.status == "active":
                 tx.working[obj] = snap
                 tx.fetched.add(obj)
+            if reply.admit_frontier is None:
+                continue  # sent to a session without a cache: nothing to admit
             admit_clock = CausalClock(reply.admit_frontier, self.clock.local_part)
             self._stash_protect(obj)
             admit = snap if admit_wire is None else decode_once(table, admit_wire, state_from_wire)

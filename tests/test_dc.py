@@ -1100,6 +1100,7 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
             snap_key = covered_entries(dc, obj, msg.snapshot, msg.scout)
             assert snap_wire == snap
             if caches:
+                assert reply.admit_frontier == admit_dc
                 admit = state_to_wire(dc.materialize(obj, admit_at, msg.scout))
                 same = snap_key == covered_entries(dc, obj, admit_at, msg.scout)
                 assert admit_wire == (None if same else admit)
@@ -1108,6 +1109,7 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
                 seen["split"] += not same
             else:
                 # a session without a cache admits nothing and follows nothing
+                assert reply.admit_frontier is None
                 assert admit_wire is None
                 assert obj not in session.subscriptions
                 got = dc.fetch_states(obj, msg.snapshot, None, msg.scout)

@@ -75,6 +75,9 @@ MESSAGES = {
         ],
         VersionVector((3, 0, 2)),
     ),
+    "fetch_rep_cacheless": FetchReply(
+        "s1", 9, "ok", [(CTR, state_to_wire(CounterState(4)), None)]
+    ),
     "fetch_rep_pruned": FetchReply("s1", 9, "pruned"),
     "stored_req": StoredTxRequest("s1", "wall", {"obj": "ctr"}, OTID, DEPS),
     "stored_rep": StoredTxReply(OTID, "new", Gtid(5, 0), [4, None], [CTR]),

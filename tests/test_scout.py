@@ -197,6 +197,14 @@ class TestFetchReply:
         assert s.read(sim, tx, CTR) == 3
         assert s.cache[CTR].state == CounterState(1)
 
+    def test_a_reply_without_a_frontier_is_read_and_not_cached(self):
+        # what a DC sends a session without a cache
+        sim, s, tx = self._fetching()
+        versions = [(CTR, state_to_wire(CounterState(3)), None)]
+        s.on_fetch_reply(sim, FetchReply("s0", s.fetch.req_id, "ok", versions))
+        assert s.read(sim, tx, CTR) == 3
+        assert CTR not in s.cache and s.fetch is None
+
     @pytest.mark.parametrize("guards", [True, False])
     def test_an_entry_admitted_ahead_of_the_clock_waits_for_it(self, guards):
         sim, s, tx = self._fetching()
