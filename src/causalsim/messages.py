@@ -29,6 +29,7 @@ README.md, "Wire forms".
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import starmap
 from typing import Any, Optional
 
 from causalsim.clocks import CausalClock, DcId, Gtid, Otid, ScoutId, VersionVector
@@ -223,10 +224,10 @@ def record_from_wire(w: dict, table: dict) -> CommitRecord:
 
 
 _OBJECTS = (
-    lambda objs: [object_to_wire(o) for o in objs],
-    lambda ws, table: [object_from_wire(*o) for o in ws],
+    lambda objs: list(map(object_to_wire, objs)),
+    lambda ws, table: list(starmap(object_from_wire, ws)),
 )
-_EFFECTS = (lambda effects: [effect_to_wire(e) for e in effects], _effects_from_wire)
+_EFFECTS = (lambda effects: list(map(effect_to_wire, effects)), _effects_from_wire)
 # a notify item's payload codec, by the item's kind
 _PAYLOADS = {"effects": _EFFECTS, "invalidate": _OBJECTS}
 
@@ -247,7 +248,7 @@ _CODECS = {
     "list[ObjectId]": _OBJECTS,
     "tuple[EffectOp, ...]": (_EFFECTS[0], lambda ws, table: tuple(_effects_from_wire(ws, table))),
     "list[CommitRecord]": (
-        lambda records: [record_to_wire(r) for r in records],
+        lambda records: list(map(record_to_wire, records)),
         lambda ws, table: [record_from_wire(r, table) for r in ws],
     ),
     "list[FetchedVersion]": (
@@ -281,27 +282,28 @@ _KINDS = {
 
 
 def _plan(cls) -> tuple[list, list, list]:
-    """The codec of each field of `cls`, in field order: (the typed fields'
-    encoders, every field's decoder, the flags). A decoder is None for a
-    plain field. A flag is a `bool` that defaults to True; it goes on the
-    wire only when False. Raises TypeError for an annotation with no codec,
-    so a field cannot travel unencoded."""
+    """(encoders, decoders, flags) for the fields of `cls`, in field order.
+    Each encoder and decoder is a `(field name, function)` pair for a field
+    that has a codec; plain fields travel as they are. A flag is a `bool`
+    that defaults to True; it goes on the wire only when False. Raises
+    TypeError for an annotation with no codec, so a field cannot travel
+    unencoded."""
     encoders, decoders, flags = [], [], []
     for f in fields(cls):
         codec = _CODECS.get(f.type)
         if codec is not None:
             encoders.append((f.name, codec[0]))
+            decoders.append((f.name, codec[1]))
         elif f.type not in _PLAIN:
             raise TypeError(f"{cls.__name__}.{f.name}: no wire codec for {f.type!r}")
         elif f.type == "bool" and f.default is True:
             flags.append(f.name)
-        decoders.append((f.name, None if codec is None else codec[1]))
     return encoders, decoders, flags
 
 
 # class -> (kind, encoders, decoders, flags), built once
 _PLANS = {cls: (kind, *_plan(cls)) for cls, kind in _KINDS.items()}
-_DECODERS = {kind: (cls, decoders, flags) for cls, (kind, _, decoders, flags) in _PLANS.items()}
+_DECODERS = {kind: (cls, decoders) for cls, (kind, _, decoders, _) in _PLANS.items()}
 
 
 def message_to_wire(msg) -> dict:
@@ -327,7 +329,9 @@ def message_from_wire(w: dict, table: dict):
     plan = _DECODERS.get(w["m"])
     if plan is None:
         raise TypeError(f"unknown message kind {w['m']!r}")
-    cls, decoders, flags = plan
-    if flags:
-        w = dict.fromkeys(flags, True) | w
-    return cls(*[w[name] if dec is None else dec(w[name], table) for name, dec in decoders])
+    cls, decoders = plan
+    kw = w.copy()
+    del kw["m"]
+    for name, decode in decoders:
+        kw[name] = decode(kw[name], table)
+    return cls(**kw)  # a flag not on the wire takes its default

@@ -123,8 +123,8 @@ def test_a_field_without_a_codec_fails_when_its_plan_is_built():
         flag: "bool" = True
 
     encoders, decoders, flags = messages._plan(Probe)
-    assert [name for name, _ in encoders] == ["at"] and flags == ["flag"]
-    assert [name for name, _ in decoders] == ["scout", "at", "flag"]
+    assert [name for name, _ in encoders] == [name for name, _ in decoders] == ["at"]
+    assert flags == ["flag"]
 
     @dataclass
     class Unknown:
