@@ -121,9 +121,8 @@ class FetchReply:
     req_id: int
     status: str  # "ok" | "pruned"
     # per object: state at the requested snapshot, plus the state the cache
-    # may admit at `admit_frontier` (aligned with the notify stream), or
-    # None when it is the snapshot state. A session without a cache is sent
-    # no frontier, and None for every admit state
+    # may admit at `admit_frontier` (aligned with the notify stream), or None
+    # when it is the snapshot state; a session without a cache gets neither
     versions: list[FetchedVersion] = field(default_factory=list)
     admit_frontier: Optional[VersionVector] = None
 
@@ -282,12 +281,10 @@ _KINDS = {
 
 
 def _plan(cls) -> tuple[list, list, list]:
-    """(encoders, decoders, flags) for the fields of `cls`, in field order.
-    Each encoder and decoder is a `(field name, function)` pair for a field
-    that has a codec; plain fields travel as they are. A flag is a `bool`
-    that defaults to True; it goes on the wire only when False. Raises
-    TypeError for an annotation with no codec, so a field cannot travel
-    unencoded."""
+    """(encoders, decoders, flags) of `cls`, in field order: `(name, function)`
+    pairs for the fields with a codec, and the names of the flags, `bool`
+    fields that default to True and go on the wire only when False. Raises
+    TypeError for an annotation with neither a codec nor a plain JSON value."""
     encoders, decoders, flags = [], [], []
     for f in fields(cls):
         codec = _CODECS.get(f.type)
@@ -313,8 +310,7 @@ def message_to_wire(msg) -> dict:
     if plan is None:
         raise TypeError(f"not a wire message: {msg!r}")
     kind, encoders, _, flags = plan
-    w = {"m": kind}
-    w.update(vars(msg))
+    w = {"m": kind, **vars(msg)}
     for name, encode in encoders:
         w[name] = encode(w[name])
     for name in flags:
@@ -326,12 +322,11 @@ def message_to_wire(msg) -> dict:
 def message_from_wire(w: dict, table: dict):
     """A fresh message; its effects come from the decode table `table`
     (`decode_once`). Fetch replies keep their states in wire form."""
-    plan = _DECODERS.get(w["m"])
+    kw = w.copy()
+    plan = _DECODERS.get(kw.pop("m"))
     if plan is None:
         raise TypeError(f"unknown message kind {w['m']!r}")
     cls, decoders = plan
-    kw = w.copy()
-    del kw["m"]
     for name, decode in decoders:
         kw[name] = decode(kw[name], table)
     return cls(**kw)  # a flag not on the wire takes its default

@@ -92,6 +92,14 @@ class TxHandle:
     seq: int = 0
     round_trips: int = 0
     fetched: set[ObjectId] = field(default_factory=set)
+    # the wire forms of `otid` and `snapshot`, built once and shared by the
+    # transaction's trace events, which never mutate them
+    otid_wire: list = field(init=False, repr=False)
+    snap_wire: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.otid_wire = otid_to_wire(self.otid)
+        self.snap_wire = clock_to_wire(self.snapshot)
 
 
 @dataclass
@@ -176,8 +184,8 @@ class Scout:
             {
                 "ev": "tx_begin",
                 "node": self.id,
-                "otid": otid_to_wire(tx.otid),
-                "snap": clock_to_wire(tx.snapshot),
+                "otid": tx.otid_wire,
+                "snap": tx.snap_wire,
             }
         )
         return tx
@@ -247,10 +255,10 @@ class Scout:
             {
                 "ev": "read",
                 "node": self.id,
-                "otid": otid_to_wire(tx.otid),
+                "otid": tx.otid_wire,
                 "obj": object_to_wire(obj),
                 "value": value_to_wire(tx.working[obj]),
-                "ver": clock_to_wire(tx.snapshot),
+                "ver": tx.snap_wire,
                 "src": src,
                 "dc": self.session,
             }
@@ -270,7 +278,7 @@ class Scout:
             {
                 "ev": "update",
                 "node": self.id,
-                "otid": otid_to_wire(tx.otid),
+                "otid": tx.otid_wire,
                 "obj": object_to_wire(obj),
                 "effect": effect_to_wire(effect),
             }
@@ -296,8 +304,8 @@ class Scout:
             {
                 "ev": "local_commit",
                 "node": self.id,
-                "otid": otid_to_wire(tx.otid),
-                "deps": clock_to_wire(tx.snapshot),
+                "otid": tx.otid_wire,
+                "deps": tx.snap_wire,
                 "objs": [object_to_wire(o) for o in touched],
                 "read_only": read_only,
                 "rts": tx.round_trips,
@@ -317,7 +325,7 @@ class Scout:
             {
                 "ev": "tx_abort",
                 "node": self.id,
-                "otid": otid_to_wire(tx.otid),
+                "otid": tx.otid_wire,
                 "rts": tx.round_trips,
             }
         )
