@@ -39,8 +39,6 @@ from causalsim.crdt import EffectOp, ObjectId, effect_from_wire, effect_to_wire
 from causalsim.crdt import object_from_wire, object_to_wire
 
 
-# a fetched object, its state at the snapshot in wire form, and its admit
-# state in wire form or None
 FetchedVersion = tuple[ObjectId, dict, Optional[dict]]
 # per externally-originated record newly below a notify frontier:
 # ("effects", [EffectOp...]) or ("invalidate", [ObjectId...])
@@ -68,7 +66,11 @@ class CommitRecord:
         return self.gtids[0]
 
     def objects(self) -> list[ObjectId]:
-        return list(dict.fromkeys(e.target for e in self.effects))
+        seen = []
+        for e in self.effects:
+            if e.target not in seen:
+                seen.append(e.target)
+        return seen
 
 
 @dataclass
@@ -230,8 +232,7 @@ _EFFECTS = (lambda effects: list(map(effect_to_wire, effects)), _effects_from_wi
 # a notify item's payload codec, by the item's kind
 _PAYLOADS = {"effects": _EFFECTS, "invalidate": _OBJECTS}
 
-# field annotation -> (encode(value), decode(wire, decode table)). Fetched
-# states stay in wire form: the receiving scout decodes them
+# field annotation -> (encode(value), decode(wire, decode table))
 _CODECS = {
     "VersionVector": (vector_to_wire, lambda w, table: vector_from_wire(w)),
     "Optional[VersionVector]": (

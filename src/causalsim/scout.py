@@ -299,14 +299,18 @@ class Scout:
             record = CommitRecord(tx.otid, [], tx.snapshot, tuple(tx.effects), self.id)
             self.pending.append(PendingCommit(record))
             self.durability[tx.otid.counter] = "local"
-        touched = dict.fromkeys(e.target for e in tx.effects)
+        touched = []
+        for e in tx.effects:
+            pair = object_to_wire(e.target)
+            if pair not in touched:
+                touched.append(pair)
         env.trace(
             {
                 "ev": "local_commit",
                 "node": self.id,
                 "otid": tx.otid_wire,
                 "deps": tx.snap_wire,
-                "objs": [object_to_wire(o) for o in touched],
+                "objs": touched,
                 "read_only": read_only,
                 "rts": tx.round_trips,
                 "dur": env.now() - tx.begin_time,
