@@ -8,6 +8,12 @@ origin id (OTID) assigned by the scout, which is globally unique, and one
 or more global ids (GTID) assigned sequentially by DC sequencers, which
 are compact enough to live in dependency vectors.
 
+`Otid` and `Gtid` are named tuples, as are `crdt.ObjectId` and
+`crdt.EffectTag`: the simulator builds and hashes them on every message.
+A named tuple's hash is the hash of its field tuple, which is what the
+frozen dataclasses they replaced computed, so set and dict iteration
+order, and with it every trace, is unchanged; so are their order and repr.
+
 Each value type here has one JSON wire form, written and read only by the
 `*_to_wire` / `*_from_wire` pair at the end of this module.
 """
@@ -15,23 +21,29 @@ Each value type here has one JSON wire form, written and read only by the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import le
+from typing import NamedTuple, Sequence
 
 DcId = int
 ScoutId = str
 
 
-@dataclass(frozen=True, order=True)
-class Otid:
-    """Client-assigned transaction identifier, unique per run."""
+class Otid(NamedTuple):
+    """Client-assigned transaction identifier, unique per run.
+
+    Hash and order are those of the field tuple. Like any tuple it equals
+    a plain tuple of the same fields, but never a `Gtid` (whose origin is
+    an int) or a `crdt.EffectTag` (three fields)."""
 
     counter: int
     origin: ScoutId
 
 
-@dataclass(frozen=True, order=True)
-class Gtid:
-    """DC-assigned transaction identifier; counters are gapless per DC."""
+class Gtid(NamedTuple):
+    """DC-assigned transaction identifier; counters are gapless per DC.
+
+    Hash and order are those of the field tuple. Like any tuple it equals
+    a plain tuple of the same fields, but never an `Otid`."""
 
     counter: int
     origin: DcId
@@ -39,6 +51,10 @@ class Gtid:
 
 class DomainError(ValueError):
     """Vector operands with mismatched DC domains, or an unknown DC index."""
+
+
+def _domains_differ(a: tuple, b: tuple) -> DomainError:
+    return DomainError(f"vector domains differ: {len(a)} vs {len(b)}")
 
 
 @dataclass(frozen=True)
@@ -53,26 +69,30 @@ class VersionVector:
 
     def _check_domain(self, other: "VersionVector") -> None:
         if len(self.entries) != len(other.entries):
-            raise DomainError(
-                f"vector domains differ: {len(self.entries)} vs {len(other.entries)}"
-            )
+            raise _domains_differ(self.entries, other.entries)
 
     def leq(self, other: "VersionVector") -> bool:
         """Partial order: true iff every entry of self <= the other's."""
-        self._check_domain(other)
-        return all(a <= b for a, b in zip(self.entries, other.entries))
+        a, b = self.entries, other.entries
+        if len(a) != len(b):
+            raise _domains_differ(a, b)
+        return all(map(le, a, b))
 
     __le__ = leq
 
     def join(self, other: "VersionVector") -> "VersionVector":
         """Least upper bound: component-wise maximum."""
-        self._check_domain(other)
-        return VersionVector(tuple(max(a, b) for a, b in zip(self.entries, other.entries)))
+        a, b = self.entries, other.entries
+        if len(a) != len(b):
+            raise _domains_differ(a, b)
+        return VersionVector(tuple(map(max, a, b)))
 
     def meet(self, other: "VersionVector") -> "VersionVector":
         """Component-wise minimum (used for the prune frontier)."""
-        self._check_domain(other)
-        return VersionVector(tuple(min(a, b) for a, b in zip(self.entries, other.entries)))
+        a, b = self.entries, other.entries
+        if len(a) != len(b):
+            raise _domains_differ(a, b)
+        return VersionVector(tuple(map(min, a, b)))
 
     def covers(self, gtid: Gtid) -> bool:
         """True iff the transaction with this GTID is in the summarised set."""

@@ -45,10 +45,15 @@ class _TypeByValue(dict):
 _TYPE_BY_VALUE = _TypeByValue((t.value, t) for t in CrdtType)
 
 
-@dataclass(frozen=True, order=True)
-class ObjectId:
+class ObjectId(NamedTuple):
     """Lookup key with the type embedded: same key, different type means
-    a different object."""
+    a different object.
+
+    A named tuple, so building and hashing one costs what a tuple does.
+    Hash and order are those of the field tuple, as for the frozen
+    dataclass it replaced, so the traces keep their order. Like any tuple
+    it equals a plain tuple of the same fields, but never an `Otid` or a
+    `Gtid` (whose first field is an int)."""
 
     key: str
     crdt_type: CrdtType

@@ -1,4 +1,5 @@
 import functools
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from causalsim.clocks import (
     VersionVector,
     k_stable_vector,
 )
+from causalsim.crdt import EffectTag
 
 
 def vv(*entries):
@@ -94,6 +96,36 @@ class TestJoin:
             assert j.leq(u)
 
 
+class TestMeet:
+    def test_componentwise_min(self):
+        assert vv(2, 0, 5).meet(vv(1, 3, 5)) == vv(1, 0, 5)
+
+    @given(pairs)
+    def test_meet_is_a_lower_bound_and_absorbs(self, vs):
+        a, b, _ = vs
+        m = a.meet(b)
+        assert m.leq(a) and m.leq(b) and a.meet(b) == b.meet(a)
+        assert m.join(a) == a
+
+
+class TestDomains:
+    @pytest.mark.parametrize("op", ["leq", "join", "meet"])
+    def test_mismatched_domains_raise_either_way(self, op):
+        short, long = vv(1, 2), vv(1, 2, 3)
+        with pytest.raises(DomainError, match="2 vs 3"):
+            getattr(short, op)(long)
+        with pytest.raises(DomainError, match="3 vs 2"):
+            getattr(long, op)(short)
+
+    def test_an_empty_vector_is_a_domain_of_its_own(self):
+        empty = VersionVector.zero(0)
+        assert empty.leq(empty) and empty.join(empty) == empty == empty.meet(empty)
+        with pytest.raises(DomainError):
+            empty.join(vv(0))
+        with pytest.raises(DomainError):
+            vv(0).meet(empty)
+
+
 class TestCovers:
     def test_running_example(self):
         # the second commit at DC0 is summarised by [2,0]
@@ -174,3 +206,55 @@ class TestCausalClock:
     def test_identifier_ordering(self):
         assert Otid(1, "c") < Otid(2, "c")
         assert Gtid(1, 0) < Gtid(2, 0)
+
+
+# the frozen dataclasses `Otid` and `Gtid` were before they became named
+# tuples: hash, order and repr must not change, or the traces would
+OldOtid = make_dataclass("Otid", [("counter", int), ("origin", str)], frozen=True, order=True)
+OldGtid = make_dataclass("Gtid", [("counter", int), ("origin", int)], frozen=True, order=True)
+IDS = [
+    (Otid, OldOtid, [(2, "s1"), (1, "s10"), (1, "s2"), (10, "s0"), (1, "s1"), (0, "")]),
+    (Gtid, OldGtid, [(2, 0), (1, 2), (1, 0), (10, 1), (3, 1), (0, 0)]),
+]
+
+
+class TestIdentifiers:
+    @pytest.mark.parametrize("new, old, fields", IDS)
+    def test_hash_is_the_field_tuples_and_the_dataclasses(self, new, old, fields):
+        for f in fields:
+            assert hash(new(*f)) == hash(f) == hash(old(*f))
+            assert hash(tuple(new(*f))) == hash(new(*f))
+
+    @pytest.mark.parametrize("new, old, fields", IDS)
+    def test_sorted_order_and_repr_are_the_dataclasses(self, new, old, fields):
+        assert [tuple(x) for x in sorted(new(*f) for f in fields)] == [
+            (x.counter, x.origin) for x in sorted(old(*f) for f in fields)
+        ]
+        for f in fields:
+            assert repr(new(*f)) == repr(old(*f)) == str(new(*f))
+
+    @pytest.mark.parametrize("new, old, fields", IDS)
+    def test_set_iteration_order_is_the_dataclasses(self, new, old, fields):
+        # equal hashes and insertion order give equal iteration order
+        assert [tuple(x) for x in {new(*f) for f in fields}] == [
+            (x.counter, x.origin) for x in {old(*f) for f in fields}
+        ]
+
+    def test_fields_cannot_be_assigned(self):
+        otid = Otid(1, "s0")
+        with pytest.raises(AttributeError):
+            otid.counter = 2
+        with pytest.raises(AttributeError):
+            otid.note = "x"
+
+    def test_an_otid_never_equals_a_gtid_or_an_effect_tag(self):
+        otids = [Otid(c, f"s{o}") for c in range(3) for o in range(3)]
+        others = [Gtid(c, o) for c in range(3) for o in range(3)]
+        others += [EffectTag(o.counter, o.origin, s) for o in otids for s in range(2)]
+        for otid in otids:
+            assert all(otid != x and x != otid for x in others)
+        assert not set(otids) & set(others)
+        assert len(set(otids) | set(others)) == len(otids) + len(others)
+
+    def test_equal_to_a_plain_tuple_of_its_fields(self):
+        assert Otid(1, "s0") == (1, "s0") and Gtid(1, 0) == (1, 0)

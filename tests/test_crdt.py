@@ -1,11 +1,12 @@
 import itertools
 import json
 import random
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalsim.clocks import Otid
+from causalsim.clocks import Gtid, Otid
 from causalsim.crdt import (
     CrdtType,
     EffectTag,
@@ -330,3 +331,50 @@ class TestEffectTag:
         assert [type(d) for d in effect.deps] == [EffectTag]
         with pytest.raises(TypeError):
             state_from_wire({"t": "mv", "candidates": [[[4, "s2"], 1]], "overwritten": []})
+
+
+# the frozen dataclass `ObjectId` was before it became a named tuple: hash,
+# order and repr must not change, or the traces would
+OldObjectId = make_dataclass(
+    "ObjectId", [("key", str), ("crdt_type", CrdtType)], frozen=True, order=True
+)
+OBJECT_FIELDS = [
+    ("user:B", CrdtType.CMAP), ("user:A", CrdtType.CMAP), ("ctr:10", CrdtType.COUNTER),
+    ("ctr:9", CrdtType.COUNTER), ("ctr:9", CrdtType.AW_SET), ("r", CrdtType.LWW_REGISTER),
+    ("r", CrdtType.MV_REGISTER), ("", CrdtType.COUNTER),
+]
+
+
+class TestObjectId:
+    def test_hash_is_the_field_tuples_and_the_dataclasses(self):
+        for f in OBJECT_FIELDS:
+            obj = ObjectId(*f)
+            assert hash(obj) == hash(tuple(obj)) == hash(f) == hash(OldObjectId(*f))
+
+    def test_sorted_order_and_repr_are_the_dataclasses(self):
+        assert [tuple(o) for o in sorted(ObjectId(*f) for f in OBJECT_FIELDS)] == [
+            (o.key, o.crdt_type) for o in sorted(OldObjectId(*f) for f in OBJECT_FIELDS)
+        ]
+        for f in OBJECT_FIELDS:
+            assert repr(ObjectId(*f)) == repr(OldObjectId(*f))
+        assert repr(COUNTER) == "ObjectId(key='n', crdt_type=<CrdtType.COUNTER: 'counter'>)"
+
+    def test_set_iteration_order_is_the_dataclasses(self):
+        assert [tuple(o) for o in {ObjectId(*f) for f in OBJECT_FIELDS}] == [
+            (o.key, o.crdt_type) for o in {OldObjectId(*f) for f in OBJECT_FIELDS}
+        ]
+
+    def test_same_key_other_type_is_another_object(self):
+        assert ObjectId("k", CrdtType.COUNTER) != ObjectId("k", CrdtType.AW_SET)
+        assert len({ObjectId(*f) for f in OBJECT_FIELDS}) == len(OBJECT_FIELDS)
+
+    def test_never_equals_a_transaction_id(self):
+        objs = [ObjectId(*f) for f in OBJECT_FIELDS]
+        ids = [Otid(1, "ctr:9"), Otid(0, ""), Gtid(1, 0), tag(1, "user:A")]
+        assert all(o != i and i != o for o in objs for i in ids)
+        assert not set(objs) & set(ids)
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            COUNTER.key = "m"
+        assert COUNTER == ObjectId("n", CrdtType.COUNTER) == ("n", CrdtType.COUNTER)
