@@ -4,8 +4,10 @@ Nodes are actors driven by a single priority queue of timed events; a
 (config, seed) pair fully determines the trace, byte for byte. The
 network model delivers messages over per-pair FIFO links with configured
 one-way delays (half the round-trip time) and optional seeded jitter.
-Messages are dropped while a link is partitioned, an endpoint is crashed,
-or a scout is disconnected; nothing is ever reordered within a link.
+The RTT config is fixed for a run, so each link's delay is computed once,
+when the simulation is built (`Simulation.delays`). Messages are dropped
+while a link is partitioned, an endpoint is crashed, or a scout is
+disconnected; nothing is ever reordered within a link.
 
 Faults are scheduled or scripted: DC crash, DC recovery, link partitions,
 scout disconnection, and a targeted crash armed to fire right after a
@@ -263,6 +265,15 @@ class Simulation:
             f"dc{i}": ("dc", i) for i in range(config.num_dcs)
         }
         self.addrs.update((sid, ("s", idx)) for idx, sid in enumerate(self.scouts))
+        # (src, dst) -> one-way delay in ms, for every link that carries
+        # messages; the RTT config does not change during a run
+        self.delays: dict[tuple[str, str], int] = {}
+        for i in range(config.num_dcs):
+            for j in range(config.num_dcs):
+                self.delays[f"dc{i}", f"dc{j}"] = max(config.dc_rtt(i, j) // 2, 0)
+            for idx, sid in enumerate(self.scouts):
+                delay = max(config.scout_rtt(idx, i) // 2, 0)
+                self.delays[sid, f"dc{i}"] = self.delays[f"dc{i}", sid] = delay
         self._reorder_armed = "reorder_session" in mut
         self.meta: dict = {}
         # the run's decode table (`messages.decode_once`): every receiver of
@@ -309,13 +320,14 @@ class Simulation:
         if self._blocked(src, dst):
             self.stats["dropped"] += 1
             return
-        delay = self._one_way(src, dst) + (
-            self.rng.randint(0, self.config.jitter_ms) if self.config.jitter_ms else 0
-        )
-        at = self.time + delay
-        last = self._fifo.get((src, dst), 0)
-        at = max(at, last)
-        self._fifo[(src, dst)] = at
+        link = (src, dst)
+        at = self.time + self.delays[link]
+        if self.config.jitter_ms:
+            at += self.rng.randint(0, self.config.jitter_ms)
+        last = self._fifo.get(link, 0)
+        if at < last:
+            at = last
+        self._fifo[link] = at
         if (
             self._reorder_armed
             and kind == "notify"
@@ -336,15 +348,9 @@ class Simulation:
 
     # -- network model ---------------------------------------------------------
 
-    def _one_way(self, src: str, dst: str) -> int:
-        (ka, ia), (kb, ib) = self.addrs[src], self.addrs[dst]
-        if ka == "dc" and kb == "dc":
-            return max(self.config.dc_rtt(ia, ib) // 2, 0)
-        if ka == "s":
-            return max(self.config.scout_rtt(ia, ib) // 2, 0)
-        return max(self.config.scout_rtt(ib, ia) // 2, 0)
-
     def _blocked(self, a: str, b: str) -> bool:
+        if not (self.partitions or self.crashed or self.disconnected):
+            return False
         if frozenset((a, b)) in self.partitions:
             return True
         for n in (a, b):
@@ -432,14 +438,19 @@ class Simulation:
         scripts_done_at: Optional[int] = None
         fault_horizon = max((f.at for f in self.config.faults), default=-1)
         synced = False
+        # drivers not yet seen done, popped from the end as they finish
+        running = list(self.drivers.values())
         while self.heap:
             at, _, kind, payload = heapq.heappop(self.heap)
             if at > self.config.horizon_ms:
                 break
             self.time = at
             self._handle(kind, payload)
-            if scripts_done_at is None and all(d.done for d in self.drivers.values()):
-                scripts_done_at = self.time
+            if scripts_done_at is None:
+                while running and running[-1].done:
+                    running.pop()
+                if not running:
+                    scripts_done_at = self.time
             if scripts_done_at is not None and self.time > fault_horizon:
                 # in-flight heartbeats cannot unsync an already-synced state,
                 # so the stop check ignores them

@@ -1,8 +1,10 @@
 import gc
 from pathlib import Path
 
+from causalsim.clocks import VersionVector
 from causalsim.crdt import CrdtType, ObjectId
 from causalsim.checker import run_checks
+from causalsim.messages import SessionRequest
 from causalsim.scenarios import PRESETS, load_scenario, run_scenario
 from causalsim.sim import FaultEvent, SimConfig, Simulation
 
@@ -82,6 +84,112 @@ class TestLatencyModel:
         scripts = {"s0": [inc_tx() for _ in range(8)], "s1": [read_tx() for _ in range(8)]}
         res = Simulation(cfg, scripts=scripts).run()
         assert run_checks(res.trace)["ok"]
+
+
+def three_dc_cfg(**kw):
+    # asymmetric and odd round trips, so each direction and the halving show
+    base = dict(
+        num_dcs=3,
+        num_scouts=5,
+        rtt_dc_ms=[[0, 61, 140], [80, 0, 33], [151, 40, 0]],
+        scout_rtt_ms=[[21, 90, 150], [75, 11, 47], [160, 55, 3]],
+    )
+    base.update(kw)
+    return small_cfg(**base)
+
+
+def session_request(sid):
+    return SessionRequest(sid, 1, VersionVector.zero(3))
+
+
+def sent(sim, n):
+    """The last `n` events scheduled, oldest first."""
+    return sorted(sim.heap, key=lambda e: e[1])[-n:]
+
+
+class TestLinkModel:
+    def test_every_link_delay_is_half_its_configured_round_trip(self):
+        cfg = three_dc_cfg()
+        sim = Simulation(cfg)
+        expected = {}
+        for a in range(3):
+            for b in range(3):
+                expected[f"dc{a}", f"dc{b}"] = cfg.dc_rtt(a, b) // 2
+            for idx in range(cfg.num_scouts):
+                one_way = cfg.scout_rtt(idx, a) // 2
+                expected[f"s{idx}", f"dc{a}"] = expected[f"dc{a}", f"s{idx}"] = one_way
+        assert sim.delays == expected
+        assert sim.delays["dc0", "dc1"] == 30 and sim.delays["dc1", "dc0"] == 40
+        # profiles are cycled: scout 4 has scout 1's
+        assert sim.delays["s4", "dc2"] == sim.delays["dc2", "s4"] == 23
+
+    def test_default_round_trips(self):
+        sim = Simulation(three_dc_cfg(rtt_dc_ms=None, scout_rtt_ms=None))
+        assert {d for (a, b), d in sim.delays.items() if a == b} == {0}
+        assert {d for (a, b), d in sim.delays.items() if a != b and "s" not in a + b} == {50}
+        assert {d for (a, b), d in sim.delays.items() if "s" in a + b} == {15}
+
+    def test_a_send_is_scheduled_one_link_delay_later(self):
+        sim = Simulation(three_dc_cfg())
+        sim.time = 7
+        for sid in ("s0", "s2", "s4"):
+            for dc in ("dc0", "dc1", "dc2"):
+                sim.send(sid, dc, session_request(sid))
+                ((at, _, kind, (src, dst, _)),) = sent(sim, 1)
+                assert (at, kind, src, dst) == (7 + sim.delays[sid, dc], "deliver", sid, dc)
+
+    def test_fifo_holds_a_message_behind_a_slower_one_on_its_link(self):
+        sim = Simulation(three_dc_cfg())
+        sim.send("s0", "dc2", session_request("s0"))  # due at 75
+        sim.time = 70
+        sim.send("s0", "dc2", session_request("s0"))  # due at 145
+        sim.time = 71
+        sim.send("s0", "dc0", session_request("s0"))
+        assert [e[0] for e in sent(sim, 3)] == [75, 145, 81]
+        sim.delays["s0", "dc2"] = 5  # as if the link became faster
+        sim.send("s0", "dc2", session_request("s0"))
+        assert sent(sim, 1)[0][0] == 145
+
+    def test_nothing_is_blocked_without_a_fault(self):
+        sim = Simulation(three_dc_cfg())
+        assert not any(sim._blocked(a, b) for a, b in sim.delays)
+
+    @pytest.mark.parametrize(
+        "fault, undo, cut",
+        [
+            (
+                FaultEvent(at=0, kind="partition", links=[["dc0", "dc2"]]),
+                FaultEvent(at=0, kind="heal", links=[["dc0", "dc2"]]),
+                {("dc0", "dc2"), ("dc2", "dc0")},
+            ),
+            (
+                FaultEvent(at=0, kind="dc_crash", dc=1),
+                FaultEvent(at=0, kind="dc_recover", dc=1),
+                {(a, b) for a in ["dc1"] for b in ["dc0", "dc1", "dc2", "s0", "s1", "s2", "s3", "s4"]},
+            ),
+            (
+                FaultEvent(at=0, kind="scout_disconnect", scout="s3"),
+                FaultEvent(at=0, kind="scout_reconnect", scout="s3"),
+                {("s3", "dc0"), ("s3", "dc1"), ("s3", "dc2")},
+            ),
+        ],
+        ids=["partition", "dc_crash", "scout_disconnect"],
+    )
+    def test_a_fault_blocks_its_links_until_undone(self, fault, undo, cut):
+        sim = Simulation(three_dc_cfg())
+        cut |= {(b, a) for a, b in cut}
+        sim._apply_fault(fault)
+        assert {link for link in sim.delays if sim._blocked(*link)} == cut & set(sim.delays)
+        sim._apply_fault(undo)
+        assert not any(sim._blocked(a, b) for a, b in sim.delays)
+        assert not (sim.partitions or sim.crashed or sim.disconnected)
+
+    def test_a_blocked_send_is_dropped(self):
+        sim = Simulation(three_dc_cfg())
+        sim._apply_fault(FaultEvent(at=0, kind="partition", links=[["s1", "dc0"]]))
+        queued = len(sim.heap)
+        sim.send("dc0", "s1", session_request("s1"))
+        assert len(sim.heap) == queued and sim.stats["dropped"] == 1
 
 
 class TestFaults:
