@@ -6,11 +6,14 @@ never holds another node's records, effects or clocks, and anything that
 would not survive real serialization fails loudly in tests.
 
 A message's wire dict is `{"m": kind}` and one key per dataclass field, in
-field order, each encoded by the codec of its annotation (`_CODECS`); a
-`bool` field that defaults to True goes on the wire only when False. An
-annotation with neither a codec nor a plain JSON value raises TypeError at
-import. The JSON form of each value type is spelled out once: OTIDs, GTIDs,
-vectors and clocks in `clocks.py`, object ids, effects and states in `crdt.py`.
+field order, each encoded by the codec of its annotation (`_CODECS`, or
+`_TABLE_CODECS` for values that hold effects); a `bool` field that
+defaults to True (a flag) goes on the wire only when False, and flags come
+last. A message is decoded by calling its class with its field values in
+order. An annotation with neither a codec nor a plain JSON value, or a
+field after a flag, raises TypeError at import. The JSON form of each
+value type is spelled out once: OTIDs, GTIDs, vectors and clocks in
+`clocks.py`, object ids, effects and states in `crdt.py`.
 
 Effects and commit records are encoded at most once. Each keeps its wire
 form in a `wire` field: the dict it was decoded from, or its first
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from itertools import starmap
+from operator import itemgetter
 from typing import Any, Optional
 
 from causalsim.clocks import CausalClock, DcId, Gtid, Otid, ScoutId, VersionVector
@@ -226,42 +230,46 @@ def record_from_wire(w: dict, table: dict) -> CommitRecord:
 
 _OBJECTS = (
     lambda objs: list(map(object_to_wire, objs)),
-    lambda ws, table: list(starmap(object_from_wire, ws)),
+    lambda ws: list(starmap(object_from_wire, ws)),
 )
 _EFFECTS = (lambda effects: list(map(effect_to_wire, effects)), _effects_from_wire)
-# a notify item's payload codec, by the item's kind
-_PAYLOADS = {"effects": _EFFECTS, "invalidate": _OBJECTS}
+# a notify item's payload (encode, decode(wire, decode table)), by its kind
+_PAYLOADS = {"effects": _EFFECTS, "invalidate": (_OBJECTS[0], lambda ws, table: _OBJECTS[1](ws))}
 
-# field annotation -> (encode(value), decode(wire, decode table))
+# field annotation -> (encode(value), decode(wire))
 _CODECS = {
-    "VersionVector": (vector_to_wire, lambda w, table: vector_from_wire(w)),
+    "VersionVector": (vector_to_wire, vector_from_wire),
     "Optional[VersionVector]": (
         lambda v: None if v is None else vector_to_wire(v),
-        lambda w, table: None if w is None else vector_from_wire(w),
+        lambda w: None if w is None else vector_from_wire(w),
     ),
     "Optional[Gtid]": (
         lambda g: None if g is None else gtid_to_wire(g),
-        lambda w, table: None if w is None else gtid_from_wire(w),
+        lambda w: None if w is None else gtid_from_wire(w),
     ),
-    "CausalClock": (clock_to_wire, lambda w, table: clock_from_wire(w)),
-    "Otid": (otid_to_wire, lambda w, table: otid_from_wire(w)),
+    "CausalClock": (clock_to_wire, clock_from_wire),
+    "Otid": (otid_to_wire, otid_from_wire),
     "list[ObjectId]": _OBJECTS,
+    "list[FetchedVersion]": (
+        lambda versions: [[object_to_wire(o), snap, admit] for o, snap, admit in versions],
+        lambda ws: [(object_from_wire(*o), snap, admit) for o, snap, admit in ws],
+    ),
+    "list[tuple[Otid, Gtid]]": (
+        lambda acks: [[otid_to_wire(o), gtid_to_wire(g)] for o, g in acks],
+        lambda ws: [(otid_from_wire(o), gtid_from_wire(g)) for o, g in ws],
+    ),
+}
+# field annotation -> (encode(value), decode(wire, decode table)): the
+# values that hold effects, which are decoded through the table
+_TABLE_CODECS = {
     "tuple[EffectOp, ...]": (_EFFECTS[0], lambda ws, table: tuple(_effects_from_wire(ws, table))),
     "list[CommitRecord]": (
         lambda records: list(map(record_to_wire, records)),
         lambda ws, table: [record_from_wire(r, table) for r in ws],
     ),
-    "list[FetchedVersion]": (
-        lambda versions: [[object_to_wire(o), snap, admit] for o, snap, admit in versions],
-        lambda ws, table: [(object_from_wire(*o), snap, admit) for o, snap, admit in ws],
-    ),
     "list[NotifyItem]": (
         lambda items: [[kind, _PAYLOADS[kind][0](p)] for kind, p in items],
         lambda ws, table: [(kind, _PAYLOADS[kind][1](p, table)) for kind, p in ws],
-    ),
-    "list[tuple[Otid, Gtid]]": (
-        lambda acks: [[otid_to_wire(o), gtid_to_wire(g)] for o, g in acks],
-        lambda ws, table: [(otid_from_wire(o), gtid_from_wire(g)) for o, g in ws],
     ),
 }
 # annotations whose values are JSON already and travel as they are
@@ -281,27 +289,42 @@ _KINDS = {
 }
 
 
-def _plan(cls) -> tuple[list, list, list]:
-    """(encoders, decoders, flags) of `cls`, in field order: `(name, function)`
-    pairs for the fields with a codec, and the names of the flags, `bool`
-    fields that default to True and go on the wire only when False. Raises
-    TypeError for an annotation with neither a codec nor a plain JSON value."""
-    encoders, decoders, flags = [], [], []
+def _plan(cls) -> tuple:
+    """(encoders, get, decoders, table decoders, flags) of `cls`.
+
+    Encoders are `(name, encode)` pairs for the fields with a codec, in
+    field order. `get` takes the wire values of every field but the flags
+    out of a wire dict, as a tuple in field order; decoders are
+    `(position in it, decode)` pairs, and a table decoder also takes the
+    decode table. Flags are the `bool` fields that default to True, which
+    go on the wire only when False; they must be the last fields. Raises
+    TypeError for an annotation with neither a codec nor a plain JSON
+    value, or for a field after a flag."""
+    encoders, names, decoders, table_decoders, flags = [], [], [], [], []
     for f in fields(cls):
-        codec = _CODECS.get(f.type)
-        if codec is not None:
-            encoders.append((f.name, codec[0]))
-            decoders.append((f.name, codec[1]))
+        if f.type == "bool" and f.default is True:
+            flags.append(f.name)
+            continue
+        if flags:
+            raise TypeError(f"{cls.__name__}.{f.name}: a field after a flag")
+        if f.type in _CODECS:
+            encode, decode = _CODECS[f.type]
+            encoders.append((f.name, encode))
+            decoders.append((len(names), decode))
+        elif f.type in _TABLE_CODECS:
+            encode, decode = _TABLE_CODECS[f.type]
+            encoders.append((f.name, encode))
+            table_decoders.append((len(names), decode))
         elif f.type not in _PLAIN:
             raise TypeError(f"{cls.__name__}.{f.name}: no wire codec for {f.type!r}")
-        elif f.type == "bool" and f.default is True:
-            flags.append(f.name)
-    return encoders, decoders, flags
+        names.append(f.name)
+    get = itemgetter(*names)
+    return encoders, get if len(names) > 1 else lambda w: (get(w),), decoders, table_decoders, flags
 
 
-# class -> (kind, encoders, decoders, flags), built once
+# class -> (kind, *plan) and kind -> (class, *plan), built once
 _PLANS = {cls: (kind, *_plan(cls)) for cls, kind in _KINDS.items()}
-_DECODERS = {kind: (cls, decoders) for cls, (kind, _, decoders, _) in _PLANS.items()}
+_DECODERS = {kind: (cls, *plan) for cls, (kind, *plan) in _PLANS.items()}
 
 
 def message_to_wire(msg) -> dict:
@@ -310,7 +333,7 @@ def message_to_wire(msg) -> dict:
     plan = _PLANS.get(type(msg))
     if plan is None:
         raise TypeError(f"not a wire message: {msg!r}")
-    kind, encoders, _, flags = plan
+    kind, encoders, _, _, _, flags = plan
     w = {"m": kind, **vars(msg)}
     for name, encode in encoders:
         w[name] = encode(w[name])
@@ -323,11 +346,15 @@ def message_to_wire(msg) -> dict:
 def message_from_wire(w: dict, table: dict):
     """A fresh message; its effects come from the decode table `table`
     (`decode_once`). Fetch replies keep their states in wire form."""
-    kw = w.copy()
-    plan = _DECODERS.get(kw.pop("m"))
+    plan = _DECODERS.get(w["m"])
     if plan is None:
         raise TypeError(f"unknown message kind {w['m']!r}")
-    cls, decoders = plan
-    for name, decode in decoders:
-        kw[name] = decode(kw[name], table)
-    return cls(**kw)  # a flag not on the wire takes its default
+    cls, _, get, decoders, table_decoders, flags = plan
+    args = list(get(w))
+    for i, decode in decoders:
+        args[i] = decode(args[i])
+    for i, decode in table_decoders:
+        args[i] = decode(args[i], table)
+    for name in flags:
+        args.append(w.get(name, True))  # a flag is on the wire only when False
+    return cls(*args)

@@ -4,7 +4,7 @@ from dataclasses import dataclass, fields
 import pytest
 
 from causalsim import messages
-from causalsim.clocks import CausalClock, Gtid, Otid, VersionVector
+from causalsim.clocks import CausalClock, Gtid, Otid, VersionVector, vector_from_wire
 from causalsim.crdt import (
     AwSetState,
     CmapState,
@@ -120,11 +120,15 @@ def test_a_field_without_a_codec_fails_when_its_plan_is_built():
     class Probe:
         scout: "ScoutId"
         at: "VersionVector"
+        effects: "tuple[EffectOp, ...]"
         flag: "bool" = True
 
-    encoders, decoders, flags = messages._plan(Probe)
-    assert [name for name, _ in encoders] == [name for name, _ in decoders] == ["at"]
+    encoders, get, decoders, table_decoders, flags = messages._plan(Probe)
+    assert [name for name, _ in encoders] == ["at", "effects"]
+    assert decoders == [(1, vector_from_wire)]
+    assert [i for i, _ in table_decoders] == [2]
     assert flags == ["flag"]
+    assert get({"m": "probe", "effects": [], "scout": "s0", "at": [1]}) == ("s0", [1], [])
 
     @dataclass
     class Unknown:
@@ -133,6 +137,26 @@ def test_a_field_without_a_codec_fails_when_its_plan_is_built():
 
     with pytest.raises(TypeError, match="Unknown.weight"):
         messages._plan(Unknown)
+
+
+def test_a_field_after_a_flag_fails_when_its_plan_is_built():
+    @dataclass
+    class Late:
+        scout: "ScoutId"
+        flag: "bool" = True
+        epoch: "int" = 0
+
+    with pytest.raises(TypeError, match="Late.epoch"):
+        messages._plan(Late)
+
+
+def test_a_one_field_message_gets_its_field_as_a_tuple():
+    @dataclass
+    class Lone:
+        at: "VersionVector"
+
+    _, get, decoders, _, _ = messages._plan(Lone)
+    assert get({"m": "lone", "at": [1, 2]}) == ([1, 2],) and decoders == [(0, vector_from_wire)]
 
 
 def test_what_is_not_a_message_is_refused():
