@@ -10,7 +10,8 @@ of effects exactly once converge regardless of delivery interleaving.
 
 Supported types: add-wins set, multi-value register, last-writer-wins
 register, integer counter, and a map whose entries are nested mergeable
-objects merged recursively under a (name, type) key.
+objects merged recursively under a (name, type) key. Each type is one state
+class that holds its prepare, apply, read and wire code.
 
 Counter increments are deliberately not idempotent: applying the same
 effect twice changes the value. That is what forces the replication layer
@@ -114,33 +115,92 @@ class TypeMismatch(TypeError):
     """Intent or effect applied to a state of the wrong mergeable type."""
 
 
+# a tag's wire form is its field list; `_make` checks the length
+_tag_from_wire = EffectTag._make
+
+
 # ---------------------------------------------------------------------------
-# States. All immutable; apply() returns a fresh state.
+# States: one class per type. All immutable; apply() returns a fresh state.
 # ---------------------------------------------------------------------------
+
+
+class _State:
+    """A mergeable state, with `prepare`, `apply`, `read`, `render`, `to_wire`
+    and `from_wire`. By default the readable value is the `value` field,
+    rendered as it is."""
+
+    def read(self):
+        return self.value
+
+    render = read
 
 
 @dataclass(frozen=True)
-class CounterState:
+class CounterState(_State):
     value: int = 0
 
+    def prepare(self, intent: tuple, tag: EffectTag):
+        if intent[0] != "inc":
+            raise TypeMismatch(f"counter cannot {intent[0]}")
+        return "inc", (int(intent[1]),), ()
+
+    def apply(self, kind: str, payload: tuple, tag: EffectTag, deps: tuple):
+        return CounterState(self.value + payload[0])
+
+    def to_wire(self) -> dict:
+        return {"t": "counter", "value": self.value}
+
+    @staticmethod
+    def from_wire(w: dict):
+        return CounterState(w["value"])
+
 
 @dataclass(frozen=True)
-class LwwState:
+class LwwState(_State):
     value: Any = None
     ts: int = 0
     origin: ScoutId = ""
 
+    def prepare(self, intent: tuple, tag: EffectTag):
+        if intent[0] != "assign":
+            raise TypeMismatch(f"lww register cannot {intent[0]}")
+        # logical timestamp grows past the observed one, so a causally later
+        # assign always wins; ties across scouts break on the origin id
+        return "assign", (intent[1], self.ts + 1, tag.origin), ()
 
-class _Memo:
+    def apply(self, kind: str, payload: tuple, tag: EffectTag, deps: tuple):
+        if payload[1:] > (self.ts, self.origin):
+            return LwwState(*payload)
+        return self
+
+    def to_wire(self) -> dict:
+        return {"t": "lww", "value": self.value, "ts": self.ts, "origin": self.origin}
+
+    @staticmethod
+    def from_wire(w: dict):
+        return LwwState(w["value"], w["ts"], w["origin"])
+
+
+class _Memo(_State):
     """Memo slots for the wire form and the value form of an immutable
     state, each filled on its first render. They are class-level defaults,
     not dataclass fields, so eq, hash, repr, `fields()` and
     `dataclasses.replace` ignore them and construction does not set them.
     The memoized dicts and lists are shared by every holder: never mutate
-    them."""
+    them. A subclass encodes in `_encode` and renders in `_render`."""
 
     _wire = None
     _value = None
+
+    def to_wire(self) -> dict:
+        if self._wire is None:
+            object.__setattr__(self, "_wire", self._encode())
+        return self._wire
+
+    def render(self):
+        if self._value is None:
+            object.__setattr__(self, "_value", self._render())
+        return self._value
 
 
 @dataclass(frozen=True)
@@ -150,6 +210,38 @@ class MvState(_Memo):
     candidates: dict[EffectTag, Any] = field(default_factory=dict)
     overwritten: frozenset[EffectTag] = frozenset()
 
+    def prepare(self, intent: tuple, tag: EffectTag):
+        if intent[0] != "assign":
+            raise TypeMismatch(f"mv register cannot {intent[0]}")
+        return "assign", (intent[1],), tuple(sorted(self.candidates))
+
+    def apply(self, kind: str, payload: tuple, tag: EffectTag, deps: tuple):
+        overwritten = self.overwritten | frozenset(deps)
+        candidates = {t: v for t, v in self.candidates.items() if t not in overwritten}
+        if tag not in overwritten:
+            candidates[tag] = payload[0]
+        return MvState(candidates, overwritten)
+
+    def read(self):
+        return frozenset(self.candidates.values())
+
+    def _render(self):
+        return sorted(self.candidates.values(), key=repr)
+
+    def _encode(self) -> dict:
+        return {
+            "t": "mv",
+            "candidates": [[list(t), v] for t, v in sorted(self.candidates.items())],
+            "overwritten": [list(t) for t in sorted(self.overwritten)],
+        }
+
+    @staticmethod
+    def from_wire(w: dict):
+        return MvState(
+            {_tag_from_wire(tw): v for tw, v in w["candidates"]},
+            frozenset(map(_tag_from_wire, w["overwritten"])),
+        )
+
 
 @dataclass(frozen=True)
 class AwSetState(_Memo):
@@ -157,12 +249,102 @@ class AwSetState(_Memo):
     alive: dict[Any, frozenset[EffectTag]] = field(default_factory=dict)
     tombstones: frozenset[EffectTag] = frozenset()
 
+    def prepare(self, intent: tuple, tag: EffectTag):
+        if intent[0] == "add":
+            return "add", (intent[1],), ()
+        if intent[0] == "remove":
+            observed = self.alive.get(intent[1], frozenset())
+            return "remove", (intent[1],), tuple(sorted(observed))
+        raise TypeMismatch(f"set cannot {intent[0]}")
+
+    def apply(self, kind: str, payload: tuple, tag: EffectTag, deps: tuple):
+        if kind == "add":
+            elem = payload[0]
+            if tag in self.tombstones:
+                return self
+            alive = dict(self.alive)
+            alive[elem] = alive.get(elem, frozenset()) | {tag}
+            return AwSetState(alive, self.tombstones)
+        if kind == "remove":
+            dead = frozenset(deps)
+            tombstones = self.tombstones | dead
+            alive = {}
+            for elem, tags in self.alive.items():
+                remaining = tags - dead
+                if remaining:
+                    alive[elem] = remaining
+            return AwSetState(alive, tombstones)
+        raise TypeMismatch(f"set cannot apply {kind}")
+
+    def read(self):
+        return frozenset(self.alive)
+
+    def _render(self):
+        return sorted(self.alive, key=repr)
+
+    def _encode(self) -> dict:
+        return {
+            "t": "awset",
+            "alive": [
+                [elem, [list(t) for t in sorted(tags)]]
+                for elem, tags in sorted(self.alive.items())
+            ],
+            "tombstones": [list(t) for t in sorted(self.tombstones)],
+        }
+
+    @staticmethod
+    def from_wire(w: dict):
+        return AwSetState(
+            {elem: frozenset(map(_tag_from_wire, tws)) for elem, tws in w["alive"]},
+            frozenset(map(_tag_from_wire, w["tombstones"])),
+        )
+
 
 @dataclass(frozen=True)
 class CmapState(_Memo):
-    # `_apply` copies only this dict, so sub-states an effect does not touch
+    # `apply` copies only this dict, so sub-states an effect does not touch
     # are shared between versions, memos included
     entries: dict[tuple[str, CrdtType], Any] = field(default_factory=dict)
+
+    def prepare(self, intent: tuple, tag: EffectTag):
+        if intent[0] != "entry":
+            raise TypeMismatch(f"map cannot {intent[0]}")
+        name, entry_type, inner = intent[1], intent[2], intent[3]
+        sub = self.entries.get((name, entry_type), new_state(entry_type))
+        inner_kind, inner_payload, inner_deps = sub.prepare(inner, tag)
+        return "entry", (name, entry_type, inner_kind, inner_payload), inner_deps
+
+    def apply(self, kind: str, payload: tuple, tag: EffectTag, deps: tuple):
+        name, entry_type, inner_kind, inner_payload = payload
+        key = (name, entry_type)
+        sub = self.entries.get(key, new_state(entry_type))
+        entries = dict(self.entries)
+        entries[key] = sub.apply(inner_kind, inner_payload, tag, deps)
+        return CmapState(entries)
+
+    def read(self):
+        return {key: sub.read() for key, sub in self.entries.items()}
+
+    def _render(self):
+        return {
+            f"{name}#{entry_type.value}": sub.render()
+            for (name, entry_type), sub in sorted(self.entries.items())
+        }
+
+    def _encode(self) -> dict:
+        return {
+            "t": "cmap",
+            "entries": [
+                [name, entry_type.value, sub.to_wire()]
+                for (name, entry_type), sub in sorted(self.entries.items())
+            ],
+        }
+
+    @staticmethod
+    def from_wire(w: dict):
+        return CmapState(
+            {(name, _TYPE_BY_VALUE[tv]): state_from_wire(sw) for name, tv, sw in w["entries"]}
+        )
 
 
 _STATE_CLASSES = {
@@ -179,18 +361,6 @@ def new_state(crdt_type: CrdtType):
     return _STATE_CLASSES[crdt_type]()
 
 
-def type_of(state) -> CrdtType:
-    for t, cls in _STATE_CLASSES.items():
-        if isinstance(state, cls):
-            return t
-    raise TypeMismatch(f"not a mergeable state: {state!r}")
-
-
-# ---------------------------------------------------------------------------
-# prepare: intent + observed state -> effect
-# ---------------------------------------------------------------------------
-
-
 def prepare(obj: ObjectId, state, intent: tuple, tag: EffectTag) -> EffectOp:
     """Turn an update intent into an effect against the state that was read.
 
@@ -198,137 +368,29 @@ def prepare(obj: ObjectId, state, intent: tuple, tag: EffectTag) -> EffectOp:
     ``("add", x)``, ``("remove", x)``, and for maps
     ``("entry", name, CrdtType, inner_intent)``.
     """
-    kind, payload, deps = _prepare(state, obj.crdt_type, intent, tag)
+    if type(state) is not _STATE_CLASSES[obj.crdt_type]:
+        raise TypeMismatch(f"{obj.crdt_type} intent against {type(state).__name__}")
+    kind, payload, deps = state.prepare(intent, tag)
     return EffectOp(obj, kind, payload, tag, deps)
 
 
-def _prepare(state, crdt_type: CrdtType, intent: tuple, tag: EffectTag):
-    if not isinstance(state, _STATE_CLASSES[crdt_type]):
-        raise TypeMismatch(f"{crdt_type} intent against {type(state).__name__}")
-    op = intent[0]
-    if crdt_type is CrdtType.COUNTER:
-        if op != "inc":
-            raise TypeMismatch(f"counter cannot {op}")
-        return "inc", (int(intent[1]),), ()
-    if crdt_type is CrdtType.LWW_REGISTER:
-        if op != "assign":
-            raise TypeMismatch(f"lww register cannot {op}")
-        # logical timestamp grows past the observed one, so a causally later
-        # assign always wins; ties across scouts break on the origin id
-        return "assign", (intent[1], state.ts + 1, tag.origin), ()
-    if crdt_type is CrdtType.MV_REGISTER:
-        if op != "assign":
-            raise TypeMismatch(f"mv register cannot {op}")
-        return "assign", (intent[1],), tuple(sorted(state.candidates))
-    if crdt_type is CrdtType.AW_SET:
-        if op == "add":
-            return "add", (intent[1],), ()
-        if op == "remove":
-            observed = state.alive.get(intent[1], frozenset())
-            return "remove", (intent[1],), tuple(sorted(observed))
-        raise TypeMismatch(f"set cannot {op}")
-    if crdt_type is CrdtType.CMAP:
-        if op != "entry":
-            raise TypeMismatch(f"map cannot {op}")
-        name, entry_type, inner = intent[1], intent[2], intent[3]
-        sub = state.entries.get((name, entry_type), new_state(entry_type))
-        inner_kind, inner_payload, inner_deps = _prepare(sub, entry_type, inner, tag)
-        return "entry", (name, entry_type, inner_kind, inner_payload), inner_deps
-    raise TypeMismatch(f"unknown type {crdt_type}")
-
-
-# ---------------------------------------------------------------------------
-# apply: state + effect -> state
-# ---------------------------------------------------------------------------
-
-
 def apply_effect(state, effect: EffectOp):
-    if type_of(state) is not effect.target.crdt_type:
-        raise TypeMismatch(
-            f"effect for {effect.target.crdt_type} applied to {type(state).__name__}"
-        )
-    return _apply(state, effect.kind, effect.payload, effect.tag, effect.deps)
-
-
-def _apply(state, kind: str, payload: tuple, tag: EffectTag, deps: tuple):
-    if isinstance(state, CounterState):
-        return CounterState(state.value + payload[0])
-
-    if isinstance(state, LwwState):
-        value, ts, origin = payload
-        if (ts, origin) > (state.ts, state.origin):
-            return LwwState(value, ts, origin)
-        return state
-
-    if isinstance(state, MvState):
-        overwritten = state.overwritten | frozenset(deps)
-        candidates = {t: v for t, v in state.candidates.items() if t not in overwritten}
-        if tag not in overwritten:
-            candidates[tag] = payload[0]
-        return MvState(candidates, overwritten)
-
-    if isinstance(state, AwSetState):
-        if kind == "add":
-            elem = payload[0]
-            if tag in state.tombstones:
-                return state
-            alive = dict(state.alive)
-            alive[elem] = alive.get(elem, frozenset()) | {tag}
-            return AwSetState(alive, state.tombstones)
-        if kind == "remove":
-            dead = frozenset(deps)
-            tombstones = state.tombstones | dead
-            alive = {}
-            for elem, tags in state.alive.items():
-                remaining = tags - dead
-                if remaining:
-                    alive[elem] = remaining
-            return AwSetState(alive, tombstones)
-        raise TypeMismatch(f"set cannot apply {kind}")
-
-    if isinstance(state, CmapState):
-        name, entry_type, inner_kind, inner_payload = payload
-        key = (name, entry_type)
-        sub = state.entries.get(key, new_state(entry_type))
-        entries = dict(state.entries)
-        entries[key] = _apply(sub, inner_kind, inner_payload, tag, deps)
-        return CmapState(entries)
-
-    raise TypeMismatch(f"cannot apply to {type(state).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# read
-# ---------------------------------------------------------------------------
+    if type(state) is not _STATE_CLASSES[effect.target.crdt_type]:
+        raise TypeMismatch(f"{effect.target.crdt_type} effect on {type(state).__name__}")
+    return state.apply(effect.kind, effect.payload, effect.tag, effect.deps)
 
 
 def value_of(state):
     """Readable value: int, register value, candidate set, element set, or
     a dict of (name, type) to nested values."""
-    if isinstance(state, CounterState):
-        return state.value
-    if isinstance(state, LwwState):
-        return state.value
-    if isinstance(state, MvState):
-        return frozenset(state.candidates.values())
-    if isinstance(state, AwSetState):
-        return frozenset(state.alive)
-    if isinstance(state, CmapState):
-        return {key: value_of(sub) for key, sub in state.entries.items()}
-    raise TypeMismatch(f"no value for {type(state).__name__}")
+    if not isinstance(state, _State):
+        raise TypeMismatch(f"no value for {type(state).__name__}")
+    return state.read()
 
 
 # ---------------------------------------------------------------------------
 # canonical serialization (self-describing; stable across a run)
 # ---------------------------------------------------------------------------
-
-
-def _tag_to_wire(tag: EffectTag) -> list:
-    return list(tag)
-
-
-# a tag's wire form is its field list; `_make` checks the length
-_tag_from_wire = EffectTag._make
 
 
 def effect_to_wire(effect: EffectOp) -> dict:
@@ -340,8 +402,8 @@ def effect_to_wire(effect: EffectOp) -> dict:
             "obj": object_to_wire(effect.target),
             "kind": effect.kind,
             "payload": _payload_to_wire(effect.kind, effect.payload),
-            "tag": _tag_to_wire(effect.tag),
-            "deps": [_tag_to_wire(t) for t in effect.deps],
+            "tag": list(effect.tag),
+            "deps": [list(t) for t in effect.deps],
         }
         object.__setattr__(effect, "wire", w)
     return w
@@ -375,91 +437,26 @@ def _payload_from_wire(kind: str, w: list) -> tuple:
 
 
 def state_to_wire(state) -> dict:
-    """The canonical wire form. Sets, MV registers and maps encode once and
-    keep it (`_Memo`); counters and LWW registers are flat, and rendering
-    them costs what a memo lookup would. Callers must not mutate it."""
-    if isinstance(state, CounterState):
-        return {"t": "counter", "value": state.value}
-    if isinstance(state, LwwState):
-        return {"t": "lww", "value": state.value, "ts": state.ts, "origin": state.origin}
-    if not isinstance(state, _Memo):
+    """The canonical wire form, encoded once for sets, MV registers and
+    maps (`_Memo`). Callers must not mutate it."""
+    if not isinstance(state, _State):
         raise TypeMismatch(f"cannot serialize {type(state).__name__}")
-    w = state._wire
-    if w is not None:
-        return w
-    if isinstance(state, MvState):
-        w = {
-            "t": "mv",
-            "candidates": [[_tag_to_wire(t), v] for t, v in sorted(state.candidates.items())],
-            "overwritten": [_tag_to_wire(t) for t in sorted(state.overwritten)],
-        }
-    elif isinstance(state, AwSetState):
-        w = {
-            "t": "awset",
-            "alive": [
-                [elem, [_tag_to_wire(t) for t in sorted(tags)]]
-                for elem, tags in sorted(state.alive.items())
-            ],
-            "tombstones": [_tag_to_wire(t) for t in sorted(state.tombstones)],
-        }
-    else:
-        w = {
-            "t": "cmap",
-            "entries": [
-                [name, entry_type.value, state_to_wire(sub)]
-                for (name, entry_type), sub in sorted(state.entries.items())
-            ],
-        }
-    object.__setattr__(state, "_wire", w)
-    return w
+    return state.to_wire()
 
 
 def state_from_wire(w: dict):
     """A fresh state with empty memos: keeping `w` would pin every decoded
     wire dict for as long as a cache holds the state. The simulator's decode
     table (`messages.decode_once`) pins it only until the run ends."""
-    t = w["t"]
-    if t == "counter":
-        return CounterState(w["value"])
-    if t == "lww":
-        return LwwState(w["value"], w["ts"], w["origin"])
-    if t == "mv":
-        return MvState(
-            {_tag_from_wire(tw): v for tw, v in w["candidates"]},
-            frozenset(map(_tag_from_wire, w["overwritten"])),
-        )
-    if t == "awset":
-        return AwSetState(
-            {elem: frozenset(map(_tag_from_wire, tws)) for elem, tws in w["alive"]},
-            frozenset(map(_tag_from_wire, w["tombstones"])),
-        )
-    if t == "cmap":
-        return CmapState(
-            {(name, _TYPE_BY_VALUE[tv]): state_from_wire(sw) for name, tv, sw in w["entries"]}
-        )
-    raise TypeMismatch(f"cannot deserialize type tag {t!r}")
+    cls = _STATE_CLASSES.get(_TYPE_BY_VALUE.get(w["t"]))
+    if cls is None:
+        raise TypeMismatch(f"cannot deserialize type tag {w['t']!r}")
+    return cls.from_wire(w)
 
 
 def value_to_wire(state) -> Any:
     """Canonical JSON form of a readable value, for traces and comparisons.
     Memoized like `state_to_wire`; callers must not mutate it."""
-    if isinstance(state, CounterState):
-        return state.value
-    if isinstance(state, LwwState):
-        return state.value
-    if not isinstance(state, _Memo):
+    if not isinstance(state, _State):
         raise TypeMismatch(f"no value for {type(state).__name__}")
-    v = state._value
-    if v is not None:
-        return v
-    if isinstance(state, MvState):
-        v = sorted(state.candidates.values(), key=repr)
-    elif isinstance(state, AwSetState):
-        v = sorted(state.alive, key=repr)
-    else:
-        v = {
-            f"{name}#{entry_type.value}": value_to_wire(sub)
-            for (name, entry_type), sub in sorted(state.entries.items())
-        }
-    object.__setattr__(state, "_value", v)
-    return v
+    return state.render()

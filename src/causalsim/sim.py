@@ -34,12 +34,23 @@ from causalsim.scout import Scout, Unavailable
 
 TRACE_SCHEMA = "causalsim-trace-1"
 
+# the negative controls `SimConfig.mutations` may switch on
+MUTATIONS = ("disable_dedup", "disable_k_gating", "disable_guards", "reorder_session")
+FAULT_KINDS = (
+    "dc_crash",
+    "dc_recover",
+    "dc_crash_on_commit",
+    "partition",
+    "heal",
+    "scout_disconnect",
+    "scout_reconnect",
+)
+
 
 @dataclass
 class FaultEvent:
     at: int
-    kind: str  # dc_crash | dc_recover | dc_crash_on_commit | partition | heal
-    #           | scout_disconnect | scout_reconnect
+    kind: str  # one of FAULT_KINDS
     dc: Optional[int] = None
     scout: Optional[str] = None
     to: Optional[int] = None
@@ -77,9 +88,24 @@ class SimConfig:
             raise ValueError(f"unknown commit_target {self.commit_target!r}")
         if self.notify_mode not in ("effects", "invalidations"):
             raise ValueError(f"unknown notify_mode {self.notify_mode!r}")
+        unknown = sorted(set(self.mutations) - set(MUTATIONS))
+        if unknown:
+            raise ValueError(f"unknown mutations {unknown}; known: {list(MUTATIONS)}")
         for f in self.faults:
             if f.at < 0:
                 raise ValueError("fault times must be non-negative")
+            # checked here, since a fault past the horizon never fires
+            if f.kind not in FAULT_KINDS:
+                raise ValueError(f"unknown fault kind {f.kind!r}")
+        if self.rtt_dc_ms is not None and (
+            len(self.rtt_dc_ms) != self.num_dcs
+            or any(len(row) != self.num_dcs for row in self.rtt_dc_ms)
+        ):
+            raise ValueError(f"rtt_dc_ms must be {self.num_dcs}x{self.num_dcs}")
+        if self.scout_rtt_ms is not None and (
+            not self.scout_rtt_ms or any(len(p) < self.num_dcs for p in self.scout_rtt_ms)
+        ):
+            raise ValueError(f"each scout_rtt_ms profile needs {self.num_dcs} entries")
 
     def dc_rtt(self, a: int, b: int) -> int:
         if a == b:

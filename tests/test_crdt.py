@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from causalsim.clocks import Gtid, Otid
 from causalsim.crdt import (
     CrdtType,
+    EffectOp,
     EffectTag,
     ObjectId,
     TypeMismatch,
@@ -201,6 +202,47 @@ class TestErrors:
         e = prepare(COUNTER, new_state(CrdtType.COUNTER), ("inc", 1), tag(1))
         with pytest.raises(TypeMismatch):
             apply_effect(new_state(CrdtType.AW_SET), e)
+
+    @pytest.mark.parametrize("render", [state_to_wire, value_to_wire, value_of])
+    @pytest.mark.parametrize("not_a_state", [None, 3, {"t": "counter", "value": 3}])
+    def test_non_state_rejected(self, render, not_a_state):
+        with pytest.raises(TypeMismatch):
+            render(not_a_state)
+
+    @pytest.mark.parametrize("t", ["no-such-type", "CrdtType.COUNTER", ""])
+    def test_unknown_wire_tag_rejected(self, t):
+        with pytest.raises(TypeMismatch):
+            state_from_wire({"t": t})
+
+    def test_set_rejects_an_unknown_effect_kind(self):
+        e = prepare(AWSET, new_state(CrdtType.AW_SET), ("add", "x"), tag(1))
+        bad = EffectOp(e.target, "frob", e.payload, e.tag, e.deps)
+        with pytest.raises(TypeMismatch):
+            apply_effect(new_state(CrdtType.AW_SET), bad)
+
+    def test_map_entry_intent_of_the_wrong_type(self):
+        intent = ("entry", "x", CrdtType.COUNTER, ("add", 1))
+        with pytest.raises(TypeMismatch):
+            prepare(CMAP, new_state(CrdtType.CMAP), intent, tag(1))
+
+
+def assert_registered_classes(state, crdt_type):
+    """`state`, and every map entry within it, is exactly its type's class."""
+    assert type(state) is type(new_state(crdt_type))
+    for (_, entry_type), sub in getattr(state, "entries", {}).items():
+        assert_registered_classes(sub, entry_type)
+
+
+@pytest.mark.parametrize("crdt_type", ALL_TYPES)
+def test_decoded_states_have_exactly_the_registered_class(crdt_type):
+    """`apply_effect` compares `type(state)` with the registered class, so
+    a decoded state, and each entry of a decoded map, must be an instance
+    of exactly that class, never a subclass or a look-alike."""
+    rng = random.Random(f"classes/{crdt_type}")
+    obj = ObjectId("o", crdt_type)
+    for _ in range(20):
+        state, _ = evolve(obj, new_state(crdt_type), rng, TagSource(), "w", 8)
+        assert_registered_classes(state_from_wire(state_to_wire(state)), crdt_type)
 
 
 @pytest.mark.parametrize("crdt_type", ALL_TYPES)

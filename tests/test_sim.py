@@ -304,6 +304,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimConfig(commit_target="nearest").validate()
 
+    def test_unknown_mutation_rejected(self):
+        # a misspelt negative control must not pass as a clean run
+        with pytest.raises(ValueError, match="disable_dedupe"):
+            small_cfg(mutations=["disable_dedupe"]).validate()
+        small_cfg(mutations=["disable_dedup", "reorder_session"]).validate()
+
+    @pytest.mark.parametrize("at", [10, 5_000])
+    def test_unknown_fault_kind_rejected(self, at):
+        # at 5 s the fault lies past the horizon and would never fire
+        bad = FaultEvent(at=at, kind="dc_reboot", dc=0)
+        with pytest.raises(ValueError, match="dc_reboot"):
+            small_cfg(horizon_ms=4_000, faults=[bad]).validate()
+
+    def test_rtt_matrices_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="rtt_dc_ms"):
+            small_cfg(num_dcs=3, k=1).validate()  # a 2x2 matrix
+        with pytest.raises(ValueError, match="rtt_dc_ms"):
+            small_cfg(rtt_dc_ms=[[0, 60], [60]]).validate()
+        with pytest.raises(ValueError, match="scout_rtt_ms"):
+            small_cfg(scout_rtt_ms=[[20, 50], [20]]).validate()
+        with pytest.raises(ValueError, match="scout_rtt_ms"):
+            small_cfg(scout_rtt_ms=[]).validate()
+
+    def test_a_preset_with_more_dcs_than_its_matrix_fails_at_validation(self):
+        # the preset's matrices are 3x3
+        with pytest.raises(ValueError, match="rtt_dc_ms must be 5x5"):
+            run_scenario(load_scenario("social-90-10"), seed=1, overrides={"num_dcs": 5})
+
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_restores_the_callers_gc_setting(enabled):
