@@ -8,6 +8,7 @@ The package is organised as a library:
 - :mod:`causalsim.dc`        data-centre replica state machine
 - :mod:`causalsim.scout`     client-side cache and transaction engine
 - :mod:`causalsim.sim`       deterministic discrete-event simulator
+- :mod:`causalsim.mutants`   negative controls: mutated node classes
 - :mod:`causalsim.workload`  social-network workload generator and presets
 - :mod:`causalsim.checker`   offline consistency oracle and metrics
 - :mod:`causalsim.gcpause`   cyclic-GC pause for the simulator and the checker

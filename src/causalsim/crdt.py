@@ -310,17 +310,22 @@ class CmapState(_Memo):
         if intent[0] != "entry":
             raise TypeMismatch(f"map cannot {intent[0]}")
         name, entry_type, inner = intent[1], intent[2], intent[3]
-        sub = self.entries.get((name, entry_type), new_state(entry_type))
+        sub = self._entry((name, entry_type))
         inner_kind, inner_payload, inner_deps = sub.prepare(inner, tag)
         return "entry", (name, entry_type, inner_kind, inner_payload), inner_deps
 
     def apply(self, kind: str, payload: tuple, tag: EffectTag, deps: tuple):
         name, entry_type, inner_kind, inner_payload = payload
         key = (name, entry_type)
-        sub = self.entries.get(key, new_state(entry_type))
+        sub = self._entry(key)
         entries = dict(self.entries)
         entries[key] = sub.apply(inner_kind, inner_payload, tag, deps)
         return CmapState(entries)
+
+    def _entry(self, key: tuple[str, CrdtType]):
+        # a missing entry is a new state, built only then
+        sub = self.entries.get(key)
+        return new_state(key[1]) if sub is None else sub
 
     def read(self):
         return {key: sub.read() for key, sub in self.entries.items()}

@@ -148,8 +148,6 @@ class DataCenter:
         k: int,
         procedures: Optional[dict[str, StoredProcedure]] = None,
         notify_mode: str = "effects",
-        disable_dedup: bool = False,
-        disable_k_gating: bool = False,
         ack_ticks: Optional[list[int]] = None,
     ):
         self.id = dc_id
@@ -157,8 +155,6 @@ class DataCenter:
         self.k = k
         self.procedures = procedures or {}
         self.notify_mode = notify_mode
-        self.disable_dedup = disable_dedup
-        self.disable_k_gating = disable_k_gating
         # peer -> `ack_wait_ticks` over the link to it
         self.ack_ticks = ack_ticks or [DEFAULT_ACK_TICKS] * num_dcs
 
@@ -263,8 +259,6 @@ class DataCenter:
 
     def announceable_frontier(self) -> VersionVector:
         """The K-durable frontier capped at what this replica has applied."""
-        if self.disable_k_gating:
-            return self.vdc
         return self.k_durable_frontier().meet(self.vdc)
 
     # -- dependency machinery ------------------------------------------------
@@ -403,7 +397,7 @@ class DataCenter:
     def _is_duplicate(self, scout: ScoutId, otid: Otid) -> bool:
         """The duplicate filter: a scout's OTIDs up to its high-water mark
         were committed before. The record is in `by_otid` unless pruned."""
-        return not self.disable_dedup and otid.counter <= self.max_otid.get(scout, 0)
+        return otid.counter <= self.max_otid.get(scout, 0)
 
     def _sequence(self, env, msg, effects: tuple, results: Any = None) -> Gtid:
         """Give a scout's transaction (a commit or stored request) this DC's
@@ -548,8 +542,6 @@ class DataCenter:
             self.pending_fetches.append(msg)
 
     def _fetch_ready(self, msg: FetchRequest) -> bool:
-        if self.disable_k_gating:
-            return True  # mutation: serve whatever is local, never wait
         if not self.deps_satisfied(msg.snapshot, msg.scout):
             return False
         session = self.sessions.get(msg.scout)
@@ -631,9 +623,7 @@ class DataCenter:
     # -- sessions and notification --------------------------------------------
 
     def on_session_request(self, env, msg: SessionRequest) -> None:
-        eligible = msg.dc_part.leq(self.k_durable_frontier())
-        if self.disable_k_gating:
-            eligible = True
+        eligible = self._session_eligible(msg.dc_part)
         if eligible:
             self.sessions[msg.scout] = Session(
                 scout=msg.scout,
@@ -648,6 +638,14 @@ class DataCenter:
             SessionReply(msg.scout, self.id, msg.epoch, eligible, self.k_durable_frontier()),
         )
 
+    def _session_eligible(self, dc_part: VersionVector) -> bool:
+        """A session opens only where the scout's clock is K-durable."""
+        return dc_part.leq(self.k_durable_frontier())
+
+    def _may_announce(self, base: VersionVector, target: VersionVector) -> bool:
+        """A session's announced frontiers only grow."""
+        return base.leq(target)
+
     def notify_tick(self, env) -> None:
         target = self.announceable_frontier()
         # most sessions share their last frontier, and so the delta from it
@@ -656,8 +654,8 @@ class DataCenter:
             base = session.last_announced
             if base == target and not self._acks_due(session):
                 continue  # idle: nothing to announce and nothing to ack
-            if not base.leq(target) and not self.disable_k_gating:
-                continue  # the mutation announces a non-monotonic frontier instead
+            if not self._may_announce(base, target):
+                continue
             if base not in deltas:
                 deltas[base] = self._notify_delta(base, target)
             self._notify_session(env, session, target, *deltas[base])

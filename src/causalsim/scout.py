@@ -125,14 +125,12 @@ class Scout:
         cache_capacity: int,
         dc_preference: Optional[list[DcId]] = None,
         commit_dc: Optional[DcId] = None,
-        disable_guards: bool = False,
     ):
         self.id = scout_id
         self.num_dcs = num_dcs
         self.capacity = cache_capacity
         self.dc_preference = dc_preference or list(range(num_dcs))
         self.commit_dc = commit_dc
-        self.disable_guards = disable_guards
 
         self.clock = CausalClock.zero(num_dcs)
         self.cache: OrderedDict[ObjectId, CacheEntry] = OrderedDict()
@@ -230,14 +228,15 @@ class Scout:
                 return None
             return stashed.state
         entry = self.cache.get(obj)
-        if entry is not None and entry.valid and (
-            self.disable_guards or self.entry_clock(entry).dc_part == self.clock.dc_part
-        ):
-            # an entry admitted ahead of the clock waits for the clock: a
-            # DC crash can lose the notify batches that would bring it there
+        if entry is not None and self._readable(entry):
             self.cache.move_to_end(obj)
             return entry.state
         return None
+
+    def _readable(self, entry: CacheEntry) -> bool:
+        # an entry admitted ahead of the clock waits for the clock: a DC
+        # crash can lose the notify batches that would bring it there
+        return entry.valid and self.entry_clock(entry).dc_part == self.clock.dc_part
 
     def _issue_fetch(self, env, tx: TxHandle, objs: list[ObjectId]) -> None:
         self.req_counter += 1
@@ -478,12 +477,10 @@ class Scout:
         self._apply_notify(env, batch)
 
     def _apply_notify(self, env, batch: NotifyBatch) -> None:
-        on_clock = batch.prev == self.clock.dc_part
-        if not on_clock or not self.clock.dc_part.leq(batch.frontier):
-            if not self.disable_guards:
-                raise ProtocolError(
-                    f"{self.id}: notify base {batch.prev} does not match clock {self.clock}"
-                )
+        if batch.prev != self.clock.dc_part or not self.clock.dc_part.leq(batch.frontier):
+            raise ProtocolError(
+                f"{self.id}: notify base {batch.prev} does not match clock {self.clock}"
+            )
         for kind, payload in batch.items:
             if kind == "effects":
                 for effect in payload:
@@ -492,8 +489,8 @@ class Scout:
                     entry = self.cache.get(effect.target)
                     if entry is None or not entry.valid:
                         continue
-                    # with the guard, an entry is at batch.prev iff it is current
-                    if not self.disable_guards and not entry.current:
+                    # an entry is at batch.prev iff it is current
+                    if not entry.current:
                         if batch.prev.leq(entry.clock.dc_part):
                             continue  # admitted ahead of this batch already
                         self._invalidate(entry)
@@ -508,10 +505,11 @@ class Scout:
                     if entry is not None:
                         self._stash_protect(obj)
                         self._invalidate(entry)
-        if on_clock:
-            self._advance_clock(batch.frontier)
-        else:
-            self._advance_off_clock(batch.prev, batch.frontier)
+        self._advance_clock(batch.frontier)
+        self._take_acks(env, batch)
+
+    def _take_acks(self, env, batch: NotifyBatch) -> None:
+        """Note the acks of an applied batch, and trace it."""
         for otid, gtid in batch.acks:
             pc = next((p for p in self.pending if p.record.otid == otid), None)
             if pc is not None:
@@ -539,24 +537,9 @@ class Scout:
             entry = self.cache.get(obj)
             if entry is not None and entry.valid and entry.clock.dc_part == frontier:
                 entry.current = True
-        if not self.disable_guards:
-            # the guarded clock only grows, so it cannot reach these again
-            for dc_part in [v for v in self.waiting if v.leq(frontier)]:
-                del self.waiting[dc_part]
-
-    def _advance_off_clock(self, prev: VersionVector, frontier: VersionVector) -> None:
-        """A batch that does not start at the clock (guards disabled): entries
-        at `prev` move to `frontier` and the rest keep their clocks, so every
-        clock is made explicit for one sweep."""
-        self.waiting = {}
-        for obj, entry in self.cache.items():
-            clock = self.entry_clock(entry)
-            if entry.valid and clock.dc_part == prev:
-                clock = CausalClock(frontier, clock.local_part)
-            entry.clock, entry.current = clock, False
-            if entry.valid:
-                self.waiting.setdefault(clock.dc_part, set()).add(obj)
-        self._advance_clock(frontier)
+        # the clock only grows, so it cannot reach these again
+        for dc_part in [v for v in self.waiting if v.leq(frontier)]:
+            del self.waiting[dc_part]
 
     # -- fetch replies --------------------------------------------------------------------
 

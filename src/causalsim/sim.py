@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from causalsim import mutants
 from causalsim.clocks import clock_to_wire, vector_to_wire
 from causalsim.crdt import ObjectId
 from causalsim.dc import DataCenter, ack_wait_ticks
@@ -34,8 +35,6 @@ from causalsim.scout import Scout, Unavailable
 
 TRACE_SCHEMA = "causalsim-trace-1"
 
-# the negative controls `SimConfig.mutations` may switch on
-MUTATIONS = ("disable_dedup", "disable_k_gating", "disable_guards", "reorder_session")
 FAULT_KINDS = (
     "dc_crash",
     "dc_recover",
@@ -75,7 +74,7 @@ class SimConfig:
     commit_target: str = "session"  # or "farthest"
     notify_mode: str = "effects"  # or "invalidations"
     faults: list[FaultEvent] = field(default_factory=list)
-    mutations: list[str] = field(default_factory=list)
+    mutations: list[str] = field(default_factory=list)  # `mutants.MUTATIONS` keys
     horizon_ms: int = 600_000
     drain_ms: int = 2000
 
@@ -88,9 +87,9 @@ class SimConfig:
             raise ValueError(f"unknown commit_target {self.commit_target!r}")
         if self.notify_mode not in ("effects", "invalidations"):
             raise ValueError(f"unknown notify_mode {self.notify_mode!r}")
-        unknown = sorted(set(self.mutations) - set(MUTATIONS))
+        unknown = sorted(set(self.mutations) - mutants.MUTATIONS.keys())
         if unknown:
-            raise ValueError(f"unknown mutations {unknown}; known: {list(MUTATIONS)}")
+            raise ValueError(f"unknown mutations {unknown}; known: {list(mutants.MUTATIONS)}")
         for f in self.faults:
             if f.at < 0:
                 raise ValueError("fault times must be non-negative")
@@ -257,15 +256,18 @@ class Simulation:
         }
 
         self.procedures = procedures or {}
+        # the core node classes, or a negative control's (`causalsim.mutants`)
+        self.dc_class, scout_class, hooks = mutants.compose(
+            config.mutations, DataCenter, Scout
+        )
         self.dcs = [
-            DataCenter(i, config.num_dcs, config.k, **self._dc_options(i))
+            self.dc_class(i, config.num_dcs, config.k, **self._dc_options(i))
             for i in range(config.num_dcs)
         ]
         if initial_states:
             for dc in self.dcs:
                 dc.seed_store(dict(initial_states))
 
-        mut = set(config.mutations)
         self.scouts: dict[str, Scout] = {}
         self.drivers: dict[str, ScriptDriver] = {}
         scripts = scripts or {}
@@ -275,13 +277,8 @@ class Simulation:
             commit_dc = None
             if config.commit_target == "farthest":
                 commit_dc = max(range(config.num_dcs), key=lambda d: (config.scout_rtt(idx, d), d))
-            scout = Scout(
-                sid,
-                config.num_dcs,
-                config.cache_capacity,
-                dc_preference=prefs,
-                commit_dc=commit_dc,
-                disable_guards="disable_guards" in mut or "disable_k_gating" in mut,
+            scout = scout_class(
+                sid, config.num_dcs, config.cache_capacity, dc_preference=prefs, commit_dc=commit_dc
             )
             self.scouts[sid] = scout
             self.drivers[sid] = ScriptDriver(scout, scripts.get(sid, []), config.think_ms)
@@ -300,21 +297,20 @@ class Simulation:
             for idx, sid in enumerate(self.scouts):
                 delay = max(config.scout_rtt(idx, i) // 2, 0)
                 self.delays[sid, f"dc{i}"] = self.delays[f"dc{i}", sid] = delay
-        self._reorder_armed = "reorder_session" in mut
         self.meta: dict = {}
         # the run's decode table (`messages.decode_once`): every receiver of
         # one effect or state dict shares the value decoded from it. Emptied
         # when the run ends, so it pins no dict beyond the run
         self.decoded: dict = {}
+        for hook in hooks:
+            hook(self)
 
     def _dc_options(self, i: int) -> dict:
         """DC `i`'s constructor options, the same at start and after a crash."""
-        config, mut = self.config, self.config.mutations
+        config = self.config
         return dict(
             procedures=dict(self.procedures),
             notify_mode=config.notify_mode,
-            disable_dedup="disable_dedup" in mut,
-            disable_k_gating="disable_k_gating" in mut,
             ack_ticks=[
                 ack_wait_ticks(
                     config.dc_rtt(i, j) // 2 + config.dc_rtt(j, i) // 2,
@@ -354,18 +350,6 @@ class Simulation:
         if at < last:
             at = last
         self._fifo[link] = at
-        if (
-            self._reorder_armed
-            and kind == "notify"
-            and dst == "s0"
-            and wire["frontier"] != wire["prev"]
-        ):
-            # session-reorder mutation: hold one frontier-advancing notify and
-            # deliver it long after its successors, breaking FIFO once
-            self._reorder_armed = False
-            self.inflight += 1
-            self.schedule(at + 120, "deliver", (src, dst, wire))
-            return
         self.inflight += 1
         self.schedule(at, "deliver", (src, dst, wire))
 
@@ -394,7 +378,7 @@ class Simulation:
         dc = self.dcs[dc_id]
         # the crashed instance may be inside a handler: it must do no more
         dc.dead = True
-        self.dcs[dc_id] = DataCenter.from_durable(
+        self.dcs[dc_id] = self.dc_class.from_durable(
             dc.durable_snapshot(), dc.num_dcs, dc.k, **self._dc_options(dc_id)
         )
         self.trace({"ev": "fault", "kind": "dc_crash", "dc": dc_id})

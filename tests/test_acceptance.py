@@ -6,6 +6,8 @@ assertion is the FAIL line. Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import random
 
+import pytest
+
 from causalsim import workload
 from causalsim.checker import (
     TraceAnalysis,
@@ -253,6 +255,18 @@ def test_4_mutation_session_reorder_is_flagged():
     control = _mutation_runs([], notify_mode="invalidations")
     assert control["ok"]
     say(4, "session-reorder mutation", f"injected reorder flagged by {flagged}; FIFO control clean")
+
+
+@pytest.mark.parametrize("notify_mode", ["effects", "invalidations"])
+def test_4_session_reorder_alone_is_flagged(notify_mode):
+    # without `disable_guards` named too: the control's scouts are unguarded
+    # all the same, so the reordered batch is taken, not a ProtocolError
+    overrides = {"mutations": ["reorder_session"], "notify_mode": notify_mode}
+    res = run_scenario(load_scenario("failover-demo"), seed=1, overrides=overrides)
+    assert res.synced
+    verdicts = run_checks(res.trace)["verdicts"]
+    assert not verdicts["session_guarantees"]["ok"]
+    say(4, "session-reorder alone", f"{notify_mode}: synced, flagged by session_guarantees")
 
 
 # -- 5: convergence under random healed faults ----------------------------------

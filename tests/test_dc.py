@@ -16,6 +16,7 @@ from causalsim.crdt import (
     value_of,
 )
 from causalsim.dc import SILENT_TICKS, DataCenter, Session, VersionPruned, ack_wait_ticks
+from causalsim.scout import Scout
 from causalsim.messages import (
     CommitRecord,
     CommitRequest,
@@ -27,7 +28,7 @@ from causalsim.messages import (
     message_to_wire,
     record_to_wire,
 )
-from causalsim import sim
+from causalsim import mutants, sim
 from causalsim.scenarios import load_scenario, run_scenario
 from test_pins import CHURN
 
@@ -124,7 +125,8 @@ class TestGlobalCommit:
 
     def test_dedup_disabled_applies_twice(self):
         env = FakeEnv()
-        dc = DataCenter(0, num_dcs=2, k=2, disable_dedup=True)
+        dc_class, _, _ = mutants.compose(["disable_dedup"], DataCenter, Scout)
+        dc = dc_class(0, num_dcs=2, k=2)
         e = prepare(CTR, new_state(CrdtType.COUNTER), ("inc", 10), EffectTag(1, "C", 0))
         dc.on_commit_request(env, CommitRequest("C", Otid(1, "C"), clock([0, 0]), (e,)))
         dc.on_commit_request(env, CommitRequest("C", Otid(1, "C"), clock([0, 0]), (e,)))
@@ -1351,7 +1353,7 @@ def reference_notify_tick(dc, env):
     deltas = {}
     for session in list(dc.sessions.values()):
         base = session.last_announced
-        if not base.leq(target) and not dc.disable_k_gating:
+        if not dc._may_announce(base, target):
             continue
         if base not in deltas:
             deltas[base] = dc._notify_delta(base, target)

@@ -172,8 +172,8 @@ class TestCache:
 
 
 class TestFetchReply:
-    def _fetching(self):
-        sim = harness()
+    def _fetching(self, **kw):
+        sim = harness(**kw)
         s = sim.scouts["s0"]
         s.session = 0
         tx = s.begin(sim)
@@ -207,8 +207,7 @@ class TestFetchReply:
 
     @pytest.mark.parametrize("guards", [True, False])
     def test_an_entry_admitted_ahead_of_the_clock_waits_for_it(self, guards):
-        sim, s, tx = self._fetching()
-        s.disable_guards = not guards
+        sim, s, tx = self._fetching(mutations=[] if guards else ["disable_guards"])
         ahead = VersionVector((1, 0))
         versions = [(CTR, state_to_wire(CounterState(3)), None)]
         s.on_fetch_reply(sim, FetchReply("s0", s.fetch.req_id, "ok", versions, ahead))
@@ -354,8 +353,7 @@ class SweepScout(Scout):
 
     def _apply_notify(self, env, batch):
         if batch.prev != self.clock.dc_part or not self.clock.dc_part.leq(batch.frontier):
-            if not self.disable_guards:
-                raise ProtocolError(f"{self.id}: notify base {batch.prev} off {self.clock}")
+            raise ProtocolError(f"{self.id}: notify base {batch.prev} off {self.clock}")
         for kind, payload in batch.items:
             if kind == "effects":
                 for effect in payload:
@@ -364,7 +362,7 @@ class SweepScout(Scout):
                     entry = self.cache.get(effect.target)
                     if entry is None or not entry.valid:
                         continue
-                    if not self.disable_guards and entry.clock.dc_part != batch.prev:
+                    if entry.clock.dc_part != batch.prev:
                         if batch.prev.leq(entry.clock.dc_part):
                             continue
                         entry.valid = False
@@ -405,10 +403,6 @@ class SweepScout(Scout):
 
 SWEEP_RUNS = {
     "preset": ("social-90-10", {}),
-    "session-reorder": (
-        "failover-demo",
-        {"mutations": ["reorder_session", "disable_guards"], "notify_mode": "invalidations"},
-    ),
 }
 
 
@@ -433,14 +427,6 @@ def entry_clocks_after_each_batch(base, overrides, scout_cls, monkeypatch):
 @pytest.mark.parametrize("name", sorted(SWEEP_RUNS))
 def test_implicit_entry_clocks_match_the_sweep(name, monkeypatch):
     base, overrides = SWEEP_RUNS[name]
-    off_clock = [0]
-    advance_off_clock = Scout._advance_off_clock
-
-    def counted(scout, prev, frontier):
-        off_clock[0] += 1
-        advance_off_clock(scout, prev, frontier)
-
-    monkeypatch.setattr(Scout, "_advance_off_clock", counted)
     clocks, off, trace = entry_clocks_after_each_batch(base, overrides, Scout, monkeypatch)
     ref_clocks, _, ref_trace = entry_clocks_after_each_batch(
         base, overrides, SweepScout, monkeypatch
@@ -448,7 +434,6 @@ def test_implicit_entry_clocks_match_the_sweep(name, monkeypatch):
     assert clocks and off
     assert clocks == ref_clocks
     assert trace == ref_trace
-    assert bool(off_clock[0]) == (name == "session-reorder")
 
 
 # CHURN's faults and five more DC crashes, with fast pruning: a fetch reply
