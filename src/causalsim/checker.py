@@ -325,7 +325,7 @@ class TraceAnalysis:
         if not scenario:
             return {}
         wl = scenario.get("workload", {"kind": "none"})
-        if wl.get("kind") != "social":
+        if workload.kind_of(wl) != "social":
             return workload.initial_states_for(wl, self.header.get("seed", 0))
         sim_cfg = scenario.get("sim", {})
         scripts, initial, _ = workload.build(

@@ -161,8 +161,8 @@ class DataCenter:
         # durable
         self.log: list[CommitRecord] = []
         self.by_otid: dict[Otid, CommitRecord] = {}
-        self.by_gtid: dict[Gtid, CommitRecord] = {}
-        # origin DC -> counter -> the log records holding that alias slot
+        # origin DC -> counter -> the log records holding that alias slot; the
+        # last one is the record the alias names
         self.by_slot: list[dict[int, list[CommitRecord]]] = [{} for _ in range(num_dcs)]
         # origin scout -> its records, in log order
         self.by_origin: dict[ScoutId, list[CommitRecord]] = {}
@@ -277,39 +277,34 @@ class DataCenter:
         self.admission[id(record)] = self.admitted
         self.by_otid[record.otid] = record
         for g in record.gtids:
-            self.by_gtid[g] = record
             self.by_slot[g.origin].setdefault(g.counter, []).append(record)
         self.by_origin.setdefault(record.otid.origin, []).append(record)
 
     def _unlog_records(self, dropped: dict[int, CommitRecord]) -> None:
         """Remove the records just pruned from the log, by identity, from the
         indexes that list them. With dedup off another record may share an
-        OTID or an alias slot with a dropped one: the index then points at
-        the last such record left, as a rebuild from the log would."""
+        OTID or an alias slot with a dropped one: the index then keeps, or
+        points at, the records left, as a rebuild from the log would."""
 
-        def keep_rest(index: dict, key) -> list[CommitRecord]:
+        def keep_rest(index: dict, key) -> None:
             rest = [r for r in index[key] if id(r) not in dropped]
             if rest:
                 index[key] = rest
-            else:
-                del index[key]
-            return rest
-
-        def repoint(index: dict, key, rest: list[CommitRecord]) -> None:
-            if rest:
-                index[key] = rest[-1]
             else:
                 del index[key]
 
         for n in dropped:
             del self.admission[n]
         for origin, counter in {(g.origin, g.counter) for r in dropped.values() for g in r.gtids}:
-            repoint(self.by_gtid, Gtid(counter, origin), keep_rest(self.by_slot[origin], counter))
+            keep_rest(self.by_slot[origin], counter)
         for scout in {r.otid.origin for r in dropped.values()}:
             keep_rest(self.by_origin, scout)
         for otid in {r.otid for r in dropped.values()}:
-            mine = self.by_origin.get(otid.origin, ())
-            repoint(self.by_otid, otid, [r for r in mine if r.otid == otid])
+            mine = [r for r in self.by_origin.get(otid.origin, ()) if r.otid == otid]
+            if mine:
+                self.by_otid[otid] = mine[-1]
+            else:
+                del self.by_otid[otid]
 
     def _store_effects(self, record: CommitRecord) -> None:
         for e in record.effects:
@@ -361,7 +356,6 @@ class DataCenter:
             return
         existing.gtids.extend(new)
         for g in new:
-            self.by_gtid[g] = existing
             self.by_slot[g.origin].setdefault(g.counter, []).append(existing)
         self._mark_slots(new)
 
@@ -670,11 +664,12 @@ class DataCenter:
         seen: set[Otid] = set()
         for origin in range(self.num_dcs):
             for counter in range(base[origin] + 1, target[origin] + 1):
-                record = self.by_gtid.get(Gtid(counter, origin))
-                if record is None:
+                slot = self.by_slot[origin].get(counter)
+                if slot is None:
                     # already pruned: effects cannot be delivered piecemeal
                     gap_in_log = True
                     continue
+                record = slot[-1]
                 if record.otid in seen:
                     continue
                 seen.add(record.otid)

@@ -32,7 +32,7 @@ import functools
 import weakref
 from typing import Callable, NamedTuple
 
-from causalsim.clocks import CausalClock, VersionVector
+from causalsim.clocks import VersionVector
 from causalsim.crdt import apply_effect
 
 # how late the reordered notify batch arrives
@@ -63,33 +63,35 @@ class KGatingOff:
 
 
 class UnguardedScout:
-    """A scout that takes every notify batch. Every entry clock is explicit.
-    A batch applies its effects to every valid entry, then moves the entries
-    at its base to its frontier. A valid entry is read at any clock."""
+    """A scout that takes every notify batch. Every entry keeps the frontier
+    it is at in `at`, even at the clock. A batch applies its effects to every
+    valid entry, then moves the valid entries at its base to its frontier. A
+    valid entry is read at any clock."""
 
-    def _set_clock(self, obj, entry, clock) -> None:
-        entry.clock, entry.current = clock, False
+    def _place(self, obj, entry, at) -> None:
+        entry.at = at
 
     def _readable(self, entry) -> bool:
-        return entry.valid
+        return entry.state is not None
 
     def _apply_notify(self, env, batch) -> None:
         for kind, payload in batch.items:
             if kind == "effects":
                 for effect in payload:
                     entry = self.cache.get(effect.target)
-                    if effect.tag.origin != self.id and entry is not None and entry.valid:
-                        self._stash_protect(effect.target)
-                        entry.state = apply_effect(entry.state, effect)
+                    if effect.tag.origin == self.id or entry is None or entry.state is None:
+                        continue
+                    self._stash_protect(effect.target)
+                    entry.state = apply_effect(entry.state, effect)
             else:
                 for obj in payload:
                     entry = self.cache.get(obj)
                     if entry is not None:
                         self._stash_protect(obj)
-                        self._invalidate(entry)
+                        entry.state = None
         for entry in self.cache.values():
-            if entry.valid and entry.clock.dc_part == batch.prev:
-                entry.clock = CausalClock(batch.frontier, entry.clock.local_part)
+            if entry.state is not None and entry.at == batch.prev:
+                entry.at = batch.frontier
         self.clock = self.clock.with_dc_part(batch.frontier)
         self._take_acks(env, batch)
 

@@ -66,11 +66,11 @@ class ProtocolError(Exception):
 
 @dataclass
 class CacheEntry:
-    state: Any
-    clock: CausalClock  # while `current`, only its local part holds
+    state: Any  # None once invalidated
+    # None while the entry is at the scout's clock, advancing with it; else
+    # the frontier it was admitted at, which it waits for in `Scout.waiting`
+    at: Optional[VersionVector] = None
     pinned: bool = False
-    valid: bool = True
-    current: bool = False  # at the scout's clock, and advancing with it
 
 
 @dataclass
@@ -134,8 +134,8 @@ class Scout:
 
         self.clock = CausalClock.zero(num_dcs)
         self.cache: OrderedDict[ObjectId, CacheEntry] = OrderedDict()
-        # dc part -> objects whose entries were admitted there, ahead of the
-        # clock; they become current when the clock reaches it
+        # frontier -> objects whose entries were admitted there, ahead of the
+        # clock; they join the clock when it reaches that frontier
         self.waiting: dict[VersionVector, set[ObjectId]] = {}
         self.pending: list[PendingCommit] = []
         self.durability: dict[int, str] = {}
@@ -146,7 +146,9 @@ class Scout:
         self.probe_inflight: Optional[DcId] = None
         self.forced_target: Optional[DcId] = None
         self.tx: Optional[TxHandle] = None
-        self.tx_stash: dict[ObjectId, Optional[CacheEntry]] = {}
+        # object -> what a read in the open transaction gets from the cache
+        # (None: a miss), kept from before a change to the object's entry
+        self.tx_stash: dict[ObjectId, Any] = {}
         self.fetch: Optional[_OutstandingFetch] = None
         self.stored: Optional[_OutstandingStored] = None
         self.notify_backlog: list[NotifyBatch] = []
@@ -223,10 +225,7 @@ class Scout:
 
     def _resolve_base(self, obj: ObjectId):
         if obj in self.tx_stash:
-            stashed = self.tx_stash[obj]
-            if stashed is None or not stashed.valid:
-                return None
-            return stashed.state
+            return self.tx_stash[obj]
         entry = self.cache.get(obj)
         if entry is not None and self._readable(entry):
             self.cache.move_to_end(obj)
@@ -236,16 +235,18 @@ class Scout:
     def _readable(self, entry: CacheEntry) -> bool:
         # an entry admitted ahead of the clock waits for the clock: a DC
         # crash can lose the notify batches that would bring it there
-        return entry.valid and self.entry_clock(entry).dc_part == self.clock.dc_part
+        return entry.state is not None and entry.at is None
 
     def _issue_fetch(self, env, tx: TxHandle, objs: list[ObjectId]) -> None:
         self.req_counter += 1
         tx.round_trips += 1
         self.fetch = _OutstandingFetch(self.req_counter, objs)
+        # an evicted object that a later reply admitted again stays subscribed
+        unsub = [o for o in self.pending_unsub if o not in self.cache]
         env.send(
             self.id,
             self._dc_addr(self.session),
-            FetchRequest(self.id, self.req_counter, objs, tx.snapshot, self.pending_unsub),
+            FetchRequest(self.id, self.req_counter, objs, tx.snapshot, unsub),
         )
         self.pending_unsub = []
 
@@ -291,9 +292,8 @@ class Scout:
         if not read_only:
             for effect in tx.effects:
                 entry = self.cache.get(effect.target)
-                if entry is not None and entry.valid:
+                if entry is not None and entry.state is not None:
                     entry.state = apply_effect(entry.state, effect)
-                    entry.clock = CausalClock(entry.clock.dc_part, tx.otid.counter)
             self.clock = self.clock.with_local(tx.otid.counter)
             record = CommitRecord(tx.otid, [], tx.snapshot, tuple(tx.effects), self.id)
             self.pending.append(PendingCommit(record))
@@ -364,7 +364,6 @@ class Scout:
                 self._send_commit(env, pc)
 
     def on_commit_reply(self, env, reply: CommitReply) -> None:
-        pc = next((p for p in self.pending if p.record.otid == reply.otid), None)
         env.trace(
             {
                 "ev": "commit_reply",
@@ -374,6 +373,7 @@ class Scout:
                 "gtid": None if reply.gtid is None else gtid_to_wire(reply.gtid),
             }
         )
+        pc = self._ack(reply.otid, reply.gtid)
         if pc is None:
             return
         if reply.status == "null":
@@ -381,11 +381,19 @@ class Scout:
             self.pending.remove(pc)
             self.durability[reply.otid.counter] = "k_durable"
             return
-        pc.acked = True
-        if reply.gtid is not None and reply.gtid not in pc.gtids:
-            pc.gtids.append(reply.gtid)
-        self.durability[reply.otid.counter] = "global"
         self._sweep_k_durable()
+
+    def _ack(self, otid: Otid, gtid: Optional[Gtid]) -> Optional[PendingCommit]:
+        """Mark the pending record `otid` acknowledged, with alias `gtid`,
+        and return it; None if it is no longer pending. A pending record is
+        never K-durable, so it is now global."""
+        pc = next((p for p in self.pending if p.record.otid == otid), None)
+        if pc is not None:
+            pc.acked = True
+            if gtid is not None and gtid not in pc.gtids:
+                pc.gtids.append(gtid)
+            self.durability[otid.counter] = "global"
+        return pc
 
     def _sweep_k_durable(self) -> None:
         kept = []
@@ -398,30 +406,20 @@ class Scout:
 
     # -- cache ----------------------------------------------------------------------
 
-    def entry_clock(self, entry: CacheEntry) -> CausalClock:
-        if entry.current:
-            return CausalClock(self.clock.dc_part, entry.clock.local_part)
-        return entry.clock
+    def _place(self, obj: ObjectId, entry: CacheEntry, at: VersionVector) -> None:
+        """Put an entry admitted at frontier `at` at the clock, or make it
+        wait there."""
+        if at == self.clock.dc_part:
+            entry.at = None
+        else:
+            entry.at = at
+            self.waiting.setdefault(at, set()).add(obj)
 
-    def _set_clock(self, obj: ObjectId, entry: CacheEntry, clock: CausalClock) -> None:
-        entry.clock = clock
-        entry.current = clock.dc_part == self.clock.dc_part
-        if not entry.current:
-            self.waiting.setdefault(clock.dc_part, set()).add(obj)
-
-    def _invalidate(self, entry: CacheEntry) -> None:
-        # an invalid entry keeps the clock it had, so it stops following
-        entry.clock = self.entry_clock(entry)
-        entry.current = False
-        entry.valid = False
-        entry.state = None
-
-    def admit(self, env, obj: ObjectId, state, clock: CausalClock, pin: bool = False) -> None:
+    def admit(self, env, obj: ObjectId, state, at: VersionVector, pin: bool = False) -> None:
         entry = self.cache.get(obj)
         if entry is not None:
             entry.state = state
-            self._set_clock(obj, entry, clock)
-            entry.valid = True
+            self._place(obj, entry, at)
             entry.pinned = entry.pinned or pin
             self.cache.move_to_end(obj)
             return
@@ -435,8 +433,8 @@ class Scout:
                 raise CachePinOverflow(f"{self.id}: all {len(self.cache)} entries pinned")
             del self.cache[victim]
             self.pending_unsub.append(victim)
-        entry = self.cache[obj] = CacheEntry(state, clock, pinned=pin)
-        self._set_clock(obj, entry, clock)
+        entry = self.cache[obj] = CacheEntry(state, pinned=pin)
+        self._place(obj, entry, at)
 
     def pin(self, objs: list[ObjectId]) -> None:
         pinned = sum(1 for e in self.cache.values() if e.pinned)
@@ -459,12 +457,8 @@ class Scout:
         # keep the version an open snapshot needs before changing the entry
         if self.tx is not None and obj not in self.tx_stash:
             entry = self.cache.get(obj)
-            if entry is None:
-                self.tx_stash[obj] = None
-            else:
-                self.tx_stash[obj] = CacheEntry(
-                    entry.state, self.entry_clock(entry), entry.pinned, entry.valid
-                )
+            readable = entry is not None and self._readable(entry)
+            self.tx_stash[obj] = entry.state if readable else None
 
     # -- notifications -----------------------------------------------------------------
 
@@ -487,16 +481,15 @@ class Scout:
                     if effect.tag.origin == self.id:
                         continue
                     entry = self.cache.get(effect.target)
-                    if entry is None or not entry.valid:
+                    if entry is None or entry.state is None:
                         continue
-                    # an entry is at batch.prev iff it is current
-                    if not entry.current:
-                        if batch.prev.leq(entry.clock.dc_part):
-                            continue  # admitted ahead of this batch already
-                        self._invalidate(entry)
-                        continue
+                    # an entry is at batch.prev iff it is at the clock
+                    if entry.at is not None:
+                        if not batch.prev.leq(entry.at):
+                            entry.state = None  # behind this batch: invalid
+                        continue  # else admitted ahead of this batch already
                     self._stash_protect(effect.target)
-                    # a current entry reaches the frontier with the clock below,
+                    # the entry reaches the frontier with the clock below,
                     # after every effect of this batch has been applied
                     entry.state = apply_effect(entry.state, effect)
             else:
@@ -504,20 +497,14 @@ class Scout:
                     entry = self.cache.get(obj)
                     if entry is not None:
                         self._stash_protect(obj)
-                        self._invalidate(entry)
+                        entry.state = None
         self._advance_clock(batch.frontier)
         self._take_acks(env, batch)
 
     def _take_acks(self, env, batch: NotifyBatch) -> None:
         """Note the acks of an applied batch, and trace it."""
         for otid, gtid in batch.acks:
-            pc = next((p for p in self.pending if p.record.otid == otid), None)
-            if pc is not None:
-                pc.acked = True
-                if gtid not in pc.gtids:
-                    pc.gtids.append(gtid)
-                if self.durability.get(otid.counter) == "local":
-                    self.durability[otid.counter] = "global"
+            self._ack(otid, gtid)
         self._sweep_k_durable()
         env.trace(
             {
@@ -530,13 +517,15 @@ class Scout:
         )
 
     def _advance_clock(self, frontier: VersionVector) -> None:
-        """Move the clock, and the current entries with it, to `frontier`;
-        entries admitted there become current."""
+        """Move the clock, and the entries at it, to `frontier`; entries
+        admitted there join the clock."""
         self.clock = self.clock.with_dc_part(frontier)
         for obj in self.waiting.pop(frontier, ()):
             entry = self.cache.get(obj)
-            if entry is not None and entry.valid and entry.clock.dc_part == frontier:
-                entry.current = True
+            if entry is not None and entry.at == frontier:
+                # an open transaction's snapshot is behind the entry
+                self._stash_protect(obj)
+                entry.at = None
         # the clock only grows, so it cannot reach these again
         for dc_part in [v for v in self.waiting if v.leq(frontier)]:
             del self.waiting[dc_part]
@@ -575,10 +564,9 @@ class Scout:
                 tx.fetched.add(obj)
             if reply.admit_frontier is None:
                 continue  # sent to a session without a cache: nothing to admit
-            admit_clock = CausalClock(reply.admit_frontier, self.clock.local_part)
             self._stash_protect(obj)
             admit = snap if admit_wire is None else decode_once(table, admit_wire, state_from_wire)
-            self.admit(env, obj, admit, admit_clock)
+            self.admit(env, obj, admit, reply.admit_frontier)
         self._drain_notify_backlog(env)
         self.wake = True
 
@@ -644,7 +632,7 @@ class Scout:
             self.probe_idx += 1
         self.probe_inflight = candidate
         self.session_epoch += 1
-        cached = sorted(o for o, e in self.cache.items() if e.valid)
+        cached = sorted(o for o, e in self.cache.items() if e.state is not None)
         env.send(
             self.id,
             self._dc_addr(candidate),
@@ -664,9 +652,10 @@ class Scout:
         self.ever_connected = True
         self.forced_target = None
         env.trace({"ev": "session", "node": self.id, "dc": candidate, "result": "connected"})
-        # replay every record that is not yet K-durable, in OTID order; the
-        # DC's duplicate filter turns re-deliveries into alias lookups
-        for pc in sorted(self.pending, key=lambda p: p.record.otid.counter):
+        # replay every record that is not yet K-durable, in OTID order (the
+        # order `commit` appends them in); the DC's duplicate filter turns
+        # re-deliveries into alias lookups
+        for pc in self.pending:
             self._send_commit(env, pc)
         self._resend_requests(env)
         self.wake = True

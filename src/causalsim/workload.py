@@ -198,31 +198,37 @@ def counter_scripts(
     return scripts
 
 
-def initial_states_for(workload_cfg: dict, seed) -> dict[ObjectId, object]:
-    """The pre-run object states a workload seeds at every DC."""
-    if workload_cfg.get("kind", "social") != "social":
-        return {}
-    cfg = SocialConfig(
+def kind_of(workload_cfg: dict) -> str:
+    """A workload config's kind; a config without one is social."""
+    return workload_cfg.get("kind", "social")
+
+
+def _social_config(workload_cfg: dict) -> SocialConfig:
+    return SocialConfig(
         users=workload_cfg.get("users", 100),
         friends_per_user=workload_cfg.get("friends", 10),
+        update_fraction=workload_cfg.get("update_fraction", 0.10),
+        locality=workload_cfg.get("locality", 0.90),
+        session_length=workload_cfg.get("session_length", 50),
+        sessions_per_scout=workload_cfg.get("sessions", 2),
+        pin_friends=workload_cfg.get("pin", True),
     )
+
+
+def initial_states_for(workload_cfg: dict, seed) -> dict[ObjectId, object]:
+    """The pre-run object states a workload seeds at every DC."""
+    if kind_of(workload_cfg) != "social":
+        return {}
+    cfg = _social_config(workload_cfg)
     graph = friend_graph(cfg, random.Random(f"{seed}/graph"))
     return initial_states(cfg, graph)
 
 
 def build(workload_cfg: dict, num_scouts: int, seed, cache_capacity: int):
     """Produce (scripts, initial_states, procedures) for a workload config."""
-    kind = workload_cfg.get("kind", "social")
+    kind = kind_of(workload_cfg)
     if kind == "social":
-        cfg = SocialConfig(
-            users=workload_cfg.get("users", 100),
-            friends_per_user=workload_cfg.get("friends", 10),
-            update_fraction=workload_cfg.get("update_fraction", 0.10),
-            locality=workload_cfg.get("locality", 0.90),
-            session_length=workload_cfg.get("session_length", 50),
-            sessions_per_scout=workload_cfg.get("sessions", 2),
-            pin_friends=workload_cfg.get("pin", True),
-        )
+        cfg = _social_config(workload_cfg)
         graph = friend_graph(cfg, random.Random(f"{seed}/graph"))
         return (
             social_scripts(cfg, num_scouts, seed, cache_capacity, graph),

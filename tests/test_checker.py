@@ -416,6 +416,15 @@ def test_labels_follow_the_run_scout_count_not_the_scenario_file():
     assert late and all(tx.label is not None for tx in late)
 
 
+def test_a_workload_without_a_kind_is_social():
+    scenario = load_scenario("failover-demo")
+    workload = {k: v for k, v in scenario["workload"].items() if k != "kind"}
+    kindless = dict(scenario, workload=workload)
+    report = run_checks(run_scenario(kindless, seed=1).trace)
+    assert report == run_checks(run_scenario(scenario, seed=1).trace)
+    assert len(report["latency"]["rts_by_label"]) == 7
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_checks_restores_the_callers_gc_setting(enabled):
     was = gc.isenabled()

@@ -1239,7 +1239,8 @@ def test_pruning_unindexes_every_dropped_alias(seed, monkeypatch):
         out = prune_tick(dc, env)
         seen["pruned"] += before - len(dc.log)
         logged = {id(r) for r in dc.log}
-        assert all(id(r) in logged for r in dc.by_gtid.values())
+        listed = [r for slots in dc.by_slot for records in slots.values() for r in records]
+        assert all(id(r) in logged for r in listed)
         return out
 
     monkeypatch.setattr(DataCenter, "prune_tick", checked_prune)

@@ -3,8 +3,8 @@ import pytest
 from causalsim import sim as sim_module
 from causalsim.clocks import CausalClock, Otid, VersionVector
 from causalsim.crdt import CounterState, CrdtType, ObjectId, apply_effect, new_state, state_to_wire
-from causalsim.messages import FetchReply
-from causalsim.scenarios import load_scenario, run_scenario, sim_config
+from causalsim.messages import FetchReply, NotifyBatch
+from causalsim.scenarios import PRESETS, load_scenario, run_scenario, sim_config
 from causalsim.checker import run_checks
 from causalsim.scout import CachePinOverflow, ProtocolError, Scout, Unavailable, UsageError
 from causalsim.sim import SimConfig, Simulation
@@ -75,7 +75,7 @@ class TestLifecycle:
         s.session = 0
         s.cache_seed = None
         tx = s.begin(sim)
-        s.admit(sim, CTR, new_state(CrdtType.COUNTER), CausalClock.zero(2))
+        s.admit(sim, CTR, new_state(CrdtType.COUNTER), VersionVector.zero(2))
         assert s.read(sim, tx, CTR) == 0
         s.update(sim, tx, CTR, ("inc", 5))
         s.rollback(sim, tx)
@@ -89,7 +89,7 @@ class TestLifecycle:
         s = sim.scouts["s0"]
         s.session = 0
         tx = s.begin(sim)
-        s.admit(sim, SET, new_state(CrdtType.AW_SET), CausalClock.zero(2))
+        s.admit(sim, SET, new_state(CrdtType.AW_SET), VersionVector.zero(2))
         s.read(sim, tx, SET)
         s.update(sim, tx, SET, ("add", "x"))
         s.commit(sim, tx)
@@ -101,7 +101,7 @@ class TestLifecycle:
         sim = harness()
         s = sim.scouts["s0"]
         s.session = 0
-        s.admit(sim, CTR, new_state(CrdtType.COUNTER), CausalClock.zero(2))
+        s.admit(sim, CTR, new_state(CrdtType.COUNTER), VersionVector.zero(2))
         tx = s.begin(sim)
         s.read(sim, tx, CTR)
         s.commit(sim, tx)
@@ -112,7 +112,7 @@ class TestLifecycle:
         sim = harness()
         s = sim.scouts["s0"]
         s.session = 0
-        s.admit(sim, SET, new_state(CrdtType.AW_SET), CausalClock.zero(2))
+        s.admit(sim, SET, new_state(CrdtType.AW_SET), VersionVector.zero(2))
         tx = s.begin(sim)
         s.read(sim, tx, SET)
         s.update(sim, tx, SET, ("add", "a"))
@@ -133,7 +133,7 @@ class TestCache:
         a = ObjectId("a", CrdtType.COUNTER)
         b = ObjectId("b", CrdtType.COUNTER)
         c = ObjectId("c", CrdtType.COUNTER)
-        zero = CausalClock.zero(2)
+        zero = VersionVector.zero(2)
         s.admit(sim, a, new_state(CrdtType.COUNTER), zero)
         s.admit(sim, b, new_state(CrdtType.COUNTER), zero)
         s.session = 0
@@ -147,7 +147,7 @@ class TestCache:
     def test_pinned_entries_never_evicted(self):
         sim = harness(cache_capacity=2)
         s = sim.scouts["s0"]
-        zero = CausalClock.zero(2)
+        zero = VersionVector.zero(2)
         a = ObjectId("a", CrdtType.COUNTER)
         b = ObjectId("b", CrdtType.COUNTER)
         c = ObjectId("c", CrdtType.COUNTER)
@@ -159,7 +159,7 @@ class TestCache:
     def test_all_pinned_overflow(self):
         sim = harness(cache_capacity=1)
         s = sim.scouts["s0"]
-        zero = CausalClock.zero(2)
+        zero = VersionVector.zero(2)
         s.admit(sim, CTR, new_state(CrdtType.COUNTER), zero, pin=True)
         with pytest.raises(CachePinOverflow):
             s.admit(sim, SET, new_state(CrdtType.AW_SET), zero)
@@ -167,7 +167,7 @@ class TestCache:
     def test_zero_capacity_admits_nothing(self):
         sim = harness(cache_capacity=0)
         s = sim.scouts["s0"]
-        s.admit(sim, CTR, new_state(CrdtType.COUNTER), CausalClock.zero(2))
+        s.admit(sim, CTR, new_state(CrdtType.COUNTER), VersionVector.zero(2))
         assert len(s.cache) == 0
 
 
@@ -219,6 +219,49 @@ class TestFetchReply:
             s._advance_clock(ahead)
             tx = s.begin(sim)
         assert s.read(sim, tx, CTR) == 3
+
+
+class TestStash:
+    """An open transaction reads an object as the cache held it when a
+    change to the object's entry came in."""
+
+    AHEAD = VersionVector((1, 0))
+
+    def _waiting(self):
+        # s0, connected to dc0, with ctr:0 admitted ahead of its clock
+        sim = harness()
+        s = sim.scouts["s0"]
+        s.session, s.session_epoch, s.ever_connected = 0, 1, True
+        s.admit(sim, CTR, CounterState(5), self.AHEAD)
+        tx = s.begin(sim)
+        assert tx.snapshot.dc_part == VersionVector.zero(2)
+        return sim, s, tx
+
+    def _notify(self, sim, s, items):
+        s.on_notify(sim, NotifyBatch(0, 1, VersionVector.zero(2), self.AHEAD, items, []))
+
+    def test_an_invalidated_entry_that_waited_ahead_is_a_miss(self):
+        sim, s, tx = self._waiting()
+        self._notify(sim, s, [("invalidate", [CTR])])
+        assert s.read(sim, tx, CTR) is None  # a miss: the fetch is out
+        assert s.fetch is not None
+
+    def test_an_entry_that_joins_the_clock_is_a_miss_for_an_older_snapshot(self):
+        sim, s, tx = self._waiting()
+        self._notify(sim, s, [])
+        assert s.cache[CTR].at is None  # at the clock now
+        assert s.read(sim, tx, CTR) is None
+        s.rollback(sim, tx)
+        assert s.read(sim, s.begin(sim), CTR) == 5
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_social_presets_pass_every_check_with_invalidations(name):
+    # an object evicted and admitted again by one fetch reply stays subscribed
+    result = run_scenario(load_scenario(name), seed=1, overrides={"notify_mode": "invalidations"})
+    report = run_checks(result.trace)
+    assert result.synced
+    assert report["ok"], {k: v["violations"][:3] for k, v in report["verdicts"].items()}
 
 
 def run_pair(scripts, **kw):
@@ -341,15 +384,19 @@ class TestFailover:
         assert rejected and rejected[-1]["result"] == "rejected"
 
 
-# -- implicit entry clocks against the whole-cache sweep --------------------------
+# -- entries at the clock against the whole-cache sweep ----------------------------
 
 
 class SweepScout(Scout):
-    """Every entry clock explicit, and every notify batch sweeps the cache to
-    move the entries at its base to its frontier."""
+    """Every entry keeps its frontier in `at`, even at the clock, and every
+    notify batch sweeps the cache to move the entries at its base to its
+    frontier."""
 
-    def _set_clock(self, obj, entry, clock):
-        entry.clock, entry.current = clock, False
+    def _place(self, obj, entry, at):
+        entry.at = at
+
+    def _readable(self, entry):
+        return entry.state is not None and entry.at == self.clock.dc_part
 
     def _apply_notify(self, env, batch):
         if batch.prev != self.clock.dc_part or not self.clock.dc_part.leq(batch.frontier):
@@ -360,13 +407,11 @@ class SweepScout(Scout):
                     if effect.tag.origin == self.id:
                         continue
                     entry = self.cache.get(effect.target)
-                    if entry is None or not entry.valid:
+                    if entry is None or entry.state is None:
                         continue
-                    if entry.clock.dc_part != batch.prev:
-                        if batch.prev.leq(entry.clock.dc_part):
-                            continue
-                        entry.valid = False
-                        entry.state = None
+                    if entry.at != batch.prev:
+                        if not batch.prev.leq(entry.at):
+                            entry.state = None
                         continue
                     self._stash_protect(effect.target)
                     entry.state = apply_effect(entry.state, effect)
@@ -375,11 +420,10 @@ class SweepScout(Scout):
                     entry = self.cache.get(obj)
                     if entry is not None:
                         self._stash_protect(obj)
-                        entry.valid = False
                         entry.state = None
         for entry in self.cache.values():
-            if entry.valid and entry.clock.dc_part == batch.prev:
-                entry.clock = CausalClock(batch.frontier, entry.clock.local_part)
+            if entry.state is not None and entry.at == batch.prev:
+                entry.at = batch.frontier
         self.clock = self.clock.with_dc_part(batch.frontier)
         for otid, gtid in batch.acks:
             pc = next((p for p in self.pending if p.record.otid == otid), None)
@@ -403,20 +447,27 @@ class SweepScout(Scout):
 
 SWEEP_RUNS = {
     "preset": ("social-90-10", {}),
+    "invalidations": ("social-90-10", {"notify_mode": "invalidations"}),
 }
 
 
-def entry_clocks_after_each_batch(base, overrides, scout_cls, monkeypatch):
-    """Every scout's cache entry clocks after each notify batch, how many
-    valid entries were off the scout's clock then, and the trace bytes."""
+def entry_frontiers_after_each_batch(base, overrides, scout_cls, monkeypatch):
+    """Every scout's cache entries after each notify batch, each with whether
+    it is valid and, if so, its frontier (an entry with `at` None is at the
+    scout's clock); how many valid entries were off the clock then; and the
+    trace bytes."""
     seen, off = [], [0]
     apply = scout_cls._apply_notify
 
     def recorded(scout, env, batch):
         apply(scout, env, batch)
-        clocks = [(obj, scout.entry_clock(e), e.valid) for obj, e in scout.cache.items()]
-        seen.append((scout.id, clocks))
-        off[0] += sum(valid and c.dc_part != scout.clock.dc_part for _, c, valid in clocks)
+        clock = scout.clock.dc_part
+        entries = [
+            (obj, e.state is not None, e.state is not None and (clock if e.at is None else e.at))
+            for obj, e in scout.cache.items()
+        ]
+        seen.append((scout.id, entries))
+        off[0] += sum(valid and at != clock for _, valid, at in entries)
 
     monkeypatch.setattr(scout_cls, "_apply_notify", recorded)
     monkeypatch.setattr(sim_module, "Scout", scout_cls)
@@ -427,12 +478,12 @@ def entry_clocks_after_each_batch(base, overrides, scout_cls, monkeypatch):
 @pytest.mark.parametrize("name", sorted(SWEEP_RUNS))
 def test_implicit_entry_clocks_match_the_sweep(name, monkeypatch):
     base, overrides = SWEEP_RUNS[name]
-    clocks, off, trace = entry_clocks_after_each_batch(base, overrides, Scout, monkeypatch)
-    ref_clocks, _, ref_trace = entry_clocks_after_each_batch(
+    entries, off, trace = entry_frontiers_after_each_batch(base, overrides, Scout, monkeypatch)
+    ref_entries, _, ref_trace = entry_frontiers_after_each_batch(
         base, overrides, SweepScout, monkeypatch
     )
-    assert clocks and off
-    assert clocks == ref_clocks
+    assert entries and off
+    assert entries == ref_entries
     assert trace == ref_trace
 
 

@@ -563,13 +563,13 @@ def test_the_table_lives_for_one_run(monkeypatch):
     first.run()
     assert max(sizes) > 0 and first.decoded == {}
     held = held_effects(first) + [
-        e.state for s in first.scouts.values() for e in s.cache.values() if e.valid
+        e.state for s in first.scouts.values() for e in s.cache.values() if e.state is not None
     ]
     second = build_simulation(scenario, seed=1)
     second.run()
     assert second.decoded == {} and second.decoded is not first.decoded
     again = held_effects(second) + [
-        e.state for s in second.scouts.values() for e in s.cache.values() if e.valid
+        e.state for s in second.scouts.values() for e in s.cache.values() if e.state is not None
     ]
     # the same scenario decodes equal values, but never the first run's objects
     assert len(again) == len(held)
