@@ -135,94 +135,76 @@ class RunResult:
 
 
 class ScriptDriver:
-    """Runs a scout's scripted transactions, suspending on round trips."""
+    """Runs a scout's scripted transactions as a generator, which yields
+    None to wait for the scout and a delay in ms to sleep."""
 
     def __init__(self, scout: Scout, script: list[dict], think_ms: int):
         self.scout = scout
         self.script = script
         self.think_ms = think_ms
-        self.idx = 0
-        self.op_idx = 0
-        self.tx = None
-        self.stored_issued = False
+        self.steps = None  # the generator, made on the first advance
         self.done = len(script) == 0
         self.sleeping = False
 
     def advance(self, sim) -> None:
         if self.done or self.sleeping:
             return
-        scout = self.scout
-        while self.idx < len(self.script):
-            if not scout.ever_connected:
-                return  # hold the very first transaction until storage is up
-            spec = self.script[self.idx]
-            if spec["kind"] == "stored":
-                if self.stored_issued:
-                    if scout.stored is not None:
-                        return
-                    self.stored_issued = False
-                    self._next(sim)
-                    if self.sleeping:
-                        return
-                    continue
-                if not scout.connected:
-                    return self._retry_later(sim)
-                try:
-                    scout.exec_stored_tx(sim, spec["name"], spec["params"])
-                except Unavailable:
-                    return self._retry_later(sim)
-                self.stored_issued = True
-                return
-            if self.tx is None:
-                self.tx = scout.begin(sim)
-                self.op_idx = 0
-            if scout.pruned_read:
-                scout.pruned_read = False
-                scout.rollback(sim, self.tx)
-                self.tx = None
-                return self._retry_later(sim)
-            ops = spec["ops"]
-            try:
-                while self.op_idx < len(ops):
-                    op = ops[self.op_idx]
-                    if op[0] == "read":
-                        if scout.read(sim, self.tx, op[1]) is None:
-                            return
-                    elif op[0] == "multi":
-                        if not scout.multi_read(sim, self.tx, op[1]):
-                            return
-                    elif op[0] == "update":
-                        scout.update(sim, self.tx, op[1], op[2])
-                    elif op[0] == "pin":
-                        scout.pin(op[1])
-                    elif op[0] == "unpin":
-                        scout.unpin(op[1])
-                    else:
-                        raise ValueError(f"unknown op {op[0]!r}")
-                    self.op_idx += 1
-            except Unavailable:
-                scout.rollback(sim, self.tx)
-                self.tx = None
-                return self._retry_later(sim)
-            scout.commit(sim, self.tx)
-            self.tx = None
-            self._next(sim)
-            if self.sleeping:
-                return
-        self.done = True
-
-    def _next(self, sim) -> None:
-        self.idx += 1
-        self.op_idx = 0
-        if self.idx >= len(self.script):
+        if self.steps is None:
+            self.steps = self._steps(sim)
+        try:
+            delay = next(self.steps)
+        except StopIteration:
             self.done = True
-        elif self.think_ms > 0:
+            return
+        if delay is not None:
             self.sleeping = True
-            sim.schedule(sim.now() + self.think_ms, "script", self.scout.id)
+            sim.schedule(sim.now() + delay, "script", self.scout.id)
 
-    def _retry_later(self, sim) -> None:
-        self.sleeping = True
-        sim.schedule(sim.now() + max(self.think_ms, sim.config.retry_ms), "script", self.scout.id)
+    def _steps(self, sim):
+        scout = self.scout
+        retry_ms = max(self.think_ms, sim.config.retry_ms)
+        while not scout.ever_connected:
+            yield None  # hold the very first transaction until storage is up
+        for i, spec in enumerate(self.script):
+            if i and self.think_ms > 0:
+                yield self.think_ms
+            if spec["kind"] == "stored":
+                while not scout.connected:
+                    yield retry_ms
+                scout.exec_stored_tx(sim, spec["name"], spec["params"])
+                while scout.stored is not None:
+                    yield None
+                continue
+            while not (yield from self._tx(sim, spec["ops"])):
+                yield retry_ms
+
+    def _tx(self, sim, ops):
+        """Run one transaction; return whether it committed."""
+        scout = self.scout
+        tx = scout.begin(sim)
+        try:
+            for op in ops:
+                if op[0] in ("read", "multi"):
+                    objs = [op[1]] if op[0] == "read" else op[1]
+                    while not scout.multi_read(sim, tx, objs):
+                        yield None
+                        if scout.pruned_read:
+                            scout.pruned_read = False
+                            scout.rollback(sim, tx)
+                            return False
+                elif op[0] == "update":
+                    scout.update(sim, tx, op[1], op[2])
+                elif op[0] == "pin":
+                    scout.pin(op[1])
+                elif op[0] == "unpin":
+                    scout.unpin(op[1])
+                else:
+                    raise ValueError(f"unknown op {op[0]!r}")
+        except Unavailable:
+            scout.rollback(sim, tx)
+            return False
+        scout.commit(sim, tx)
+        return True
 
 
 class Simulation:
@@ -470,6 +452,9 @@ class Simulation:
                 if self.time >= max(scripts_done_at, fault_horizon) + self.config.drain_ms:
                     break
         self.decoded.clear()
+        for driver in self.drivers.values():
+            if driver.steps is not None:
+                driver.steps.close()  # a suspended script holds its driver and the run
         self._finalize(synced)
         return RunResult(
             config=self.config,
