@@ -10,6 +10,7 @@ and a failover tour that diverts a scout across continents and back.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -20,6 +21,10 @@ from causalsim.sim import FaultEvent, SimConfig, Simulation
 SCENARIO_SCHEMA = "causalsim-scenario-1"
 
 PRESETS = ("social-90-10", "social-50-50", "staleness-stress", "failover-demo")
+
+# faults are a scenario's own section, not a `sim` key
+SIM_KEYS = {f.name for f in fields(SimConfig)} - {"faults"}
+FAULT_KEYS = {f.name for f in fields(FaultEvent)}
 
 
 def load_scenario(name_or_path) -> dict:
@@ -44,8 +49,19 @@ def sim_config(scenario: dict, seed=None, overrides: dict | None = None) -> SimC
     sim.update(overrides or {})
     if seed is not None:
         sim["seed"] = seed
+    _check_keys("sim", sim, SIM_KEYS)
+    for f in scenario.get("faults", []):
+        _check_keys("fault", f, FAULT_KEYS)
+        if not {"at", "kind"} <= f.keys():
+            raise ValueError(f"fault {f} needs an 'at' and a 'kind'")
     faults = [FaultEvent(**f) for f in scenario.get("faults", [])]
     return SimConfig(faults=faults, **sim)
+
+
+def _check_keys(section: str, given: dict, known: set) -> None:
+    unknown = sorted(set(given) - known)
+    if unknown:
+        raise ValueError(f"unknown {section} keys {unknown}; known: {sorted(known)}")
 
 
 @gc_paused()

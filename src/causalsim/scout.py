@@ -154,8 +154,6 @@ class Scout:
         self.notify_backlog: list[NotifyBatch] = []
         self.pending_unsub: list[ObjectId] = []
         self.req_counter = 0
-        self.wake = False
-        self.pruned_read = False
         self.ever_connected = False
 
     # -- identity helpers ----------------------------------------------------
@@ -191,7 +189,8 @@ class Scout:
         return tx
 
     def read(self, env, tx: TxHandle, obj: ObjectId):
-        """Return the readable value, or None after issuing a fetch."""
+        """Return the readable value, or None after issuing a fetch. None is
+        also an unset register's value: `multi_read` tells the two apart."""
         if not self.multi_read(env, tx, [obj]):
             return None
         return value_of(tx.working[obj])
@@ -551,8 +550,8 @@ class Scout:
         if reply.status == "pruned":
             self._drain_notify_backlog(env)
             env.trace({"ev": "read_failed", "node": self.id, "reason": "pruned"})
-            self.wake = True
-            self.pruned_read = True
+            if tx is not None:
+                self.rollback(env, tx)
             return
         table = env.decoded
         for obj, snap_wire, admit_wire in reply.versions:
@@ -568,7 +567,6 @@ class Scout:
             admit = snap if admit_wire is None else decode_once(table, admit_wire, state_from_wire)
             self.admit(env, obj, admit, reply.admit_frontier)
         self._drain_notify_backlog(env)
-        self.wake = True
 
     # -- stored transactions -----------------------------------------------------------------
 
@@ -609,7 +607,6 @@ class Scout:
                 "results": reply.results,
             }
         )
-        self.wake = True
 
     # -- sessions and failover ------------------------------------------------------------------
 
@@ -658,7 +655,6 @@ class Scout:
         for pc in self.pending:
             self._send_commit(env, pc)
         self._resend_requests(env)
-        self.wake = True
 
     def retry_tick(self, env) -> None:
         """Periodic at-least-once machinery: reconnects and resends."""

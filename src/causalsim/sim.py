@@ -135,8 +135,9 @@ class RunResult:
 
 
 class ScriptDriver:
-    """Runs a scout's scripted transactions as a generator, which yields
-    None to wait for the scout and a delay in ms to sleep."""
+    """Runs a scout's scripted transactions as a generator. It yields a
+    delay in ms to sleep, or None to wait on the scout's state, which the
+    simulation re-checks after every message the scout handles."""
 
     def __init__(self, scout: Scout, script: list[dict], think_ms: int):
         self.scout = scout
@@ -187,11 +188,10 @@ class ScriptDriver:
                 if op[0] in ("read", "multi"):
                     objs = [op[1]] if op[0] == "read" else op[1]
                     while not scout.multi_read(sim, tx, objs):
-                        yield None
-                        if scout.pruned_read:
-                            scout.pruned_read = False
-                            scout.rollback(sim, tx)
-                            return False
+                        while scout.fetch is not None:
+                            yield None
+                        if tx.status != "active":
+                            return False  # the fetch was pruned: the scout rolled back
                 elif op[0] == "update":
                     scout.update(sim, tx, op[1], op[2])
                 elif op[0] == "pin":
@@ -224,7 +224,6 @@ class Simulation:
         self.seq = 0
         self.heap: list = []
         self.trace_log: list[dict] = []
-        self.inflight = 0
         self._fifo: dict = {}
         self.partitions: set[frozenset] = set()
         self.disconnected: set[str] = set()
@@ -332,7 +331,6 @@ class Simulation:
         if at < last:
             at = last
         self._fifo[link] = at
-        self.inflight += 1
         self.schedule(at, "deliver", (src, dst, wire))
 
     def request_crash(self, dc_id: int) -> None:
@@ -467,7 +465,6 @@ class Simulation:
 
     def _handle(self, kind: str, payload) -> None:
         if kind == "deliver":
-            self.inflight -= 1
             src, dst, wire = payload
             if self._blocked(src, dst):
                 self.stats["dropped"] += 1
@@ -484,11 +481,8 @@ class Simulation:
                     self.stats["max_pending_commits"], len(dc.pending_commits)
                 )
             else:
-                scout = self.scouts[dst]
-                scout.dispatch(self, msg)
-                if scout.wake:
-                    scout.wake = False
-                    self.drivers[dst].advance(self)
+                self.scouts[dst].dispatch(self, msg)
+                self.drivers[dst].advance(self)
         elif kind == "fault":
             self._apply_fault(payload)
         elif kind == "gossip":

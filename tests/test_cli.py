@@ -8,7 +8,7 @@ import pytest
 
 import causalsim
 from causalsim.cli import main
-from causalsim.scenarios import PRESETS, load_scenario
+from causalsim.scenarios import PRESETS, load_scenario, sim_config
 
 
 @pytest.fixture()
@@ -48,6 +48,30 @@ class TestRun:
 
     def test_unknown_scenario(self, capsys):
         assert main(["run", "no-such-preset"]) == 2
+
+    @pytest.mark.parametrize(
+        "section, entry, key",
+        [
+            ("sim", {"gossip_period": 20}, "gossip_period"),
+            ("sim", {"faults": []}, "faults"),
+            ("faults", [{"at": 10, "kind": "dc_crash", "dc": 0, "until": 50}], "until"),
+            ("faults", [{"kind": "dc_crash", "dc": 0}], "at"),
+        ],
+    )
+    def test_a_malformed_sim_section_or_fault_is_an_error(self, small_scenario, capsys,
+                                                          section, entry, key):
+        doc = json.loads(small_scenario.read_text())
+        if section == "sim":
+            doc["sim"].update(entry)
+        else:
+            doc["faults"] = entry
+        small_scenario.write_text(json.dumps(doc))
+        assert main(["run", str(small_scenario)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_faults_in_the_overrides_are_an_error(self):
+        with pytest.raises(ValueError, match="'faults'"):
+            sim_config(load_scenario("failover-demo"), overrides={"faults": []})
 
     def test_fault_schedule_flag(self, tmp_path, small_scenario):
         faults = tmp_path / "faults.json"
@@ -97,8 +121,6 @@ class TestSweep:
 
 class TestPresets:
     def test_all_presets_load_and_validate(self):
-        from causalsim.scenarios import sim_config
-
         for name in PRESETS:
             doc = load_scenario(name)
             sim_config(doc).validate()

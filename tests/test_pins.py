@@ -11,6 +11,8 @@ send order and with their key order, so a change to the message codec that
 keeps them keeps the wire format.
 
 To print the current digests: ``PYTHONPATH=src python tests/test_pins.py``.
+To print the trace of the pinned run NAME as JSON lines, for a diff
+between two checkouts: ``PYTHONPATH=src python tests/test_pins.py --trace NAME``.
 """
 
 import hashlib
@@ -88,8 +90,8 @@ RUNS.update({name: (scenario, {}, None) for name, scenario in BENCH_RUNS.items()
 # BENCH_SEED for the benchmark workloads
 PINS = {
     "bench-churn-faults": (
-        "b90fc11623c3f5848b464ffc6a5ee9ab3dd0de1ff1ec921a6a9c2cebb474e2ab",
-        "65654def5ff52bebc2682f39f4930ff7b36a2bf8e37757f23500598f93bcfaac",
+        "0cfc8cec2f97f8137b210ebfebaf16c205a05b4aa8928941fe8deced47f8df08",
+        "5ba2c3c417b31fc687491ac45ba5d96a78ccad69c7d638188ac2ccdb5103760d",
     ),
     "bench-fetch-bound": (
         "f4981b80b90a1a4394c3ac583c9d150db05a6bd918ff2fb24e8c16d1fcc20485",
@@ -100,12 +102,12 @@ PINS = {
         "41a6a7164795a3ebb3b92e6185c973936cfcf4b4785f9157895727f8b709a610",
     ),
     "churn-faults": (
-        "e7b71f56d7cb6390609595d1b4fbc59525b20ec384530d72e3125048bb996980",
-        "6eb82ba33bef132b811193d0b3be802a36225003c86d26bba3e211312e687d5a",
+        "7cdce01a5d2fb6b3ec40fe61bd304284ddc94da799b1bc644d91d53fc9403f28",
+        "def8a63b98abc889e2255aad1c40f124020f46fbe7946d8ebc5e77b2285ee224",
     ),
     "dedup-off": (
-        "fb7286bb42f45bc086d7dfe747190974b31bfbb4dfe5425dec15d839025cea78",
-        "efb123b95c036adda9e1b93ec7ec869ec13e3ee4b8c3bf961bcf4ff5d547fdd3",
+        "ddf08f578998088faae98317eb62c71dbe8d8217e17e4029cea5e8d637983d79",
+        "4946084261611b6257c202f4bfb0ea875f91e5e5da063613e66555a4c718a3d8",
     ),
     "failover-demo": (
         "dd326e42edd6bf124272a5a88dbd652e7ecf77507d65dc85a1359acffdfae2fb",
@@ -116,8 +118,8 @@ PINS = {
         "3b1995be5392869453dfeffa5cad49d4fd349ac44c13edaa50ebb37253a935df",
     ),
     "session-reorder": (
-        "cafc36988fbd21d4fc12faeeee0e38c7531a5ec234b236dc3eb77b642c89bb35",
-        "c0ea2bd420a5bfb8f0532dd12769bc23cb51e1e1588fd21eee6219f14c2a5c8f",
+        "1f2a5b6a8ba9c031429af28ea8a5e9a1fd8b00d55e2d012e718acfef09018cd8",
+        "20250bca029ce461b6583fcb9d50f011c6c38e9e881fab5549ec47fc410657ea",
     ),
     "social-50-50": (
         "df569ea48f81b47b41d496dfe3bf7d4078bb397f8113ffb45a9e7d4b7a2156db",
@@ -143,7 +145,7 @@ WIRE_RUNS = {
 # name -> sha256 over the compact JSON of each message `Simulation.send`
 # encodes, one line per message
 WIRE_PINS = {
-    "churn-faults": "60f6808b684a84d5382d3da18dd07351163b9f19f6c95974dd46a5d489ebebad",
+    "churn-faults": "5fa55baf2861a8db2f0c439885be00d37c81f7f9b1500e646bdffdb915e60c6c",
     "social-90-10@6": "47e6e6fa13403b38f1cc6aeebefce22bf1fb1859bbc65eaa348e635888376954",
 }
 
@@ -204,6 +206,9 @@ def test_message_bytes_are_pinned(name):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--trace"]:
+        sys.stdout.buffer.write(pinned_run(sys.argv[2]).trace_bytes())
+        sys.exit(0)
     for name in sorted(RUNS):
         trace_sha, report_sha, _ = digests(name)
         print(f'    "{name}": (\n        "{trace_sha}",\n        "{report_sha}",\n    ),')

@@ -205,6 +205,14 @@ class TestFetchReply:
         assert s.read(sim, tx, CTR) == 3
         assert CTR not in s.cache and s.fetch is None
 
+    def test_a_pruned_reply_rolls_the_transaction_back(self):
+        sim, s, tx = self._fetching()
+        s.on_fetch_reply(sim, FetchReply("s0", s.fetch.req_id, "pruned", []))
+        assert tx.status == "rolledBack" and s.tx is None and s.fetch is None
+        failed, aborted = events(sim, "read_failed"), events(sim, "tx_abort")
+        assert sim.trace_log[-2:] == failed + aborted
+        assert failed[0]["t"] == aborted[0]["t"]
+
     @pytest.mark.parametrize("guards", [True, False])
     def test_an_entry_admitted_ahead_of_the_clock_waits_for_it(self, guards):
         sim, s, tx = self._fetching(mutations=[] if guards else ["disable_guards"])

@@ -1,11 +1,12 @@
 import gc
+import weakref
 from pathlib import Path
 
 from causalsim.clocks import VersionVector
 from causalsim.crdt import CrdtType, ObjectId
 from causalsim.checker import run_checks
-from causalsim.messages import SessionRequest
-from causalsim.scenarios import PRESETS, load_scenario, run_scenario
+from causalsim.messages import FetchRequest, SessionRequest
+from causalsim.scenarios import PRESETS, build_simulation, load_scenario, run_scenario
 from causalsim.sim import FaultEvent, SimConfig, Simulation
 
 import pytest
@@ -276,6 +277,46 @@ class TestFaults:
         assert any(e["status"] in ("existing", "new") for e in replies)
 
 
+class TestScripts:
+    def test_a_fetch_out_across_a_reconnect_is_sent_once_and_counted_once(self):
+        # the fetch sent at 20 ms is lost with the link; the reconnect at
+        # 100 ms reissues it, and the script waits for that reply
+        cfg = small_cfg(
+            num_scouts=1,
+            faults=[
+                FaultEvent(at=25, kind="scout_disconnect", scout="s0"),
+                FaultEvent(at=100, kind="scout_reconnect", scout="s0"),
+            ],
+        )
+        sim = Simulation(cfg, scripts={"s0": [inc_tx()]})
+        fetches = []
+        send = sim.send
+
+        def noting_send(src, dst, msg):
+            if isinstance(msg, FetchRequest):
+                fetches.append(sim.now())
+            send(src, dst, msg)
+
+        sim.send = noting_send
+        res = sim.run()
+        assert fetches[0] == 20 and len([t for t in fetches if t >= 100]) == 1
+        assert [e["rts"] for e in res.trace if e["ev"] == "local_commit"] == [1]
+        assert res.synced
+
+    def test_reading_an_unset_register_does_not_stall_the_script(self):
+        # an unset register reads as None, which `Scout.read` also returns
+        # after sending a fetch
+        reg = ObjectId("reg", CrdtType.LWW_REGISTER)
+        script = [
+            {"kind": "tx", "label": "peek", "ops": [("read", reg)]},
+            {"kind": "tx", "label": "set", "ops": [("read", reg), ("update", reg, ("assign", 7))]},
+        ]
+        sim = Simulation(small_cfg(num_scouts=1, horizon_ms=20_000), scripts={"s0": script})
+        res = sim.run()
+        assert len([e for e in res.trace if e["ev"] == "local_commit"]) == 2
+        assert res.synced and res.trace[-1]["t"] < 1000
+
+
 class TestQuiescence:
     def test_clean_run_reports_synced(self):
         cfg = small_cfg()
@@ -360,22 +401,32 @@ GC_MUTATIONS = {
 
 
 @pytest.mark.parametrize("mutation", sorted(GC_MUTATIONS))
-@pytest.mark.parametrize("name", [*PRESETS, "churn-faults"])
+@pytest.mark.parametrize("name", [*PRESETS, "churn-faults", "cut-off"])
 def test_a_run_leaves_no_cyclic_garbage(name, mutation):
     """Simulation.run pauses the cyclic collector, which is sound only while
-    a run makes no reference cycles for it to free."""
+    a run makes no reference cycles for it to free. A cycle the collector
+    would not see, or would see only later, still keeps the run alive."""
     overrides, wl = dict(GC_MUTATIONS[mutation]), None
     if name == "churn-faults":
         scenario = load_scenario(CHURN_FAULTS)
         overrides.update(CHURN_SIZE[0])
         wl = CHURN_SIZE[1]
+    elif name == "cut-off":
+        # s1 is cut off for good mid-script, so its script never finishes
+        cut = {"at": 100, "kind": "scout_disconnect", "scout": "s1"}
+        scenario = dict(load_scenario("social-90-10"), faults=[cut])
+        overrides["horizon_ms"] = 5000
     else:
         scenario = load_scenario(name)
     was = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        run_scenario(scenario, seed=1, overrides=overrides, workload_overrides=wl)
+        sim = build_simulation(scenario, seed=1, overrides=overrides, workload_overrides=wl)
+        run = weakref.ref(sim)
+        sim.run()
+        del sim
+        assert run() is None, "the simulation outlived its run"
         assert gc.collect() == 0
     finally:
         (gc.enable if was else gc.disable)()
