@@ -8,7 +8,11 @@ the initial state in a linear extension of the causality order.
 
 A quiesced, healed run must additionally show every replica with equal
 object values matching a full brute-force replay, and every counter equal
-to the sum of increments over distinct transaction identities.
+to the sum of increments over distinct transaction identities. A run that
+ended unsynced skips the convergence check while a fault is still active
+at its end (a DC crashed, a partition unhealed or a scout disconnected);
+with none active it fails the check, since a stalled script or session
+shows in no other check.
 
 Parsing builds every index the checks need, once:
 
@@ -218,6 +222,9 @@ class TraceAnalysis:
         self.tx_order: dict[str, list[tuple]] = {}
         self.tx_updates: dict[tuple, list] = {}
         self.quiesce: Optional[dict] = None
+        # faults still active at the end of the trace, besides crashed DCs
+        self.partitioned: set[frozenset] = set()
+        self.disconnected: set[str] = set()
         self.by_alias: dict[tuple, tuple] = {}
         self.duplicate_applies: list[str] = []
         self._parse(trace)
@@ -314,6 +321,16 @@ class TraceAnalysis:
                 rec.apply_times.setdefault(dc, ev["t"])
             elif kind == "quiesce":
                 self.quiesce = ev
+            elif kind == "fault":
+                fault = ev["kind"]
+                if fault == "partition":
+                    self.partitioned.update(map(frozenset, ev["links"]))
+                elif fault == "heal":
+                    self.partitioned.difference_update(map(frozenset, ev["links"]))
+                elif fault == "scout_disconnect":
+                    self.disconnected.add(ev["scout"])
+                elif fault == "scout_reconnect":
+                    self.disconnected.discard(ev["scout"])
 
     @gc_paused()
     def _load_workload(self) -> dict:
@@ -657,9 +674,11 @@ def check_convergence(tr: TraceAnalysis) -> Verdict:
     if tr.quiesce is None:
         return Verdict("convergence", False, ["trace has no quiesce event"])
     if not tr.quiesce.get("synced", False):
-        return Verdict(
-            "convergence", True, skipped="run did not quiesce fully (unhealed faults)"
-        )
+        if tr.quiesce.get("crashed") or tr.partitioned or tr.disconnected:
+            return Verdict(
+                "convergence", True, skipped="run did not quiesce fully (unhealed faults)"
+            )
+        return Verdict("convergence", False, ["run ended unsynced with no fault active"])
     violations = []
     dcs = tr.quiesce["dcs"]
     names = sorted(dcs)

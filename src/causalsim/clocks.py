@@ -8,11 +8,17 @@ origin id (OTID) assigned by the scout, which is globally unique, and one
 or more global ids (GTID) assigned sequentially by DC sequencers, which
 are compact enough to live in dependency vectors.
 
-`Otid` and `Gtid` are named tuples, as are `crdt.ObjectId` and
-`crdt.EffectTag`: the simulator builds and hashes them on every message.
-A named tuple's hash is the hash of its field tuple, which is what the
-frozen dataclasses they replaced computed, so set and dict iteration
-order, and with it every trace, is unchanged; so are their order and repr.
+Every value type here is a tuple, since the simulator builds, compares and
+hashes them on every message: `Otid`, `Gtid` and `CausalClock` are named
+tuples, as are `crdt.ObjectId` and `crdt.EffectTag`, and `VersionVector` is
+a tuple of its entries. A named tuple's hash is the hash of its field
+tuple, which is what the frozen dataclasses `Otid` and `Gtid` computed, so
+set and dict iteration order, and with it every trace, is unchanged; so
+are their order and repr. No set holds vectors or clocks, so theirs do not
+matter to a trace. Vectors and clocks are partially ordered: `<=` is
+`leq`, and `<`, `>` and `>=` raise TypeError. No two of these types are
+equal to each other, though an id or a clock equals a plain tuple of its
+fields.
 
 Each value type here has one JSON wire form, written and read only by the
 `*_to_wire` / `*_from_wire` pair at the end of this module.
@@ -20,12 +26,15 @@ Each value type here has one JSON wire form, written and read only by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import le
 from typing import NamedTuple, Sequence
 
 DcId = int
 ScoutId = str
+
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
+_tuple_new = tuple.__new__
 
 
 class Otid(NamedTuple):
@@ -43,10 +52,19 @@ class Gtid(NamedTuple):
     """DC-assigned transaction identifier; counters are gapless per DC.
 
     Hash and order are those of the field tuple. Like any tuple it equals
-    a plain tuple of the same fields, but never an `Otid`."""
+    a plain tuple of the same fields, but never an `Otid`, nor a 2-DC
+    `VersionVector` with the same two numbers."""
 
     counter: int
     origin: DcId
+
+    def __eq__(self, other):
+        return type(other) is not VersionVector and _tuple_eq(self, other)
+
+    def __ne__(self, other):
+        return type(other) is VersionVector or _tuple_ne(self, other)
+
+    __hash__ = tuple.__hash__
 
 
 class DomainError(ValueError):
@@ -57,57 +75,68 @@ def _domains_differ(a: tuple, b: tuple) -> DomainError:
     return DomainError(f"vector domains differ: {len(a)} vs {len(b)}")
 
 
-@dataclass(frozen=True)
-class VersionVector:
-    """One counter per DC: entry i counts DC i's transactions included."""
+def _unordered(op: str):
+    """A comparison that raises: vectors and clocks have `<=` only."""
 
-    entries: tuple[int, ...]
+    def compare(self, other):
+        raise TypeError(f"{op!r} is not defined for {type(self).__name__}: use <= (leq)")
+
+    return compare
+
+
+class VersionVector(tuple):
+    """One counter per DC: entry i counts DC i's transactions included.
+
+    A tuple of the entries: it indexes, iterates and hashes as one. It
+    equals only a vector with the same entries, never a plain tuple or an
+    id."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls, num_dcs: int) -> "VersionVector":
         return cls((0,) * num_dcs)
 
-    def _check_domain(self, other: "VersionVector") -> None:
-        if len(self.entries) != len(other.entries):
-            raise _domains_differ(self.entries, other.entries)
-
     def leq(self, other: "VersionVector") -> bool:
         """Partial order: true iff every entry of self <= the other's."""
-        a, b = self.entries, other.entries
-        if len(a) != len(b):
-            raise _domains_differ(a, b)
-        return all(map(le, a, b))
+        if len(self) != len(other):
+            raise _domains_differ(self, other)
+        return all(map(le, self, other))
 
     __le__ = leq
+    __lt__, __gt__, __ge__ = _unordered("<"), _unordered(">"), _unordered(">=")
+
+    def __eq__(self, other):
+        return type(other) is VersionVector and _tuple_eq(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not VersionVector or _tuple_ne(self, other)
+
+    __hash__ = tuple.__hash__
 
     def join(self, other: "VersionVector") -> "VersionVector":
         """Least upper bound: component-wise maximum."""
-        a, b = self.entries, other.entries
-        if len(a) != len(b):
-            raise _domains_differ(a, b)
-        return VersionVector(tuple(map(max, a, b)))
+        if len(self) != len(other):
+            raise _domains_differ(self, other)
+        return VersionVector(map(max, self, other))
 
     def meet(self, other: "VersionVector") -> "VersionVector":
         """Component-wise minimum (used for the prune frontier)."""
-        a, b = self.entries, other.entries
-        if len(a) != len(b):
-            raise _domains_differ(a, b)
-        return VersionVector(tuple(map(min, a, b)))
+        if len(self) != len(other):
+            raise _domains_differ(self, other)
+        return VersionVector(map(min, self, other))
 
     def covers(self, gtid: Gtid) -> bool:
         """True iff the transaction with this GTID is in the summarised set."""
-        if not 0 <= gtid.origin < len(self.entries):
+        if not 0 <= gtid.origin < len(self):
             raise DomainError(f"unknown DC index {gtid.origin}")
-        return self.entries[gtid.origin] >= gtid.counter
+        return self[gtid.origin] >= gtid.counter
 
-    def __getitem__(self, dc: DcId) -> int:
-        return self.entries[dc]
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __repr__(self) -> str:
+        return f"VersionVector({tuple(self)!r})"
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(c) for c in self.entries) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
 
 def k_stable_vector(known: Sequence[VersionVector], k: int) -> VersionVector:
@@ -121,18 +150,13 @@ def k_stable_vector(known: Sequence[VersionVector], k: int) -> VersionVector:
         raise DomainError("k_stable_vector needs at least one vector")
     if not 1 <= k <= len(known):
         raise DomainError(f"k={k} out of range for {len(known)} vectors")
-    n = len(known[0])
     for v in known[1:]:
-        known[0]._check_domain(v)
-    out = []
-    for i in range(n):
-        column = sorted((v.entries[i] for v in known), reverse=True)
-        out.append(column[k - 1])
-    return VersionVector(tuple(out))
+        if len(v) != len(known[0]):
+            raise _domains_differ(known[0], v)
+    return VersionVector(sorted(column, reverse=True)[k - 1] for column in zip(*known))
 
 
-@dataclass(frozen=True)
-class CausalClock:
+class CausalClock(NamedTuple):
     """A version vector plus one scout-local commit counter.
 
     The DC part summarises globally-committed transactions; the local
@@ -152,6 +176,7 @@ class CausalClock:
         return self.dc_part.leq(other.dc_part) and self.local_part <= other.local_part
 
     __le__ = leq
+    __lt__, __gt__, __ge__ = _unordered("<"), _unordered(">"), _unordered(">=")
 
     def with_dc_part(self, v: VersionVector) -> "CausalClock":
         return CausalClock(v, self.local_part)
@@ -160,12 +185,13 @@ class CausalClock:
         return CausalClock(self.dc_part, local)
 
     def __str__(self) -> str:
-        inner = ",".join(str(c) for c in self.dc_part.entries)
-        return f"[{inner}|{self.local_part}]"
+        return f"[{','.join(map(str, self.dc_part))}|{self.local_part}]"
 
 
 # ---------------------------------------------------------------------------
-# wire forms: the one place that spells out these JSON lists
+# wire forms: the one place that spells out these JSON lists. The decoders
+# build named tuples with `tuple.__new__`, which skips their Python
+# `__new__`: they run for every id and clock a message carries
 # ---------------------------------------------------------------------------
 
 
@@ -174,7 +200,7 @@ def otid_to_wire(o: Otid) -> list:
 
 
 def otid_from_wire(w) -> Otid:
-    return Otid(w[0], w[1])
+    return _tuple_new(Otid, (w[0], w[1]))
 
 
 def gtid_to_wire(g: Gtid) -> list:
@@ -182,20 +208,18 @@ def gtid_to_wire(g: Gtid) -> list:
 
 
 def gtid_from_wire(w) -> Gtid:
-    return Gtid(w[0], w[1])
+    return _tuple_new(Gtid, (w[0], w[1]))
 
 
-def vector_to_wire(v: VersionVector) -> list:
-    return list(v.entries)
-
-
-def vector_from_wire(w) -> VersionVector:
-    return VersionVector(tuple(w))
+# a vector's wire form is the list of its entries; both directions are
+# C calls, with no frame of their own
+vector_to_wire = list
+vector_from_wire = VersionVector
 
 
 def clock_to_wire(c: CausalClock) -> list:
-    return [list(c.dc_part.entries), c.local_part]
+    return [list(c.dc_part), c.local_part]
 
 
 def clock_from_wire(w) -> CausalClock:
-    return CausalClock(VersionVector(tuple(w[0])), w[1])
+    return _tuple_new(CausalClock, (VersionVector(w[0]), w[1]))

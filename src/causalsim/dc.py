@@ -140,6 +140,17 @@ class Session:
     caches: bool = True  # False: the scout keeps no cache, so nothing is subscribed
 
 
+# message class -> the name of its `DataCenter` handler, looked up on the
+# node's class, so that a subclass (`causalsim.mutants`) overrides it
+_HANDLERS = {
+    CommitRequest: "on_commit_request",
+    GossipBatch: "on_gossip",
+    FetchRequest: "on_fetch_request",
+    SessionRequest: "on_session_request",
+    StoredTxRequest: "on_stored_request",
+}
+
+
 class DataCenter:
     def __init__(
         self,
@@ -344,11 +355,11 @@ class DataCenter:
 
     def _advance_vdc(self) -> None:
         """Move vdc along the contiguous prefix of marked slots."""
-        vdc = list(self.vdc.entries)
+        vdc = list(self.vdc)
         for origin in range(self.num_dcs):
             while vdc[origin] + 1 in self.slots[origin]:
                 vdc[origin] += 1
-        self.vdc = VersionVector(tuple(vdc))
+        self.vdc = VersionVector(vdc)
 
     def _merge_aliases(self, existing: CommitRecord, incoming: CommitRecord) -> None:
         new = [g for g in incoming.gtids if g not in existing.gtids]
@@ -845,15 +856,7 @@ class DataCenter:
         return out
 
     def dispatch(self, env, msg) -> None:
-        if isinstance(msg, CommitRequest):
-            self.on_commit_request(env, msg)
-        elif isinstance(msg, GossipBatch):
-            self.on_gossip(env, msg)
-        elif isinstance(msg, FetchRequest):
-            self.on_fetch_request(env, msg)
-        elif isinstance(msg, SessionRequest):
-            self.on_session_request(env, msg)
-        elif isinstance(msg, StoredTxRequest):
-            self.on_stored_request(env, msg)
-        else:
+        name = _HANDLERS.get(type(msg))
+        if name is None:
             raise TypeError(f"dc{self.id} cannot handle {msg!r}")
+        getattr(type(self), name)(self, env, msg)

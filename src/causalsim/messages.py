@@ -7,13 +7,17 @@ would not survive real serialization fails loudly in tests.
 
 A message's wire dict is `{"m": kind}` and one key per dataclass field, in
 field order, each encoded by the codec of its annotation (`_CODECS`, or
-`_TABLE_CODECS` for values that hold effects); a `bool` field that
-defaults to True (a flag) goes on the wire only when False, and flags come
-last. A message is decoded by calling its class with its field values in
-order. An annotation with neither a codec nor a plain JSON value, or a
-field after a flag, raises TypeError at import. The JSON form of each
-value type is spelled out once: OTIDs, GTIDs, vectors and clocks in
-`clocks.py`, object ids, effects and states in `crdt.py`.
+`_TABLE_CODECS` for values that hold effects; `Optional[X]` uses X's and
+keeps None); a `bool` field that defaults to True (a flag) goes on the
+wire only when False, and flags come last. A message is decoded by calling
+its class with its field values in order. At import, `_compile` generates
+from these tables one encoder and one decoder function per message class,
+as `dataclasses` generates `__init__`: each spells out its fields, so a
+message costs no loop over a plan and no copy of a dict. An annotation
+with neither a codec nor a plain JSON value, or a field after a flag,
+raises TypeError there. The JSON form of each value type is spelled out
+once: OTIDs, GTIDs, vectors and clocks in `clocks.py`, object ids, effects
+and states in `crdt.py`.
 
 Effects and commit records are encoded at most once. Each keeps its wire
 form in a `wire` field: the dict it was decoded from, or its first
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from itertools import starmap
-from operator import itemgetter
 from typing import Any, Optional
 
 from causalsim.clocks import CausalClock, DcId, Gtid, Otid, ScoutId, VersionVector
@@ -49,7 +52,7 @@ FetchedVersion = tuple[ObjectId, dict, Optional[dict]]
 NotifyItem = tuple[str, list]
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitRecord:
     """The unit of replication: once globally committed, a transaction is
     shipped between DCs as one of these."""
@@ -77,7 +80,7 @@ class CommitRecord:
         return seen
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionRequest:
     scout: ScoutId
     epoch: int
@@ -88,7 +91,7 @@ class SessionRequest:
     caches: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionReply:
     scout: ScoutId
     dc: DcId
@@ -97,7 +100,7 @@ class SessionReply:
     frontier: VersionVector
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitRequest:
     scout: ScoutId
     otid: Otid
@@ -105,14 +108,14 @@ class CommitRequest:
     effects: tuple[EffectOp, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitReply:
     otid: Otid
     status: str  # "new" | "existing" | "null"
     gtid: Optional[Gtid]
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchRequest:
     scout: ScoutId
     req_id: int
@@ -121,7 +124,7 @@ class FetchRequest:
     unsub: list[ObjectId] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchReply:
     scout: ScoutId
     req_id: int
@@ -133,7 +136,7 @@ class FetchReply:
     admit_frontier: Optional[VersionVector] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredTxRequest:
     scout: ScoutId
     name: str
@@ -142,7 +145,7 @@ class StoredTxRequest:
     deps: CausalClock
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredTxReply:
     otid: Otid
     status: str  # "new" | "existing" | "null" | "pruned" | "unknown-proc"
@@ -152,14 +155,14 @@ class StoredTxReply:
     objects: list[ObjectId] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class GossipBatch:
     src: DcId
     records: list[CommitRecord]
     vdc: VersionVector
 
 
-@dataclass
+@dataclass(slots=True)
 class NotifyBatch:
     dc: DcId
     epoch: int
@@ -236,17 +239,11 @@ _EFFECTS = (lambda effects: list(map(effect_to_wire, effects)), _effects_from_wi
 # a notify item's payload (encode, decode(wire, decode table)), by its kind
 _PAYLOADS = {"effects": _EFFECTS, "invalidate": (_OBJECTS[0], lambda ws, table: _OBJECTS[1](ws))}
 
-# field annotation -> (encode(value), decode(wire))
+# field annotation -> (encode(value), decode(wire)); `Optional[X]` takes
+# X's codec and keeps None as it is
 _CODECS = {
     "VersionVector": (vector_to_wire, vector_from_wire),
-    "Optional[VersionVector]": (
-        lambda v: None if v is None else vector_to_wire(v),
-        lambda w: None if w is None else vector_from_wire(w),
-    ),
-    "Optional[Gtid]": (
-        lambda g: None if g is None else gtid_to_wire(g),
-        lambda w: None if w is None else gtid_from_wire(w),
-    ),
+    "Gtid": (gtid_to_wire, gtid_from_wire),
     "CausalClock": (clock_to_wire, clock_from_wire),
     "Otid": (otid_to_wire, otid_from_wire),
     "list[ObjectId]": _OBJECTS,
@@ -289,72 +286,75 @@ _KINDS = {
 }
 
 
-def _plan(cls) -> tuple:
-    """(encoders, get, decoders, table decoders, flags) of `cls`.
+def _compile(cls, kind: str) -> tuple:
+    """(encode(msg), decode(wire, decode table)) of `cls`, generated from its
+    fields, as `dataclasses` generates `__init__`.
 
-    Encoders are `(name, encode)` pairs for the fields with a codec, in
-    field order. `get` takes the wire values of every field but the flags
-    out of a wire dict, as a tuple in field order; decoders are
-    `(position in it, decode)` pairs, and a table decoder also takes the
-    decode table. Flags are the `bool` fields that default to True, which
-    go on the wire only when False; they must be the last fields. Raises
+    `encode` builds `{"m": kind}` and one key per field in field order, each
+    through the codec of its annotation; `decode` calls `cls` positionally
+    with the decoded values. Flags, the `bool` fields that default to True,
+    go on the wire only when False and must be the last fields. Raises
     TypeError for an annotation with neither a codec nor a plain JSON
     value, or for a field after a flag."""
-    encoders, names, decoders, table_decoders, flags = [], [], [], [], []
+    env = {"cls": cls}
+    items, args, flags = [f"'m': {kind!r}"], [], []
     for f in fields(cls):
-        if f.type == "bool" and f.default is True:
-            flags.append(f.name)
+        name, annotation = f.name, f.type
+        if annotation == "bool" and f.default is True:
+            flags.append(name)
             continue
         if flags:
-            raise TypeError(f"{cls.__name__}.{f.name}: a field after a flag")
-        if f.type in _CODECS:
-            encode, decode = _CODECS[f.type]
-            encoders.append((f.name, encode))
-            decoders.append((len(names), decode))
-        elif f.type in _TABLE_CODECS:
-            encode, decode = _TABLE_CODECS[f.type]
-            encoders.append((f.name, encode))
-            table_decoders.append((len(names), decode))
-        elif f.type not in _PLAIN:
-            raise TypeError(f"{cls.__name__}.{f.name}: no wire codec for {f.type!r}")
-        names.append(f.name)
-    get = itemgetter(*names)
-    return encoders, get if len(names) > 1 else lambda w: (get(w),), decoders, table_decoders, flags
+            raise TypeError(f"{cls.__name__}.{name}: a field after a flag")
+        value, wire = f"msg.{name}", f"w[{name!r}]"
+        optional = annotation.startswith("Optional[") and annotation[9:-1] in _CODECS
+        if optional:
+            annotation = annotation[9:-1]
+        if annotation in _CODECS:
+            env[f"enc_{name}"], env[f"dec_{name}"] = _CODECS[annotation]
+            encoded, decoded = f"enc_{name}({value})", f"dec_{name}({wire})"
+            if optional:
+                encoded = f"None if {value} is None else {encoded}"
+                decoded = f"None if {wire} is None else {decoded}"
+        elif annotation in _TABLE_CODECS:
+            env[f"enc_{name}"], env[f"dec_{name}"] = _TABLE_CODECS[annotation]
+            encoded, decoded = f"enc_{name}({value})", f"dec_{name}({wire}, table)"
+        elif annotation in _PLAIN:
+            encoded, decoded = value, wire
+        else:
+            raise TypeError(f"{cls.__name__}.{name}: no wire codec for {f.type!r}")
+        items.append(f"{name!r}: {encoded}")
+        args.append(decoded)
+    lines = ["def encode(msg):", f"    w = {{{', '.join(items)}}}"]
+    for name in flags:
+        lines += [f"    if not msg.{name}:", f"        w[{name!r}] = msg.{name}"]
+    lines += ["    return w", "def decode(w, table):"]
+    args += [f"w.get({name!r}, True)" for name in flags]
+    lines.append(f"    return cls({', '.join(args)})")
+    exec("\n".join(lines), env)
+    for fn in (env["encode"], env["decode"]):
+        fn.__qualname__ = f"{fn.__name__}_{cls.__name__}"
+    return env["encode"], env["decode"]
 
 
-# class -> (kind, *plan) and kind -> (class, *plan), built once
-_PLANS = {cls: (kind, *_plan(cls)) for cls, kind in _KINDS.items()}
-_DECODERS = {kind: (cls, *plan) for cls, (kind, *plan) in _PLANS.items()}
+# class -> encode(msg) and kind -> decode(wire, table), built once
+_ENCODERS, _DECODERS = {}, {}
+for _cls, _kind in _KINDS.items():
+    _ENCODERS[_cls], _DECODERS[_kind] = _compile(_cls, _kind)
 
 
 def message_to_wire(msg) -> dict:
     """`{"m": kind}` and then one key per field, in field order; a flag
     only when it is False."""
-    plan = _PLANS.get(type(msg))
-    if plan is None:
+    encode = _ENCODERS.get(type(msg))
+    if encode is None:
         raise TypeError(f"not a wire message: {msg!r}")
-    kind, encoders, _, _, _, flags = plan
-    w = {"m": kind, **vars(msg)}
-    for name, encode in encoders:
-        w[name] = encode(w[name])
-    for name in flags:
-        if w[name]:
-            del w[name]
-    return w
+    return encode(msg)
 
 
 def message_from_wire(w: dict, table: dict):
     """A fresh message; its effects come from the decode table `table`
     (`decode_once`). Fetch replies keep their states in wire form."""
-    plan = _DECODERS.get(w["m"])
-    if plan is None:
+    decode = _DECODERS.get(w["m"])
+    if decode is None:
         raise TypeError(f"unknown message kind {w['m']!r}")
-    cls, _, get, decoders, table_decoders, flags = plan
-    args = list(get(w))
-    for i, decode in decoders:
-        args[i] = decode(args[i])
-    for i, decode in table_decoders:
-        args[i] = decode(args[i], table)
-    for name in flags:
-        args.append(w.get(name, True))  # a flag is on the wire only when False
-    return cls(*args)
+    return decode(w, table)

@@ -117,6 +117,17 @@ class _OutstandingStored:
     reply: Optional[StoredTxReply] = None
 
 
+# message class -> the name of its `Scout` handler, looked up on the
+# node's class, so that a subclass (`causalsim.mutants`) overrides it
+_HANDLERS = {
+    CommitReply: "on_commit_reply",
+    FetchReply: "on_fetch_reply",
+    NotifyBatch: "on_notify",
+    SessionReply: "on_session_reply",
+    StoredTxReply: "on_stored_reply",
+}
+
+
 class Scout:
     def __init__(
         self,
@@ -685,15 +696,7 @@ class Scout:
     # -- dispatch -----------------------------------------------------------------------
 
     def dispatch(self, env, msg) -> None:
-        if isinstance(msg, CommitReply):
-            self.on_commit_reply(env, msg)
-        elif isinstance(msg, FetchReply):
-            self.on_fetch_reply(env, msg)
-        elif isinstance(msg, NotifyBatch):
-            self.on_notify(env, msg)
-        elif isinstance(msg, SessionReply):
-            self.on_session_reply(env, msg)
-        elif isinstance(msg, StoredTxReply):
-            self.on_stored_reply(env, msg)
-        else:
+        name = _HANDLERS.get(type(msg))
+        if name is None:
             raise TypeError(f"{self.id} cannot handle {msg!r}")
+        getattr(type(self), name)(self, env, msg)

@@ -489,7 +489,7 @@ class Simulation:
             dc = self.dcs[payload]
             if payload not in self.crashed:
                 dc.gossip_tick(self)
-                lag = sum(dc.vdc.entries) - sum(dc.announceable_frontier().entries)
+                lag = sum(dc.vdc) - sum(dc.announceable_frontier())
                 self.stats["frontier_lag_max"] = max(self.stats["frontier_lag_max"], lag)
             self.schedule(self.time + self.config.gossip_ms, "gossip", payload)
         elif kind == "notify":

@@ -246,6 +246,14 @@ class TestExactlyOnce:
         assert not v.ok and "distinct-identity" in v.violations[0]
 
 
+@pytest.fixture(scope="module")
+def churn_trace():
+    """The pinned churn-faults run's trace: it heals every fault and ends synced."""
+    result = pinned_run("churn-faults")
+    assert result.synced and result.trace[-1]["crashed"] == []
+    return result.trace
+
+
 class TestConvergence:
     def test_diverged_replicas_flagged(self):
         trace = base_trace()
@@ -261,9 +269,27 @@ class TestConvergence:
 
     def test_unhealed_run_skipped_explicitly(self):
         trace = base_trace()
-        trace[-1]["synced"] = False
+        partition = {"t": 90, "ev": "fault", "kind": "partition", "links": [["dc0", "dc1"]]}
+        trace[-1:] = [partition, dict(trace[-1], synced=False)]
         v = check_convergence(TraceAnalysis(trace))
         assert v.ok and v.skipped is not None
+
+    def test_a_pinned_run_ended_unsynced_with_no_fault_active_fails(self, churn_trace):
+        trace = churn_trace[:-1] + [dict(churn_trace[-1], synced=False)]
+        v = check_convergence(TraceAnalysis(trace))
+        assert not v.ok and v.skipped is None
+        assert v.violations == ["run ended unsynced with no fault active"]
+
+    @pytest.mark.parametrize("active", ["crashed", "partition", "disconnect"])
+    def test_a_pinned_run_ended_unsynced_under_an_active_fault_is_skipped(self, churn_trace, active):
+        quiesce = dict(churn_trace[-1], synced=False)
+        if active == "crashed":
+            quiesce["crashed"] = [1]
+        unhealed = {"partition": "heal", "disconnect": "scout_reconnect"}.get(active)
+        trace = [ev for ev in churn_trace[:-1] if not (ev["ev"] == "fault" and ev["kind"] == unhealed)]
+        assert len(trace) == len(churn_trace) - (unhealed is not None) - 1
+        v = check_convergence(TraceAnalysis(trace + [quiesce]))
+        assert v.ok and v.skipped == "run did not quiesce fully (unhealed faults)"
 
     def test_scout_beyond_common_vdc_flagged(self):
         trace = base_trace()

@@ -177,7 +177,7 @@ class TestKStable:
     def test_monotone_in_inputs(self, known, k):
         if k > len(known):
             return
-        grown = [VersionVector(tuple(c + 1 for c in v.entries)) for v in known]
+        grown = [VersionVector(c + 1 for c in v) for v in known]
         assert k_stable_vector(known, k).leq(k_stable_vector(grown, k))
 
     @given(vectors, st.integers(min_value=1, max_value=4))
@@ -258,3 +258,78 @@ class TestIdentifiers:
 
     def test_equal_to_a_plain_tuple_of_its_fields(self):
         assert Otid(1, "s0") == (1, "s0") and Gtid(1, 0) == (1, 0)
+
+
+# values of every clock and id type whose fields could line up: 2-DC
+# vectors, Gtids and Otids over the same small numbers, and clocks over them
+SMALL = st.integers(0, 2)
+ANY_VALUE = st.one_of(
+    st.tuples(SMALL, SMALL).map(VersionVector),
+    st.tuples(SMALL).map(VersionVector),
+    st.builds(CausalClock, st.tuples(SMALL, SMALL).map(VersionVector), SMALL),
+    st.builds(Gtid, SMALL, SMALL),
+    st.builds(Otid, SMALL, SMALL.map(str)),
+)
+
+
+class TestVectorAndClockSemantics:
+    def test_k_stable_vector_refuses_mismatched_domains(self):
+        with pytest.raises(DomainError, match="2 vs 3"):
+            k_stable_vector([vv(1, 2), vv(1, 2, 3)], 1)
+        with pytest.raises(DomainError, match="3 vs 2"):
+            k_stable_vector([vv(1, 2, 3), vv(1, 2, 3), vv(1, 2)], 2)
+
+    @pytest.mark.parametrize("origin", [-1, -3, 2, 7])
+    def test_covers_refuses_an_origin_outside_the_domain(self, origin):
+        with pytest.raises(DomainError, match=f"unknown DC index {origin}"):
+            vv(4, 4).covers(Gtid(1, origin))
+
+    @pytest.mark.parametrize("op", ["<", ">", ">="])
+    def test_only_leq_orders_vectors_and_clocks(self, op):
+        pairs = [
+            (vv(1, 2), vv(1, 2)),
+            (vv(0, 0), vv(1, 2)),
+            (vv(1, 2), (1, 2)),
+            (CausalClock(vv(1, 2), 0), CausalClock(vv(1, 2), 1)),
+        ]
+        for a, b in pairs:
+            with pytest.raises(TypeError):
+                eval(f"a {op} b")
+        assert vv(0, 1) <= vv(1, 1) and not vv(1, 1) <= vv(0, 1)
+        assert CausalClock(vv(0, 1), 0) <= CausalClock(vv(0, 1), 1)
+
+    def test_a_vector_equals_only_a_vector(self):
+        v = vv(1, 2)
+        assert v == vv(1, 2) == VersionVector([1, 2]) and v != vv(2, 1)
+        for other in [(1, 2), [1, 2], Gtid(1, 2), Otid(1, "2"), CausalClock(v, 0)]:
+            assert not v == other and not other == v
+            assert v != other and other != v
+        assert len({v, Gtid(1, 2)}) == len({v, (1, 2)}) == 2
+
+    def test_a_clock_equals_a_clock_or_a_plain_tuple_of_its_fields(self):
+        c = CausalClock(vv(1, 2), 0)
+        assert c == CausalClock(vv(1, 2), 0) == (vv(1, 2), 0)
+        assert c != CausalClock(vv(1, 2), 1) and c != CausalClock(vv(1, 1), 0)
+        assert c != ((1, 2), 0) and c != (vv(1, 2), 0, 0)
+
+    @given(ANY_VALUE, ANY_VALUE)
+    def test_no_equality_across_types(self, a, b):
+        if type(a) is not type(b):
+            assert a != b and b != a
+            assert not a == b and not b == a
+
+    @given(ANY_VALUE, ANY_VALUE)
+    def test_hash_is_consistent_with_equality(self, a, b):
+        assert (a == b) is (b == a) is (not a != b)
+        if a == b:
+            assert hash(a) == hash(b)
+        # a copy built from the fields equals its original and hashes alike
+        copy = type(a)(a) if isinstance(a, VersionVector) else type(a)(*a)
+        assert copy == a and hash(copy) == hash(a)
+
+    def test_a_vector_is_a_tuple_of_its_entries(self):
+        v = vv(3, 0, 5)
+        assert list(v) == [3, 0, 5] and v[2] == 5 and len(v) == 3 and hash(v) == hash((3, 0, 5))
+        assert repr(v) == "VersionVector((3, 0, 5))" and str(v) == "[3,0,5]"
+        with pytest.raises(AttributeError):
+            v.note = "x"

@@ -663,7 +663,7 @@ def test_indexed_suffix_and_acks_match_whole_log_scans(name, monkeypatch):
         seen["suffixes"] += 1
         seen["records"] += len(got)
         seen["aliases"] += sum(len(r.gtids) > 1 for r in got)
-        seen["after_reset"] += bool(got) and not any(known.entries)
+        seen["after_reset"] += bool(got) and not any(known)
         seen["shared_otid"] += len({r.otid for r in dc.log}) < len(dc.log)
         return got
 

@@ -13,10 +13,16 @@ keeps them keeps the wire format.
 To print the current digests: ``PYTHONPATH=src python tests/test_pins.py``.
 To print the trace of the pinned run NAME as JSON lines, for a diff
 between two checkouts: ``PYTHONPATH=src python tests/test_pins.py --trace NAME``.
+To print, likewise, every message the wire run NAME (a key of ``WIRE_RUNS``)
+sends, as compact JSON lines in send order:
+``PYTHONPATH=src python tests/test_pins.py --wire NAME``; the lines are
+what its ``WIRE_PINS`` digest hashes.
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -180,15 +186,16 @@ def test_trace_and_report_digests_are_pinned(name):
     assert (trace_sha, report_sha) == PINS[name]
 
 
-def wire_digest(name: str) -> str:
-    """Run ``name`` of ``WIRE_RUNS`` and digest every message it sends."""
+def wire_lines(name: str) -> list[bytes]:
+    """Run ``name`` of ``WIRE_RUNS``: the compact JSON of every message it
+    sends, one line each, in send order."""
     base, overrides = WIRE_RUNS[name]
-    digest = hashlib.sha256()
+    lines = []
     encode = sim.message_to_wire
 
     def recorded(msg):
         wire = encode(msg)
-        digest.update(json.dumps(wire, separators=(",", ":")).encode() + b"\n")
+        lines.append(json.dumps(wire, separators=(",", ":")).encode() + b"\n")
         return wire
 
     scenario = load_scenario(base) if isinstance(base, str) else base
@@ -197,7 +204,12 @@ def wire_digest(name: str) -> str:
         run_scenario(scenario, seed=1, overrides=overrides)
     finally:
         sim.message_to_wire = encode
-    return digest.hexdigest()
+    return lines
+
+
+def wire_digest(name: str) -> str:
+    """Run ``name`` of ``WIRE_RUNS`` and digest every message it sends."""
+    return _sha(b"".join(wire_lines(name)))
 
 
 @pytest.mark.parametrize("name", sorted(WIRE_RUNS))
@@ -205,9 +217,22 @@ def test_message_bytes_are_pinned(name):
     assert wire_digest(name) == WIRE_PINS[name]
 
 
+def test_the_wire_option_prints_the_pinned_bytes():
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run(
+        [sys.executable, __file__, "--wire", "churn-faults"], env=env, capture_output=True, check=True
+    ).stdout
+    assert out.count(b"\n") > 1000 and out.startswith(b'{"m":"session_req","scout":"s0",')
+    assert _sha(out) == WIRE_PINS["churn-faults"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--trace"]:
         sys.stdout.buffer.write(pinned_run(sys.argv[2]).trace_bytes())
+        sys.exit(0)
+    if sys.argv[1:2] == ["--wire"]:
+        sys.stdout.buffer.write(b"".join(wire_lines(sys.argv[2])))
         sys.exit(0)
     for name in sorted(RUNS):
         trace_sha, report_sha, _ = digests(name)

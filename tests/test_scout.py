@@ -447,7 +447,7 @@ class SweepScout(Scout):
                 "ev": "notify",
                 "node": self.id,
                 "dc": batch.dc,
-                "frontier": list(batch.frontier.entries),
+                "frontier": list(batch.frontier),
                 "acks": [[o.counter, o.origin] for o, _ in batch.acks],
             }
         )
