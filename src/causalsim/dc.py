@@ -346,7 +346,7 @@ class DataCenter:
             }
         )
 
-    def _mark_slots(self, gtids: list[Gtid]) -> None:
+    def _mark_slots(self, gtids: tuple[Gtid, ...]) -> None:
         for g in gtids:
             if g.counter > self.top_slot[g.origin]:
                 self.top_slot[g.origin] = g.counter
@@ -362,10 +362,11 @@ class DataCenter:
         self.vdc = VersionVector(vdc)
 
     def _merge_aliases(self, existing: CommitRecord, incoming: CommitRecord) -> None:
-        new = [g for g in incoming.gtids if g not in existing.gtids]
+        new = tuple(g for g in incoming.gtids if g not in existing.gtids)
         if not new:
             return
-        existing.gtids.extend(new)
+        # rebound, not extended: a gossip batch in flight keeps the old tuple
+        existing.gtids += new
         for g in new:
             self.by_slot[g.origin].setdefault(g.counter, []).append(existing)
         self._mark_slots(new)
@@ -408,7 +409,7 @@ class DataCenter:
         """Give a scout's transaction (a commit or stored request) this DC's
         next GTID, then log and apply its record."""
         gtid = Gtid(self.vdc[self.id] + 1, self.id)
-        record = CommitRecord(msg.otid, [gtid], msg.deps, effects, msg.scout, results)
+        record = CommitRecord(msg.otid, (gtid,), msg.deps, effects, msg.scout, results)
         self._admit_record(env, record, via="commit")
         return gtid
 
@@ -473,7 +474,8 @@ class DataCenter:
                     known = known.join(sent[-1])
                 suffix = self.gossip_suffix(known)
                 sent.append(self.vdc)
-            env.send(f"dc{self.id}", f"dc{peer}", GossipBatch(self.id, suffix, self.vdc))
+            records = [r.copy() for r in suffix]
+            env.send(f"dc{self.id}", f"dc{peer}", GossipBatch(self.id, records, self.vdc))
 
     def gossip_suffix(self, known: VersionVector) -> list[CommitRecord]:
         """The log records with some alias slot that `known` does not cover,

@@ -1,9 +1,13 @@
 """Wire formats exchanged between scouts and data centres.
 
-Every message has a canonical JSON-compatible form. The simulator encodes
-each message when it is sent and decodes it on every delivery, so a node
-never holds another node's records, effects or clocks, and anything that
-would not survive real serialization fails loudly in tests.
+Every message has a canonical JSON-compatible form. The simulator delivers
+the message object itself and encodes it only when a wire tap is attached
+(`Simulation.send`). What makes that safe is that a message holds nothing
+its sender mutates later: clocks, effects and states are immutable, and a
+gossip batch carries per-send copies of the sender's records, whose
+`gtids` tuples alias merges rebind and never extend. `tests/test_pins.py`
+runs every pinned run again with each message sent through the codec and
+back, and requires the same trace bytes.
 
 A message's wire dict is `{"m": kind}` and one key per dataclass field, in
 field order, each encoded by the codec of its annotation (`_CODECS`, or
@@ -25,12 +29,12 @@ encoding. A record's `gtids` grow when aliases merge, so `record_to_wire`
 encodes them on every call and takes the other fields from the memo. Wire
 dicts are shared between nodes and are never mutated.
 
-Immutable values are decoded at most once per decode table: every
-receiver of one effect dict, in whatever message, gets the same
-`EffectOp`, and every scout sent one state dict the same state. The
-simulator keeps one table per run. Mutable containers, such as a
-`CommitRecord` and its `gtids`, are built fresh on every delivery. See
-README.md, "Wire forms".
+Immutable values are decoded at most once per decode table
+(`decode_once`): every decode of one effect dict through a table gives
+the same `EffectOp`, and every scout sent one state dict in a fetch reply
+gets the same state. The simulator keeps one table per run. Mutable
+containers, such as a `CommitRecord`, are built fresh on every decode.
+See README.md, "Wire forms".
 """
 
 from __future__ import annotations
@@ -58,12 +62,12 @@ class CommitRecord:
     shipped between DCs as one of these."""
 
     otid: Otid
-    gtids: list[Gtid]
+    gtids: tuple[Gtid, ...]
     deps: CausalClock
     effects: tuple[EffectOp, ...]
     origin_session: ScoutId
     stored_results: Any = None
-    # the wire form of every field but `gtids`, which alias merges extend:
+    # the wire form of every field but `gtids`, which alias merges rebind:
     # the dict the record was decoded from (its "gtids" is never read), or
     # the first encoding. Never mutated; outside eq and repr
     wire: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
@@ -71,6 +75,16 @@ class CommitRecord:
     @property
     def primary_gtid(self) -> Gtid:
         return self.gtids[0]
+
+    def copy(self) -> CommitRecord:
+        """A record sharing every field and the wire memo with this one. A
+        gossip batch carries copies, so the receiver sees the aliases as
+        they were at the send, whatever merges here rebind later."""
+        record = CommitRecord(
+            self.otid, self.gtids, self.deps, self.effects, self.origin_session, self.stored_results
+        )
+        record.wire = self.wire
+        return record
 
     def objects(self) -> list[ObjectId]:
         seen = []
@@ -221,7 +235,7 @@ def record_from_wire(w: dict, table: dict) -> CommitRecord:
     from `table`."""
     record = CommitRecord(
         otid=otid_from_wire(w["otid"]),
-        gtids=[gtid_from_wire(g) for g in w["gtids"]],
+        gtids=tuple(map(gtid_from_wire, w["gtids"])),
         deps=clock_from_wire(w["deps"]),
         effects=tuple(_effects_from_wire(w["effects"], table)),
         origin_session=w["session"],
@@ -340,6 +354,14 @@ def _compile(cls, kind: str) -> tuple:
 _ENCODERS, _DECODERS = {}, {}
 for _cls, _kind in _KINDS.items():
     _ENCODERS[_cls], _DECODERS[_kind] = _compile(_cls, _kind)
+
+
+def message_kind(msg) -> str:
+    """The kind of a message, its wire dict's `"m"`."""
+    kind = _KINDS.get(type(msg))
+    if kind is None:
+        raise TypeError(f"not a wire message: {msg!r}")
+    return kind
 
 
 def message_to_wire(msg) -> dict:

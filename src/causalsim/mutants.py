@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple
 
 from causalsim.clocks import VersionVector
 from causalsim.crdt import apply_effect
+from causalsim.messages import NotifyBatch
 
 # how late the reordered notify batch arrives
 REORDER_DELAY_MS = 120
@@ -106,8 +107,8 @@ def hold_one_notify(sim) -> None:
     def schedule(at: int, kind: str, payload) -> None:
         sim = ref()
         if kind == "deliver":
-            _, dst, wire = payload
-            if dst == "s0" and wire["m"] == "notify" and wire["frontier"] != wire["prev"]:
+            _, dst, msg = payload
+            if dst == "s0" and type(msg) is NotifyBatch and msg.frontier != msg.prev:
                 at += REORDER_DELAY_MS
                 del sim.schedule
         type(sim).schedule(sim, at, kind, payload)

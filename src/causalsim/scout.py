@@ -305,7 +305,7 @@ class Scout:
                 if entry is not None and entry.state is not None:
                     entry.state = apply_effect(entry.state, effect)
             self.clock = self.clock.with_local(tx.otid.counter)
-            record = CommitRecord(tx.otid, [], tx.snapshot, tuple(tx.effects), self.id)
+            record = CommitRecord(tx.otid, (), tx.snapshot, tuple(tx.effects), self.id)
             self.pending.append(PendingCommit(record))
             self.durability[tx.otid.counter] = "local"
         touched = []

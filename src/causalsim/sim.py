@@ -25,12 +25,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from causalsim import mutants
+from causalsim import messages, mutants
 from causalsim.clocks import clock_to_wire, vector_to_wire
 from causalsim.crdt import ObjectId
 from causalsim.dc import DataCenter, ack_wait_ticks
 from causalsim.gcpause import gc_paused
-from causalsim.messages import message_from_wire, message_to_wire
+# a wire tap replaces this module's `message_to_wire` (see `Simulation.send`);
+# the benchmark's tracer wraps both names
+from causalsim.messages import message_from_wire, message_kind, message_to_wire  # noqa: F401
 from causalsim.scout import Scout, Unavailable
 
 TRACE_SCHEMA = "causalsim-trace-1"
@@ -279,9 +281,9 @@ class Simulation:
                 delay = max(config.scout_rtt(idx, i) // 2, 0)
                 self.delays[sid, f"dc{i}"] = self.delays[f"dc{i}", sid] = delay
         self.meta: dict = {}
-        # the run's decode table (`messages.decode_once`): every receiver of
-        # one effect or state dict shares the value decoded from it. Emptied
-        # when the run ends, so it pins no dict beyond the run
+        # the run's decode table (`messages.decode_once`): every scout sent
+        # one state dict in a fetch reply shares the state decoded from it.
+        # Emptied when the run ends, so it pins no dict beyond the run
         self.decoded: dict = {}
         for hook in hooks:
             hook(self)
@@ -317,8 +319,12 @@ class Simulation:
         heapq.heappush(self.heap, (at, self.seq, kind, payload))
 
     def send(self, src: str, dst: str, msg) -> None:
-        wire = message_to_wire(msg)
-        kind = wire["m"]
+        """Schedule the delivery of the message object itself. A message is
+        encoded only for a wire tap: a replacement of this module's
+        `message_to_wire`, which sees every message sent, dropped or not."""
+        if message_to_wire is not messages.message_to_wire:
+            message_to_wire(msg)
+        kind = message_kind(msg)
         self.stats["messages"][kind] = self.stats["messages"].get(kind, 0) + 1
         if self._blocked(src, dst):
             self.stats["dropped"] += 1
@@ -331,7 +337,7 @@ class Simulation:
         if at < last:
             at = last
         self._fifo[link] = at
-        self.schedule(at, "deliver", (src, dst, wire))
+        self.schedule(at, "deliver", (src, dst, msg))
 
     def request_crash(self, dc_id: int) -> None:
         self._crash_dc(dc_id)
@@ -465,11 +471,10 @@ class Simulation:
 
     def _handle(self, kind: str, payload) -> None:
         if kind == "deliver":
-            src, dst, wire = payload
+            src, dst, msg = payload
             if self._blocked(src, dst):
                 self.stats["dropped"] += 1
                 return
-            msg = message_from_wire(wire, self.decoded)
             dst_kind, idx = self.addrs[dst]
             if dst_kind == "dc":
                 self.dcs[idx].dispatch(self, msg)

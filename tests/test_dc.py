@@ -194,7 +194,7 @@ class TestRemoteCommit:
         t3 = dc.by_otid[Otid(1, "C")]
         copy = type(t3)(
             otid=t3.otid,
-            gtids=[Gtid(1, 1)],
+            gtids=(Gtid(1, 1),),
             deps=t3.deps,
             effects=t3.effects,
             origin_session=t3.origin_session,
@@ -224,6 +224,21 @@ class TestGossipTick:
         dc.gossip_tick(env)
         (_, _, batch), = env.sent
         assert batch.records == []
+
+    def test_an_alias_merged_in_flight_stays_out_of_the_batch(self):
+        """A batch carries the aliases its records had at the send: one the
+        sender merges while the batch is in flight reaches no receiver."""
+        env, dc = friendship_dc()
+        dc.gossip_tick(env)
+        (_, _, batch), = [m for m in env.sent if isinstance(m[2], GossipBatch)]
+        t3 = dc.by_otid[Otid(1, "C")]
+        alias = type(t3)(t3.otid, (Gtid(1, 1),), t3.deps, t3.effects, t3.origin_session)
+        hear(dc, 1, vv(0, 1), [alias])
+        assert t3.gtids == (Gtid(2, 0), Gtid(1, 1))
+        peer = DataCenter(1, num_dcs=2, k=2)
+        peer.on_gossip(FakeEnv(), batch)
+        assert peer.by_otid[Otid(1, "C")].gtids == (Gtid(2, 0),)
+        assert record_to_wire(batch.records[1])["gtids"] == [[2, 0]]
 
 
 def tick(dc):
@@ -753,11 +768,13 @@ def test_rebuilt_replica_indexes_match_the_original():
 
 def resend_all_tick(dc, env):
     """The gossip tick without send marks: every record the peer's vector
-    does not cover, on every tick."""
+    does not cover, on every tick. Like `DataCenter.gossip_tick`, it sends
+    copies, so a later alias merge here stays out of the batch."""
     for peer in range(dc.num_dcs):
         if peer != dc.id:
             known = dc.known_vectors.get(peer, VersionVector.zero(dc.num_dcs))
-            batch = GossipBatch(dc.id, dc.gossip_suffix(known), dc.vdc)
+            records = [r.copy() for r in dc.gossip_suffix(known)]
+            batch = GossipBatch(dc.id, records, dc.vdc)
             env.send(f"dc{dc.id}", f"dc{peer}", batch)
 
 

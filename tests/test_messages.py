@@ -56,7 +56,7 @@ def _effects():
 
 
 def _record():
-    return CommitRecord(OTID, [Gtid(5, 0), Gtid(7, 2)], DEPS, _effects(), "s1", [1, "x"])
+    return CommitRecord(OTID, (Gtid(5, 0), Gtid(7, 2)), DEPS, _effects(), "s1", [1, "x"])
 
 
 MESSAGES = {
@@ -297,7 +297,7 @@ def effect_tuples(draw):
 states = st.integers(-5, 5).map(lambda n: state_to_wire(CounterState(n)))
 versions = st.lists(st.tuples(objects, states, st.none() | states), max_size=3)
 records = st.builds(
-    CommitRecord, otids, st.lists(gtids, min_size=1, max_size=3), clocks, effect_tuples(), scouts, json_values
+    CommitRecord, otids, st.lists(gtids, min_size=1, max_size=3).map(tuple), clocks, effect_tuples(), scouts, json_values
 )
 items = st.lists(
     st.tuples(st.just("effects"), effect_tuples().map(list))

@@ -6,9 +6,12 @@ the report digests preserves every verdict, violation string, staleness and
 latency figure of the checker. A digest may change only with a behaviour
 change that ``CHANGES.md`` names.
 
-The wire digests pin the bytes of every message the simulator encodes, in
+The wire digests pin the bytes of every message the simulator sends, in
 send order and with their key order, so a change to the message codec that
-keeps them keeps the wire format.
+keeps them keeps the wire format. The simulator delivers message objects
+and encodes a message only for a wire tap, which ``wire_lines`` attaches.
+Every pinned run also runs with each delivery carrying the message's round
+trip through the codec, and must give the same trace bytes.
 
 To print the current digests: ``PYTHONPATH=src python tests/test_pins.py``.
 To print the trace of the pinned run NAME as JSON lines, for a diff
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from causalsim import sim
+from causalsim import messages, sim
 from causalsim.checker import run_checks
 from causalsim.scenarios import PRESETS, load_scenario, run_scenario
 
@@ -149,7 +152,7 @@ WIRE_RUNS = {
 }
 
 # name -> sha256 over the compact JSON of each message `Simulation.send`
-# encodes, one line per message
+# gives the wire tap, one line per message
 WIRE_PINS = {
     "churn-faults": "5fa55baf2861a8db2f0c439885be00d37c81f7f9b1500e646bdffdb915e60c6c",
     "social-90-10@6": "47e6e6fa13403b38f1cc6aeebefce22bf1fb1859bbc65eaa348e635888376954",
@@ -184,6 +187,27 @@ def test_trace_and_report_digests_are_pinned(name):
     else:
         assert not report["verdicts"][flagged_by]["ok"]
     assert (trace_sha, report_sha) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_delivery_through_the_codec_gives_the_same_trace(name, monkeypatch):
+    """Both ways: the simulator delivers each message object as it was
+    sent, and a run in which every delivery instead carries the message's
+    round trip through the codec, decoded through the run's table, gives
+    the same trace bytes. So no node sees what another node changes after
+    a send, as when every message was decoded on delivery."""
+    direct = pinned_run(name).trace_bytes()
+    schedule = sim.Simulation.schedule
+
+    def through_codec(simulation, at, kind, payload):
+        if kind == "deliver":
+            src, dst, msg = payload
+            wire = messages.message_to_wire(msg)
+            payload = (src, dst, messages.message_from_wire(wire, simulation.decoded))
+        schedule(simulation, at, kind, payload)
+
+    monkeypatch.setattr(sim.Simulation, "schedule", through_codec)
+    assert pinned_run(name).trace_bytes() == direct
 
 
 def wire_lines(name: str) -> list[bytes]:

@@ -53,7 +53,7 @@ from causalsim.scout import Scout
 from causalsim.workload import counter_scripts
 from crdt_random import ALL_TYPES, TagSource, random_intent
 from test_crdt import effect_from_bytes, effect_to_bytes
-from test_dc import REBUILD_FAULTS
+from test_dc import REBUILD_FAULTS, FakeEnv
 from test_pins import CHURN
 
 OTID = Otid(3, "s1")
@@ -84,7 +84,7 @@ def effects():
 
 
 def record():
-    return CommitRecord(OTID, [Gtid(5, 0)], DEPS, effects(), "s1", [1, "x"])
+    return CommitRecord(OTID, (Gtid(5, 0),), DEPS, effects(), "s1", [1, "x"])
 
 
 class TestEffectMemo:
@@ -143,7 +143,7 @@ class TestRecordMemo:
     def test_aliases_are_encoded_on_every_call(self):
         r = record_from_wire(record_to_wire(record()), {})
         first = record_to_wire(r)
-        r.gtids.append(Gtid(7, 2))
+        r.gtids += (Gtid(7, 2),)
         second = record_to_wire(r)
         assert first["gtids"] == [[5, 0]] and second["gtids"] == [[5, 0], [7, 2]]
         # the fixed fields are the memo's, not copies
@@ -465,16 +465,19 @@ def held_effects(simulation) -> list:
 
 
 def test_receivers_of_one_wire_dict_share_one_decoded_value(monkeypatch):
-    """Every scout notified with one effect dict, and the DCs that decoded
-    it, hold one `EffectOp`; every scout sent one state dict holds one
-    state. None of them is the value the sender encoded."""
-    # id(wire) -> (wire, [(receiver, decoded)]); holding the wire keeps its id
-    effects: dict[int, tuple] = {}
+    """Messages are delivered as they were sent: every scout notified of an
+    effect, and every DC that logged it, holds the `EffectOp` the scout
+    that committed it prepared. States still travel as wire dicts, and
+    every scout sent one state dict holds the one state the run's decode
+    table gave for it."""
+    # tag -> (effect, [(receiver, effect held)]); id(wire) -> (wire,
+    # [(receiver, decoded)]), where holding the wire keeps its id
+    effects: dict = {}
     states: dict[int, tuple] = {}
     prepared = []
 
-    def note(table, wire, receiver, value):
-        table.setdefault(id(wire), (wire, []))[1].append((receiver, value))
+    def note(table, key, value, receiver, held):
+        table.setdefault(key, (value, []))[1].append((receiver, held))
 
     on_notify = Scout.on_notify
 
@@ -482,7 +485,7 @@ def test_receivers_of_one_wire_dict_share_one_decoded_value(monkeypatch):
         for kind, payload in batch.items:
             if kind == "effects":
                 for e in payload:
-                    note(effects, e.wire, scout.id, e)
+                    note(effects, e.tag, e, scout.id, e)
         on_notify(scout, env, batch)
 
     on_fetch_reply = Scout.on_fetch_reply
@@ -492,7 +495,8 @@ def test_receivers_of_one_wire_dict_share_one_decoded_value(monkeypatch):
         on_fetch_reply(scout, env, reply)
         if fresh and reply.status == "ok":
             for obj, snap, admit in reply.versions:
-                note(states, snap if admit is None else admit, scout.id, scout.cache[obj].state)
+                wire = snap if admit is None else admit
+                note(states, id(wire), wire, scout.id, scout.cache[obj].state)
 
     commit = Scout.commit
 
@@ -506,30 +510,46 @@ def test_receivers_of_one_wire_dict_share_one_decoded_value(monkeypatch):
     simulation = build_simulation(load_scenario("social-90-10"), seed=1)
     simulation.run()
     for e in held_effects(simulation):
-        note(effects, e.wire, "dc", e)
+        note(effects, e.tag, e, "dc", e)
 
     for table in (effects, states):
         shared = [got for _, got in table.values() if len({r for r, _ in got}) > 1]
         assert shared
         for got in shared:
             assert all(value is got[0][1] for _, value in got)
-    decoded = {id(v) for _, got in effects.values() for _, v in got}
-    assert prepared and not any(id(e) in decoded for e in prepared)
+    by_tag = {e.tag: e for e in prepared}
+    assert by_tag and all(
+        held is by_tag[tag] for tag, (_, got) in effects.items() for _, held in got
+    )
 
 
 def test_receivers_of_one_record_get_their_own_record():
-    """Two DCs sent one record share its effects, not the record: an alias
-    merge at one leaves the other's aliases and wire form alone."""
-    sent = GossipBatch(0, [record()], VersionVector((5, 0, 0)))
+    """Two DCs sent one record share its effects, not the record, whether
+    it goes as the gossip tick's per-send copy or through the codec: an
+    alias merge at one leaves the other's aliases and wire form alone, and
+    the sender's too."""
+    env = FakeEnv()
+    sender = DataCenter(0, num_dcs=3, k=2)
+    sender.on_commit_request(env, CommitRequest("s1", OTID, CausalClock.zero(3), effects()))
+    sender.gossip_tick(env)
+    held = sender.log[0]
+    direct = [m for _, _, m in env.sent if isinstance(m, GossipBatch)]
     table: dict = {}
-    mine, theirs = (sim.message_from_wire(sim.message_to_wire(sent), table) for _ in range(2))
-    a, b = mine.records[0], theirs.records[0]
-    assert a is not b and a.gtids is not b.gtids and a == b
-    assert all(x is y for x, y in zip(a.effects, b.effects))
-    assert not any(x is y for x, y in zip(a.effects, sent.records[0].effects))
-    a.gtids.append(Gtid(7, 2))
-    assert b.gtids == [Gtid(5, 0)]
-    assert record_to_wire(b)["gtids"] == [[5, 0]]
+    decoded = [sim.message_from_wire(sim.message_to_wire(direct[0]), table) for _ in range(2)]
+    assert all(x is y for x, y in zip(direct[0].records[0].effects, held.effects))
+    assert not any(x is y for x, y in zip(decoded[0].records[0].effects, held.effects))
+    for mine, theirs in (direct, decoded):
+        a, b = mine.records[0], theirs.records[0]
+        assert len({id(a), id(b), id(held)}) == 3 and a == b == held
+        assert all(x is y for x, y in zip(a.effects, b.effects))
+        receivers = [DataCenter(i, num_dcs=3, k=2) for i in (1, 2)]
+        for dc, batch in zip(receivers, (mine, theirs)):
+            dc.on_gossip(env, batch)
+        first, second = (dc.by_otid[OTID] for dc in receivers)
+        receivers[0]._merge_aliases(first, replace(a, gtids=(Gtid(1, 2),)))
+        assert first.gtids == (Gtid(1, 0), Gtid(1, 2))
+        assert second.gtids == held.gtids == (Gtid(1, 0),)
+        assert record_to_wire(second)["gtids"] == record_to_wire(held)["gtids"] == [[1, 0]]
 
 
 def test_records_and_aliases_stay_per_dc_in_a_run(monkeypatch):
@@ -546,7 +566,8 @@ def test_records_and_aliases_stay_per_dc_in_a_run(monkeypatch):
     assert merges
     records = [r for dc in simulation.dcs for r in dc.log]
     assert len({id(r) for r in records}) == len(records)
-    assert len({id(r.gtids) for r in records}) == len(records)
+    # records may share an alias tuple, which a merge rebinds, never extends
+    assert all(type(r.gtids) is tuple for r in records)
 
 
 def test_the_table_lives_for_one_run(monkeypatch):
