@@ -14,7 +14,12 @@ at its end (a DC crashed, a partition unhealed or a scout disconnected);
 with none active it fails the check, since a stalled script or session
 shows in no other check.
 
-Parsing builds every index the checks need, once:
+Parsing is one pass over the events, kinds tested in order of frequency,
+into slotted records. The simulator does not trace transaction labels: a
+social workload's come from its plan (``workload.social_plan``), the draws
+its scripts are made from, so the checker builds the friend graph, the
+initial states and the plan, and no script. It builds every index the
+checks need, once:
 
 - the linear extension itself: records sorted by (first apply time, OTID),
   each tagged with its position;
@@ -25,23 +30,27 @@ Parsing builds every index the checks need, once:
 
 Replaying one object's list therefore applies exactly the effects, in
 exactly the order, that a replay of the whole sorted record list filtered
-to that object applies. A replay of one snapshot is cut in three parts,
-each applied in list order (``_ObjectLog``):
+to that object applies. Two snapshots need no replay: an object no record
+touches reads its initial state, and a snapshot that covers every entry
+through its first alias reads the checkpoint of the whole list; neither
+adds an entry to the snapshot cache. Any other replay is cut in three
+parts, each applied in list order (``_ObjectLog``):
 
-- the covered prefix. ``reach[i]`` is the elementwise max of the first
-  aliases of the first ``i`` entries. If ``reach[i] <= ver_dc``, every one
-  of those entries is covered through its first alias, whoever reads. The
-  longest such prefix is found by binary search (``reach`` only grows),
-  then extended over the entries after it that the snapshot covers for any
-  reason. A prefix that is covered entry by entry leaves the same state
-  for every reader and snapshot, so that state is built once, from the
-  nearest shorter checkpoint, and shared. Checkpoints are kept only for
-  lengths some replay asked for, never one per entry.
+- the covered prefix. ``reach[d][i]`` is the max of the first aliases at
+  DC ``d`` of the first ``i`` entries. If ``reach[d][i] <= ver_dc[d]`` for
+  every ``d``, every one of those entries is covered through its first
+  alias, whoever reads. Each column only grows, so the longest such prefix
+  is found by one binary search per DC, then extended over the entries
+  after it that the snapshot covers for any reason. A prefix that is
+  covered entry by entry leaves the same state for every reader and
+  snapshot, so that state is built once, from the nearest shorter
+  checkpoint, and shared. Checkpoints are kept only for lengths some
+  replay asked for, never one per entry.
 - the undecided middle, where each entry is tested with ``covers``.
-- the tail. ``floor[j]`` is the elementwise min over every alias of the
-  entries from ``j`` on. Once ``floor[j] > ver_dc`` in every component, no
-  entry from ``j`` on is covered through an alias, so only the reader's own
-  records under its local counter can be; they are looked up in a
+- the tail. ``floor[d][j]`` is the min over every alias at DC ``d`` of the
+  entries from ``j`` on. Once ``floor[d][j] > ver_dc[d]`` for every ``d``,
+  no entry from ``j`` on is covered through an alias, so only the reader's
+  own records under its local counter can be; they are looked up in a
   per-origin index instead of walking the tail.
 
 Snapshot closure is proven per DC before it is walked: ``need[d][c]`` is
@@ -51,11 +60,19 @@ and of the first alias of its origin-chain dependency. If
 its dependencies and its chain dependency covered, so the walk reports
 nothing and is skipped; otherwise it runs unchanged. The checker shares no
 code with the DC's materialization.
+
+Atomicity indexes, per object, the records that touch two or more objects,
+the only ones that can be candidates, and visits a transaction's candidates
+only if one of its reads returned something other than its snapshot's
+value. Staleness sweeps reads in time order, keeping per object the
+records committed and not yet K-durable in a heap ordered by K-durability
+time. Both report what the full scans report.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import operator
 from dataclasses import dataclass, field
@@ -89,7 +106,7 @@ class Verdict:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class RecordInfo:
     otid: tuple  # (counter, origin)
     origin: str
@@ -103,7 +120,7 @@ class RecordInfo:
     pos: int = -1  # position in the causal order
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadInfo:
     scout: str
     tx: tuple
@@ -115,9 +132,10 @@ class ReadInfo:
     src: str
     dc: Optional[int]
     updates_before: int  # own effects of this tx applied before the read
+    matches: Optional[bool] = None  # value == what it should return, once compared
 
 
-@dataclass
+@dataclass(slots=True)
 class TxInfo:
     scout: str
     otid: tuple
@@ -129,7 +147,6 @@ class TxInfo:
     aborted: bool = False
     rts: int = 0
     dur: int = 0
-    objs: list = field(default_factory=list)
     label: Optional[str] = None
 
 
@@ -145,24 +162,27 @@ class _ObjectLog:
 
     def __init__(self, entries: list, initial, num_dcs: int):
         self.entries = entries
-        # reach[i]: elementwise max of the first aliases of entries[:i]
+        # reach[d][i]: max over the first aliases at DC d of entries[:i]
         top = [0] * num_dcs
-        self.reach = [tuple(top)]
+        self.reach = [[0] for _ in range(num_dcs)]
         for rec, _ in entries:
             if rec.aliases:
                 counter, dc = rec.aliases[0]
                 top[dc] = max(top[dc], counter)
             else:  # covered through no alias: ends every shared prefix
                 top = [math.inf] * num_dcs
-            self.reach.append(tuple(top))
-        # floor[j]: elementwise min over every alias of entries[j:]
+            for column, value in zip(self.reach, top):
+                column.append(value)
+        # floor[d][j]: min over every alias at DC d of entries[j:]
         low = [math.inf] * num_dcs
-        self.floor = [tuple(low)]
+        self.floor = [[math.inf] for _ in range(num_dcs)]
         for rec, _ in reversed(entries):
             for counter, dc in rec.aliases:
                 low[dc] = min(low[dc], counter)
-            self.floor.append(tuple(low))
-        self.floor.reverse()
+            for column, value in zip(self.floor, low):
+                column.append(value)
+        for column in self.floor:
+            column.reverse()
         self.own: dict[str, list[int]] = {}  # origin -> indexes of its entries
         for i, (rec, _) in enumerate(entries):
             self.own.setdefault(rec.origin, []).append(i)
@@ -170,27 +190,16 @@ class _ObjectLog:
         self.states = [initial]  # the state after each of those prefixes
 
     def covered_prefix(self, ver_dc: tuple) -> int:
-        """The longest prefix that every snapshot at ``ver_dc`` covers."""
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _leq(self.reach[mid], ver_dc):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        """The longest prefix that every snapshot at ``ver_dc`` covers: each
+        column of ``reach`` only grows, so per DC the entries it bounds by
+        ``ver_dc`` form a prefix."""
+        return min(map(bisect.bisect_right, self.reach, ver_dc)) - 1
 
     def tail_start(self, start: int, ver_dc: tuple) -> int:
         """The first index from ``start`` on whose entries, and all later
-        ones, ``ver_dc`` covers through no alias."""
-        lo, hi = start, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if all(map(operator.gt, self.floor[mid], ver_dc)):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        ones, ``ver_dc`` covers through no alias: each column of ``floor``
+        only grows, so per DC the indexes past ``ver_dc`` form a suffix."""
+        return max(start, *map(bisect.bisect_right, self.floor, ver_dc))
 
     def checkpoint(self, n: int):
         """The state after ``entries[:n]``, kept for the next replay."""
@@ -247,80 +256,85 @@ class TraceAnalysis:
         self._own: dict[tuple, list] = {}  # tx -> [(object, decoded update)]
 
     def _parse(self, trace: list[dict]) -> None:
+        records, reads, reads_by_tx = self.records, self.reads, self.reads_by_tx
+        txs, tx_order, tx_updates, by_alias = self.txs, self.tx_order, self.tx_updates, self.by_alias
         seen_applies = set()
+        # event kinds in order of frequency; the rest are skipped
         for ev in trace:
             kind = ev["ev"]
-            if kind == "tx_begin":
+            if kind == "read":
                 otid = tuple(ev["otid"])
-                self.txs[otid] = TxInfo(
-                    scout=ev["node"],
-                    otid=otid,
-                    snap_dc=tuple(ev["snap"][0]),
-                    snap_local=ev["snap"][1],
-                    t_begin=ev["t"],
-                )
-                self.tx_order.setdefault(ev["node"], []).append(otid)
-                self.tx_updates[otid] = []
-            elif kind == "read":
-                otid = tuple(ev["otid"])
+                ver = ev["ver"]
                 read = ReadInfo(
-                    scout=ev["node"],
-                    tx=otid,
-                    obj=tuple(ev["obj"]),
-                    value=ev["value"],
-                    ver_dc=tuple(ev["ver"][0]),
-                    ver_local=ev["ver"][1],
-                    t=ev["t"],
-                    src=ev["src"],
-                    dc=ev.get("dc"),
-                    updates_before=len(self.tx_updates.get(otid, [])),
+                    ev["node"],
+                    otid,
+                    tuple(ev["obj"]),
+                    ev["value"],
+                    tuple(ver[0]),
+                    ver[1],
+                    ev["t"],
+                    ev["src"],
+                    ev.get("dc"),
+                    len(tx_updates.get(otid, ())),
                 )
-                self.reads.append(read)
-                self.reads_by_tx.setdefault(otid, []).append(read)
-            elif kind == "update":
-                self.tx_updates[tuple(ev["otid"])].append(ev["effect"])
-            elif kind == "local_commit":
+                reads.append(read)
+                tx_reads = reads_by_tx.get(otid)
+                if tx_reads is None:
+                    reads_by_tx[otid] = [read]
+                else:
+                    tx_reads.append(read)
+            elif kind == "tx_begin":
                 otid = tuple(ev["otid"])
-                tx = self.txs[otid]
+                node, snap = ev["node"], ev["snap"]
+                txs[otid] = TxInfo(node, otid, tuple(snap[0]), snap[1], ev["t"])
+                order = tx_order.get(node)
+                if order is None:
+                    tx_order[node] = [otid]
+                else:
+                    order.append(otid)
+                tx_updates[otid] = []
+            elif kind == "local_commit":
+                tx = txs[tuple(ev["otid"])]
                 tx.committed = True
                 tx.read_only = ev["read_only"]
                 tx.rts = ev["rts"]
                 tx.dur = ev["dur"]
-                tx.objs = [tuple(o) for o in ev["objs"]]
-                tx.label = ev.get("label")
-            elif kind == "tx_abort":
-                self.txs[tuple(ev["otid"])].aborted = True
             elif kind == "apply":
                 otid = tuple(ev["otid"])
                 dc = int(ev["node"][2:])
                 if (dc, otid) in seen_applies:
                     self.duplicate_applies.append(f"record {otid} applied twice at dc{dc}")
                 seen_applies.add((dc, otid))
-                rec = self.records.get(otid)
+                t = ev["t"]
+                rec = records.get(otid)
                 if rec is None:
-                    rec = RecordInfo(
-                        otid=otid,
-                        origin=otid[1],
-                        deps_dc=tuple(ev["deps"][0]),
-                        deps_local=ev["deps"][1],
-                        effects=[],
-                        objs={tuple(o) for o in ev["objs"]},
-                        aliases=[],
-                        commit_time=ev["t"],
-                        apply_times={},
+                    deps = ev["deps"]
+                    rec = records[otid] = RecordInfo(
+                        otid,
+                        otid[1],
+                        tuple(deps[0]),
+                        deps[1],
+                        [],
+                        {tuple(o) for o in ev["objs"]},
+                        [],
+                        t,
+                        {},
                     )
-                    self.records[otid] = rec
                 if ev.get("effects"):
                     rec.effects = ev["effects"]
+                aliases = rec.aliases
                 for g in ev["gtids"]:
                     alias = (g[0], g[1])
-                    if alias not in rec.aliases:
-                        rec.aliases.append(alias)
-                    self.by_alias[alias] = otid
-                rec.commit_time = min(rec.commit_time, ev["t"])
-                rec.apply_times.setdefault(dc, ev["t"])
-            elif kind == "quiesce":
-                self.quiesce = ev
+                    if alias not in aliases:
+                        aliases.append(alias)
+                    by_alias[alias] = otid
+                if t < rec.commit_time:
+                    rec.commit_time = t
+                rec.apply_times.setdefault(dc, t)
+            elif kind == "update":
+                tx_updates[tuple(ev["otid"])].append(ev["effect"])
+            elif kind == "tx_abort":
+                txs[tuple(ev["otid"])].aborted = True
             elif kind == "fault":
                 fault = ev["kind"]
                 if fault == "partition":
@@ -331,13 +345,16 @@ class TraceAnalysis:
                     self.disconnected.add(ev["scout"])
                 elif fault == "scout_reconnect":
                     self.disconnected.discard(ev["scout"])
+            elif kind == "quiesce":
+                self.quiesce = ev
 
     @gc_paused()
     def _load_workload(self) -> dict:
-        """Rebuild the social workload once: its initial states seed every
-        replay, and its scripts give back the transaction labels, which the
-        simulator does not know and so does not trace. Other workloads start
-        from empty objects and carry their labels in the trace."""
+        """Rebuild the workload's initial states, which seed every replay.
+        A social workload also gives back its transaction labels, which the
+        simulator does not know and so does not trace; they come from the
+        workload's plan of draws, without building a script. Transactions of
+        other workloads keep no label."""
         scenario = self.header.get("scenario")
         if not scenario:
             return {}
@@ -345,21 +362,20 @@ class TraceAnalysis:
         if workload.kind_of(wl) != "social":
             return workload.initial_states_for(wl, self.header.get("seed", 0))
         sim_cfg = scenario.get("sim", {})
-        scripts, initial, _ = workload.build(
+        labels, initial = workload.social_labels_and_states(
             wl,
             self.header.get("num_scouts", sim_cfg.get("num_scouts", 0)),
             self.header.get("seed", 0),
-            sim_cfg.get("cache_capacity", 64),
         )
         for scout, order in self.tx_order.items():
-            script = scripts.get(scout, [])
+            script = labels.get(scout, ())
             # transactions map to script entries in order, with retries of an
             # aborted entry consuming extra OTIDs
             spec_idx = 0
             for otid in order:
                 tx = self.txs[otid]
                 if spec_idx < len(script):
-                    tx.label = script[spec_idx].get("label")
+                    tx.label = script[spec_idx]
                 if not tx.aborted:
                     spec_idx += 1
         return initial
@@ -375,22 +391,32 @@ class TraceAnalysis:
         oid = object_from_wire(obj[0], obj[1])
         return self.initial.get(oid, new_state(oid.crdt_type))
 
-    def oracle_value(self, obj: tuple, ver_dc: tuple, ver_local: int, reader: str):
-        """Independent replay of every covered record's effects on one object."""
-        key = (obj, ver_dc, ver_local, reader)
-        if key in self._oracle_cache:
-            return self._oracle_cache[key]
-        state = self._oracle_cache[key] = self.replay(obj, ver_dc, ver_local, reader)
-        return state
-
-    def replay(self, obj: tuple, ver_dc: tuple, ver_local: int, reader: str, skip: int = -1):
-        """The object's state in the snapshot, leaving out the entry at index
-        ``skip`` of its list if one is given."""
+    def _log(self, obj: tuple) -> _ObjectLog:
         log = self._logs.get(obj)
         if log is None:
             log = self._logs[obj] = _ObjectLog(
                 self.by_obj.get(obj, []), self.initial_state(obj), self.num_dcs
             )
+        return log
+
+    def oracle_value(self, obj: tuple, ver_dc: tuple, ver_local: int, reader: str):
+        """Independent replay of every covered record's effects on one object."""
+        log = self._log(obj)
+        if not log.entries:  # no record touches the object
+            return log.states[0]
+        covered = log.covered_prefix(ver_dc)
+        if covered == len(log.entries):  # the snapshot covers every entry
+            return log.checkpoint(covered)
+        key = (obj, ver_dc, ver_local, reader)
+        state = self._oracle_cache.get(key)
+        if state is None:
+            state = self._oracle_cache[key] = self.replay(obj, ver_dc, ver_local, reader)
+        return state
+
+    def replay(self, obj: tuple, ver_dc: tuple, ver_local: int, reader: str, skip: int = -1):
+        """The object's state in the snapshot, leaving out the entry at index
+        ``skip`` of its list if one is given."""
+        log = self._log(obj)
         entries = log.entries
         covered = log.covered_prefix(ver_dc)
         while covered < len(entries) and self.covers(entries[covered][0], ver_dc, ver_local, reader):
@@ -422,6 +448,13 @@ class TraceAnalysis:
         for effect in self.own_updates(read):
             state = apply_effect(state, effect)
         return state
+
+    def read_matches(self, read: ReadInfo) -> bool:
+        """Whether the read returned what it should; compared once per read,
+        by whichever check asks first."""
+        if read.matches is None:
+            read.matches = value_to_wire(self.read_state(read)) == read.value
+        return read.matches
 
     def own_updates(self, read: ReadInfo) -> list:
         """The reading transaction's own effects on the read object that were
@@ -468,11 +501,11 @@ def check_causal_snapshots(tr: TraceAnalysis) -> Verdict:
     violations = []
     for read in tr.reads:
         tx = tr.txs[read.tx]
-        if (read.ver_dc, read.ver_local) != (tx.snap_dc, tx.snap_local):
+        if read.ver_dc != tx.snap_dc or read.ver_local != tx.snap_local:
             violations.append(f"{read.scout} tx {read.tx}: read outside the frozen snapshot")
             continue
-        expected = value_to_wire(tr.read_state(read))
-        if expected != read.value:
+        if not tr.read_matches(read):
+            expected = value_to_wire(tr.read_state(read))
             violations.append(
                 f"{read.scout} tx {read.tx} read {read.obj}: got {read.value!r}, "
                 f"snapshot materializes {expected!r}"
@@ -520,6 +553,8 @@ def _closure_violations(tr: TraceAnalysis) -> list[str]:
         for otid in order:
             tx = tr.txs[otid]
             ver = tx.snap_dc
+            if _leq(ver, prev_dc):
+                continue  # no DC has counters to walk
             for dc in range(tr.num_dcs):
                 if ver[dc] <= prev_dc[dc]:
                     continue
@@ -547,21 +582,53 @@ def _closure_violations(tr: TraceAnalysis) -> list[str]:
 
 
 def check_atomicity(tr: TraceAnalysis) -> Verdict:
-    """No snapshot reflects a proper subset of a transaction's effects."""
+    """No snapshot reflects a proper subset of a transaction's effects.
+
+    The candidates of a transaction that read two or more objects are the
+    other records that touch two or more of them, in trace order. A read of
+    an object a candidate touches shows the candidate if it returned its
+    snapshot's value and leaving the candidate out would change that value,
+    and misses it if it returned the value with the candidate left out. For
+    a candidate the snapshot does not cover, that value is the read's
+    expected one, its own prior updates included. A partial application is
+    a candidate shown on one object and missed on another.
+
+    A read that returned its snapshot's value can never miss a candidate, so
+    a transaction none of whose reads differs from its snapshot's value is
+    passed over, and the rest visit only the candidates that touch an object
+    of a read that differs. Each object indexes the records that touch two
+    or more objects, the only ones that can be candidates."""
     violations = []
-    seq = {otid: i for i, otid in enumerate(tr.records)}
+    seq: dict[tuple, int] = {}
+    index: dict[tuple, list[RecordInfo]] = {}  # object -> multi-object records, in trace order
+    for i, (otid, rec) in enumerate(tr.records.items()):
+        seq[otid] = i
+        if len(rec.objs) >= 2:
+            for obj in rec.objs:
+                index.setdefault(obj, []).append(rec)
     wire: dict[int, tuple] = {}  # id(read) -> wire values of its snapshot, and with own updates
     for tx_otid, reads in tr.reads_by_tx.items():
         objs = {r.obj for r in reads}
         if len(objs) < 2:
             continue
-        # records touching two or more of the objects read, in trace order
-        touching: dict[tuple, int] = {}
-        for obj in objs:
-            for rec, _ in tr.by_obj.get(obj, ()):
-                touching[rec.otid] = touching.get(rec.otid, 0) + 1
+        differs = set()
+        for read in reads:
+            if tr.own_updates(read):
+                snapshot = tr.oracle_value(read.obj, read.ver_dc, read.ver_local, read.scout)
+                if read.value != value_to_wire(snapshot):
+                    differs.add(read.obj)
+            elif not tr.read_matches(read):  # it should return its snapshot's value
+                differs.add(read.obj)
+        if not differs:
+            continue
         candidates = sorted(
-            (otid for otid, n in touching.items() if n >= 2 and otid != tx_otid), key=seq.__getitem__
+            {
+                rec.otid
+                for obj in differs
+                for rec in index.get(obj, ())
+                if rec.otid != tx_otid and len(rec.objs & objs) >= 2
+            },
+            key=seq.__getitem__,
         )
         for otid in candidates:
             rec = tr.records[otid]
@@ -614,7 +681,7 @@ def check_session_guarantees(tr: TraceAnalysis) -> Verdict:
         for otid in order:
             tx = tr.txs[otid]
             if prev_dc is not None:
-                if not all(a <= b for a, b in zip(prev_dc, tx.snap_dc)) or tx.snap_local < prev_local:
+                if not _leq(prev_dc, tx.snap_dc) or tx.snap_local < prev_local:
                     violations.append(
                         f"{scout}: snapshot regressed from {prev_dc}|{prev_local} "
                         f"to {tx.snap_dc}|{tx.snap_local}"
@@ -720,36 +787,55 @@ def _full_replay(tr: TraceAnalysis) -> dict:
 
 def measure_staleness(tr: TraceAnalysis) -> dict:
     """Fraction of reads returning a K-durable version while a fresher,
-    not-yet-K-durable one existed somewhere at read time."""
-    apply_times = {
-        otid: sorted(rec.apply_times.values()) for otid, rec in tr.records.items()
-    }
+    not-yet-K-durable one existed somewhere at read time.
+
+    Reads are swept in time order. Per object, the records committed by the
+    read time and not yet K-durable wait in a heap ordered by the time they
+    become K-durable, so a read visits only those."""
+    k = tr.k
+    durable_at = {}  # otid -> when the K-th DC applied the record
+    for otid, rec in tr.records.items():
+        times = sorted(rec.apply_times.values())
+        durable_at[otid] = times[k - 1] if len(times) >= k else math.inf
+    # object -> [its entries, how many of them committed by now, the heap of
+    # (durable_at, pos, record) of those not yet K-durable]
+    sweeps: dict[tuple, list] = {}
     stale_reads = 0
-    total = 0
     stale_txs: set[tuple] = set()
-    tx_seen: set[tuple] = set()
-    for read in tr.reads:
-        total += 1
-        tx_seen.add(read.tx)
-        for rec, _ in tr.by_obj.get(read.obj, ()):
-            if rec.commit_time > read.t:
-                break  # the list is sorted by commit time
-            if rec.origin == read.scout:
+    for read in sorted(tr.reads, key=operator.attrgetter("t")):
+        sweep = sweeps.get(read.obj)
+        if sweep is None:
+            entries = tr.by_obj.get(read.obj)
+            if not entries:
                 continue
-            if bisect.bisect_right(apply_times[rec.otid], read.t) >= tr.k:
-                continue  # K-durable at read time
-            if tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
-                continue
-            stale_reads += 1
-            stale_txs.add(read.tx)
-            break
+            sweep = sweeps[read.obj] = [entries, 0, []]
+        entries, i, heap = sweep
+        t = read.t
+        # the list is sorted by commit time
+        while i < len(entries) and entries[i][0].commit_time <= t:
+            rec = entries[i][0]
+            if durable_at[rec.otid] > t:
+                heapq.heappush(heap, (durable_at[rec.otid], rec.pos, rec))
+            i += 1
+        sweep[1] = i
+        while heap and heap[0][0] <= t:
+            heapq.heappop(heap)  # K-durable at read time
+        for _, _, rec in heap:
+            if rec.origin != read.scout and not tr.covers(
+                rec, read.ver_dc, read.ver_local, read.scout
+            ):
+                stale_reads += 1
+                stale_txs.add(read.tx)
+                break
+    total = len(tr.reads)
+    transactions = len(tr.reads_by_tx)  # those that read
     return {
         "reads": total,
         "stale_reads": stale_reads,
         "stale_read_fraction": stale_reads / total if total else 0.0,
-        "transactions": len(tx_seen),
+        "transactions": transactions,
         "stale_transactions": len(stale_txs),
-        "stale_tx_fraction": len(stale_txs) / len(tx_seen) if tx_seen else 0.0,
+        "stale_tx_fraction": len(stale_txs) / transactions if transactions else 0.0,
     }
 
 

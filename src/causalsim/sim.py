@@ -158,6 +158,7 @@ class ScriptDriver:
             delay = next(self.steps)
         except StopIteration:
             self.done = True
+            sim.script_finished(self.scout.id)
             return
         if delay is not None:
             self.sleeping = True
@@ -265,6 +266,17 @@ class Simulation:
             )
             self.scouts[sid] = scout
             self.drivers[sid] = ScriptDriver(scout, scripts.get(sid, []), config.think_ms)
+        # scout -> its last connectivity fault, when that is a disconnect:
+        # once it fires, the scout is cut off for good
+        self.final_cuts: dict[str, FaultEvent] = {}
+        for f in sorted(config.faults, key=lambda f: f.at):  # the order they fire in
+            if f.kind == "scout_disconnect":
+                self.final_cuts[f.scout] = f
+            elif f.kind == "scout_reconnect":
+                self.final_cuts.pop(f.scout, None)
+        self.cut_off: set[str] = set()
+        # unfinished scripts of scouts that are not cut off for good
+        self.live_scripts = sum(not d.done for d in self.drivers.values())
 
         # node address -> (kind, index), parsed once
         self.addrs: dict[str, tuple[str, int]] = {
@@ -394,6 +406,10 @@ class Simulation:
             self.disconnected.add(f.scout)
             self.trace({"ev": "fault", "kind": "scout_disconnect", "scout": f.scout})
             self.scouts[f.scout].on_session_lost(self)
+            if self.final_cuts.get(f.scout) is f:
+                self.cut_off.add(f.scout)
+                if not self.drivers[f.scout].done:
+                    self.live_scripts -= 1
         elif f.kind == "scout_reconnect":
             self.disconnected.discard(f.scout)
             scout = self.scouts[f.scout]
@@ -432,25 +448,24 @@ class Simulation:
             self.schedule(self.config.retry_ms, "retry", sid)
 
         scripts_done_at: Optional[int] = None
+        stranded = False  # a script is left unfinished on a scout cut off for good
         fault_horizon = max((f.at for f in self.config.faults), default=-1)
         synced = False
-        # drivers not yet seen done, popped from the end as they finish
-        running = list(self.drivers.values())
         while self.heap:
             at, _, kind, payload = heapq.heappop(self.heap)
             if at > self.config.horizon_ms:
                 break
             self.time = at
             self._handle(kind, payload)
-            if scripts_done_at is None:
-                while running and running[-1].done:
-                    running.pop()
-                if not running:
-                    scripts_done_at = self.time
+            if scripts_done_at is None and not self.live_scripts:
+                # every script is done, or waits on a scout that never
+                # reconnects; such a run drains, then ends unsynced
+                scripts_done_at = self.time
+                stranded = not all(d.done for d in self.drivers.values())
             if scripts_done_at is not None and self.time > fault_horizon:
                 # in-flight heartbeats cannot unsync an already-synced state,
                 # so the stop check ignores them
-                if self._fully_synced():
+                if not stranded and self._fully_synced():
                     synced = True
                     break
                 if self.time >= max(scripts_done_at, fault_horizon) + self.config.drain_ms:
@@ -518,6 +533,10 @@ class Simulation:
             driver.advance(self)
         else:
             raise ValueError(f"unknown event kind {kind!r}")
+
+    def script_finished(self, sid: str) -> None:
+        if sid not in self.cut_off:
+            self.live_scripts -= 1
 
     def _fully_synced(self) -> bool:
         live = [dc for dc in self.dcs if dc.id not in self.crashed]

@@ -7,6 +7,11 @@ and add-wins sets for wall posts, events, friend requests and friends.
 Users and the symmetric friendship graph are created before the run by
 seeding identical checkpoints at every DC, which sidesteps the uniqueness
 problem of registration transactions.
+
+Social scripts are made in two steps: `social_plan` makes every random
+draw and returns each session's actions as labels, targets and post
+numbers, and `scripts_from_plan` turns that plan into ops. The checker
+needs only the labels, so it builds the plan and no script.
 """
 
 from __future__ import annotations
@@ -60,6 +65,11 @@ def friend_graph(cfg: SocialConfig, rng: random.Random) -> dict[int, list[int]]:
     return {u: sorted(vs) for u, vs in friends.items()}
 
 
+def _graph(cfg: SocialConfig, seed) -> dict[int, list[int]]:
+    """The seed's friend graph."""
+    return friend_graph(cfg, random.Random(f"{seed}/graph"))
+
+
 def initial_states(cfg: SocialConfig, graph: dict[int, list[int]]) -> dict[ObjectId, CmapState]:
     """Pre-created user maps with profiles and seeded friendship sets."""
     states = {}
@@ -90,6 +100,105 @@ def _friend_add(uid: int) -> tuple:
     return ("entry", FRIENDS[0], FRIENDS[1], ("add", f"user:{uid}"))
 
 
+def social_plan(
+    cfg: SocialConfig, num_scouts: int, seed, graph: dict[int, list[int]]
+) -> dict[str, list[tuple[int, list[tuple[str, int, int]]]]]:
+    """Every random draw of the social scripts and nothing else: per scout,
+    its sessions as ``(me, [(label, target, post_n)])``, where ``post_n``
+    numbers the scout's updates so far. `graph` is the seed's friend graph."""
+    cfg.validate()
+    rng = random.Random(f"{seed}/social")
+    plan = {}
+    for idx in range(num_scouts):
+        sessions = []
+        post_n = 0
+        for _ in range(cfg.sessions_per_scout):
+            me = rng.randrange(cfg.users)
+            circle = [me] + graph[me]
+            actions = []
+            for _ in range(cfg.session_length):
+                local = rng.random() < cfg.locality
+                update = rng.random() < cfg.update_fraction
+                target = rng.choice(circle) if local else rng.randrange(cfg.users)
+                if not update:
+                    label = "view_wall" if rng.random() < 0.7 else "list_friends"
+                else:
+                    post_n += 1
+                    kind = rng.random()
+                    if kind < 0.5 or target == me:
+                        label = "post_status"
+                    elif kind < 0.8:
+                        label = "message"
+                    else:
+                        label = "accept_friendship"
+                actions.append((label, target, post_n))
+            sessions.append((me, actions))
+        plan[f"s{idx}"] = sessions
+    return plan
+
+
+def plan_labels(plan: dict) -> dict[str, list[str]]:
+    """Each scout's transaction labels in script order: a login and a
+    logout around every session's actions."""
+    return {
+        sid: [
+            label
+            for _, actions in sessions
+            for label in ("login", *(action[0] for action in actions), "logout")
+        ]
+        for sid, sessions in plan.items()
+    }
+
+
+def _action_ops(sid: str, me: int, label: str, target: int, post_n: int) -> list[tuple]:
+    if label in ("view_wall", "list_friends"):
+        return [("read", user_object(target))]
+    if label == "post_status":
+        # status post on own wall, event logged atomically
+        return [
+            ("read", user_object(me)),
+            ("update", user_object(me), _wall_add(sid, post_n)),
+            ("update", user_object(me), _event_add(sid, post_n)),
+        ]
+    if label == "message":
+        # message: target's wall and own event set, atomically
+        return [
+            ("multi", [user_object(me), user_object(target)]),
+            ("update", user_object(target), _wall_add(sid, post_n)),
+            ("update", user_object(me), _event_add(sid, post_n)),
+        ]
+    # friendship accept updates both friend sets
+    return [
+        ("multi", [user_object(me), user_object(target)]),
+        ("update", user_object(me), _friend_add(target)),
+        ("update", user_object(target), _friend_add(me)),
+    ]
+
+
+def scripts_from_plan(
+    plan: dict, graph: dict[int, list[int]], cfg: SocialConfig, cache_capacity: int
+) -> dict[str, list[dict]]:
+    """The per-scout scripts a `social_plan` stands for."""
+    pins = cfg.pin_friends and cache_capacity
+    scripts: dict[str, list[dict]] = {}
+    for sid, sessions in plan.items():
+        script: list[dict] = []
+        for me, actions in sessions:
+            pinned = [user_object(u) for u in [me] + graph[me]]
+            if pins:
+                pinned = pinned[: max(cache_capacity - 8, 1)]
+            login_ops = [("read", user_object(me)), ("multi", [user_object(f) for f in graph[me]])]
+            if pins:
+                login_ops.append(("pin", pinned))
+            script.append({"kind": "tx", "label": "login", "ops": login_ops})
+            for label, target, post_n in actions:
+                ops = _action_ops(sid, me, label, target, post_n)
+                script.append({"kind": "tx", "label": label, "ops": ops})
+            script.append({"kind": "tx", "label": "logout", "ops": [("unpin", pinned)] if pins else []})
+        scripts[sid] = script
+    return scripts
+
+
 def social_scripts(
     cfg: SocialConfig,
     num_scouts: int,
@@ -99,80 +208,9 @@ def social_scripts(
 ) -> dict[str, list[dict]]:
     """Per-scout scripts; `graph` is the seed's friend graph, built here
     when the caller has not built it already."""
-    cfg.validate()
-    rng = random.Random(f"{seed}/social")
     if graph is None:
-        graph = friend_graph(cfg, random.Random(f"{seed}/graph"))
-    scripts: dict[str, list[dict]] = {}
-    for idx in range(num_scouts):
-        sid = f"s{idx}"
-        script: list[dict] = []
-        post_n = 0
-        for _ in range(cfg.sessions_per_scout):
-            me = rng.randrange(cfg.users)
-            circle = [me] + graph[me]
-            pinned = [user_object(u) for u in circle]
-            if cfg.pin_friends and cache_capacity:
-                pinned = pinned[: max(cache_capacity - 8, 1)]
-            login_ops = [("read", user_object(me)), ("multi", [user_object(f) for f in graph[me]])]
-            if cfg.pin_friends and cache_capacity:
-                login_ops.append(("pin", pinned))
-            script.append({"kind": "tx", "label": "login", "ops": login_ops})
-            for _ in range(cfg.session_length):
-                local = rng.random() < cfg.locality
-                update = rng.random() < cfg.update_fraction
-                target = rng.choice(circle) if local else rng.randrange(cfg.users)
-                if not update:
-                    label = "view_wall" if rng.random() < 0.7 else "list_friends"
-                    script.append(
-                        {"kind": "tx", "label": label, "ops": [("read", user_object(target))]}
-                    )
-                    continue
-                post_n += 1
-                kind = rng.random()
-                if kind < 0.5 or target == me:
-                    # status post on own wall, event logged atomically
-                    script.append(
-                        {
-                            "kind": "tx",
-                            "label": "post_status",
-                            "ops": [
-                                ("read", user_object(me)),
-                                ("update", user_object(me), _wall_add(sid, post_n)),
-                                ("update", user_object(me), _event_add(sid, post_n)),
-                            ],
-                        }
-                    )
-                elif kind < 0.8:
-                    # message: target's wall and own event set, atomically
-                    script.append(
-                        {
-                            "kind": "tx",
-                            "label": "message",
-                            "ops": [
-                                ("multi", [user_object(me), user_object(target)]),
-                                ("update", user_object(target), _wall_add(sid, post_n)),
-                                ("update", user_object(me), _event_add(sid, post_n)),
-                            ],
-                        }
-                    )
-                else:
-                    # friendship accept updates both friend sets
-                    script.append(
-                        {
-                            "kind": "tx",
-                            "label": "accept_friendship",
-                            "ops": [
-                                ("multi", [user_object(me), user_object(target)]),
-                                ("update", user_object(me), _friend_add(target)),
-                                ("update", user_object(target), _friend_add(me)),
-                            ],
-                        }
-                    )
-            logout_ops = [("unpin", pinned)] if cfg.pin_friends and cache_capacity else []
-            script.append({"kind": "tx", "label": "logout", "ops": logout_ops})
-        scripts[sid] = script
-    return scripts
+        graph = _graph(cfg, seed)
+    return scripts_from_plan(social_plan(cfg, num_scouts, seed, graph), graph, cfg, cache_capacity)
 
 
 def counter_scripts(
@@ -220,8 +258,17 @@ def initial_states_for(workload_cfg: dict, seed) -> dict[ObjectId, object]:
     if kind_of(workload_cfg) != "social":
         return {}
     cfg = _social_config(workload_cfg)
-    graph = friend_graph(cfg, random.Random(f"{seed}/graph"))
-    return initial_states(cfg, graph)
+    return initial_states(cfg, _graph(cfg, seed))
+
+
+def social_labels_and_states(workload_cfg: dict, num_scouts: int, seed) -> tuple[dict, dict]:
+    """Each scout's transaction labels in script order, and the initial
+    states, for a social workload config: what `build` gives less the ops,
+    from the friend graph and the plan alone."""
+    cfg = _social_config(workload_cfg)
+    graph = _graph(cfg, seed)
+    labels = plan_labels(social_plan(cfg, num_scouts, seed, graph))
+    return labels, initial_states(cfg, graph)
 
 
 def build(workload_cfg: dict, num_scouts: int, seed, cache_capacity: int):
@@ -229,7 +276,7 @@ def build(workload_cfg: dict, num_scouts: int, seed, cache_capacity: int):
     kind = kind_of(workload_cfg)
     if kind == "social":
         cfg = _social_config(workload_cfg)
-        graph = friend_graph(cfg, random.Random(f"{seed}/graph"))
+        graph = _graph(cfg, seed)
         return (
             social_scripts(cfg, num_scouts, seed, cache_capacity, graph),
             initial_states(cfg, graph),

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalsim import checker
+from causalsim import checker, workload
 from causalsim.checker import (
     ReadInfo,
     TraceAnalysis,
@@ -24,7 +24,7 @@ from causalsim.checker import (
     run_checks,
 )
 from causalsim.crdt import CrdtType, EffectTag, ObjectId, apply_effect, effect_from_wire, new_state, prepare
-from causalsim.crdt import effect_to_wire
+from causalsim.crdt import effect_to_wire, value_to_wire
 from causalsim.scenarios import load_scenario, run_scenario
 from test_pins import RUNS, pinned_run
 
@@ -332,6 +332,18 @@ class TestStaleness:
         m = measure_staleness(TraceAnalysis(self._trace(60, (0, 0))))
         assert m["stale_reads"] == 0
 
+    @pytest.mark.parametrize("read_t, stale", [(49, 2), (50, 1)])
+    def test_a_record_is_k_durable_from_its_kth_apply_on(self, read_t, stale):
+        # a stale read at 20, then a read at read_t; the second DC applies at 50
+        trace = self._trace(20, (0, 0))
+        trace[-1:-1] = [
+            begin_ev(read_t, "r", (2, "r"), [[0, 0], 0]),
+            read_ev(read_t, "r", (2, "r"), CTR, 0, [[0, 0], 0]),
+            commit_ev(read_t, "r", (2, "r"), [[0, 0], 0]),
+        ]
+        m = measure_staleness(TraceAnalysis(trace))
+        assert m["stale_reads"] == stale
+
     def test_covering_read_not_stale(self):
         m = measure_staleness(TraceAnalysis(self._trace(20, (1, 0))))
         assert m["stale_reads"] == 0
@@ -622,3 +634,167 @@ def test_checker_applies_each_covered_prefix_once(monkeypatch):
     monkeypatch.setattr(checker, "apply_effect", counting)
     assert run_checks(trace)["ok"]
     assert 1_000 < len(calls) <= 1_800
+
+
+def brute_force_oracle(tr, obj, ver_dc, ver_local, reader):
+    """A replay of the whole linear extension ``tr.order``, filtered by
+    ``tr.covers`` to the snapshot and to the object, over its initial
+    state."""
+    state = tr.initial_state(obj)
+    for rec in tr.order:
+        if obj in rec.objs and tr.covers(rec, ver_dc, ver_local, reader):
+            for ew in rec.effects:
+                effect = effect_from_wire(ew)
+                if (effect.target.key, effect.target.crdt_type.value) == obj:
+                    state = apply_effect(state, effect)
+    return state
+
+
+@pytest.mark.parametrize("name", ["social-90-10", "staleness-stress", "churn-faults"])
+def test_replay_shortcuts_match_a_brute_force_replay(name):
+    # a read of an object no record touches, or at a snapshot that covers
+    # every record of its object, is answered without a replay and leaves
+    # no oracle cache entry; every other read leaves one
+    tr = TraceAnalysis(pinned_run(name).trace)
+    expected = {}
+    shortcuts = {"no records": 0, "all covered": 0, "replayed": 0}
+    for read in tr.reads:
+        key = (read.obj, read.ver_dc, read.ver_local, read.scout)
+        if key not in expected:
+            expected[key] = brute_force_oracle(tr, *key)
+        assert tr.oracle_value(*key) == expected[key], key
+        entries = tr.by_obj.get(read.obj, [])
+        if not entries:
+            kind = "no records"
+        elif all(
+            rec.aliases and rec.aliases[0][0] <= read.ver_dc[rec.aliases[0][1]]
+            for rec, _ in entries
+        ):
+            kind = "all covered"  # each through its first alias, whoever reads
+        else:
+            kind = "replayed"
+        assert (key in tr._oracle_cache) == (kind == "replayed"), (kind, key)
+        shortcuts[kind] += 1
+    assert shortcuts["replayed"]
+    # the counter churn reads four counters every scout keeps incrementing
+    assert all(shortcuts.values()) or name == "churn-faults", shortcuts
+
+
+def test_run_checks_builds_no_script(monkeypatch):
+    trace = pinned_run("social-90-10").trace
+    report = run_checks(trace)
+
+    def no_scripts(*args, **kwargs):
+        raise AssertionError("the checker built a script")
+
+    monkeypatch.setattr(workload, "social_scripts", no_scripts)
+    monkeypatch.setattr(workload, "scripts_from_plan", no_scripts)
+    assert run_checks(trace) == report
+    # login and logout are the scenario's warm-up labels
+    labels = {"view_wall", "list_friends", "post_status", "message", "accept_friendship"}
+    assert report["ok"] and set(report["latency"]["rts_by_label"]) == labels
+
+
+def test_no_trace_event_carries_a_label():
+    # counter-churn transactions keep no label; social ones get theirs from
+    # the workload's plan
+    tr = TraceAnalysis(pinned_run("churn-faults").trace)
+    assert not any("label" in ev for ev in pinned_run("churn-faults").trace)
+    assert {tx.label for tx in tr.txs.values()} == {None}
+
+
+def reference_atomicity(tr):
+    """The atomicity check as a full scan: every record that touches two or
+    more of the objects a transaction read is a candidate."""
+    violations = []
+    seq = {otid: i for i, otid in enumerate(tr.records)}
+    for tx_otid, reads in tr.reads_by_tx.items():
+        objs = {r.obj for r in reads}
+        if len(objs) < 2:
+            continue
+        candidates = sorted(
+            (
+                otid
+                for otid, rec in tr.records.items()
+                if len(rec.objs & objs) >= 2 and otid != tx_otid
+            ),
+            key=seq.__getitem__,
+        )
+        for otid in candidates:
+            rec = tr.records[otid]
+            presence = {}
+            for read in reads:
+                if read.obj not in rec.objs:
+                    continue
+                with_r = value_to_wire(
+                    tr.oracle_value(read.obj, read.ver_dc, read.ver_local, read.scout)
+                )
+                if tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
+                    without = value_to_wire(_oracle_without(tr, read, rec))
+                else:
+                    without = value_to_wire(tr.read_state(read))
+                if with_r == without:
+                    continue
+                if read.value == with_r:
+                    presence[read.obj] = True
+                elif read.value == without:
+                    presence[read.obj] = False
+            if True in presence.values() and False in presence.values():
+                violations.append(
+                    f"tx {tx_otid} observed a partial application of {rec.otid}: {presence}"
+                )
+    return violations
+
+
+def reference_staleness(tr):
+    """Stale reads found by walking each read object's records up to the
+    read time."""
+    stale = set()
+    for i, read in enumerate(tr.reads):
+        for rec, _ in tr.by_obj.get(read.obj, ()):
+            if rec.commit_time > read.t:
+                break
+            durable = sum(t <= read.t for t in rec.apply_times.values()) >= tr.k
+            if rec.origin == read.scout or durable:
+                continue
+            if not tr.covers(rec, read.ver_dc, read.ver_local, read.scout):
+                stale.add(i)
+                break
+    return {
+        "stale_reads": len(stale),
+        "stale_transactions": len({tr.reads[i].tx for i in stale}),
+    }
+
+
+def tampered_social_trace(seed):
+    """The pinned social-90-10 trace with some reads of multi-object
+    transactions given the value an earlier read of the same object
+    returned, so that they miss records their snapshots cover."""
+    rng = random.Random(seed)
+    trace = [dict(ev) for ev in pinned_run("social-90-10").trace]
+    seen: dict[tuple, list] = {}
+    multi = {}
+    for ev in trace:
+        if ev["ev"] == "read":
+            multi.setdefault(tuple(ev["otid"]), set()).add(tuple(ev["obj"]))
+    for ev in trace:
+        if ev["ev"] != "read":
+            continue
+        obj = tuple(ev["obj"])
+        earlier = seen.setdefault(obj, [])
+        if earlier and len(multi[tuple(ev["otid"])]) > 1 and rng.random() < 0.3:
+            ev["value"] = rng.choice(earlier)
+        earlier.append(ev["value"])
+    return trace
+
+
+@pytest.mark.parametrize("name", ["social-90-10", "session-reorder", "k-gating-off", "tampered"])
+def test_indexed_scans_report_what_the_full_scans_report(name):
+    trace = tampered_social_trace(3) if name == "tampered" else pinned_run(name).trace
+    tr = TraceAnalysis(trace)
+    violations = check_atomicity(tr).violations
+    assert violations == reference_atomicity(tr)
+    assert violations or name != "tampered"
+    staleness = measure_staleness(tr)
+    assert {k: staleness[k] for k in ("stale_reads", "stale_transactions")} == reference_staleness(tr)
+    assert staleness["stale_reads"] or name == "session-reorder"

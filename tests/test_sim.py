@@ -1,4 +1,5 @@
 import gc
+import time
 import weakref
 from pathlib import Path
 
@@ -334,6 +335,29 @@ class TestQuiescence:
         sim = Simulation(cfg, scripts={"s0": [inc_tx(5)], "s1": []})
         res = sim.run()
         assert not res.synced
+
+    @pytest.mark.parametrize(
+        "later, synced",
+        [([], False), ([3000], True), ([3000, 3500], False)],
+        ids=["cut-off", "reconnected", "cut-off-again"],
+    )
+    def test_a_script_left_on_a_scout_cut_off_for_good_ends_the_run(self, later, synced):
+        # s1 is cut off mid-script at 100 ms; the run ends once every other
+        # script is done and the drain has passed, not at the 600 s horizon,
+        # unless a later reconnect lets s1 finish
+        faults = [{"at": 100, "kind": "scout_disconnect", "scout": "s1"}]
+        for i, at in enumerate(later):
+            kind = "scout_reconnect" if i % 2 == 0 else "scout_disconnect"
+            faults.append({"at": at, "kind": kind, "scout": "s1"})
+        scenario = dict(load_scenario("social-90-10"), faults=faults)
+        start = time.perf_counter()
+        res = run_scenario(scenario, seed=1)
+        assert time.perf_counter() - start < 1.0
+        assert res.synced == synced and res.trace[-1]["t"] < 10_000
+        report = run_checks(res.trace)
+        assert report["ok"], report["verdicts"]
+        skipped = report["verdicts"]["convergence"]["skipped"]
+        assert (skipped is None) == synced
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalsim import workload
 from causalsim.crdt import value_of
@@ -12,6 +13,9 @@ from causalsim.workload import (
     friend_graph,
     initial_states,
     initial_states_for,
+    plan_labels,
+    social_labels_and_states,
+    social_plan,
     social_scripts,
     user_object,
 )
@@ -153,6 +157,35 @@ class TestScripts:
     def test_invalid_fractions_rejected(self):
         with pytest.raises(ValueError):
             social_scripts(cfg(update_fraction=1.5), 1, 1, 32)
+
+
+class TestPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        users=st.integers(2, 12),
+        friends=st.integers(0, 5),
+        update_fraction=st.floats(0, 1),
+        locality=st.floats(0, 1),
+        session_length=st.integers(0, 8),
+        sessions=st.integers(0, 3),
+        scouts=st.integers(0, 4),
+        seed=st.integers(0, 10**6),
+        capacity=st.sampled_from([0, 4, 16]),
+    )
+    def test_the_plan_labels_are_the_script_labels(
+        self, users, friends, update_fraction, locality, session_length, sessions, scouts, seed, capacity
+    ):
+        c = SocialConfig(users, friends, update_fraction, locality, session_length, sessions)
+        graph = friend_graph(c, random.Random(f"{seed}/graph"))
+        scripts = social_scripts(c, scouts, seed, capacity)
+        labels = {sid: [spec["label"] for spec in script] for sid, script in scripts.items()}
+        assert plan_labels(social_plan(c, scouts, seed, graph)) == labels
+
+    def test_labels_and_states_match_build(self):
+        wl = {"kind": "social", "users": 30, "friends": 4, "sessions": 3}
+        scripts, states, _ = build(wl, 3, 7, 16)
+        labels = {sid: [spec["label"] for spec in script] for sid, script in scripts.items()}
+        assert social_labels_and_states(wl, 3, 7) == (labels, states)
 
 
 class TestCounterChurn:
