@@ -182,20 +182,14 @@ class LwwState(_State):
 
 
 class _Memo(_State):
-    """Memo slots for the wire form and the value form of an immutable
-    state, each filled on its first render. They are class-level defaults,
-    not dataclass fields, so eq, hash, repr, `fields()` and
-    `dataclasses.replace` ignore them and construction does not set them.
-    The memoized dicts and lists are shared by every holder: never mutate
-    them. A subclass encodes in `_encode` and renders in `_render`."""
+    """A memo slot for the value form of an immutable state, which read
+    events render, filled on its first render. It is a class-level default,
+    not a dataclass field, so eq, hash, repr, `fields()` and
+    `dataclasses.replace` ignore it and construction does not set it. The
+    memoized value is shared by every holder: never mutate it. A subclass
+    renders in `_render`."""
 
-    _wire = None
     _value = None
-
-    def to_wire(self) -> dict:
-        if self._wire is None:
-            object.__setattr__(self, "_wire", self._encode())
-        return self._wire
 
     def render(self):
         if self._value is None:
@@ -228,7 +222,7 @@ class MvState(_Memo):
     def _render(self):
         return sorted(self.candidates.values(), key=repr)
 
-    def _encode(self) -> dict:
+    def to_wire(self) -> dict:
         return {
             "t": "mv",
             "candidates": [[list(t), v] for t, v in sorted(self.candidates.items())],
@@ -282,7 +276,7 @@ class AwSetState(_Memo):
     def _render(self):
         return sorted(self.alive, key=repr)
 
-    def _encode(self) -> dict:
+    def to_wire(self) -> dict:
         return {
             "t": "awset",
             "alive": [
@@ -303,7 +297,7 @@ class AwSetState(_Memo):
 @dataclass(frozen=True)
 class CmapState(_Memo):
     # `apply` copies only this dict, so sub-states an effect does not touch
-    # are shared between versions, memos included
+    # are shared between versions, render memos included
     entries: dict[tuple[str, CrdtType], Any] = field(default_factory=dict)
 
     def prepare(self, intent: tuple, tag: EffectTag):
@@ -336,7 +330,7 @@ class CmapState(_Memo):
             for (name, entry_type), sub in sorted(self.entries.items())
         }
 
-    def _encode(self) -> dict:
+    def to_wire(self) -> dict:
         return {
             "t": "cmap",
             "entries": [
@@ -442,17 +436,15 @@ def _payload_from_wire(kind: str, w: list) -> tuple:
 
 
 def state_to_wire(state) -> dict:
-    """The canonical wire form, encoded once for sets, MV registers and
-    maps (`_Memo`). Callers must not mutate it."""
+    """The canonical wire form, a new dict on every call. The simulator
+    encodes a state only for a wire tap or a crash's durable snapshot."""
     if not isinstance(state, _State):
         raise TypeMismatch(f"cannot serialize {type(state).__name__}")
     return state.to_wire()
 
 
 def state_from_wire(w: dict):
-    """A fresh state with empty memos: keeping `w` would pin every decoded
-    wire dict for as long as a cache holds the state. The simulator's decode
-    table (`messages.decode_once`) pins it only until the run ends."""
+    """A fresh state with an empty render memo; it keeps nothing of `w`."""
     cls = _STATE_CLASSES.get(_TYPE_BY_VALUE.get(w["t"]))
     if cls is None:
         raise TypeMismatch(f"cannot deserialize type tag {w['t']!r}")
@@ -461,7 +453,8 @@ def state_from_wire(w: dict):
 
 def value_to_wire(state) -> Any:
     """Canonical JSON form of a readable value, for traces and comparisons.
-    Memoized like `state_to_wire`; callers must not mutate it."""
+    Rendered once for sets, MV registers and maps (`_Memo`); callers must
+    not mutate it."""
     if not isinstance(state, _State):
         raise TypeMismatch(f"no value for {type(state).__name__}")
     return state.render()

@@ -16,14 +16,14 @@ peers. A peer that it has not heard yet, or that has gone silent, gets a
 heartbeat: an empty batch carrying our vdc. Once the peer's batch
 arrives, the next tick sends it everything its reported vector lacks.
 
-A fetch is served in wire form. Each stored object remembers the last
-version it served: the positions of the log entries that version covers,
-and its wire form. A fetch whose clock covers the same entries gets that
-wire form again without a replay or an encode. The memo is volatile, kept
-only while the object has entries above its checkpoint, and dropped when a
-prune folds some of them, which changes the checkpoint and the positions.
-An object without entries serves its checkpoint, whose state keeps its own
-wire form (`crdt.state_to_wire`), so it too is encoded once.
+A fetch is served as states, which the reply carries and the scout's
+cache and transaction share: states are immutable. Each stored object
+remembers the last version it served: the positions of the log entries
+that version covers, and its state. A fetch whose clock covers the same
+entries gets that state again without a replay. The memo is volatile,
+kept only while the object has entries above its checkpoint, and dropped
+when a prune folds some of them, which changes the checkpoint and the
+positions. An object without entries serves its checkpoint state itself.
 
 A session is sent only what its scout keeps. A scout whose session
 request says it keeps no cache gets no admit states in its fetch replies
@@ -125,8 +125,8 @@ class StoredObject:
     base: VersionVector
     entries: list[tuple[EffectOp, CommitRecord]] = field(default_factory=list)
     # volatile: the positions in `entries` covered by the last version
-    # served, and its wire form, which receivers only decode
-    served: Optional[tuple[list[int], dict]] = None
+    # served, and its state
+    served: Optional[tuple[list[int], Any]] = None
 
 
 @dataclass
@@ -240,9 +240,8 @@ class DataCenter:
         for obj_w, base, cp in snapshot["checkpoints"]:
             obj = object_from_wire(*obj_w)
             dc.store[obj] = StoredObject(state_from_wire(cp), vector_from_wire(base))
-        decoded = {}  # the stream's own decode table: nothing is shared with the run
         for rw in snapshot["records"]:
-            record = record_from_wire(rw, decoded)
+            record = record_from_wire(rw)
             dc._log_record(record)
             dc._store_effects(record)
         # slots at or below the prune frontier were folded into checkpoints
@@ -561,18 +560,18 @@ class DataCenter:
         snapshot: CausalClock,
         admit_clock: Optional[CausalClock],
         own: ScoutId,
-    ) -> tuple[dict, Optional[dict]]:
-        """The wire forms of `materialize` at both clocks, from one walk over
-        the object's entries. Returns (snapshot wire, admit wire), with None
-        for the admit wire when both clocks cover the same entries, or when
-        there is no admit clock."""
+    ) -> tuple[Any, Optional[Any]]:
+        """`materialize` at both clocks, from one walk over the object's
+        entries. Returns (snapshot state, admit state), with None for the
+        admit state when both clocks cover the same entries, or when there
+        is no admit clock."""
         clocks = (snapshot,) if admit_clock is None else (snapshot, admit_clock)
         for c in clocks:
             if not self.prune_vector.leq(c.dc_part):
                 raise VersionPruned(f"{obj} at {c} below prune frontier {self.prune_vector}")
         so = self.store.get(obj)
         if so is None:
-            return state_to_wire(new_state(obj.crdt_type)), None
+            return new_state(obj.crdt_type), None
         covered = self._covered
         if admit_clock is None:
             key = [i for i, (_, r) in enumerate(so.entries) if covered(r, snapshot, own)]
@@ -587,20 +586,18 @@ class DataCenter:
         return snap, (None if admit_key == snap_key else self._served(so, admit_key))
 
     @staticmethod
-    def _served(so: StoredObject, key: list[int]) -> dict:
-        """The wire form of the checkpoint plus the entries at positions
-        `key`: the memo's if it covers the same ones, else replayed, encoded
-        and remembered. The wire form is canonical, so the memo's is the one
-        a fresh encode gives."""
+    def _served(so: StoredObject, key: list[int]) -> Any:
+        """The checkpoint plus the entries at positions `key`: the memo's
+        state if it covers the same ones, else replayed and remembered. With
+        no entries, the checkpoint itself."""
         if so.served is not None and so.served[0] == key:
             return so.served[1]
         state = so.checkpoint
         for i in key:
             state = apply_effect(state, so.entries[i][0])
-        wire = state_to_wire(state)
         if so.entries:
-            so.served = (key, wire)
-        return wire
+            so.served = (key, state)
+        return state
 
     def _serve_fetch(self, env, msg: FetchRequest) -> None:
         session = self.sessions.get(msg.scout)

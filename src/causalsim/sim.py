@@ -89,6 +89,12 @@ class SimConfig:
             raise ValueError(f"unknown commit_target {self.commit_target!r}")
         if self.notify_mode not in ("effects", "invalidations"):
             raise ValueError(f"unknown notify_mode {self.notify_mode!r}")
+        # a zero period reschedules its tick at the same instant for ever
+        for key in ("gossip_ms", "notify_ms", "prune_ms", "retry_ms"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, not {getattr(self, key)}")
+        if self.jitter_ms < 0:
+            raise ValueError(f"jitter_ms must be non-negative, not {self.jitter_ms}")
         unknown = sorted(set(self.mutations) - mutants.MUTATIONS.keys())
         if unknown:
             raise ValueError(f"unknown mutations {unknown}; known: {list(mutants.MUTATIONS)}")
@@ -293,10 +299,6 @@ class Simulation:
                 delay = max(config.scout_rtt(idx, i) // 2, 0)
                 self.delays[sid, f"dc{i}"] = self.delays[f"dc{i}", sid] = delay
         self.meta: dict = {}
-        # the run's decode table (`messages.decode_once`): every scout sent
-        # one state dict in a fetch reply shares the state decoded from it.
-        # Emptied when the run ends, so it pins no dict beyond the run
-        self.decoded: dict = {}
         for hook in hooks:
             hook(self)
 
@@ -470,7 +472,6 @@ class Simulation:
                     break
                 if self.time >= max(scripts_done_at, fault_horizon) + self.config.drain_ms:
                     break
-        self.decoded.clear()
         for driver in self.drivers.values():
             if driver.steps is not None:
                 driver.steps.close()  # a suspended script holds its driver and the run

@@ -241,15 +241,33 @@ def kind_of(workload_cfg: dict) -> str:
     return workload_cfg.get("kind", "social")
 
 
+# a social config's keys -> the `SocialConfig` fields they set
+SOCIAL_KEYS = {
+    "users": "users",
+    "friends": "friends_per_user",
+    "update_fraction": "update_fraction",
+    "locality": "locality",
+    "session_length": "session_length",
+    "sessions": "sessions_per_scout",
+    "pin": "pin_friends",
+}
+# a counter churn config's keys and their defaults
+CHURN_DEFAULTS = {"txs_per_scout": 20, "counters": 3}
+
+
+def _check_keys(workload_cfg: dict, known) -> None:
+    unknown = sorted(set(workload_cfg) - {"kind", *known})
+    if unknown:
+        raise ValueError(
+            f"unknown {kind_of(workload_cfg)} workload keys {unknown}; known: {sorted(known)}"
+        )
+
+
 def _social_config(workload_cfg: dict) -> SocialConfig:
+    """The keys given, mapped to their fields; the dataclass gives the rest."""
+    _check_keys(workload_cfg, SOCIAL_KEYS)
     return SocialConfig(
-        users=workload_cfg.get("users", 100),
-        friends_per_user=workload_cfg.get("friends", 10),
-        update_fraction=workload_cfg.get("update_fraction", 0.10),
-        locality=workload_cfg.get("locality", 0.90),
-        session_length=workload_cfg.get("session_length", 50),
-        sessions_per_scout=workload_cfg.get("sessions", 2),
-        pin_friends=workload_cfg.get("pin", True),
+        **{field: workload_cfg[key] for key, field in SOCIAL_KEYS.items() if key in workload_cfg}
     )
 
 
@@ -283,16 +301,10 @@ def build(workload_cfg: dict, num_scouts: int, seed, cache_capacity: int):
             {},
         )
     if kind == "counter_churn":
-        return (
-            counter_scripts(
-                num_scouts,
-                workload_cfg.get("txs_per_scout", 20),
-                workload_cfg.get("counters", 3),
-                seed,
-            ),
-            {},
-            {},
-        )
+        _check_keys(workload_cfg, CHURN_DEFAULTS)
+        cfg = {**CHURN_DEFAULTS, **workload_cfg}
+        return counter_scripts(num_scouts, cfg["txs_per_scout"], cfg["counters"], seed), {}, {}
     if kind == "none":
+        _check_keys(workload_cfg, ())
         return {}, {}, {}
     raise ValueError(f"unknown workload kind {kind!r}")

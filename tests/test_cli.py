@@ -9,6 +9,7 @@ import pytest
 import causalsim
 from causalsim.cli import main
 from causalsim.scenarios import PRESETS, load_scenario, sim_config
+from causalsim.sim import Simulation
 
 
 @pytest.fixture()
@@ -68,6 +69,27 @@ class TestRun:
         small_scenario.write_text(json.dumps(doc))
         assert main(["run", str(small_scenario)]) == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("notify_ms", 0), ("gossip_ms", -5), ("jitter_ms", -3)])
+    def test_a_tick_period_that_hangs_or_crashes_a_run_is_an_error(
+        self, small_scenario, capsys, monkeypatch, key, value
+    ):
+        def no_run(simulation):
+            raise AssertionError("a config that hangs or crashes the run was run")
+
+        monkeypatch.setattr(Simulation, "run", no_run)
+        doc = json.loads(small_scenario.read_text())
+        doc["sim"][key] = value
+        small_scenario.write_text(json.dumps(doc))
+        assert main(["run", str(small_scenario)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_an_unknown_workload_key_is_an_error(self, small_scenario, capsys):
+        doc = json.loads(small_scenario.read_text())
+        doc["workload"]["num_users"] = 1000  # the key is "users"
+        small_scenario.write_text(json.dumps(doc))
+        assert main(["run", str(small_scenario)]) == 2
+        assert "'num_users'" in capsys.readouterr().err
 
     def test_faults_in_the_overrides_are_an_error(self):
         with pytest.raises(ValueError, match="'faults'"):

@@ -11,8 +11,6 @@ from causalsim.crdt import (
     ObjectId,
     new_state,
     prepare,
-    state_from_wire,
-    state_to_wire,
     value_of,
 )
 from causalsim.dc import SILENT_TICKS, DataCenter, Session, VersionPruned, ack_wait_ticks
@@ -487,8 +485,8 @@ class TestFetch:
             dc.on_session_request(env, SessionRequest(scout, 1, vv(0, 0), [], caches))
             dc.on_fetch_request(env, FetchRequest(scout, 1, [B_FRD], clock([2, 0])))
         caching, cacheless = env.replies("FetchReply")
-        snap = wire_at(dc, B_FRD, clock([2, 0]), "R")
-        assert caching.versions == [(B_FRD, snap, wire_at(dc, B_FRD, clock([0, 0]), "R"))]
+        snap = dc.materialize(B_FRD, clock([2, 0]), "R")
+        assert caching.versions == [(B_FRD, snap, dc.materialize(B_FRD, clock([0, 0]), "R"))]
         assert cacheless.versions == [(B_FRD, snap, None)]
         assert dc.sessions["R"].subscriptions == {B_FRD}
         assert dc.sessions["N"].subscriptions == set()
@@ -1113,27 +1111,27 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
                     dc.materialize(obj, admit_at, msg.scout)
             return
         assert [v[0] for v in reply.versions] == msg.objects
-        for obj, snap_wire, admit_wire in reply.versions:
+        for obj, snap_state, admit_state in reply.versions:
             # the two-call path that the memo and the one-pass walk replaced
-            snap = state_to_wire(dc.materialize(obj, msg.snapshot, msg.scout))
+            snap = dc.materialize(obj, msg.snapshot, msg.scout)
             snap_key = covered_entries(dc, obj, msg.snapshot, msg.scout)
-            assert snap_wire == snap
+            assert snap_state == snap
             if caches:
                 assert reply.admit_frontier == admit_dc
-                admit = state_to_wire(dc.materialize(obj, admit_at, msg.scout))
+                admit = dc.materialize(obj, admit_at, msg.scout)
                 same = snap_key == covered_entries(dc, obj, admit_at, msg.scout)
-                assert admit_wire == (None if same else admit)
+                assert admit_state == (None if same else admit)
                 got = dc.fetch_states(obj, msg.snapshot, admit_at, msg.scout)
                 seen["shared"] += same
                 seen["split"] += not same
             else:
                 # a session without a cache admits nothing and follows nothing
                 assert reply.admit_frontier is None
-                assert admit_wire is None
+                assert admit_state is None
                 assert obj not in session.subscriptions
                 got = dc.fetch_states(obj, msg.snapshot, None, msg.scout)
                 seen["cacheless"] += 1
-            assert got == (snap_wire, admit_wire)
+            assert got == (snap_state, admit_state)
             hit = memo.get(obj) is not None and memo[obj][0] == snap_key
             seen["objects"] += 1
             seen["memo_hits"] += hit
@@ -1150,10 +1148,6 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
     assert seen["objects"] == seen["shared"] + seen["split"] + seen["cacheless"], seen
     for what in exercised:
         assert seen[what] > 0, (what, seen)
-
-
-def wire_at(dc, obj, at, own):
-    return state_to_wire(dc.materialize(obj, at, own))
 
 
 class TestFetchStates:
@@ -1174,22 +1168,22 @@ class TestFetchStates:
     def test_equal_coverage_shares_one_state(self):
         dc = self._dc()
         snap, admit = dc.fetch_states(B_FRD, clock([2, 0]), clock([2, 0]), "R")
-        assert admit is None and snap == wire_at(dc, B_FRD, clock([2, 0]), "R")
-        assert value_of(state_from_wire(snap)) == frozenset({"A", "C"})
+        assert admit is None and snap == dc.materialize(B_FRD, clock([2, 0]), "R")
+        assert value_of(snap) == frozenset({"A", "C"})
 
     def test_different_coverage_gives_two_states(self):
         dc = self._dc()
         snap, admit = dc.fetch_states(B_FRD, clock([2, 0]), clock([1, 0]), "R")
-        assert snap == wire_at(dc, B_FRD, clock([2, 0]), "R")
-        assert admit == wire_at(dc, B_FRD, clock([1, 0]), "R")
-        assert value_of(state_from_wire(snap)) == frozenset({"A", "C"})
-        assert value_of(state_from_wire(admit)) == frozenset({"A"})
+        assert snap == dc.materialize(B_FRD, clock([2, 0]), "R")
+        assert admit == dc.materialize(B_FRD, clock([1, 0]), "R")
+        assert value_of(snap) == frozenset({"A", "C"})
+        assert value_of(admit) == frozenset({"A"})
 
     def test_unknown_object_is_empty(self):
         dc = self._dc()
         nobody = ObjectId("nobody", CrdtType.COUNTER)
         snap, admit = dc.fetch_states(nobody, clock([1, 0]), clock([2, 0]), "R")
-        assert admit is None and value_of(state_from_wire(snap)) == 0
+        assert admit is None and value_of(snap) == 0
 
     def test_the_same_entries_are_served_from_the_memo(self):
         env, dc = friendship_dc()
@@ -1206,8 +1200,8 @@ class TestFetchStates:
         at = clock([1, 0], local=1)
         for own, elems in (("R", {"A"}), ("C", {"A", "C"}), ("R", {"A"})):
             snap, _ = dc.fetch_states(B_FRD, at, at, own)
-            assert snap == wire_at(dc, B_FRD, at, own)
-            assert value_of(state_from_wire(snap)) == elems
+            assert snap == dc.materialize(B_FRD, at, own)
+            assert value_of(snap) == elems
 
     def test_a_prune_that_folds_entries_clears_the_memo(self):
         env, dc = friendship_dc()
@@ -1221,14 +1215,14 @@ class TestFetchStates:
         assert dc.store[B_FRD].served is None
         assert dc.store[C_FRD].served is c_frd_memo
         snap, admit = dc.fetch_states(B_FRD, clock([1, 0]), clock([2, 0]), "R")
-        assert snap == wire_at(dc, B_FRD, clock([1, 0]), "R")
-        assert admit == wire_at(dc, B_FRD, clock([2, 0]), "R")
+        assert snap == dc.materialize(B_FRD, clock([1, 0]), "R")
+        assert admit == dc.materialize(B_FRD, clock([2, 0]), "R")
 
     def test_an_object_without_entries_holds_no_memo(self):
         dc = self._dc()
         assert dc.store[A_FRD].entries == []
         snap, admit = dc.fetch_states(A_FRD, clock([2, 0]), clock([1, 0]), "R")
-        assert admit is None and snap == wire_at(dc, A_FRD, clock([2, 0]), "R")
+        assert admit is None and snap is dc.store[A_FRD].checkpoint
         assert dc.store[A_FRD].served is None
 
     def test_the_memo_is_not_durable(self):

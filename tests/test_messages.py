@@ -22,6 +22,7 @@ from causalsim.crdt import (
     prepare,
     state_to_wire,
 )
+from causalsim.crdt import _STATE_CLASSES
 from causalsim.messages import (
     CommitRecord,
     CommitReply,
@@ -68,21 +69,19 @@ MESSAGES = {
     "commit_rep_null": CommitReply(OTID, "null", None),
     "fetch_req": FetchRequest("s1", 9, [SET, MAP], DEPS, [CTR]),
     "fetch_rep_shared": FetchReply(
-        "s1", 9, "ok", [(CTR, state_to_wire(CounterState(4)), None)], VersionVector((4, 0, 2))
+        "s1", 9, "ok", [(CTR, CounterState(4), None)], VersionVector((4, 0, 2))
     ),
     "fetch_rep_admit": FetchReply(
         "s1",
         9,
         "ok",
         [
-            (CTR, state_to_wire(CounterState(4)), state_to_wire(CounterState(3))),
-            (SET, state_to_wire(AwSetState()), None),
+            (CTR, CounterState(4), CounterState(3)),
+            (SET, AwSetState({"B": frozenset({EffectTag(1, "s0", 0)})}), None),
         ],
         VersionVector((3, 0, 2)),
     ),
-    "fetch_rep_cacheless": FetchReply(
-        "s1", 9, "ok", [(CTR, state_to_wire(CounterState(4)), None)]
-    ),
+    "fetch_rep_cacheless": FetchReply("s1", 9, "ok", [(CTR, CounterState(4), None)]),
     "fetch_rep_pruned": FetchReply("s1", 9, "pruned"),
     "stored_req": StoredTxRequest("s1", "wall", {"obj": "ctr"}, OTID, DEPS),
     "stored_rep": StoredTxReply(OTID, "new", Gtid(5, 0), [4, None], [CTR]),
@@ -109,7 +108,7 @@ def test_every_message_kind_is_covered():
 @pytest.mark.parametrize("name", sorted(MESSAGES))
 def test_json_round_trip(name):
     msg = MESSAGES[name]
-    assert message_from_wire(json.loads(json.dumps(message_to_wire(msg))), {}) == msg
+    assert message_from_wire(json.loads(json.dumps(message_to_wire(msg)))) == msg
 
 
 @pytest.mark.parametrize("name", sorted(MESSAGES))
@@ -140,10 +139,10 @@ def test_a_field_without_a_codec_fails_when_its_codec_is_compiled():
         "gtid": None,
         "effects": [effect_to_wire(e) for e in effects],
     }
-    assert decode(wire, {}) == probe
+    assert decode(wire) == probe
     lowered = Probe("s0", VersionVector(()), Gtid(3, 1), (), False)
     assert list(encode(lowered)) == ["m", "scout", "at", "gtid", "effects", "flag"]
-    assert encode(lowered)["gtid"] == [3, 1] and decode(encode(lowered), {}) == lowered
+    assert encode(lowered)["gtid"] == [3, 1] and decode(encode(lowered)) == lowered
 
     @dataclass
     class Unknown:
@@ -179,14 +178,14 @@ def test_a_one_field_message_round_trips():
 
     encode, decode = messages._compile(Lone, "lone")
     assert encode(Lone(VersionVector((1, 2)))) == {"m": "lone", "at": [1, 2]}
-    assert decode({"m": "lone", "at": [1, 2]}, {}) == Lone(VersionVector((1, 2)))
+    assert decode({"m": "lone", "at": [1, 2]}) == Lone(VersionVector((1, 2)))
 
 
 def test_what_is_not_a_message_is_refused():
     with pytest.raises(TypeError):
         message_to_wire(object())
     with pytest.raises(TypeError):
-        message_from_wire({"m": "nope"}, {})
+        message_from_wire({"m": "nope"})
 
 
 def test_only_a_cacheless_session_request_carries_the_cache_flag():
@@ -197,9 +196,13 @@ def test_only_a_cacheless_session_request_carries_the_cache_flag():
 
 
 def test_shared_admit_state_is_null_on_the_wire():
-    wire = message_to_wire(MESSAGES["fetch_rep_admit"])
-    assert wire["versions"][0][2] == {"t": "counter", "value": 3}
-    assert wire["versions"][1][2] is None
+    msg = MESSAGES["fetch_rep_admit"]
+    wire = message_to_wire(msg)
+    assert wire["versions"][0][1:] == [{"t": "counter", "value": 4}, {"t": "counter", "value": 3}]
+    # a shared admit state is null on the wire
+    assert wire["versions"][1] == [["user:A/frd", "awset"], state_to_wire(msg.versions[1][1]), None]
+    decoded = message_from_wire(wire)
+    assert decoded.versions == msg.versions and decoded.versions[1][2] is None
 
 
 def test_object_from_wire_uses_the_enum_members():
@@ -233,7 +236,8 @@ def is_flag(f) -> bool:
 def reference_to_wire(value):
     """The wire form of a message or of any value in one, chosen by the
     value's type alone: what the compiled codec must reproduce byte for
-    byte. Effects keep the crdt codec; everything else is spelled out."""
+    byte. Effects and states keep the crdt codec; everything else is
+    spelled out."""
     if isinstance(value, VersionVector):
         return [*value]
     if isinstance(value, CausalClock):
@@ -244,6 +248,8 @@ def reference_to_wire(value):
         return [value.counter, value.origin]
     if isinstance(value, EffectOp):
         return effect_to_wire(value)
+    if type(value) in _STATE_CLASSES.values():
+        return state_to_wire(value)
     if isinstance(value, CommitRecord):
         return {
             "otid": reference_to_wire(value.otid),
@@ -262,7 +268,7 @@ def reference_to_wire(value):
         return out
     if isinstance(value, (list, tuple)):
         return [reference_to_wire(v) for v in value]
-    return value  # str, int, bool, None, and JSON dicts: states, stored parameters
+    return value  # str, int, bool, None, and JSON dicts: stored parameters
 
 
 scouts = st.sampled_from(["s0", "s1", "s10"])
@@ -294,8 +300,15 @@ def effect_tuples(draw):
     return tuple(out)
 
 
-states = st.integers(-5, 5).map(lambda n: state_to_wire(CounterState(n)))
-versions = st.lists(st.tuples(objects, states, st.none() | states), max_size=3)
+@st.composite
+def states(draw):
+    """A state of any type, made by prepared effects."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    obj = ObjectId("o", rng.choice(ALL_TYPES))
+    return evolve(obj, new_state(obj.crdt_type), rng, TagSource(), draw(scouts), rng.randrange(4))[0]
+
+
+versions = st.lists(st.tuples(objects, states(), st.none() | states()), max_size=3)
 records = st.builds(
     CommitRecord, otids, st.lists(gtids, min_size=1, max_size=3).map(tuple), clocks, effect_tuples(), scouts, json_values
 )
@@ -329,8 +342,8 @@ def test_every_message_class_is_generated():
 @given(st.one_of(*GENERATED.values()))
 def test_the_compiled_codec_matches_the_reference_encoder(msg):
     wire = message_to_wire(msg)
-    assert message_from_wire(wire, {}) == msg
-    assert message_from_wire(json.loads(json.dumps(wire)), {}) == msg
+    assert message_from_wire(wire) == msg
+    assert message_from_wire(json.loads(json.dumps(wire))) == msg
     shown = [f.name for f in fields(msg) if not (is_flag(f) and getattr(msg, f.name) is True)]
     assert list(wire) == ["m", *shown]
     assert json.dumps(wire).encode() == json.dumps(reference_to_wire(msg)).encode()

@@ -193,9 +193,9 @@ def test_trace_and_report_digests_are_pinned(name):
 def test_delivery_through_the_codec_gives_the_same_trace(name, monkeypatch):
     """Both ways: the simulator delivers each message object as it was
     sent, and a run in which every delivery instead carries the message's
-    round trip through the codec, decoded through the run's table, gives
-    the same trace bytes. So no node sees what another node changes after
-    a send, as when every message was decoded on delivery."""
+    round trip through the codec gives the same trace bytes. So no node
+    sees what another node changes after a send, as when every message was
+    decoded on delivery."""
     direct = pinned_run(name).trace_bytes()
     schedule = sim.Simulation.schedule
 
@@ -203,7 +203,7 @@ def test_delivery_through_the_codec_gives_the_same_trace(name, monkeypatch):
         if kind == "deliver":
             src, dst, msg = payload
             wire = messages.message_to_wire(msg)
-            payload = (src, dst, messages.message_from_wire(wire, simulation.decoded))
+            payload = (src, dst, messages.message_from_wire(wire))
         schedule(simulation, at, kind, payload)
 
     monkeypatch.setattr(sim.Simulation, "schedule", through_codec)

@@ -2,7 +2,7 @@ import pytest
 
 from causalsim import sim as sim_module
 from causalsim.clocks import CausalClock, Otid, VersionVector
-from causalsim.crdt import CounterState, CrdtType, ObjectId, apply_effect, new_state, state_to_wire
+from causalsim.crdt import CounterState, CrdtType, ObjectId, apply_effect, new_state
 from causalsim.messages import FetchReply, NotifyBatch
 from causalsim.scenarios import PRESETS, load_scenario, run_scenario, sim_config
 from causalsim.checker import run_checks
@@ -181,26 +181,30 @@ class TestFetchReply:
         return sim, s, tx
 
     def _reply(self, s, snap, admit):
-        admit_wire = None if admit is None else state_to_wire(CounterState(admit))
-        versions = [(CTR, state_to_wire(CounterState(snap)), admit_wire)]
+        admit_state = None if admit is None else CounterState(admit)
+        versions = [(CTR, CounterState(snap), admit_state)]
         return FetchReply("s0", s.fetch.req_id, "ok", versions, VersionVector.zero(2))
 
     def test_one_state_serves_the_transaction_and_the_cache(self):
         sim, s, tx = self._fetching()
-        s.on_fetch_reply(sim, self._reply(s, 3, None))
-        assert tx.working[CTR] is s.cache[CTR].state
+        reply = self._reply(s, 3, None)
+        s.on_fetch_reply(sim, reply)
+        # the very state the reply carries
+        assert tx.working[CTR] is s.cache[CTR].state is reply.versions[0][1]
         assert s.read(sim, tx, CTR) == 3
 
     def test_a_separate_admit_state_goes_to_the_cache(self):
         sim, s, tx = self._fetching()
-        s.on_fetch_reply(sim, self._reply(s, 3, 1))
+        reply = self._reply(s, 3, 1)
+        s.on_fetch_reply(sim, reply)
         assert s.read(sim, tx, CTR) == 3
-        assert s.cache[CTR].state == CounterState(1)
+        _, snap, admit = reply.versions[0]
+        assert tx.working[CTR] is snap and s.cache[CTR].state is admit
 
     def test_a_reply_without_a_frontier_is_read_and_not_cached(self):
         # what a DC sends a session without a cache
         sim, s, tx = self._fetching()
-        versions = [(CTR, state_to_wire(CounterState(3)), None)]
+        versions = [(CTR, CounterState(3), None)]
         s.on_fetch_reply(sim, FetchReply("s0", s.fetch.req_id, "ok", versions))
         assert s.read(sim, tx, CTR) == 3
         assert CTR not in s.cache and s.fetch is None
@@ -217,7 +221,7 @@ class TestFetchReply:
     def test_an_entry_admitted_ahead_of_the_clock_waits_for_it(self, guards):
         sim, s, tx = self._fetching(mutations=[] if guards else ["disable_guards"])
         ahead = VersionVector((1, 0))
-        versions = [(CTR, state_to_wire(CounterState(3)), None)]
+        versions = [(CTR, CounterState(3), None)]
         s.on_fetch_reply(sim, FetchReply("s0", s.fetch.req_id, "ok", versions, ahead))
         s.commit(sim, tx)
         tx = s.begin(sim)

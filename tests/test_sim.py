@@ -392,6 +392,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="scout_rtt_ms"):
             small_cfg(scout_rtt_ms=[]).validate()
 
+    # zero notify, prune or retry periods loop at one instant, a zero gossip
+    # period divides by zero, and negative values fail in mid-run; so these
+    # are checked on configs and on simulations built, never run
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gossip_ms", 0),
+            ("gossip_ms", -5),
+            ("notify_ms", 0),
+            ("prune_ms", 0),
+            ("retry_ms", 0),
+            ("jitter_ms", -3),
+        ],
+    )
+    def test_a_tick_period_that_hangs_or_crashes_a_run_is_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            small_cfg(**{key: value}).validate()
+        with pytest.raises(ValueError, match=key):
+            Simulation(small_cfg(**{key: value}), scripts={})
+
+    def test_the_smallest_tick_periods_are_accepted(self):
+        small_cfg(gossip_ms=1, notify_ms=1, prune_ms=1, retry_ms=1, jitter_ms=0).validate()
+
     def test_a_preset_with_more_dcs_than_its_matrix_fails_at_validation(self):
         # the preset's matrices are 3x3
         with pytest.raises(ValueError, match="rtt_dc_ms must be 5x5"):

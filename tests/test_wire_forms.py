@@ -1,13 +1,14 @@
-"""Memoized wire forms: an effect or commit record is encoded once, and a
-decoded one keeps the dict it came from; a set, MV register or map state
-encodes and renders its value once, and a decoded one starts without memos.
+"""Memoized forms: an effect is encoded once, and a decoded one keeps the
+dict it came from; a set, MV register or map state renders its value
+once, and a decoded one starts without a memo. Commit records and states
+are encoded afresh on every call.
 
-The unit tests show that the memo is invisible to equality, hashing, repr
-and ``dataclasses.replace``. The run tests compare every message the
+The unit tests show that the memos are invisible to equality, hashing,
+repr and ``dataclasses.replace``. The run tests compare every message the
 simulator encodes, every record a DC holds, every state a fetch reply
 carries and every value a read traces with the encoding of a copy that
-holds no memo, so a stale alias list or memo, or a mutated wire dict, fails
-them.
+holds no memo, so a stale alias list or memo, or a mutated wire dict or
+state, fails them. Receivers hold the very objects sent to them.
 """
 
 import random
@@ -16,7 +17,8 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalsim import checker, crdt, sim
+from causalsim import checker, crdt, messages, sim
+from causalsim import dc as dc_module, scout as scout_module
 from causalsim.checker import run_checks
 from causalsim.clocks import CausalClock, Gtid, Otid, VersionVector
 from causalsim.crdt import (
@@ -124,31 +126,28 @@ class TestEffectMemo:
 
 
 class TestRecordMemo:
+    """A record keeps no wire form; its effects keep theirs."""
+
     def test_eq_and_repr_ignore_the_memo(self):
         plain, encoded = record(), record()
         record_to_wire(encoded)
-        decoded = record_from_wire(record_to_wire(record()), {})
+        decoded = record_from_wire(record_to_wire(record()))
         for other in (encoded, decoded):
-            assert other.wire is not None
+            assert not hasattr(other, "wire")
+            assert all(e.wire is not None for e in other.effects)
             assert other == plain and repr(other) == repr(plain)
         # records are mutable (their aliases grow), so never hashable
         assert CommitRecord.__hash__ is None
 
-    def test_replace_drops_the_memo(self):
-        r = record()
-        record_to_wire(r)
-        copy = replace(r)
-        assert copy == r and copy.wire is None
-
     def test_aliases_are_encoded_on_every_call(self):
-        r = record_from_wire(record_to_wire(record()), {})
+        r = record_from_wire(record_to_wire(record()))
         first = record_to_wire(r)
         r.gtids += (Gtid(7, 2),)
         second = record_to_wire(r)
         assert first["gtids"] == [[5, 0]] and second["gtids"] == [[5, 0], [7, 2]]
-        # the fixed fields are the memo's, not copies
-        for key in ("otid", "deps", "effects"):
-            assert second[key] is first[key]
+        assert second is not first and second["otid"] is not first["otid"]
+        # the effects' wire forms are their memos, not copies
+        assert all(a is b for a, b in zip(first["effects"], second["effects"]))
         assert second == record_to_wire(replace(r, effects=tuple(map(replace, r.effects))))
 
 
@@ -164,7 +163,7 @@ MV = CrdtType.MV_REGISTER
 
 
 def has_memo(state) -> bool:
-    if state._wire is not None or state._value is not None:
+    if state._value is not None:
         return True
     return isinstance(state, CmapState) and any(
         has_memo(sub) for sub in state.entries.values() if isinstance(sub, MEMO_TYPES)
@@ -172,7 +171,7 @@ def has_memo(state) -> bool:
 
 
 def states():
-    """One state of each memoized type, each with its memos filled."""
+    """One state of each memoized type, each with its memo filled."""
     a, b = tag(0, 1, "s0"), tag(0, 2, "s2")
     out = (
         MvState({a: "x", b: ["y", 1]}, frozenset({tag(0, 0, "s1")})),
@@ -195,11 +194,10 @@ class TestStateMemo:
     @pytest.mark.parametrize("i", range(len(MEMO_TYPES)))
     def test_eq_hash_repr_and_fields_ignore_the_memo(self, i):
         memoized, plain = states()[i], fresh_state(states()[i])
-        assert memoized._wire is not None and memoized._value is not None
-        assert plain._wire is None and plain._value is None
+        assert memoized._value is not None and plain._value is None
         assert memoized == plain and repr(memoized) == repr(plain)
         assert [f.name for f in fields(memoized)] == [f.name for f in fields(plain)]
-        assert not {"_wire", "_value"} & {f.name for f in fields(memoized)}
+        assert "_value" not in {f.name for f in fields(memoized)}
         # the dict fields make every such state unhashable, memo or not
         for state in (memoized, plain):
             with pytest.raises(TypeError):
@@ -209,20 +207,22 @@ class TestStateMemo:
     def test_replace_and_construction_leave_the_memo_empty(self, i):
         state = states()[i]
         copy = replace(state)
-        assert copy == state and copy._wire is None and copy._value is None
+        assert copy == state and copy._value is None
         empty = type(state)()
-        assert "_wire" not in vars(empty) and "_value" not in vars(empty)
+        assert "_value" not in vars(empty)
 
     @pytest.mark.parametrize("i", range(len(MEMO_TYPES)))
-    def test_encodes_and_renders_once(self, i):
+    def test_renders_once(self, i):
         state = states()[i]
-        assert state_to_wire(state) is state_to_wire(state)
         assert value_to_wire(state) is value_to_wire(state)
+        # the wire form is built afresh on every call, and keeps nothing
+        assert not hasattr(state, "_wire")
+        assert state_to_wire(state) is not state_to_wire(state)
+        assert state_to_wire(state) == state_to_wire(fresh_state(state))
         if isinstance(state, CmapState):
             for sub in state.entries.values():
                 if isinstance(sub, MEMO_TYPES):
-                    # the map's forms hold its sub-states' memos
-                    assert any(w is state_to_wire(sub) for _, _, w in state_to_wire(state)["entries"])
+                    # the map's value form holds its sub-states' memos
                     assert any(v is value_to_wire(sub) for v in value_to_wire(state).values())
 
     @pytest.mark.parametrize("i", range(len(MEMO_TYPES)))
@@ -233,7 +233,7 @@ class TestStateMemo:
 
     def test_flat_states_have_no_memo(self):
         for state in (CounterState(4), LwwState("v", 1, "s0")):
-            assert not hasattr(state, "_wire") and not hasattr(state, "_value")
+            assert not hasattr(state, "_value")
             assert state_to_wire(state) is not state_to_wire(state)
 
 
@@ -333,12 +333,14 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
     seen = dict.fromkeys(
         ("messages", "records", "pending", "merged", "reencoded_after_merge", "states", "reads"), 0
     )
-    merged: dict[int, CommitRecord] = {}  # records whose aliases grew after a wire form was taken
+    merged: dict[int, CommitRecord] = {}  # records whose aliases grew in a merge
     # (scout, req_id) -> per object, memo-free encodings at the snapshot and admit clocks
     served: dict[tuple, list[tuple[dict, dict]]] = {}
-    # (form sent or traced, its memo-free encoding), compared again at the
-    # end: a shared form mutated after it went out no longer matches
+    # (value traced, its memo-free render) and (state sent, its memo-free
+    # encoding), compared again at the end: a shared value or state mutated
+    # after it went out no longer matches
     shared: list[tuple] = []
+    sent_states: list[tuple] = []
 
     def check_record(r, wire):
         seen["reencoded_after_merge"] += id(r) in merged
@@ -355,8 +357,8 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
         if isinstance(msg, FetchReply) and msg.status == "ok":
             for (_, snap, admit), want in zip(msg.versions, served.pop((msg.scout, msg.req_id))):
                 got = (snap, snap if admit is None else admit)
-                assert got == want
-                shared.extend(zip(got, want))
+                assert tuple(map(state_to_wire, got)) == want
+                sent_states.extend(zip(got, want))
                 seen["states"] += 1
         assert wire == encode(memo_free(msg))
         return wire
@@ -393,9 +395,9 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
     merge = DataCenter._merge_aliases
 
     def noting_merge(dc, existing, incoming):
-        had_wire, before = existing.wire is not None, len(existing.gtids)
+        before = len(existing.gtids)
         merge(dc, existing, incoming)
-        if had_wire and len(existing.gtids) > before:
+        if len(existing.gtids) > before:
             merged[id(existing)] = existing
             seen["merged"] += 1
 
@@ -447,16 +449,50 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
     assert result.synced
     assert seen["messages"] and seen["records"] and seen["states"] and seen["reads"], seen
     assert all(form == want for form, want in shared)
+    assert all(state_to_wire(state) == want for state, want in sent_states)
     if name.startswith("churn"):
         assert seen["pending"], seen
     if name == "failover-demo":
         assert seen["merged"] and seen["reencoded_after_merge"], seen
     if name == "stored":
-        stored = [r for dc in simulation.dcs for r in dc.log if r.stored_results is not None]
-        assert stored and all(r.wire is not None for r in stored)
+        assert any(r.stored_results is not None for dc in simulation.dcs for r in dc.log)
 
 
-# -- the decode table -----------------------------------------------------------
+# -- what receivers share ----------------------------------------------------------
+
+# every codec entry point a run could reach, at each name a module binds
+CODEC_NAMES = (
+    "state_to_wire",
+    "state_from_wire",
+    "record_to_wire",
+    "record_from_wire",
+    "message_from_wire",
+)
+
+
+@pytest.mark.parametrize("preset", ["social-90-10", "staleness-stress"])
+def test_nothing_on_a_runs_path_encodes_or_decodes(preset, monkeypatch):
+    """Without a crash or a wire tap, a run hands every message, state and
+    record over as the object it is: no node encodes or decodes one."""
+
+    def refused(name):
+        def codec(*args):
+            raise AssertionError(f"{name} called on the run's path")
+
+        return codec
+
+    bound = []
+    for module in (dc_module, scout_module, messages, sim):
+        for name in CODEC_NAMES:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, refused(name))
+                bound.append((module.__name__, name))
+    assert ("causalsim.dc", "state_to_wire") in bound
+    assert ("causalsim.scout", "state_from_wire") in bound
+    assert ("causalsim.sim", "message_from_wire") in bound
+    result = build_simulation(load_scenario(preset), seed=1).run()
+    assert result.synced and not result.stats["dropped"]
+    assert run_checks(result.trace)["ok"]
 
 
 def held_effects(simulation) -> list:
@@ -467,14 +503,15 @@ def held_effects(simulation) -> list:
 def test_receivers_of_one_wire_dict_share_one_decoded_value(monkeypatch):
     """Messages are delivered as they were sent: every scout notified of an
     effect, and every DC that logged it, holds the `EffectOp` the scout
-    that committed it prepared. States still travel as wire dicts, and
-    every scout sent one state dict holds the one state the run's decode
-    table gave for it."""
-    # tag -> (effect, [(receiver, effect held)]); id(wire) -> (wire,
-    # [(receiver, decoded)]), where holding the wire keeps its id
+    that committed it prepared; and every scout sent a version in a fetch
+    reply holds the state object the DC served, which scouts sent the same
+    version share."""
+    # tag -> (effect, [(receiver, effect held)]); id(state) -> (state,
+    # [(receiver, state held)]), where holding the state keeps its id
     effects: dict = {}
     states: dict[int, tuple] = {}
     prepared = []
+    served: dict[int, object] = {}  # id -> every state a DC put in a fetch reply
 
     def note(table, key, value, receiver, held):
         table.setdefault(key, (value, []))[1].append((receiver, held))
@@ -488,15 +525,20 @@ def test_receivers_of_one_wire_dict_share_one_decoded_value(monkeypatch):
                     note(effects, e.tag, e, scout.id, e)
         on_notify(scout, env, batch)
 
-    on_fetch_reply = Scout.on_fetch_reply
+    fetch_states = DataCenter.fetch_states
 
-    def noting_fetch_reply(scout, env, reply):
-        fresh = scout.fetch is not None and reply.req_id == scout.fetch.req_id and scout.connected
-        on_fetch_reply(scout, env, reply)
-        if fresh and reply.status == "ok":
-            for obj, snap, admit in reply.versions:
-                wire = snap if admit is None else admit
-                note(states, id(wire), wire, scout.id, scout.cache[obj].state)
+    def noting_fetch_states(dc, *args):
+        out = fetch_states(dc, *args)
+        served.update((id(state), state) for state in out if state is not None)
+        return out
+
+    admit = Scout.admit
+
+    def noting_admit(scout, env, obj, state, at, pin=False):
+        assert served.get(id(state)) is state
+        note(states, id(state), state, scout.id, state)
+        admit(scout, env, obj, state, at, pin)
+        assert scout.cache[obj].state is state
 
     commit = Scout.commit
 
@@ -505,7 +547,8 @@ def test_receivers_of_one_wire_dict_share_one_decoded_value(monkeypatch):
         commit(scout, env, tx)
 
     monkeypatch.setattr(Scout, "on_notify", noting_notify)
-    monkeypatch.setattr(Scout, "on_fetch_reply", noting_fetch_reply)
+    monkeypatch.setattr(DataCenter, "fetch_states", noting_fetch_states)
+    monkeypatch.setattr(Scout, "admit", noting_admit)
     monkeypatch.setattr(Scout, "commit", noting_commit)
     simulation = build_simulation(load_scenario("social-90-10"), seed=1)
     simulation.run()
@@ -524,24 +567,24 @@ def test_receivers_of_one_wire_dict_share_one_decoded_value(monkeypatch):
 
 
 def test_receivers_of_one_record_get_their_own_record():
-    """Two DCs sent one record share its effects, not the record, whether
-    it goes as the gossip tick's per-send copy or through the codec: an
-    alias merge at one leaves the other's aliases and wire form alone, and
-    the sender's too."""
+    """Two DCs sent one record as the gossip tick's per-send copies share
+    its effects, not the record; sent through the codec, each gets its own
+    of both. Either way an alias merge at one leaves the other's aliases
+    alone, and the sender's too."""
     env = FakeEnv()
     sender = DataCenter(0, num_dcs=3, k=2)
     sender.on_commit_request(env, CommitRequest("s1", OTID, CausalClock.zero(3), effects()))
     sender.gossip_tick(env)
     held = sender.log[0]
     direct = [m for _, _, m in env.sent if isinstance(m, GossipBatch)]
-    table: dict = {}
-    decoded = [sim.message_from_wire(sim.message_to_wire(direct[0]), table) for _ in range(2)]
-    assert all(x is y for x, y in zip(direct[0].records[0].effects, held.effects))
-    assert not any(x is y for x, y in zip(decoded[0].records[0].effects, held.effects))
+    decoded = [sim.message_from_wire(sim.message_to_wire(direct[0])) for _ in range(2)]
+    # the per-send copies share the sender's effects; decoding makes new ones
+    for batch, shares in zip(direct + decoded, (True, True, False, False)):
+        same = [x is y for x, y in zip(batch.records[0].effects, held.effects)]
+        assert same == [shares] * len(held.effects)
     for mine, theirs in (direct, decoded):
         a, b = mine.records[0], theirs.records[0]
         assert len({id(a), id(b), id(held)}) == 3 and a == b == held
-        assert all(x is y for x, y in zip(a.effects, b.effects))
         receivers = [DataCenter(i, num_dcs=3, k=2) for i in (1, 2)]
         for dc, batch in zip(receivers, (mine, theirs)):
             dc.on_gossip(env, batch)
@@ -570,29 +613,19 @@ def test_records_and_aliases_stay_per_dc_in_a_run(monkeypatch):
     assert all(type(r.gtids) is tuple for r in records)
 
 
-def test_the_table_lives_for_one_run(monkeypatch):
-    sizes = []
-    handle = sim.Simulation._handle
-
-    def noting_handle(simulation, kind, payload):
-        handle(simulation, kind, payload)
-        sizes.append(len(simulation.decoded))
-
-    monkeypatch.setattr(sim.Simulation, "_handle", noting_handle)
+def test_a_second_run_holds_nothing_of_the_first():
     scenario = load_scenario("social-90-10")
     first = build_simulation(scenario, seed=1)
     first.run()
-    assert max(sizes) > 0 and first.decoded == {}
     held = held_effects(first) + [
         e.state for s in first.scouts.values() for e in s.cache.values() if e.state is not None
     ]
     second = build_simulation(scenario, seed=1)
     second.run()
-    assert second.decoded == {} and second.decoded is not first.decoded
     again = held_effects(second) + [
         e.state for s in second.scouts.values() for e in s.cache.values() if e.state is not None
     ]
-    # the same scenario decodes equal values, but never the first run's objects
+    # the same scenario makes equal values, but never the first run's objects
     assert len(again) == len(held)
     assert not {id(v) for v in held} & {id(v) for v in again}
 

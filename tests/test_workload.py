@@ -1,10 +1,13 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalsim import workload
 from causalsim.crdt import value_of
+from causalsim.scenarios import PRESETS, load_scenario
 from causalsim.workload import (
     FRIENDS,
     SocialConfig,
@@ -19,6 +22,8 @@ from causalsim.workload import (
     social_scripts,
     user_object,
 )
+
+BENCH_SCENARIOS = Path(__file__).parents[1] / "perfbench" / "scenarios"
 
 
 def cfg(**kw):
@@ -205,3 +210,55 @@ class TestCounterChurn:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             build({"kind": "tpcw"}, 1, 1, 8)
+
+
+class TestWorkloadKeys:
+    @pytest.mark.parametrize(
+        "wl, unknown",
+        [
+            ({"kind": "social", "num_users": 1000}, "num_users"),
+            ({"users": 30, "friends_per_user": 4}, "friends_per_user"),  # social without a kind
+            ({"kind": "counter_churn", "txs": 5}, "txs"),
+            ({"kind": "none", "users": 5}, "users"),
+        ],
+    )
+    def test_an_unknown_key_is_an_error_that_lists_the_known_ones(self, wl, unknown):
+        known = {
+            "social": workload.SOCIAL_KEYS,
+            "counter_churn": workload.CHURN_DEFAULTS,
+            "none": {},
+        }[workload.kind_of(wl)]
+        with pytest.raises(ValueError, match=f"'{unknown}'") as info:
+            build(wl, 2, 1, 8)
+        assert f"known: {sorted(known)}" in str(info.value)
+        if workload.kind_of(wl) == "social":
+            with pytest.raises(ValueError, match=f"'{unknown}'"):
+                initial_states_for(wl, 1)
+            with pytest.raises(ValueError, match=f"'{unknown}'"):
+                social_labels_and_states(wl, 2, 1)
+
+    def test_social_keys_set_their_fields_and_the_dataclass_gives_the_rest(self):
+        assert workload._social_config({}) == SocialConfig()
+        given = {"kind": "social", "friends": 3, "sessions": 4, "pin": False}
+        assert workload._social_config(given) == SocialConfig(
+            friends_per_user=3, sessions_per_scout=4, pin_friends=False
+        )
+        every = dict(zip(workload.SOCIAL_KEYS, (30, 4, 0.2, 0.5, 6, 3, False)))
+        made = workload._social_config(every)
+        assert [getattr(made, f) for f in workload.SOCIAL_KEYS.values()] == list(every.values())
+
+    def test_counter_churn_defaults(self):
+        scripts, _, _ = build({"kind": "counter_churn"}, 3, 1, 8)
+        assert [len(script) for script in scripts.values()] == [20] * 3
+        keys = {spec["ops"][0][1].key for script in scripts.values() for spec in script}
+        assert keys == {"ctr:0", "ctr:1", "ctr:2"}
+
+    def test_every_preset_and_benchmark_scenario_uses_known_keys(self):
+        scenarios = [load_scenario(name) for name in PRESETS]
+        scenarios += [json.loads(p.read_text()) for p in BENCH_SCENARIOS.glob("*.json")]
+        assert len(scenarios) > len(PRESETS)
+        for doc in scenarios:
+            wl = doc["workload"]
+            known = workload.SOCIAL_KEYS if workload.kind_of(wl) == "social" else workload.CHURN_DEFAULTS
+            assert set(wl) - {"kind"} <= set(known), doc.get("name")
+            build(wl, 2, 1, 8)
