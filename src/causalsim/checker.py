@@ -358,12 +358,9 @@ class TraceAnalysis:
         scenario = self.header.get("scenario")
         if not scenario:
             return {}
-        wl = scenario.get("workload", {"kind": "none"})
-        if workload.kind_of(wl) != "social":
-            return workload.initial_states_for(wl, self.header.get("seed", 0))
         sim_cfg = scenario.get("sim", {})
-        labels, initial = workload.social_labels_and_states(
-            wl,
+        labels, initial = workload.labels_and_states(
+            scenario.get("workload", {"kind": "none"}),
             self.header.get("num_scouts", sim_cfg.get("num_scouts", 0)),
             self.header.get("seed", 0),
         )

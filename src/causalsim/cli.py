@@ -28,13 +28,6 @@ def _overrides(args) -> dict:
     return out
 
 
-def _scenario_arg(args) -> str:
-    name = args.scenario_flag or args.scenario
-    if name is None:
-        raise ValueError("a scenario is required (positional or --scenario)")
-    return name
-
-
 def _load_faults(path) -> list[dict]:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, list):
@@ -77,7 +70,7 @@ def _run_one(scenario: dict, seed, overrides: dict) -> tuple[dict, list[dict]]:
 
 
 def cmd_run(args) -> int:
-    scenario = load_scenario(_scenario_arg(args))
+    scenario = load_scenario(args.scenario)
     if args.fault_schedule:
         scenario = dict(scenario)
         scenario["faults"] = _load_faults(args.fault_schedule)
@@ -117,7 +110,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = load_scenario(_scenario_arg(args))
+    scenario = load_scenario(args.scenario)
     if args.fault_schedule:
         scenario = dict(scenario)
         scenario["faults"] = _load_faults(args.fault_schedule)
@@ -164,10 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario, check it, write a report")
-    run_p.add_argument("scenario", nargs="?", default=None,
-                       help="preset name or scenario file path")
-    run_p.add_argument("--scenario", dest="scenario_flag", default=None,
-                       help="alternative to the positional scenario")
+    run_p.add_argument("scenario", help="preset name or scenario file path")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out", default=None, help="report path (trace and CDF written beside)")
     run_p.add_argument("--k", type=int, default=None, help="override durability threshold")
@@ -181,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.set_defaults(fn=cmd_check)
 
     sweep_p = sub.add_parser("sweep", help="run a scenario across many seeds")
-    sweep_p.add_argument("scenario", nargs="?", default=None)
-    sweep_p.add_argument("--scenario", dest="scenario_flag", default=None)
+    sweep_p.add_argument("scenario", help="preset name or scenario file path")
     sweep_p.add_argument("--sweep", type=_positive_int, required=True, metavar="N",
                          help="number of seeds, at least 1")
     sweep_p.add_argument("--seed", type=int, default=None, help="first seed (default 1)")

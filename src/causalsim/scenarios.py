@@ -10,7 +10,6 @@ and a failover tour that diverts a scout across continents and back.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -21,10 +20,6 @@ from causalsim.sim import FaultEvent, SimConfig, Simulation
 SCENARIO_SCHEMA = "causalsim-scenario-1"
 
 PRESETS = ("social-90-10", "social-50-50", "staleness-stress", "failover-demo")
-
-# faults are a scenario's own section, not a `sim` key
-SIM_KEYS = {f.name for f in fields(SimConfig)} - {"faults"}
-FAULT_KEYS = {f.name for f in fields(FaultEvent)}
 
 
 def load_scenario(name_or_path) -> dict:
@@ -45,23 +40,15 @@ def load_scenario(name_or_path) -> dict:
 
 
 def sim_config(scenario: dict, seed=None, overrides: dict | None = None) -> SimConfig:
-    sim = dict(scenario.get("sim", {}))
-    sim.update(overrides or {})
+    sim, faults = scenario.get("sim", {}), scenario.get("faults", [])
+    if not isinstance(sim, dict) or not isinstance(faults, list):
+        raise ValueError("a scenario's sim section must be an object and its faults a list")
+    sim = {**sim, **(overrides or {})}
     if seed is not None:
         sim["seed"] = seed
-    _check_keys("sim", sim, SIM_KEYS)
-    for f in scenario.get("faults", []):
-        _check_keys("fault", f, FAULT_KEYS)
-        if not {"at", "kind"} <= f.keys():
-            raise ValueError(f"fault {f} needs an 'at' and a 'kind'")
-    faults = [FaultEvent(**f) for f in scenario.get("faults", [])]
-    return SimConfig(faults=faults, **sim)
-
-
-def _check_keys(section: str, given: dict, known: set) -> None:
-    unknown = sorted(set(given) - known)
-    if unknown:
-        raise ValueError(f"unknown {section} keys {unknown}; known: {sorted(known)}")
+    faults = [workload.load_section(FaultEvent, "fault", f) for f in faults]
+    # faults are a scenario's own section, not a `sim` key
+    return workload.load_section(SimConfig, "sim", sim, faults=faults)
 
 
 @gc_paused()
@@ -73,8 +60,9 @@ def build_simulation(
     procedures: dict | None = None,
 ) -> Simulation:
     config = sim_config(scenario, seed=seed, overrides=overrides)
-    wl = dict(scenario.get("workload", {"kind": "none"}))
-    wl.update(workload_overrides or {})
+    wl = scenario.get("workload", {"kind": "none"})
+    # a section that is not an object is left for `workload.build` to reject
+    wl = {**wl, **(workload_overrides or {})} if isinstance(wl, dict) else wl
     scripts, initial, procs = workload.build(
         wl, config.num_scouts, config.seed, config.cache_capacity
     )
@@ -88,9 +76,6 @@ def build_simulation(
             "workload": wl,
             "expected": scenario.get("expected", {}),
         },
-        "seed": config.seed,
-        "k": config.k,
-        "num_dcs": config.num_dcs,
     }
     return sim
 

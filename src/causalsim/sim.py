@@ -98,12 +98,27 @@ class SimConfig:
         unknown = sorted(set(self.mutations) - mutants.MUTATIONS.keys())
         if unknown:
             raise ValueError(f"unknown mutations {unknown}; known: {list(mutants.MUTATIONS)}")
+        dcs = range(self.num_dcs)
+        scouts = {f"s{i}" for i in range(self.num_scouts)}
+        nodes = scouts | {f"dc{i}" for i in dcs}
         for f in self.faults:
             if f.at < 0:
                 raise ValueError("fault times must be non-negative")
             # checked here, since a fault past the horizon never fires
             if f.kind not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {f.kind!r}")
+            # and so are the fields each kind reads
+            name, last = f"{f.kind} fault at {f.at}", self.num_dcs - 1
+            if f.kind.startswith("dc_") and f.dc not in dcs:
+                raise ValueError(f"{name} needs a dc in 0..{last}, not {f.dc!r}")
+            if f.kind.startswith("scout_") and f.scout not in scouts:
+                raise ValueError(f"{name} needs one of scouts {sorted(scouts)}, not {f.scout!r}")
+            if f.kind.startswith("scout_") and not (f.to is None or f.to in dcs):
+                raise ValueError(f"{name} needs a 'to' of null or 0..{last}, not {f.to!r}")
+            if f.kind in ("partition", "heal") and (
+                f.links is None or any(len(ln) != 2 or not nodes.issuperset(ln) for ln in f.links)
+            ):
+                raise ValueError(f"{name} needs links, each a pair of known nodes, not {f.links!r}")
         if self.rtt_dc_ms is not None and (
             len(self.rtt_dc_ms) != self.num_dcs
             or any(len(row) != self.num_dcs for row in self.rtt_dc_ms)

@@ -12,13 +12,17 @@ Social scripts are made in two steps: `social_plan` makes every random
 draw and returns each session's actions as labels, targets and post
 numbers, and `scripts_from_plan` turns that plan into ops. The checker
 needs only the labels, so it builds the plan and no script.
+
+Each section of a scenario file is read by `load_section` into a config
+dataclass, whose fields are the section's keys and whose defaults are
+its defaults; `KINDS` gives the config of each workload kind.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from causalsim.crdt import AwSetState, CmapState, CrdtType, EffectTag, LwwState, ObjectId
 
@@ -32,12 +36,12 @@ FRIENDS = ("friends", CrdtType.AW_SET)
 @dataclass
 class SocialConfig:
     users: int = 100
-    friends_per_user: int = 10
+    friends: int = 10  # per user
     update_fraction: float = 0.10
     locality: float = 0.90
     session_length: int = 50
-    sessions_per_scout: int = 2
-    pin_friends: bool = True
+    sessions: int = 2  # per scout
+    pin: bool = True  # pin each session's friends in the cache
 
     def validate(self) -> None:
         if not 0 <= self.update_fraction <= 1 or not 0 <= self.locality <= 1:
@@ -54,7 +58,7 @@ def friend_graph(cfg: SocialConfig, rng: random.Random) -> dict[int, list[int]]:
     """Symmetric friendship lists: per user a uniform sample of others."""
     friends: dict[int, set[int]] = {u: set() for u in range(cfg.users)}
     others = range(cfg.users - 1)
-    k = min(cfg.friends_per_user, len(others))
+    k = min(cfg.friends, len(others))
     for u in range(cfg.users):
         # index i of the users other than u is user i, or i + 1 from u on;
         # `sample` picks the same indices from any population of this length
@@ -112,7 +116,7 @@ def social_plan(
     for idx in range(num_scouts):
         sessions = []
         post_n = 0
-        for _ in range(cfg.sessions_per_scout):
+        for _ in range(cfg.sessions):
             me = rng.randrange(cfg.users)
             circle = [me] + graph[me]
             actions = []
@@ -179,7 +183,7 @@ def scripts_from_plan(
     plan: dict, graph: dict[int, list[int]], cfg: SocialConfig, cache_capacity: int
 ) -> dict[str, list[dict]]:
     """The per-scout scripts a `social_plan` stands for."""
-    pins = cfg.pin_friends and cache_capacity
+    pins = cfg.pin and cache_capacity
     scripts: dict[str, list[dict]] = {}
     for sid, sessions in plan.items():
         script: list[dict] = []
@@ -236,54 +240,78 @@ def counter_scripts(
     return scripts
 
 
-def kind_of(workload_cfg: dict) -> str:
-    """A workload config's kind; a config without one is social."""
-    return workload_cfg.get("kind", "social")
+@dataclass
+class ChurnConfig:
+    txs_per_scout: int = 20
+    counters: int = 3
 
 
-# a social config's keys -> the `SocialConfig` fields they set
-SOCIAL_KEYS = {
-    "users": "users",
-    "friends": "friends_per_user",
-    "update_fraction": "update_fraction",
-    "locality": "locality",
-    "session_length": "session_length",
-    "sessions": "sessions_per_scout",
-    "pin": "pin_friends",
-}
-# a counter churn config's keys and their defaults
-CHURN_DEFAULTS = {"txs_per_scout": 20, "counters": 3}
+@dataclass
+class NoWorkload:
+    pass
 
 
-def _check_keys(workload_cfg: dict, known) -> None:
-    unknown = sorted(set(workload_cfg) - {"kind", *known})
+# a workload section's kind -> the config its other keys describe
+KINDS = {"social": SocialConfig, "counter_churn": ChurnConfig, "none": NoWorkload}
+
+
+def load_section(cls, section: str, given: dict, **fixed):
+    """The `cls` config a scenario section describes. Its keys are the
+    fields of `cls`, less the `fixed` ones the caller sets, and the fields'
+    defaults give the keys left out. An unknown key, a missing required key
+    or a value of the wrong type is a `ValueError` that names it."""
+    if not isinstance(given, dict):
+        raise ValueError(f"a {section} must be an object, not {given!r}")
+    known = [f.name for f in fields(cls) if f.name not in fixed]
+    unknown = sorted(set(given) - set(known))
     if unknown:
-        raise ValueError(
-            f"unknown {kind_of(workload_cfg)} workload keys {unknown}; known: {sorted(known)}"
-        )
+        raise ValueError(f"unknown {section} keys {unknown}; known: {sorted(known)}")
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in given
+    ]
+    if missing:
+        raise ValueError(f"missing {section} keys {missing}; known: {sorted(known)}")
+    hints = get_type_hints(cls)
+    for key, value in given.items():
+        hint = hints[key]
+        if not _fits(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            raise ValueError(f"{section} key {key!r} must be {name}, not {value!r}")
+    return cls(**given, **fixed)
 
 
-def _social_config(workload_cfg: dict) -> SocialConfig:
-    """The keys given, mapped to their fields; the dataclass gives the rest."""
-    _check_keys(workload_cfg, SOCIAL_KEYS)
-    return SocialConfig(
-        **{field: workload_cfg[key] for key, field in SOCIAL_KEYS.items() if key in workload_cfg}
-    )
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has an annotation's type: an int is not a bool,
+    a float may be an int, and `Optional` admits null."""
+    if get_origin(hint) is Union:
+        return any(_fits(value, arg) for arg in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
 
 
-def initial_states_for(workload_cfg: dict, seed) -> dict[ObjectId, object]:
-    """The pre-run object states a workload seeds at every DC."""
-    if kind_of(workload_cfg) != "social":
-        return {}
-    cfg = _social_config(workload_cfg)
-    return initial_states(cfg, _graph(cfg, seed))
+def workload_config(workload_cfg: dict):
+    """The config a workload section describes; a section without a kind is social."""
+    if not isinstance(workload_cfg, dict):
+        raise ValueError(f"a workload section must be an object, not {workload_cfg!r}")
+    given = dict(workload_cfg)
+    kind = given.pop("kind", "social")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown workload kind {kind!r}")
+    return load_section(KINDS[kind], f"{kind} workload", given)
 
 
-def social_labels_and_states(workload_cfg: dict, num_scouts: int, seed) -> tuple[dict, dict]:
+def labels_and_states(workload_cfg: dict, num_scouts: int, seed) -> tuple[dict, dict]:
     """Each scout's transaction labels in script order, and the initial
-    states, for a social workload config: what `build` gives less the ops,
-    from the friend graph and the plan alone."""
-    cfg = _social_config(workload_cfg)
+    states: what `build` gives less the ops, from the friend graph and the
+    plan alone. A workload without labels gives ``({}, {})``."""
+    cfg = workload_config(workload_cfg)
+    if not isinstance(cfg, SocialConfig):
+        return {}, {}
     graph = _graph(cfg, seed)
     labels = plan_labels(social_plan(cfg, num_scouts, seed, graph))
     return labels, initial_states(cfg, graph)
@@ -291,20 +319,14 @@ def social_labels_and_states(workload_cfg: dict, num_scouts: int, seed) -> tuple
 
 def build(workload_cfg: dict, num_scouts: int, seed, cache_capacity: int):
     """Produce (scripts, initial_states, procedures) for a workload config."""
-    kind = kind_of(workload_cfg)
-    if kind == "social":
-        cfg = _social_config(workload_cfg)
+    cfg = workload_config(workload_cfg)
+    if isinstance(cfg, SocialConfig):
         graph = _graph(cfg, seed)
         return (
             social_scripts(cfg, num_scouts, seed, cache_capacity, graph),
             initial_states(cfg, graph),
             {},
         )
-    if kind == "counter_churn":
-        _check_keys(workload_cfg, CHURN_DEFAULTS)
-        cfg = {**CHURN_DEFAULTS, **workload_cfg}
-        return counter_scripts(num_scouts, cfg["txs_per_scout"], cfg["counters"], seed), {}, {}
-    if kind == "none":
-        _check_keys(workload_cfg, ())
-        return {}, {}, {}
-    raise ValueError(f"unknown workload kind {kind!r}")
+    if isinstance(cfg, ChurnConfig):
+        return counter_scripts(num_scouts, cfg.txs_per_scout, cfg.counters, seed), {}, {}
+    return {}, {}, {}

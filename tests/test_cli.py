@@ -23,6 +23,10 @@ def small_scenario(tmp_path):
     return path
 
 
+def no_run(simulation):
+    raise AssertionError("a config that hangs or crashes the run was run")
+
+
 class TestRun:
     def test_run_writes_report_trace_and_cdf(self, tmp_path, small_scenario, capsys):
         out = tmp_path / "report.json"
@@ -50,6 +54,13 @@ class TestRun:
     def test_unknown_scenario(self, capsys):
         assert main(["run", "no-such-preset"]) == 2
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--sweep", "2"]])
+    def test_a_missing_scenario_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        assert exc.value.code == 2
+        assert "required: scenario" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section, entry, key",
         [
@@ -74,15 +85,57 @@ class TestRun:
     def test_a_tick_period_that_hangs_or_crashes_a_run_is_an_error(
         self, small_scenario, capsys, monkeypatch, key, value
     ):
-        def no_run(simulation):
-            raise AssertionError("a config that hangs or crashes the run was run")
-
         monkeypatch.setattr(Simulation, "run", no_run)
         doc = json.loads(small_scenario.read_text())
         doc["sim"][key] = value
         small_scenario.write_text(json.dumps(doc))
         assert main(["run", str(small_scenario)]) == 2
         assert key in capsys.readouterr().err
+
+    # each of these once ended in a traceback, in mid-run or while the run
+    # was being built, or ran as something else; none may reach the run
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sim", "k", "2"),
+            ("sim", "gossip_ms", "20"),
+            ("sim", "num_scouts", 2.5),
+            ("workload", "users", "60"),
+            ("workload", "pin", "no"),
+        ],
+    )
+    def test_a_wrong_typed_value_is_an_error(
+        self, small_scenario, capsys, monkeypatch, section, key, value
+    ):
+        monkeypatch.setattr(Simulation, "run", no_run)
+        doc = json.loads(small_scenario.read_text())
+        doc[section][key] = value
+        small_scenario.write_text(json.dumps(doc))
+        assert main(["run", str(small_scenario)]) == 2
+        assert f"key {key!r} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fault, named",
+        [
+            ({"at": 10, "kind": "dc_crash"}, "needs a dc"),
+            ({"at": 10, "kind": "dc_crash", "dc": 7}, "not 7"),
+            ({"at": 10, "kind": "partition"}, "needs links"),
+            ({"at": 10, "kind": "scout_disconnect", "scout": "s99"}, "not 's99'"),
+            ({"at": 10, "kind": "scout_reconnect", "scout": "s0", "to": 5}, "needs a 'to'"),
+            ({"at": 10, "kind": "partition", "links": [["dc0", "dc9"]]}, "'dc9'"),
+        ],
+        ids=["no-dc", "dc-7", "no-links", "scout-s99", "to-5", "dc9"],
+    )
+    def test_a_fault_missing_a_field_its_kind_reads_is_an_error(
+        self, small_scenario, capsys, monkeypatch, fault, named
+    ):
+        monkeypatch.setattr(Simulation, "run", no_run)
+        doc = json.loads(small_scenario.read_text())
+        doc["faults"].append(fault)
+        small_scenario.write_text(json.dumps(doc))
+        assert main(["run", str(small_scenario)]) == 2
+        err = capsys.readouterr().err
+        assert f"{fault['kind']} fault at 10" in err and named in err
 
     def test_an_unknown_workload_key_is_an_error(self, small_scenario, capsys):
         doc = json.loads(small_scenario.read_text())

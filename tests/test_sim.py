@@ -382,6 +382,35 @@ class TestValidation:
         with pytest.raises(ValueError, match="dc_reboot"):
             small_cfg(horizon_ms=4_000, faults=[bad]).validate()
 
+    @pytest.mark.parametrize(
+        "fault, named",
+        [
+            (FaultEvent(at=10, kind="dc_recover"), "needs a dc in 0..1, not None"),
+            (FaultEvent(at=10, kind="dc_crash_on_commit", dc=2), "not 2"),
+            (FaultEvent(at=10, kind="scout_disconnect"), "not None"),
+            (FaultEvent(at=10, kind="scout_reconnect", scout="s2"), "not 's2'"),
+            (FaultEvent(at=10, kind="scout_reconnect", scout="s0", to=-1), "not -1"),
+            (FaultEvent(at=10, kind="heal"), "needs links"),
+            (FaultEvent(at=10, kind="partition", links=[["dc0", "dc1", "s0"]]), "needs links"),
+            (FaultEvent(at=10, kind="partition", links=[["s0", "s2"]]), "needs links"),
+        ],
+    )
+    def test_a_fault_without_the_fields_its_kind_reads_rejected(self, fault, named):
+        with pytest.raises(ValueError, match=f"{fault.kind} fault at 10") as info:
+            small_cfg(faults=[fault]).validate()
+        assert named in str(info.value)
+
+    def test_faults_on_known_nodes_accepted(self):
+        small_cfg(
+            faults=[
+                FaultEvent(at=10, kind="dc_crash", dc=1),
+                FaultEvent(at=10, kind="scout_reconnect", scout="s0", to=1),
+                FaultEvent(at=10, kind="scout_reconnect", scout="s0"),
+                FaultEvent(at=10, kind="partition", links=[["s0", "dc1"], ["dc0", "dc1"]]),
+                FaultEvent(at=10, kind="heal", links=[]),
+            ]
+        ).validate()
+
     def test_rtt_matrices_of_the_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="rtt_dc_ms"):
             small_cfg(num_dcs=3, k=1).validate()  # a 2x2 matrix

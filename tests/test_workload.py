@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -7,20 +8,24 @@ from hypothesis import given, settings, strategies as st
 
 from causalsim import workload
 from causalsim.crdt import value_of
-from causalsim.scenarios import PRESETS, load_scenario
+from causalsim.scenarios import PRESETS, build_simulation, load_scenario, sim_config
+from causalsim.sim import FaultEvent, SimConfig
 from causalsim.workload import (
     FRIENDS,
+    KINDS,
+    ChurnConfig,
     SocialConfig,
     build,
     counter_scripts,
     friend_graph,
     initial_states,
-    initial_states_for,
+    labels_and_states,
+    load_section,
     plan_labels,
-    social_labels_and_states,
     social_plan,
     social_scripts,
     user_object,
+    workload_config,
 )
 
 BENCH_SCENARIOS = Path(__file__).parents[1] / "perfbench" / "scenarios"
@@ -29,12 +34,12 @@ BENCH_SCENARIOS = Path(__file__).parents[1] / "perfbench" / "scenarios"
 def cfg(**kw):
     base = dict(
         users=200,
-        friends_per_user=10,
+        friends=10,
         update_fraction=0.10,
         locality=0.90,
         session_length=100,
-        sessions_per_scout=5,
-        pin_friends=True,
+        sessions=5,
+        pin=True,
     )
     base.update(kw)
     return SocialConfig(**base)
@@ -59,12 +64,12 @@ class TestGraph:
             graph = {u: set() for u in range(c.users)}
             for u in range(c.users):
                 others = [v for v in range(c.users) if v != u]
-                for v in rng.sample(others, min(c.friends_per_user, len(others))):
+                for v in rng.sample(others, min(c.friends, len(others))):
                     graph[u].add(v)
                     graph[v].add(u)
             return {u: sorted(vs) for u, vs in graph.items()}
 
-        c = cfg(users=users, friends_per_user=friends)
+        c = cfg(users=users, friends=friends)
         for seed in range(3):
             assert friend_graph(c, random.Random(seed)) == reference(c, random.Random(seed))
 
@@ -81,12 +86,12 @@ class TestGraph:
         scripts, _, _ = build(wl, 3, 7, 16)
         assert len(calls) == 1
         monkeypatch.undo()
-        assert scripts == social_scripts(SocialConfig(users=30, friends_per_user=4), 3, 7, 16)
+        assert scripts == social_scripts(SocialConfig(users=30, friends=4), 3, 7, 16)
 
 
 class TestInitialStates:
     def test_every_user_seeded_with_friends(self):
-        c = cfg(users=50, friends_per_user=5)
+        c = cfg(users=50, friends=5)
         graph = friend_graph(c, random.Random("x"))
         states = initial_states(c, graph)
         assert len(states) == 50
@@ -96,7 +101,7 @@ class TestInitialStates:
 
     def test_matches_build_helper(self):
         wl = {"kind": "social", "users": 30, "friends": 4}
-        assert initial_states_for(wl, seed=7) == build(wl, 2, 7, 16)[1]
+        assert labels_and_states(wl, 2, seed=7)[1] == build(wl, 2, 7, 16)[1]
 
 
 class TestScripts:
@@ -106,7 +111,7 @@ class TestScripts:
         assert a == b
 
     def test_update_mix_within_one_percent(self):
-        scripts = social_scripts(cfg(sessions_per_scout=10), 20, 7, 32)
+        scripts = social_scripts(cfg(sessions=10), 20, 7, 32)
         body = [
             spec
             for script in scripts.values()
@@ -118,7 +123,7 @@ class TestScripts:
         assert abs(realized - 0.10) < 0.01
 
     def test_locality_mix_within_tolerance(self):
-        c = cfg(sessions_per_scout=10)
+        c = cfg(sessions=10)
         scripts = social_scripts(c, 20, 7, 32)
         graph = friend_graph(c, random.Random("7/graph"))
         local = 0
@@ -152,7 +157,7 @@ class TestScripts:
                 assert not any(op[0] == "update" for op in spec["ops"])
 
     def test_pins_fit_capacity(self):
-        scripts = social_scripts(cfg(friends_per_user=30), 4, 3, 16)
+        scripts = social_scripts(cfg(friends=30), 4, 3, 16)
         for script in scripts.values():
             for spec in script:
                 for op in spec["ops"]:
@@ -190,7 +195,11 @@ class TestPlan:
         wl = {"kind": "social", "users": 30, "friends": 4, "sessions": 3}
         scripts, states, _ = build(wl, 3, 7, 16)
         labels = {sid: [spec["label"] for spec in script] for sid, script in scripts.items()}
-        assert social_labels_and_states(wl, 3, 7) == (labels, states)
+        assert labels_and_states(wl, 3, 7) == (labels, states)
+
+    @pytest.mark.parametrize("wl", [{"kind": "counter_churn"}, {"kind": "none"}])
+    def test_a_workload_without_labels_gives_none_and_no_states(self, wl):
+        assert labels_and_states(wl, 3, 7) == ({}, {})
 
 
 class TestCounterChurn:
@@ -223,31 +232,29 @@ class TestWorkloadKeys:
         ],
     )
     def test_an_unknown_key_is_an_error_that_lists_the_known_ones(self, wl, unknown):
-        known = {
-            "social": workload.SOCIAL_KEYS,
-            "counter_churn": workload.CHURN_DEFAULTS,
-            "none": {},
-        }[workload.kind_of(wl)]
+        known = sorted(f.name for f in fields(KINDS[wl.get("kind", "social")]))
         with pytest.raises(ValueError, match=f"'{unknown}'") as info:
             build(wl, 2, 1, 8)
-        assert f"known: {sorted(known)}" in str(info.value)
-        if workload.kind_of(wl) == "social":
-            with pytest.raises(ValueError, match=f"'{unknown}'"):
-                initial_states_for(wl, 1)
-            with pytest.raises(ValueError, match=f"'{unknown}'"):
-                social_labels_and_states(wl, 2, 1)
+        assert f"known: {known}" in str(info.value)
+        with pytest.raises(ValueError, match=f"'{unknown}'"):
+            labels_and_states(wl, 2, 1)
 
     def test_social_keys_set_their_fields_and_the_dataclass_gives_the_rest(self):
-        assert workload._social_config({}) == SocialConfig()
+        for kind, cls in KINDS.items():
+            assert workload_config({"kind": kind}) == cls()
+        assert workload_config({}) == SocialConfig()
         given = {"kind": "social", "friends": 3, "sessions": 4, "pin": False}
-        assert workload._social_config(given) == SocialConfig(
-            friends_per_user=3, sessions_per_scout=4, pin_friends=False
-        )
-        every = dict(zip(workload.SOCIAL_KEYS, (30, 4, 0.2, 0.5, 6, 3, False)))
-        made = workload._social_config(every)
-        assert [getattr(made, f) for f in workload.SOCIAL_KEYS.values()] == list(every.values())
+        assert workload_config(given) == SocialConfig(friends=3, sessions=4, pin=False)
+        # a value for every field, each unlike its default
+        keys = [f.name for f in fields(SocialConfig)]
+        every = dict(zip(keys, (30, 4, 0.2, 0.5, 6, 3, False)))
+        assert len(every) == len(keys)
+        assert all(every[f.name] != f.default for f in fields(SocialConfig))
+        made = workload_config(every)
+        assert {key: getattr(made, key) for key in keys} == every
 
     def test_counter_churn_defaults(self):
+        assert workload_config({"kind": "counter_churn"}) == ChurnConfig(txs_per_scout=20, counters=3)
         scripts, _, _ = build({"kind": "counter_churn"}, 3, 1, 8)
         assert [len(script) for script in scripts.values()] == [20] * 3
         keys = {spec["ops"][0][1].key for script in scripts.values() for spec in script}
@@ -258,7 +265,84 @@ class TestWorkloadKeys:
         scenarios += [json.loads(p.read_text()) for p in BENCH_SCENARIOS.glob("*.json")]
         assert len(scenarios) > len(PRESETS)
         for doc in scenarios:
-            wl = doc["workload"]
-            known = workload.SOCIAL_KEYS if workload.kind_of(wl) == "social" else workload.CHURN_DEFAULTS
-            assert set(wl) - {"kind"} <= set(known), doc.get("name")
-            build(wl, 2, 1, 8)
+            config = sim_config(doc)
+            config.validate()
+            assert len(config.faults) == len(doc.get("faults", []))
+            assert isinstance(workload_config(doc["workload"]), tuple(KINDS.values()))
+            build(doc["workload"], 2, 1, 8)
+
+
+# one bad entry per section and check: (section, entry, the key the error names)
+BAD_SECTIONS = [
+    ("sim", {"gossip_period": 20}, "gossip_period"),
+    ("sim", {"k": "2"}, "k"),
+    ("sim", {"gossip_ms": "20"}, "gossip_ms"),
+    ("sim", {"num_scouts": 2.5}, "num_scouts"),
+    ("sim", {"seed": True}, "seed"),
+    ("sim", {"rtt_dc_ms": [[0, "60"], [60, 0]]}, "rtt_dc_ms"),
+    ("sim", {"mutations": "disable_dedup"}, "mutations"),
+    ("fault", {"at": 10, "kind": "dc_crash", "until": 50}, "until"),
+    ("fault", {"kind": "dc_crash", "dc": 0}, "at"),
+    ("fault", {"at": 10, "dc": 0}, "kind"),
+    ("fault", {"at": 1.5, "kind": "dc_crash", "dc": 0}, "at"),
+    ("fault", {"at": 10, "kind": "dc_crash", "dc": "0"}, "dc"),
+    ("fault", {"at": 10, "kind": "partition", "links": ["dc0", "dc1"]}, "links"),
+    ("social", {"num_users": 1000}, "num_users"),
+    ("social", {"users": "60"}, "users"),
+    ("social", {"pin": "no"}, "pin"),
+    ("social", {"locality": "high"}, "locality"),
+    ("counter_churn", {"txs": 5}, "txs"),
+    ("counter_churn", {"counters": None}, "counters"),
+    ("none", {"users": 5}, "users"),
+]
+
+
+class TestScenarioSections:
+    @pytest.mark.parametrize(
+        "section, entry, key", BAD_SECTIONS, ids=[f"{s}-{k}" for s, _, k in BAD_SECTIONS]
+    )
+    def test_an_unknown_or_missing_key_or_a_wrong_type_is_an_error_naming_it(
+        self, section, entry, key
+    ):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            if section == "sim":
+                sim_config({"sim": entry})
+            elif section == "fault":
+                sim_config({"faults": [entry]})
+            else:
+                workload_config({"kind": section, **entry})
+
+    def test_a_float_field_takes_an_int_and_an_optional_one_takes_null(self):
+        assert workload_config({"locality": 1}).locality == 1
+        assert sim_config({"sim": {"rtt_dc_ms": None}}).rtt_dc_ms is None
+        fault = load_section(FaultEvent, "fault", {"at": 0, "kind": "heal", "links": [["dc0", "s1"]]})
+        assert fault == FaultEvent(0, "heal", links=[["dc0", "s1"]])
+
+    def test_the_sim_section_sets_every_field_but_the_faults(self):
+        keys = {f.name for f in fields(SimConfig)} - {"faults"}
+        with pytest.raises(ValueError) as info:
+            sim_config({"sim": {"faults": []}})
+        assert f"known: {sorted(keys)}" in str(info.value)
+        assert sim_config({}) == SimConfig()
+
+    @pytest.mark.parametrize("kind", ["tpcw", ["social"]])
+    def test_an_unknown_workload_kind_is_an_error(self, kind):
+        with pytest.raises(ValueError, match="unknown workload kind"):
+            workload_config({"kind": kind})
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ({"faults": [["at", 10]]}, "a fault must be an object"),
+            ({"faults": ["dc_crash"]}, "a fault must be an object"),
+            ({"faults": [None]}, "a fault must be an object"),
+            ({"sim": []}, "sim section must be an object"),
+            ({"faults": 5}, "its faults a list"),
+            ({"faults": {"at": 10}}, "its faults a list"),
+            ({"workload": "social"}, "a workload section must be an object"),
+            ({"workload": [1]}, "a workload section must be an object"),
+        ],
+    )
+    def test_a_section_or_fault_that_is_not_an_object_is_an_error(self, doc, error):
+        with pytest.raises(ValueError, match=error):
+            build_simulation(doc)
