@@ -32,9 +32,9 @@ Replaying one object's list therefore applies exactly the effects, in
 exactly the order, that a replay of the whole sorted record list filtered
 to that object applies. Two snapshots need no replay: an object no record
 touches reads its initial state, and a snapshot that covers every entry
-through its first alias reads the checkpoint of the whole list; neither
-adds an entry to the snapshot cache. Any other replay is cut in three
-parts, each applied in list order (``_ObjectLog``):
+through its first alias reads the checkpoint of the whole list. Any
+other snapshot is replayed afresh, in three parts, each applied in list
+order (``_ObjectLog``):
 
 - the covered prefix. ``reach[d][i]`` is the max of the first aliases at
   DC ``d`` of the first ``i`` entries. If ``reach[d][i] <= ver_dc[d]`` for
@@ -251,7 +251,6 @@ class TraceAnalysis:
             for obj in rec.objs:
                 mine = [e for e in effects if (e.target.key, e.target.crdt_type.value) == obj]
                 self.by_obj.setdefault(obj, []).append((rec, mine))
-        self._oracle_cache: dict = {}
         self._logs: dict[tuple, _ObjectLog] = {}
         self._own: dict[tuple, list] = {}  # tx -> [(object, decoded update)]
 
@@ -404,11 +403,7 @@ class TraceAnalysis:
         covered = log.covered_prefix(ver_dc)
         if covered == len(log.entries):  # the snapshot covers every entry
             return log.checkpoint(covered)
-        key = (obj, ver_dc, ver_local, reader)
-        state = self._oracle_cache.get(key)
-        if state is None:
-            state = self._oracle_cache[key] = self.replay(obj, ver_dc, ver_local, reader)
-        return state
+        return self.replay(obj, ver_dc, ver_local, reader)
 
     def replay(self, obj: tuple, ver_dc: tuple, ver_local: int, reader: str, skip: int = -1):
         """The object's state in the snapshot, leaving out the entry at index
@@ -853,11 +848,10 @@ def _mean(values: list) -> float:
     return sum(values) / len(values)
 
 
-def measure_latency(tr: TraceAnalysis, warmup_labels: Optional[list[str]] = None) -> dict:
+def measure_latency(tr: TraceAnalysis) -> dict:
     """Per-transaction round trips and simulated durations, with CDF points."""
-    if warmup_labels is None:
-        scenario = tr.header.get("scenario", {})
-        warmup_labels = scenario.get("expected", {}).get("warmup_labels", [])
+    scenario = tr.header.get("scenario", {})
+    warmup_labels = scenario.get("expected", {}).get("warmup_labels", [])
     committed = [t for t in tr.txs.values() if t.committed and not t.aborted]
     measured = [t for t in committed if t.label not in warmup_labels]
     if not measured:

@@ -21,7 +21,8 @@ equal to each other, though an id or a clock equals a plain tuple of its
 fields.
 
 Each value type here has one JSON wire form, written and read only by the
-`*_to_wire` / `*_from_wire` pair at the end of this module.
+`*_to_wire` / `*_from_wire` pair at the end of this module. A decoder
+builds its value through the type's own constructor.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ ScoutId = str
 
 _tuple_eq = tuple.__eq__
 _tuple_ne = tuple.__ne__
-_tuple_new = tuple.__new__
 
 
 class Otid(NamedTuple):
@@ -189,9 +189,7 @@ class CausalClock(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# wire forms: the one place that spells out these JSON lists. The decoders
-# build named tuples with `tuple.__new__`, which skips their Python
-# `__new__`: they run for every id and clock a message carries
+# wire forms: the one place that spells out these JSON lists
 # ---------------------------------------------------------------------------
 
 
@@ -200,7 +198,7 @@ def otid_to_wire(o: Otid) -> list:
 
 
 def otid_from_wire(w) -> Otid:
-    return _tuple_new(Otid, (w[0], w[1]))
+    return Otid(w[0], w[1])
 
 
 def gtid_to_wire(g: Gtid) -> list:
@@ -208,7 +206,7 @@ def gtid_to_wire(g: Gtid) -> list:
 
 
 def gtid_from_wire(w) -> Gtid:
-    return _tuple_new(Gtid, (w[0], w[1]))
+    return Gtid(w[0], w[1])
 
 
 # a vector's wire form is the list of its entries; both directions are
@@ -222,4 +220,4 @@ def clock_to_wire(c: CausalClock) -> list:
 
 
 def clock_from_wire(w) -> CausalClock:
-    return _tuple_new(CausalClock, (VersionVector(w[0]), w[1]))
+    return CausalClock(VersionVector(w[0]), w[1])

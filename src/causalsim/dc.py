@@ -122,7 +122,6 @@ class VersionPruned(Exception):
 @dataclass
 class StoredObject:
     checkpoint: Any
-    base: VersionVector
     entries: list[tuple[EffectOp, CommitRecord]] = field(default_factory=list)
     # volatile: the positions in `entries` covered by the last version
     # served, and its state
@@ -217,7 +216,7 @@ class DataCenter:
             "dc": self.id,
             "records": [record_to_wire(r) for r in self.log],
             "checkpoints": [
-                [object_to_wire(obj), vector_to_wire(so.base), state_to_wire(so.checkpoint)]
+                [object_to_wire(obj), state_to_wire(so.checkpoint)]
                 for obj, so in sorted(self.store.items())
             ],
             "max_otid": dict(sorted(self.max_otid.items())),
@@ -237,9 +236,8 @@ class DataCenter:
         dc.known_vectors = {}  # a peer's vector is known again once it is heard
         dc.max_otid = dict(snapshot["max_otid"])
         dc.prune_vector = vector_from_wire(snapshot["prune_vector"])
-        for obj_w, base, cp in snapshot["checkpoints"]:
-            obj = object_from_wire(*obj_w)
-            dc.store[obj] = StoredObject(state_from_wire(cp), vector_from_wire(base))
+        for obj_w, cp in snapshot["checkpoints"]:
+            dc.store[object_from_wire(*obj_w)] = StoredObject(state_from_wire(cp))
         for rw in snapshot["records"]:
             record = record_from_wire(rw)
             dc._log_record(record)
@@ -255,7 +253,7 @@ class DataCenter:
     def seed_store(self, states: dict[ObjectId, Any]) -> None:
         """Install pre-run object states as checkpoints at the zero vector."""
         for obj, state in states.items():
-            self.store[obj] = StoredObject(checkpoint=state, base=VersionVector.zero(self.num_dcs))
+            self.store[obj] = StoredObject(state)
 
     # -- frontiers ---------------------------------------------------------
 
@@ -320,7 +318,7 @@ class DataCenter:
         for e in record.effects:
             so = self.store.get(e.target)
             if so is None:
-                so = StoredObject(new_state(e.target.crdt_type), VersionVector.zero(self.num_dcs))
+                so = StoredObject(new_state(e.target.crdt_type))
                 self.store[e.target] = so
             so.entries.append((e, record))
 
@@ -770,7 +768,6 @@ class DataCenter:
             if len(keep) < len(so.entries):
                 so.served = None  # a new checkpoint, and positions moved
             so.entries = keep
-            so.base = pv
         if folded:
             self.log = [r for r in self.log if id(r) not in folded]
             self._unlog_records(folded)

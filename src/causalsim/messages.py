@@ -14,13 +14,12 @@ field order, each encoded by the codec of its annotation (`_CODECS`;
 `Optional[X]` uses X's and keeps None); a `bool` field that defaults to
 True (a flag) goes on the wire only when False, and flags come last. A
 message is decoded by calling its class with its field values in order.
-At import, `_compile` generates from these tables one encoder and one
-decoder function per message class, as `dataclasses` generates
-`__init__`: each spells out its fields, so a message costs no loop over a
-plan and no copy of a dict. An annotation with neither a codec nor a plain
-JSON value, or a field after a flag, raises TypeError there. The JSON form
-of each value type is spelled out once: OTIDs, GTIDs, vectors and clocks
-in `clocks.py`, object ids, effects and states in `crdt.py`.
+At import, `_plan` turns each message class's fields into a plan of
+(name, encode, decode, is-flag) entries, which `message_to_wire` and
+`message_from_wire` loop over. An annotation with neither a codec nor a
+plain JSON value, or a field after a flag, raises TypeError there. The
+JSON form of each value type is spelled out once: OTIDs, GTIDs, vectors
+and clocks in `clocks.py`, object ids, effects and states in `crdt.py`.
 
 The codec is off a run's path: only a wire tap, a crash's durable
 snapshot and the tests call it. An effect keeps its wire form in its
@@ -262,57 +261,46 @@ _KINDS = {
 }
 
 
-def _compile(cls, kind: str) -> tuple:
-    """(encode(msg), decode(wire)) of `cls`, generated from its fields, as
-    `dataclasses` generates `__init__`.
+def _same(value):
+    """The codec of a plain JSON value, which travels as it is."""
+    return value
 
-    `encode` builds `{"m": kind}` and one key per field in field order, each
-    through the codec of its annotation; `decode` calls `cls` positionally
-    with the decoded values. Flags, the `bool` fields that default to True,
-    go on the wire only when False and must be the last fields. Raises
-    TypeError for an annotation with neither a codec nor a plain JSON
-    value, or for a field after a flag."""
-    env = {"cls": cls}
-    items, args, flags = [f"'m': {kind!r}"], [], []
+
+def _optional(codec):
+    """`codec`, keeping None as it is."""
+    return lambda value: None if value is None else codec(value)
+
+
+def _plan(cls) -> tuple:
+    """The field plan of `cls`: per field, in field order, its name, the
+    encode(value) and decode(wire) of its annotation, and whether it is a
+    flag, a `bool` field that defaults to True. Flags go on the wire only
+    when False and must be the last fields. Raises TypeError for an
+    annotation with neither a codec nor a plain JSON value, or for a field
+    after a flag."""
+    plan = []
     for f in fields(cls):
         name, annotation = f.name, f.type
-        if annotation == "bool" and f.default is True:
-            flags.append(name)
-            continue
-        if flags:
+        flag = annotation == "bool" and f.default is True
+        if plan and plan[-1][3] and not flag:
             raise TypeError(f"{cls.__name__}.{name}: a field after a flag")
-        value, wire = f"msg.{name}", f"w[{name!r}]"
         optional = annotation.startswith("Optional[") and annotation[9:-1] in _CODECS
         if optional:
             annotation = annotation[9:-1]
         if annotation in _CODECS:
-            env[f"enc_{name}"], env[f"dec_{name}"] = _CODECS[annotation]
-            encoded, decoded = f"enc_{name}({value})", f"dec_{name}({wire})"
+            encode, decode = _CODECS[annotation]
             if optional:
-                encoded = f"None if {value} is None else {encoded}"
-                decoded = f"None if {wire} is None else {decoded}"
+                encode, decode = _optional(encode), _optional(decode)
         elif annotation in _PLAIN:
-            encoded, decoded = value, wire
+            encode = decode = _same
         else:
             raise TypeError(f"{cls.__name__}.{name}: no wire codec for {f.type!r}")
-        items.append(f"{name!r}: {encoded}")
-        args.append(decoded)
-    lines = ["def encode(msg):", f"    w = {{{', '.join(items)}}}"]
-    for name in flags:
-        lines += [f"    if not msg.{name}:", f"        w[{name!r}] = msg.{name}"]
-    lines += ["    return w", "def decode(w):"]
-    args += [f"w.get({name!r}, True)" for name in flags]
-    lines.append(f"    return cls({', '.join(args)})")
-    exec("\n".join(lines), env)
-    for fn in (env["encode"], env["decode"]):
-        fn.__qualname__ = f"{fn.__name__}_{cls.__name__}"
-    return env["encode"], env["decode"]
+        plan.append((name, encode, decode, flag))
+    return tuple(plan)
 
 
-# class -> encode(msg) and kind -> decode(wire), built once
-_ENCODERS, _DECODERS = {}, {}
-for _cls, _kind in _KINDS.items():
-    _ENCODERS[_cls], _DECODERS[_kind] = _compile(_cls, _kind)
+# kind -> (class, field plan), built once
+_PLANS = {kind: (cls, _plan(cls)) for cls, kind in _KINDS.items()}
 
 
 def message_kind(msg) -> str:
@@ -326,15 +314,19 @@ def message_kind(msg) -> str:
 def message_to_wire(msg) -> dict:
     """`{"m": kind}` and then one key per field, in field order; a flag
     only when it is False."""
-    encode = _ENCODERS.get(type(msg))
-    if encode is None:
-        raise TypeError(f"not a wire message: {msg!r}")
-    return encode(msg)
+    kind = message_kind(msg)
+    w = {"m": kind}
+    for name, encode, _, flag in _PLANS[kind][1]:
+        value = getattr(msg, name)
+        if not (flag and value):
+            w[name] = encode(value)
+    return w
 
 
 def message_from_wire(w: dict):
     """A fresh message, holding fresh effects and states."""
-    decode = _DECODERS.get(w["m"])
-    if decode is None:
+    entry = _PLANS.get(w["m"])
+    if entry is None:
         raise TypeError(f"unknown message kind {w['m']!r}")
-    return decode(w)
+    cls, plan = entry
+    return cls(*[decode(w.get(name, True) if flag else w[name]) for name, _, decode, flag in plan])

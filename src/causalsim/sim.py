@@ -93,8 +93,9 @@ class SimConfig:
         for key in ("gossip_ms", "notify_ms", "prune_ms", "retry_ms"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, not {getattr(self, key)}")
-        if self.jitter_ms < 0:
-            raise ValueError(f"jitter_ms must be non-negative, not {self.jitter_ms}")
+        for key in ("think_ms", "jitter_ms", "cache_capacity", "horizon_ms", "drain_ms"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative, not {getattr(self, key)}")
         unknown = sorted(set(self.mutations) - mutants.MUTATIONS.keys())
         if unknown:
             raise ValueError(f"unknown mutations {unknown}; known: {list(mutants.MUTATIONS)}")

@@ -294,6 +294,10 @@ def _fits(value, hint) -> bool:
     return type(value) is hint
 
 
+# the counts of the workload configs, and the least value of each
+_LEAST = {"friends": 0, "sessions": 0, "session_length": 0, "txs_per_scout": 0, "counters": 1}
+
+
 def workload_config(workload_cfg: dict):
     """The config a workload section describes; a section without a kind is social."""
     if not isinstance(workload_cfg, dict):
@@ -302,7 +306,12 @@ def workload_config(workload_cfg: dict):
     kind = given.pop("kind", "social")
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown workload kind {kind!r}")
-    return load_section(KINDS[kind], f"{kind} workload", given)
+    cfg = load_section(KINDS[kind], f"{kind} workload", given)
+    for key, least in _LEAST.items():
+        value = getattr(cfg, key, least)
+        if value < least:
+            raise ValueError(f"{kind} workload key {key!r} must be at least {least}, not {value}")
+    return cfg
 
 
 def labels_and_states(workload_cfg: dict, num_scouts: int, seed) -> tuple[dict, dict]:

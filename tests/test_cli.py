@@ -92,6 +92,34 @@ class TestRun:
         assert main(["run", str(small_scenario)]) == 2
         assert key in capsys.readouterr().err
 
+    # each of these once ran as something else: a negative drain or horizon
+    # as a convergence failure, a negative think time or cache as zero, and
+    # a negative session count or length as a shorter workload; or died
+    # with a message that names no key
+    @pytest.mark.parametrize(
+        "section, entry, key",
+        [
+            ("sim", {"drain_ms": -5000}, "drain_ms"),
+            ("sim", {"horizon_ms": -1}, "horizon_ms"),
+            ("sim", {"think_ms": -5}, "think_ms"),
+            ("sim", {"cache_capacity": -1}, "cache_capacity"),
+            ("workload", {"friends": -1}, "friends"),
+            ("workload", {"sessions": -1}, "sessions"),
+            ("workload", {"session_length": -3}, "session_length"),
+            ("workload", {"kind": "counter_churn", "txs_per_scout": -1}, "txs_per_scout"),
+            ("workload", {"kind": "counter_churn", "counters": 0}, "counters"),
+        ],
+    )
+    def test_a_negative_setting_or_count_is_an_error(
+        self, small_scenario, capsys, monkeypatch, section, entry, key
+    ):
+        monkeypatch.setattr(Simulation, "run", no_run)
+        doc = json.loads(small_scenario.read_text())
+        doc[section] = entry if "kind" in entry else {**doc[section], **entry}
+        small_scenario.write_text(json.dumps(doc))
+        assert main(["run", str(small_scenario)]) == 2
+        assert key in capsys.readouterr().err
+
     # each of these once ended in a traceback, in mid-run or while the run
     # was being built, or ran as something else; none may reach the run
     @pytest.mark.parametrize(

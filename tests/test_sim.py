@@ -444,6 +444,19 @@ class TestValidation:
     def test_the_smallest_tick_periods_are_accepted(self):
         small_cfg(gossip_ms=1, notify_ms=1, prune_ms=1, retry_ms=1, jitter_ms=0).validate()
 
+    # a negative drain or horizon once ended a run before its replicas
+    # synced, failing its convergence check, and a negative think time or
+    # cache capacity ran as zero
+    @pytest.mark.parametrize(
+        "key, value", [("drain_ms", -5000), ("horizon_ms", -1), ("think_ms", -5), ("cache_capacity", -1)]
+    )
+    def test_a_negative_run_setting_is_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be non-negative, not {value}"):
+            small_cfg(**{key: value}).validate()
+        with pytest.raises(ValueError, match=key):
+            Simulation(small_cfg(**{key: value}), scripts={})
+        small_cfg(**{key: 0}).validate()
+
     def test_a_preset_with_more_dcs_than_its_matrix_fails_at_validation(self):
         # the preset's matrices are 3x3
         with pytest.raises(ValueError, match="rtt_dc_ms must be 5x5"):

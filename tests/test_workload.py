@@ -325,6 +325,31 @@ class TestScenarioSections:
         assert f"known: {sorted(keys)}" in str(info.value)
         assert sim_config({}) == SimConfig()
 
+    # each of these once died in `random.sample` or `randrange` with a
+    # message that names no key, or ran as a shorter workload
+    @pytest.mark.parametrize(
+        "wl, key",
+        [
+            ({"friends": -1}, "friends"),
+            ({"kind": "social", "sessions": -1}, "sessions"),
+            ({"session_length": -3}, "session_length"),
+            ({"kind": "counter_churn", "txs_per_scout": -1}, "txs_per_scout"),
+            ({"kind": "counter_churn", "counters": 0}, "counters"),
+        ],
+    )
+    def test_a_count_below_its_least_is_an_error_naming_it(self, wl, key, monkeypatch):
+        def no_graph(*args):
+            raise AssertionError("the friend graph was drawn")
+
+        monkeypatch.setattr(workload, "friend_graph", no_graph)
+        with pytest.raises(ValueError, match=f"workload key '{key}' must be at least"):
+            build(wl, 2, 1, 8)
+
+    def test_the_least_counts_are_accepted(self):
+        assert build({"friends": 0, "sessions": 0, "session_length": 0}, 2, 1, 8)[0] == {"s0": [], "s1": []}
+        scripts = build({"kind": "counter_churn", "txs_per_scout": 3, "counters": 1}, 2, 1, 8)[0]
+        assert {op[1].key for script in scripts.values() for spec in script for op in spec["ops"]} == {"ctr:0"}
+
     @pytest.mark.parametrize("kind", ["tpcw", ["social"]])
     def test_an_unknown_workload_kind_is_an_error(self, kind):
         with pytest.raises(ValueError, match="unknown workload kind"):
