@@ -18,18 +18,26 @@ arrives, the next tick sends it everything its reported vector lacks.
 
 A fetch is served as states, which the reply carries and the scout's
 cache and transaction share: states are immutable. Each stored object
-remembers the last version it served: the positions of the log entries
-that version covers, and its state. A fetch whose clock covers the same
-entries gets that state again without a replay. The memo is volatile,
-kept only while the object has entries above its checkpoint, and dropped
-when a prune folds some of them, which changes the checkpoint and the
-positions. An object without entries serves its checkpoint state itself.
+keeps up to `KEPT_VERSIONS` versions it served, most recently served
+first: the positions of the log entries each covers, and its state. A
+fetch whose clock covers the same entries as a kept version gets its
+state again without a replay. Otherwise only the entries past the longest
+kept version whose positions are a prefix of its own are replayed, and
+the result is kept. Kept versions are volatile: they are not in the
+durable stream, and a prune that folds some of an object's entries drops
+the object's, since it changes the checkpoint and the positions. An
+object without entries serves its checkpoint state itself. The values
+that end a run are read through the same versions.
 
 A session is sent only what its scout keeps. A scout whose session
 request says it keeps no cache gets no admit states in its fetch replies
 and is subscribed to nothing, so its notify batches carry the frontier and
-its acks only. A notify tick skips an idle session: one already announced
-at the target frontier, with no own records admitted since its last acks.
+its acks only, and its tick does not scan the records announced. A
+notify tick skips an idle session: one already announced at the target
+frontier, with no own records admitted since its last acks. The tick's
+frontier is recomputed only when vdc, K or a peer's known vector changed:
+a gossip batch that adds nothing keeps the peer's vector, and vdc is
+rebuilt only when a slot moves it.
 
 Commit identity is tracked at slot granularity: every alias GTID of a
 record occupies one slot in its origin DC's gapless sequence, and the
@@ -119,13 +127,18 @@ class VersionPruned(Exception):
     """Requested snapshot falls below the prune frontier."""
 
 
+# the most versions a stored object keeps to serve fetches from: on
+# social-90-10 at 16x, 3 replay 7 % more entries than 4, and 8 only 4 % fewer
+KEPT_VERSIONS = 4
+
+
 @dataclass
 class StoredObject:
     checkpoint: Any
     entries: list[tuple[EffectOp, CommitRecord]] = field(default_factory=list)
-    # volatile: the positions in `entries` covered by the last version
-    # served, and its state
-    served: Optional[tuple[list[int], Any]] = None
+    # volatile: at most KEPT_VERSIONS versions served, most recent first,
+    # each the positions in `entries` it covers and its state
+    kept: list[tuple[list[int], Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -187,7 +200,9 @@ class DataCenter:
         self.top_slot = [0] * num_dcs  # highest slot ever marked, per origin
         self.vdc = VersionVector.zero(num_dcs)
 
-        # volatile; at run start every peer is at the zero vector
+        # volatile: the inputs of the last announceable frontier, and that frontier
+        self.frontier_memo: Optional[tuple[tuple, VersionVector]] = None
+        # at run start every peer is at the zero vector
         self.known_vectors: dict[DcId, VersionVector] = {
             j: VersionVector.zero(num_dcs) for j in range(num_dcs) if j != dc_id
         }
@@ -266,8 +281,17 @@ class DataCenter:
         return k_stable_vector(known, k or self.k)
 
     def announceable_frontier(self) -> VersionVector:
-        """The K-durable frontier capped at what this replica has applied."""
-        return self.k_durable_frontier().meet(self.vdc)
+        """The K-durable frontier capped at what this replica has applied.
+        The last one is reused while vdc, k and every known vector are equal
+        to its inputs; they are most often the very same objects, which
+        compare at once."""
+        inputs = (self.vdc, self.k, *self.known_vectors.items())
+        memo = self.frontier_memo
+        if memo is not None and memo[0] == inputs:
+            return memo[1]
+        frontier = self.k_durable_frontier().meet(self.vdc)
+        self.frontier_memo = (inputs, frontier)
+        return frontier
 
     # -- dependency machinery ------------------------------------------------
 
@@ -351,12 +375,16 @@ class DataCenter:
         self._advance_vdc()
 
     def _advance_vdc(self) -> None:
-        """Move vdc along the contiguous prefix of marked slots."""
+        """Move vdc along the contiguous prefix of marked slots; a vdc that
+        does not move stays the same object."""
         vdc = list(self.vdc)
-        for origin in range(self.num_dcs):
-            while vdc[origin] + 1 in self.slots[origin]:
+        moved = False
+        for origin, marked in enumerate(self.slots):
+            while vdc[origin] + 1 in marked:
                 vdc[origin] += 1
-        self.vdc = VersionVector(vdc)
+                moved = True
+        if moved:
+            self.vdc = VersionVector(vdc)
 
     def _merge_aliases(self, existing: CommitRecord, incoming: CommitRecord) -> None:
         new = tuple(g for g in incoming.gtids if g not in existing.gtids)
@@ -416,8 +444,12 @@ class DataCenter:
         self.quiet_ticks[msg.src] = 0
         for record in msg.records:
             self._receive_remote(env, record)
-        prior = self.known_vectors.get(msg.src, VersionVector.zero(self.num_dcs))
-        self.known_vectors[msg.src] = prior.join(msg.vdc)
+        # a batch that adds nothing keeps the vector, and so the frontier memo
+        prior = self.known_vectors.get(msg.src)
+        if prior is None:
+            self.known_vectors[msg.src] = VersionVector.zero(self.num_dcs).join(msg.vdc)
+        elif not msg.vdc.leq(prior):
+            self.known_vectors[msg.src] = prior.join(msg.vdc)
         if msg.records:
             env.trace(
                 {
@@ -490,6 +522,10 @@ class DataCenter:
     # -- deferred work -------------------------------------------------------
 
     def _drain(self, env) -> None:
+        if not (
+            self.pending_remote or self.pending_commits or self.pending_stored or self.pending_fetches
+        ):
+            return  # nothing waits
         progress = True
         while progress and not self.dead:
             progress = False
@@ -570,32 +606,65 @@ class DataCenter:
         so = self.store.get(obj)
         if so is None:
             return new_state(obj.crdt_type), None
-        covered = self._covered
+        if not so.entries:
+            return so.checkpoint, None
+        # the positions `_covered` picks, with its alias test inlined
+        snap_vdc, snap_local = snapshot
+        snap_key = []
         if admit_clock is None:
-            key = [i for i, (_, r) in enumerate(so.entries) if covered(r, snapshot, own)]
-            return self._served(so, key), None
-        snap_key, admit_key = [], []
+            for i, (_, record) in enumerate(so.entries):
+                for counter, origin in record.gtids:
+                    if snap_vdc[origin] >= counter:
+                        snap_key.append(i)
+                        break
+                else:
+                    counter, origin = record.otid
+                    if origin == own and counter <= snap_local:
+                        snap_key.append(i)
+            return self._version(so, snap_key), None
+        admit_vdc, admit_local = admit_clock
+        admit_key = []
         for i, (_, record) in enumerate(so.entries):
-            if covered(record, snapshot, own):
+            in_snap = in_admit = False
+            for counter, origin in record.gtids:
+                if snap_vdc[origin] >= counter:
+                    in_snap = True
+                if admit_vdc[origin] >= counter:
+                    in_admit = True
+            if not (in_snap and in_admit):
+                counter, origin = record.otid
+                if origin == own:
+                    in_snap = in_snap or counter <= snap_local
+                    in_admit = in_admit or counter <= admit_local
+            if in_snap:
                 snap_key.append(i)
-            if covered(record, admit_clock, own):
+            if in_admit:
                 admit_key.append(i)
-        snap = self._served(so, snap_key)
-        return snap, (None if admit_key == snap_key else self._served(so, admit_key))
+        snap = self._version(so, snap_key)
+        return snap, (None if admit_key == snap_key else self._version(so, admit_key))
 
     @staticmethod
-    def _served(so: StoredObject, key: list[int]) -> Any:
-        """The checkpoint plus the entries at positions `key`: the memo's
-        state if it covers the same ones, else replayed and remembered. With
-        no entries, the checkpoint itself."""
-        if so.served is not None and so.served[0] == key:
-            return so.served[1]
-        state = so.checkpoint
-        for i in key:
-            state = apply_effect(state, so.entries[i][0])
-        if so.entries:
-            so.served = (key, state)
-        return state
+    def _version(so: StoredObject, key: list[int]) -> Any:
+        """The checkpoint plus the entries at positions `key`. A kept version
+        at the same positions is returned as it is. Otherwise the entries
+        are replayed from the longest kept version whose positions are a
+        prefix of `key`, or from the checkpoint, and the result is kept."""
+        kept = so.kept
+        base, start = so.checkpoint, 0
+        for n, (positions, state) in enumerate(kept):
+            if positions == key:
+                if n:
+                    kept.insert(0, kept.pop(n))
+                return state
+            size = len(positions)
+            if start < size < len(key) and key[:size] == positions:
+                base, start = state, size
+        entries = so.entries
+        for i in key[start:]:
+            base = apply_effect(base, entries[i][0])
+        kept.insert(0, (key, base))
+        del kept[KEPT_VERSIONS:]
+        return base
 
     def _serve_fetch(self, env, msg: FetchRequest) -> None:
         session = self.sessions.get(msg.scout)
@@ -697,16 +766,18 @@ class DataCenter:
         delta: list[tuple[CommitRecord, list[ObjectId]]],
     ) -> None:
         items: list[tuple[str, list]] = []
-        if gap_in_log and session.subscriptions:
-            items.append(("invalidate", sorted(session.subscriptions)))
-        for record, objs in delta:
+        subscriptions = session.subscriptions
+        if gap_in_log and subscriptions:
+            items.append(("invalidate", sorted(subscriptions)))
+        # a session subscribed to nothing is sent no items
+        for record, objs in delta if subscriptions else ():
             if record.otid.origin == session.scout:
                 continue  # the scout applied its own updates at local commit
-            touched = [o for o in objs if o in session.subscriptions]
+            touched = [o for o in objs if o in subscriptions]
             if not touched:
                 continue
             if self.notify_mode == "effects":
-                effects = [e for e in record.effects if e.target in session.subscriptions]
+                effects = [e for e in record.effects if e.target in subscriptions]
                 items.append(("effects", effects))
             else:
                 items.append(("invalidate", touched))
@@ -766,7 +837,7 @@ class DataCenter:
                 else:
                     keep.append((effect, record))
             if len(keep) < len(so.entries):
-                so.served = None  # a new checkpoint, and positions moved
+                so.kept = []  # a new checkpoint, and positions moved
             so.entries = keep
         if folded:
             self.log = [r for r in self.log if id(r) not in folded]
@@ -845,11 +916,12 @@ class DataCenter:
     # -- inspection ---------------------------------------------------------------
 
     def object_values(self) -> dict[ObjectId, Any]:
-        """Materialized value of every object at this replica's full state."""
-        out = {}
-        for obj in sorted(self.store):
-            out[obj] = value_to_wire(self.materialize(obj, CausalClock(self.vdc, 0)))
-        return out
+        """Materialized value of every object at this replica's full state,
+        served through the kept versions."""
+        full = CausalClock(self.vdc, 0)
+        return {
+            obj: value_to_wire(self.fetch_states(obj, full, None, "")[0]) for obj in sorted(self.store)
+        }
 
     def dispatch(self, env, msg) -> None:
         name = _HANDLERS.get(type(msg))

@@ -89,11 +89,12 @@ class SimConfig:
             raise ValueError(f"unknown commit_target {self.commit_target!r}")
         if self.notify_mode not in ("effects", "invalidations"):
             raise ValueError(f"unknown notify_mode {self.notify_mode!r}")
-        # a zero period reschedules its tick at the same instant for ever
-        for key in ("gossip_ms", "notify_ms", "prune_ms", "retry_ms"):
+        # a zero period reschedules its tick at the same instant for ever, and
+        # a run with no horizon or no drain ends before its replicas sync
+        for key in ("gossip_ms", "notify_ms", "prune_ms", "retry_ms", "horizon_ms", "drain_ms"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, not {getattr(self, key)}")
-        for key in ("think_ms", "jitter_ms", "cache_capacity", "horizon_ms", "drain_ms"):
+        for key in ("think_ms", "jitter_ms", "cache_capacity"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be non-negative, not {getattr(self, key)}")
         unknown = sorted(set(self.mutations) - mutants.MUTATIONS.keys())

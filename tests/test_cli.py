@@ -92,7 +92,7 @@ class TestRun:
         assert main(["run", str(small_scenario)]) == 2
         assert key in capsys.readouterr().err
 
-    # each of these once ran as something else: a negative drain or horizon
+    # each of these once ran as something else: a drain or horizon below 1
     # as a convergence failure, a negative think time or cache as zero, and
     # a negative session count or length as a shorter workload; or died
     # with a message that names no key
@@ -108,6 +108,8 @@ class TestRun:
             ("workload", {"session_length": -3}, "session_length"),
             ("workload", {"kind": "counter_churn", "txs_per_scout": -1}, "txs_per_scout"),
             ("workload", {"kind": "counter_churn", "counters": 0}, "counters"),
+            ("sim", {"drain_ms": 0}, "drain_ms"),
+            ("sim", {"horizon_ms": 0}, "horizon_ms"),
         ],
     )
     def test_a_negative_setting_or_count_is_an_error(

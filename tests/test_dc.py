@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalsim.clocks import CausalClock, Gtid, Otid, VersionVector
 from causalsim.checker import run_checks
@@ -9,11 +10,19 @@ from causalsim.crdt import (
     CrdtType,
     EffectTag,
     ObjectId,
+    apply_effect,
     new_state,
     prepare,
     value_of,
 )
-from causalsim.dc import SILENT_TICKS, DataCenter, Session, VersionPruned, ack_wait_ticks
+from causalsim.dc import (
+    KEPT_VERSIONS,
+    SILENT_TICKS,
+    DataCenter,
+    Session,
+    VersionPruned,
+    ack_wait_ticks,
+)
 from causalsim.scout import Scout
 from causalsim.messages import (
     CommitRecord,
@@ -26,7 +35,7 @@ from causalsim.messages import (
     message_to_wire,
     record_to_wire,
 )
-from causalsim import mutants, sim
+from causalsim import dc as dc_module, mutants, sim
 from causalsim.scenarios import load_scenario, run_scenario
 from test_pins import CHURN
 
@@ -1037,15 +1046,21 @@ def covered_entries(dc, obj, at, own):
     return [i for i, (_, r) in enumerate(so.entries if so else ()) if dc._covered(r, at, own)]
 
 
+def is_prefix(positions, key):
+    return 0 < len(positions) < len(key) and key[: len(positions)] == positions
+
+
 # what every run whose scouts keep a cache must exercise: versions served
-# with one state for both clocks, and with two
-CACHED = ("shared", "split", "memo_hits")
+# with one state for both clocks, and with two; and what every run must:
+# kept versions served as they are, and replayed from
+KEPT = ("memo_hits", "prefix")
+CACHED = ("shared", "split") + KEPT
 
 # name -> (scenario, sim overrides, what the run must exercise); the
 # staleness-stress scouts keep no cache, so their sessions get no admit states
 FETCH_RUNS = {
     "social-90-10": ("social-90-10", {}, CACHED),
-    "staleness-stress": ("staleness-stress", {}, ("cacheless", "memo_hits")),
+    "staleness-stress": ("staleness-stress", {}, ("cacheless",) + KEPT),
     "churn-pruned": (CHURN, {"prune_ms": 200}, CACHED + ("memo_after_prune",)),
     "dedup-off-100": (
         CHURN,
@@ -1071,17 +1086,33 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
             "cacheless",
             "memo_hits",
             "memo_after_prune",
+            "prefix",
             "shared_otid",
             "rebuilt",
         ),
         0,
     )
-    serve_fetch, prune_tick, from_durable = (
+    serve_fetch, prune_tick, from_durable, version = (
         DataCenter._serve_fetch,
         DataCenter.prune_tick,
         DataCenter.from_durable.__func__,
+        DataCenter._version,
     )
-    pruned, rebuilt = set(), set()
+    pruned, rebuilt, serving = set(), set(), []
+
+    def checked_version(so, key):
+        kept = list(so.kept)
+        out = version(so, key)
+        if serving:
+            same = [state for positions, state in kept if positions == key]
+            if same:
+                # a kept version at the same positions is served as it is
+                assert out is same[0]
+            else:
+                # else one whose positions are a prefix may be replayed from
+                seen["prefix"] += any(is_prefix(p, key) for p, _ in kept)
+        assert len(so.kept) <= KEPT_VERSIONS
+        return out
 
     def counted_prune(dc, env):
         before = len(dc.log)
@@ -1100,9 +1131,11 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
         admit_dc = session.last_announced if session else msg.snapshot.dc_part
         admit_at = CausalClock(admit_dc, msg.snapshot.local_part)
         caches = session is None or session.caches
-        memo = {o: dc.store[o].served for o in msg.objects if o in dc.store}
+        kept = {o: list(dc.store[o].kept) for o in msg.objects if o in dc.store}
         tap = SendTap(env)
+        serving.append(msg)
         serve_fetch(dc, tap, msg)
+        serving.pop()
         (reply,) = tap.sent
         if reply.status == "pruned":
             with pytest.raises(VersionPruned):
@@ -1132,7 +1165,7 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
                 got = dc.fetch_states(obj, msg.snapshot, None, msg.scout)
                 seen["cacheless"] += 1
             assert got == (snap_state, admit_state)
-            hit = memo.get(obj) is not None and memo[obj][0] == snap_key
+            hit = any(positions == snap_key for positions, _ in kept.get(obj, ()))
             seen["objects"] += 1
             seen["memo_hits"] += hit
             seen["memo_after_prune"] += hit and dc in pruned
@@ -1143,6 +1176,7 @@ def test_one_pass_fetch_matches_two_materialize_calls(name, monkeypatch):
     monkeypatch.setattr(DataCenter, "_serve_fetch", checked_serve)
     monkeypatch.setattr(DataCenter, "prune_tick", counted_prune)
     monkeypatch.setattr(DataCenter, "from_durable", classmethod(counted_rebuild))
+    monkeypatch.setattr(DataCenter, "_version", staticmethod(checked_version))
     scenario = load_scenario(base) if isinstance(base, str) else base
     run_scenario(scenario, seed=1, overrides=overrides)
     assert seen["objects"] == seen["shared"] + seen["split"] + seen["cacheless"], seen
@@ -1192,7 +1226,8 @@ class TestFetchStates:
         dc.on_commit_request(env, commit_req("D", 1, [set_add(B_FRD, "D", Otid(1, "D"))]))
         again, _ = dc.fetch_states(B_FRD, clock([1, 7]), clock([1, 7]), "R")
         assert again is first
-        assert dc.store[B_FRD].served == ([0], first)
+        assert dc.store[B_FRD].kept == [([0], first)]
+        assert dc.store[B_FRD].kept[0][1] is first
 
     def test_the_memo_is_keyed_on_entries_not_on_the_clock(self):
         dc = self._dc()
@@ -1207,13 +1242,13 @@ class TestFetchStates:
         env, dc = friendship_dc()
         for obj in (B_FRD, C_FRD):
             dc.fetch_states(obj, clock([1, 0]), clock([2, 0]), "R")
-            assert dc.store[obj].served is not None
-        c_frd_memo = dc.store[C_FRD].served
+            assert dc.store[obj].kept != []
+        c_frd_kept = list(dc.store[C_FRD].kept)
         dc.known_vectors[1] = vv(1, 0)
         dc.prune_tick(env)
         # B_FRD's first entry was folded; C_FRD's only entry was not
-        assert dc.store[B_FRD].served is None
-        assert dc.store[C_FRD].served is c_frd_memo
+        assert dc.store[B_FRD].kept == []
+        assert list(map(id, dc.store[C_FRD].kept)) == list(map(id, c_frd_kept))
         snap, admit = dc.fetch_states(B_FRD, clock([1, 0]), clock([2, 0]), "R")
         assert snap == dc.materialize(B_FRD, clock([1, 0]), "R")
         assert admit == dc.materialize(B_FRD, clock([2, 0]), "R")
@@ -1223,16 +1258,143 @@ class TestFetchStates:
         assert dc.store[A_FRD].entries == []
         snap, admit = dc.fetch_states(A_FRD, clock([2, 0]), clock([1, 0]), "R")
         assert admit is None and snap is dc.store[A_FRD].checkpoint
-        assert dc.store[A_FRD].served is None
+        assert dc.store[A_FRD].kept == []
 
     def test_the_memo_is_not_durable(self):
         dc = self._dc()
         durable = dc.durable_snapshot()
         dc.fetch_states(B_FRD, clock([2, 0]), clock([1, 0]), "R")
-        assert dc.store[B_FRD].served is not None
+        assert dc.store[B_FRD].kept != []
         assert dc.durable_snapshot() == durable
         rebuilt = DataCenter.from_durable(durable, dc.num_dcs, dc.k)
-        assert all(so.served is None for so in rebuilt.store.values())
+        assert all(so.kept == [] for so in rebuilt.store.values())
+
+
+# `apply_effect` calls made while the DCs serve fetches on social-90-10,
+# seed 1, 250 users, at 1x and 4x its 24 scouts: 608 and 9,243 when each
+# object kept one served version, 468 and 3,875 with kept versions. The
+# counts are exact, so this gates a superlinear replay without timing
+FETCH_REPLAY_APPLIES = {1: 468, 4: 3875}
+
+
+@pytest.mark.parametrize("scale", sorted(FETCH_REPLAY_APPLIES))
+def test_fetch_replay_applies_stay_within_their_count(scale, monkeypatch):
+    applies, serving = [0], []
+    apply, serve_fetch = dc_module.apply_effect, DataCenter._serve_fetch
+
+    def counted_apply(state, effect):
+        applies[0] += bool(serving)
+        return apply(state, effect)
+
+    def counted_serve(dc, env, msg):
+        serving.append(msg)
+        serve_fetch(dc, env, msg)
+        serving.pop()
+
+    monkeypatch.setattr(dc_module, "apply_effect", counted_apply)
+    monkeypatch.setattr(DataCenter, "_serve_fetch", counted_serve)
+    run_scenario(load_scenario("social-90-10"), seed=1, overrides={"num_scouts": 24 * scale})
+    assert 0 < applies[0] <= FETCH_REPLAY_APPLIES[scale]
+
+
+def replayed(so, positions):
+    """The checkpoint plus the entries at `positions`, replayed from scratch."""
+    state = so.checkpoint
+    for i in positions:
+        state = apply_effect(state, so.entries[i][0])
+    return state
+
+
+def expected_version(dc, obj, at, own):
+    so = dc.store.get(obj)
+    return new_state(obj.crdt_type) if so is None else replayed(so, covered_entries(dc, obj, at, own))
+
+
+KEPT_READERS = ("R", "C", "")
+KEPT_OBJECTS = (B_FRD, CTR, ObjectId("never", CrdtType.COUNTER))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_kept_versions_serve_what_a_replay_from_scratch_gives(data):
+    """Commits, gossip admits, alias merges, prune folds and fetches at any
+    clock and reader, interleaved on one replica: every fetch serves the
+    replay of its covered positions, every kept version is that of its own
+    positions, no object keeps more than the bound, a fold clears what it
+    changed, and fetches leave the durable stream as it was."""
+    env, dc = FakeEnv(), DataCenter(0, num_dcs=2, k=1)
+    otids = dict.fromkeys(KEPT_READERS[:2], 0)  # each scout's last OTID counter
+    remote = 0  # the last slot of dc1 this replica admitted
+
+    def draw_update():
+        scout = data.draw(st.sampled_from(KEPT_READERS[:2]))
+        otids[scout] += 1
+        otid = Otid(otids[scout], scout)
+        obj = data.draw(st.sampled_from(KEPT_OBJECTS[:2]))
+        if obj == CTR:
+            # no two sets of increments sum to the same value
+            step = 2 ** sum(otids.values())
+            effect = prepare(CTR, new_state(CrdtType.COUNTER), ("inc", step), EffectTag(*otid, 0))
+        else:
+            effect = set_add(obj, data.draw(st.sampled_from("xyz")), otid)
+        return scout, otid, (effect,)
+
+    def draw_clock():
+        dc_part = VersionVector(
+            data.draw(st.integers(max(low - 1, 0), high + 1))
+            for low, high in zip(dc.prune_vector, dc.vdc)
+        )
+        return CausalClock(dc_part, data.draw(st.integers(0, max(otids.values()) + 1)))
+
+    for _ in range(data.draw(st.integers(1, 40))):
+        step = data.draw(st.sampled_from(("commit", "gossip", "alias", "prune") + ("fetch",) * 4))
+        if step == "commit":
+            scout, otid, effects = draw_update()
+            dc.on_commit_request(env, CommitRequest(scout, otid, CausalClock(dc.vdc, 0), effects))
+        elif step == "gossip":
+            remote += 1
+            scout, otid, effects = draw_update()
+            record = CommitRecord(otid, (Gtid(remote, 1),), clock([0, remote - 1]), effects, scout)
+            dc.on_gossip(env, GossipBatch(1, [record], vv(0, remote)))
+        elif step == "alias" and dc.log:
+            # dc1 sequenced one of our records too: it gains an alias slot
+            remote += 1
+            record = data.draw(st.sampled_from(dc.log)).copy()
+            record.gtids = (Gtid(remote, 1),)
+            dc.on_gossip(env, GossipBatch(1, [record], vv(0, remote)))
+        elif step == "prune":
+            dc.known_vectors[1] = VersionVector(
+                data.draw(st.integers(low, high)) for low, high in zip(dc.prune_vector, dc.vdc)
+            )
+            before = {obj: len(so.entries) for obj, so in dc.store.items()}
+            dc.prune_tick(env)
+            for obj, so in dc.store.items():
+                if len(so.entries) < before.get(obj, 0):
+                    assert so.kept == []
+        elif step == "fetch":
+            obj = data.draw(st.sampled_from(KEPT_OBJECTS))
+            own = data.draw(st.sampled_from(KEPT_READERS))
+            snapshot = draw_clock()
+            admit = draw_clock() if data.draw(st.booleans()) else None
+            durable = dc.durable_snapshot()
+            clocks = (snapshot,) if admit is None else (snapshot, admit)
+            if not all(dc.prune_vector.leq(c.dc_part) for c in clocks):
+                with pytest.raises(VersionPruned):
+                    dc.fetch_states(obj, snapshot, admit, own)
+                continue
+            snap_state, admit_state = dc.fetch_states(obj, snapshot, admit, own)
+            assert snap_state == expected_version(dc, obj, snapshot, own)
+            if admit is None or covered_entries(dc, obj, admit, own) == covered_entries(
+                dc, obj, snapshot, own
+            ):
+                assert admit_state is None
+            else:
+                assert admit_state == expected_version(dc, obj, admit, own)
+            assert dc.durable_snapshot() == durable
+        for so in dc.store.values():
+            assert len(so.kept) <= KEPT_VERSIONS
+            for positions, state in so.kept:
+                assert state == replayed(so, positions)
 
 
 # -- alias index after pruning with duplicate OTIDs --------------------------------

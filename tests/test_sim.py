@@ -444,18 +444,28 @@ class TestValidation:
     def test_the_smallest_tick_periods_are_accepted(self):
         small_cfg(gossip_ms=1, notify_ms=1, prune_ms=1, retry_ms=1, jitter_ms=0).validate()
 
-    # a negative drain or horizon once ended a run before its replicas
+    # a drain or horizon below 1 once ended a run before its replicas
     # synced, failing its convergence check, and a negative think time or
     # cache capacity ran as zero
     @pytest.mark.parametrize(
-        "key, value", [("drain_ms", -5000), ("horizon_ms", -1), ("think_ms", -5), ("cache_capacity", -1)]
+        "key, value",
+        [
+            ("drain_ms", -5000),
+            ("horizon_ms", -1),
+            ("think_ms", -5),
+            ("cache_capacity", -1),
+            ("drain_ms", 0),
+            ("horizon_ms", 0),
+        ],
     )
     def test_a_negative_run_setting_is_rejected(self, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be non-negative, not {value}"):
+        least = {"drain_ms": 1, "horizon_ms": 1}.get(key, 0)
+        rule = "at least 1" if least else "non-negative"
+        with pytest.raises(ValueError, match=f"{key} must be {rule}, not {value}"):
             small_cfg(**{key: value}).validate()
         with pytest.raises(ValueError, match=key):
             Simulation(small_cfg(**{key: value}), scripts={})
-        small_cfg(**{key: 0}).validate()
+        small_cfg(**{key: least}).validate()
 
     def test_a_preset_with_more_dcs_than_its_matrix_fails_at_validation(self):
         # the preset's matrices are 3x3
