@@ -257,7 +257,6 @@ class TraceAnalysis:
     def _parse(self, trace: list[dict]) -> None:
         records, reads, reads_by_tx = self.records, self.reads, self.reads_by_tx
         txs, tx_order, tx_updates, by_alias = self.txs, self.tx_order, self.tx_updates, self.by_alias
-        seen_applies = set()
         # event kinds in order of frequency; the rest are skipped
         for ev in trace:
             kind = ev["ev"]
@@ -301,9 +300,6 @@ class TraceAnalysis:
             elif kind == "apply":
                 otid = tuple(ev["otid"])
                 dc = int(ev["node"][2:])
-                if (dc, otid) in seen_applies:
-                    self.duplicate_applies.append(f"record {otid} applied twice at dc{dc}")
-                seen_applies.add((dc, otid))
                 t = ev["t"]
                 rec = records.get(otid)
                 if rec is None:
@@ -329,7 +325,10 @@ class TraceAnalysis:
                     by_alias[alias] = otid
                 if t < rec.commit_time:
                     rec.commit_time = t
-                rec.apply_times.setdefault(dc, t)
+                if dc in rec.apply_times:
+                    self.duplicate_applies.append(f"record {otid} applied twice at dc{dc}")
+                else:
+                    rec.apply_times[dc] = t
             elif kind == "update":
                 tx_updates[tuple(ev["otid"])].append(ev["effect"])
             elif kind == "tx_abort":

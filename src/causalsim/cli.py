@@ -28,11 +28,16 @@ def _overrides(args) -> dict:
     return out
 
 
-def _load_faults(path) -> list[dict]:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, list):
-        raise ValueError("fault schedule must be a JSON list")
-    return doc
+def _scenario(args) -> dict:
+    """The scenario `args` names, with `--fault-schedule`'s list in place of
+    its faults when given."""
+    scenario = load_scenario(args.scenario)
+    if args.fault_schedule:
+        faults = json.loads(Path(args.fault_schedule).read_text())
+        if not isinstance(faults, list):
+            raise ValueError("fault schedule must be a JSON list")
+        scenario = dict(scenario, faults=faults)
+    return scenario
 
 
 def _write_trace(path: Path, trace: list[dict]) -> None:
@@ -70,10 +75,7 @@ def _run_one(scenario: dict, seed, overrides: dict) -> tuple[dict, list[dict]]:
 
 
 def cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.fault_schedule:
-        scenario = dict(scenario)
-        scenario["faults"] = _load_faults(args.fault_schedule)
+    scenario = _scenario(args)
     report, trace = _run_one(scenario, args.seed, _overrides(args))
     if args.out:
         out = Path(args.out)
@@ -110,10 +112,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.fault_schedule:
-        scenario = dict(scenario)
-        scenario["faults"] = _load_faults(args.fault_schedule)
+    scenario = _scenario(args)
     base = args.seed if args.seed is not None else 1
     reports = []
     failures = 0

@@ -212,10 +212,11 @@ class DataCenter:
         self.send_marks: dict[DcId, deque[VersionVector]] = {}
         self.quiet_ticks: dict[DcId, int] = {}
         self.sessions: dict[ScoutId, Session] = {}
-        # deferred work by OTID, in arrival order
+        # deferred work in arrival order: records and requests by OTID,
+        # fetches by (scout, req_id)
         self.pending_remote: dict[Otid, CommitRecord] = {}
         self.pending_commits: dict[Otid, CommitRequest] = {}
-        self.pending_fetches: list[FetchRequest] = []
+        self.pending_fetches: dict[tuple[ScoutId, int], FetchRequest] = {}
         self.pending_stored: dict[Otid, StoredTxRequest] = {}
         self.crash_on_next_commit = False
         # set on a crashed instance, whose handler may still be on the stack
@@ -533,18 +534,14 @@ class DataCenter:
                 (self.pending_remote, self._place_remote),
                 (self.pending_commits, self._try_commit),
                 (self.pending_stored, self._try_stored),
+                (self.pending_fetches, self._try_fetch),
             ):
-                for otid, item in list(pending.items()):
+                for key, item in list(pending.items()):
                     if self.dead:
                         return
                     if attempt(env, item):
-                        del pending[otid]
+                        del pending[key]
                         progress = True
-            for msg in list(self.pending_fetches):
-                if self._fetch_ready(msg):
-                    self.pending_fetches.remove(msg)
-                    self._serve_fetch(env, msg)
-                    progress = True
 
     # -- reads ----------------------------------------------------------------
 
@@ -576,10 +573,15 @@ class DataCenter:
         if not self.prune_vector.leq(msg.snapshot.dc_part):
             env.send(f"dc{self.id}", msg.scout, FetchReply(msg.scout, msg.req_id, "pruned"))
             return
-        if self._fetch_ready(msg):
-            self._serve_fetch(env, msg)
-        else:
-            self.pending_fetches.append(msg)
+        if not self._try_fetch(env, msg):
+            self.pending_fetches.setdefault((msg.scout, msg.req_id), msg)
+
+    def _try_fetch(self, env, msg: FetchRequest) -> bool:
+        """Serve a fetch once its clocks are applied here; False until then."""
+        if not self._fetch_ready(msg):
+            return False
+        self._serve_fetch(env, msg)
+        return True
 
     def _fetch_ready(self, msg: FetchRequest) -> bool:
         if not self.deps_satisfied(msg.snapshot, msg.scout):
@@ -595,10 +597,10 @@ class DataCenter:
         admit_clock: Optional[CausalClock],
         own: ScoutId,
     ) -> tuple[Any, Optional[Any]]:
-        """`materialize` at both clocks, from one walk over the object's
-        entries. Returns (snapshot state, admit state), with None for the
-        admit state when both clocks cover the same entries, or when there
-        is no admit clock."""
+        """`materialize` at both clocks, through the kept versions. Returns
+        (snapshot state, admit state), with None for the admit state when
+        both clocks cover the same entries, or when there is no admit
+        clock."""
         clocks = (snapshot,) if admit_clock is None else (snapshot, admit_clock)
         for c in clocks:
             if not self.prune_vector.leq(c.dc_part):
@@ -608,40 +610,29 @@ class DataCenter:
             return new_state(obj.crdt_type), None
         if not so.entries:
             return so.checkpoint, None
-        # the positions `_covered` picks, with its alias test inlined
-        snap_vdc, snap_local = snapshot
-        snap_key = []
-        if admit_clock is None:
-            for i, (_, record) in enumerate(so.entries):
-                for counter, origin in record.gtids:
-                    if snap_vdc[origin] >= counter:
-                        snap_key.append(i)
-                        break
-                else:
-                    counter, origin = record.otid
-                    if origin == own and counter <= snap_local:
-                        snap_key.append(i)
-            return self._version(so, snap_key), None
-        admit_vdc, admit_local = admit_clock
-        admit_key = []
-        for i, (_, record) in enumerate(so.entries):
-            in_snap = in_admit = False
-            for counter, origin in record.gtids:
-                if snap_vdc[origin] >= counter:
-                    in_snap = True
-                if admit_vdc[origin] >= counter:
-                    in_admit = True
-            if not (in_snap and in_admit):
-                counter, origin = record.otid
-                if origin == own:
-                    in_snap = in_snap or counter <= snap_local
-                    in_admit = in_admit or counter <= admit_local
-            if in_snap:
-                snap_key.append(i)
-            if in_admit:
-                admit_key.append(i)
+        snap_key = self._positions(so, snapshot, own)
         snap = self._version(so, snap_key)
+        if admit_clock is None:
+            return snap, None
+        admit_key = self._positions(so, admit_clock, own)
         return snap, (None if admit_key == snap_key else self._version(so, admit_key))
+
+    @staticmethod
+    def _positions(so: StoredObject, clock: CausalClock, own: ScoutId) -> list[int]:
+        """The positions in `so.entries` that `_covered` picks at `clock`,
+        with its alias test inlined."""
+        vdc, local = clock
+        positions = []
+        for i, (_, record) in enumerate(so.entries):
+            for counter, origin in record.gtids:
+                if vdc[origin] >= counter:
+                    positions.append(i)
+                    break
+            else:
+                counter, origin = record.otid
+                if origin == own and counter <= local:
+                    positions.append(i)
+        return positions
 
     @staticmethod
     def _version(so: StoredObject, key: list[int]) -> Any:

@@ -5,9 +5,13 @@ the message object itself and encodes it only when a wire tap is attached
 (`Simulation.send`). What makes that safe is that a message holds nothing
 its sender mutates later: clocks, effects and states are immutable, and a
 gossip batch carries per-send copies of the sender's records, whose
-`gtids` tuples alias merges rebind and never extend. `tests/test_pins.py`
-runs every pinned run again with each message sent through the codec and
-back, and requires the same trace bytes.
+`gtids` tuples alias merges rebind and never extend. A scout keeps each
+request in flight (its pending commits, fetch and stored call) as the
+message it sent and never mutates it. It resends a commit or a stored
+call as that very message; a fetch reissued after a reconnect gets a new
+request id. A DC parks a request that must wait as it arrived.
+`tests/test_pins.py` runs every pinned run again with each message sent
+through the codec and back, and requires the same trace bytes.
 
 A message's wire dict is `{"m": kind}` and one key per dataclass field, in
 field order, each encoded by the codec of its annotation (`_CODECS`;

@@ -35,7 +35,6 @@ from causalsim.crdt import (
 # nothing here decodes a state; the benchmark's tracer wraps this name
 from causalsim.crdt import state_from_wire  # noqa: F401
 from causalsim.messages import (
-    CommitRecord,
     CommitReply,
     CommitRequest,
     FetchReply,
@@ -75,9 +74,10 @@ class CacheEntry:
 
 @dataclass
 class PendingCommit:
-    record: CommitRecord
+    # the request as first sent, which every resend sends again
+    request: CommitRequest
+    # the aliases acks named; none while the commit is unacknowledged
     gtids: list[Gtid] = field(default_factory=list)
-    acked: bool = False
 
 
 @dataclass
@@ -100,21 +100,6 @@ class TxHandle:
     def __post_init__(self):
         self.otid_wire = otid_to_wire(self.otid)
         self.snap_wire = clock_to_wire(self.snapshot)
-
-
-@dataclass
-class _OutstandingFetch:
-    req_id: int
-    objects: list[ObjectId]
-
-
-@dataclass
-class _OutstandingStored:
-    name: str
-    params: Any
-    otid: Otid
-    deps: CausalClock
-    reply: Optional[StoredTxReply] = None
 
 
 # message class -> the name of its `Scout` handler, looked up on the
@@ -160,8 +145,9 @@ class Scout:
         # object -> what a read in the open transaction gets from the cache
         # (None: a miss), kept from before a change to the object's entry
         self.tx_stash: dict[ObjectId, Any] = {}
-        self.fetch: Optional[_OutstandingFetch] = None
-        self.stored: Optional[_OutstandingStored] = None
+        # the fetch and the stored call in flight, as sent
+        self.fetch: Optional[FetchRequest] = None
+        self.stored: Optional[StoredTxRequest] = None
         self.notify_backlog: list[NotifyBatch] = []
         self.pending_unsub: list[ObjectId] = []
         self.req_counter = 0
@@ -250,14 +236,10 @@ class Scout:
     def _issue_fetch(self, env, tx: TxHandle, objs: list[ObjectId]) -> None:
         self.req_counter += 1
         tx.round_trips += 1
-        self.fetch = _OutstandingFetch(self.req_counter, objs)
         # an evicted object that a later reply admitted again stays subscribed
         unsub = [o for o in self.pending_unsub if o not in self.cache]
-        env.send(
-            self.id,
-            self._dc_addr(self.session),
-            FetchRequest(self.id, self.req_counter, objs, tx.snapshot, unsub),
-        )
+        self.fetch = FetchRequest(self.id, self.req_counter, objs, tx.snapshot, unsub)
+        env.send(self.id, self._dc_addr(self.session), self.fetch)
         self.pending_unsub = []
 
     def _trace_read(self, env, tx: TxHandle, obj: ObjectId, src: str) -> None:
@@ -305,8 +287,8 @@ class Scout:
                 if entry is not None and entry.state is not None:
                     entry.state = apply_effect(entry.state, effect)
             self.clock = self.clock.with_local(tx.otid.counter)
-            record = CommitRecord(tx.otid, (), tx.snapshot, tuple(tx.effects), self.id)
-            self.pending.append(PendingCommit(record))
+            request = CommitRequest(self.id, tx.otid, tx.snapshot, tuple(tx.effects))
+            self.pending.append(PendingCommit(request))
             self.durability[tx.otid.counter] = "local"
         touched = []
         for e in tx.effects:
@@ -360,17 +342,15 @@ class Scout:
 
     def _send_commit(self, env, pc: PendingCommit) -> None:
         target = self._commit_target()
-        if target is None:
-            return
-        r = pc.record
-        env.send(self.id, target, CommitRequest(self.id, r.otid, r.deps, r.effects))
+        if target is not None:
+            env.send(self.id, target, pc.request)
 
     def pump_tick(self, env) -> None:
         """Resend every unacknowledged pending record, oldest first."""
         if not self.connected:
             return
         for pc in self.pending:
-            if not pc.acked:
+            if not pc.gtids:
                 self._send_commit(env, pc)
 
     def on_commit_reply(self, env, reply: CommitReply) -> None:
@@ -394,12 +374,12 @@ class Scout:
         self._sweep_k_durable()
 
     def _ack(self, otid: Otid, gtid: Optional[Gtid]) -> Optional[PendingCommit]:
-        """Mark the pending record `otid` acknowledged, with alias `gtid`,
-        and return it; None if it is no longer pending. A pending record is
-        never K-durable, so it is now global."""
-        pc = next((p for p in self.pending if p.record.otid == otid), None)
+        """Note alias `gtid` of the pending record `otid`, and return the
+        record; None if it is no longer pending. A pending record is never
+        K-durable, so it is now global. Only a `null` reply has no GTID, and
+        its caller drops the record."""
+        pc = next((p for p in self.pending if p.request.otid == otid), None)
         if pc is not None:
-            pc.acked = True
             if gtid is not None and gtid not in pc.gtids:
                 pc.gtids.append(gtid)
             self.durability[otid.counter] = "global"
@@ -409,7 +389,7 @@ class Scout:
         kept = []
         for pc in self.pending:
             if any(self.clock.dc_part.covers(g) for g in pc.gtids):
-                self.durability[pc.record.otid.counter] = "k_durable"
+                self.durability[pc.request.otid.counter] = "k_durable"
             else:
                 kept.append(pc)
         self.pending = kept
@@ -585,12 +565,8 @@ class Scout:
             raise Unavailable(f"{self.id}: stored call while disconnected")
         self.otid_counter += 1
         otid = Otid(self.otid_counter, self.id)
-        self.stored = _OutstandingStored(name, params, otid, self.clock)
-        env.send(
-            self.id,
-            self._dc_addr(self.session),
-            StoredTxRequest(self.id, name, params, otid, self.clock),
-        )
+        self.stored = StoredTxRequest(self.id, name, params, otid, self.clock)
+        env.send(self.id, self._dc_addr(self.session), self.stored)
 
     def on_stored_reply(self, env, reply: StoredTxReply) -> None:
         if self.stored is None or reply.otid != self.stored.otid:
@@ -678,17 +654,11 @@ class Scout:
         """Resend the outstanding stored call and reissue the outstanding
         fetch to the session DC."""
         if self.stored is not None:
-            call = self.stored
-            env.send(
-                self.id,
-                self._dc_addr(self.session),
-                StoredTxRequest(self.id, call.name, call.params, call.otid, call.deps),
-            )
+            env.send(self.id, self._dc_addr(self.session), self.stored)
         if self.fetch is not None and self.tx is not None and self.tx.status == "active":
-            objs = self.fetch.objects
-            self.fetch = None
+            # a new request id, so that a late reply to the old one is stale
             self.tx.round_trips -= 1  # reissue, not a new application round trip
-            self._issue_fetch(env, self.tx, objs)
+            self._issue_fetch(env, self.tx, self.fetch.objects)
 
     # -- dispatch -----------------------------------------------------------------------
 

@@ -509,6 +509,29 @@ class TestFetch:
         assert env.replies("FetchReply") == []
         assert len(dc.pending_fetches) == 1
 
+    def test_a_replica_that_crashes_while_draining_serves_no_parked_fetch(self):
+        dc = DataCenter(1, num_dcs=2, k=1)
+
+        class CrashingEnv(FakeEnv):
+            def request_crash(self, dc_id):
+                super().request_crash(dc_id)
+                dc.dead = True  # as the simulator marks the instance it replaces
+
+        env = CrashingEnv()
+        first = Otid(1, "A")
+        dc.on_commit_request(
+            env, commit_req("X", 1, [set_add(B_FRD, "x", Otid(1, "X"))], deps=clock([1, 0]))
+        )
+        dc.on_fetch_request(env, FetchRequest("R", 1, [B_FRD], clock([1, 0])))
+        assert len(dc.pending_commits) == 1 and len(dc.pending_fetches) == 1
+        dc.crash_on_next_commit = True
+        effect = set_add(B_FRD, "A", first)
+        record = CommitRecord(first, (Gtid(1, 0),), clock([0, 0]), (effect,), "A")
+        dc.on_gossip(env, GossipBatch(0, [record], vv(1, 0)))
+        # the parked commit crashed the replica; its parked fetch stays unserved
+        assert env.crashes == [1] and dc.dead
+        assert env.replies("FetchReply") == []
+
     def test_fetch_below_prune_fails_fast(self):
         env, dc = friendship_dc()
         dc.known_vectors[1] = vv(2, 0)

@@ -3,7 +3,7 @@ import pytest
 from causalsim import sim as sim_module
 from causalsim.clocks import CausalClock, Otid, VersionVector
 from causalsim.crdt import CounterState, CrdtType, ObjectId, apply_effect, new_state
-from causalsim.messages import FetchReply, NotifyBatch
+from causalsim.messages import FetchReply, NotifyBatch, SessionReply, SessionRequest
 from causalsim.scenarios import PRESETS, load_scenario, run_scenario, sim_config
 from causalsim.checker import run_checks
 from causalsim.scout import CachePinOverflow, ProtocolError, Scout, Unavailable, UsageError
@@ -37,6 +37,27 @@ def harness(num_scouts=1, num_dcs=2, **kw):
 
 def events(sim, kind):
     return [e for e in sim.trace_log if e.get("ev") == kind]
+
+
+class RecordingEnv:
+    """Keeps what a scout sends and traces, at time 0."""
+
+    def __init__(self):
+        self.sent = []
+        self.events = []
+
+    def now(self):
+        return 0
+
+    def send(self, src, dst, msg):
+        self.sent.append((dst, msg))
+
+    def trace(self, ev):
+        self.events.append(ev)
+
+    def requests(self):
+        """(destination, message) for every message sent but session probes."""
+        return [(dst, m) for dst, m in self.sent if not isinstance(m, SessionRequest)]
 
 
 class TestLifecycle:
@@ -395,6 +416,37 @@ class TestFailover:
         rejected = [e for e in sim.trace_log if e.get("ev") == "session"]
         assert rejected and rejected[-1]["result"] == "rejected"
 
+    def test_a_new_session_is_sent_every_pending_request_as_first_sent(self):
+        env = RecordingEnv()
+        s = Scout("s0", num_dcs=2, cache_capacity=4)
+
+        def connect(dc):
+            s.ensure_session(env)
+            assert s.probe_inflight == dc
+            reply = SessionReply("s0", dc, s.session_epoch, True, VersionVector.zero(2))
+            s.on_session_reply(env, reply)
+
+        connect(0)
+        s.admit(env, CTR, new_state(CrdtType.COUNTER), VersionVector.zero(2))
+        for _ in range(2):
+            tx = s.begin(env)
+            s.read(env, tx, CTR)
+            s.update(env, tx, CTR, ("inc", 1))
+            s.commit(env, tx)
+        s.exec_stored_tx(env, "tally", {"obj": "ctr:0", "n": 1})
+        first = env.requests()
+        assert [type(m).__name__ for _, m in first] == ["CommitRequest"] * 2 + ["StoredTxRequest"]
+        assert {dst for dst, _ in first} == {"dc0"}
+
+        s.on_session_lost(env)
+        env.sent.clear()
+        connect(1)
+        again = env.requests()
+        assert [dst for dst, _ in again] == ["dc1"] * 3
+        assert [m for _, m in again] == [m for _, m in first]
+        # the very messages first sent, not rebuilt copies
+        assert all(a is b for (_, a), (_, b) in zip(again, first))
+
 
 # -- entries at the clock against the whole-cache sweep ----------------------------
 
@@ -438,9 +490,8 @@ class SweepScout(Scout):
                 entry.at = batch.frontier
         self.clock = self.clock.with_dc_part(batch.frontier)
         for otid, gtid in batch.acks:
-            pc = next((p for p in self.pending if p.record.otid == otid), None)
+            pc = next((p for p in self.pending if p.request.otid == otid), None)
             if pc is not None:
-                pc.acked = True
                 if gtid not in pc.gtids:
                     pc.gtids.append(gtid)
                 if self.durability.get(otid.counter) == "local":
