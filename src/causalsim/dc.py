@@ -6,9 +6,9 @@ commit log with its per-object checkpoints, the per-scout high-water OTID
 map, the prune frontier and the alias slots marked above it. A crash
 keeps nothing else: the simulator replaces the replica with one that
 `from_durable` rebuilds from that stream, so sessions, peer knowledge,
-send marks and deferred work are lost by construction. The log's indexes
-(by OTID, by alias slot, by origin scout, admission order) are derived
-from the log and rebuilt with it.
+send marks and deferred work are lost by construction. One method,
+`_index_log`, derives the log's indexes (by OTID, by alias slot, by origin
+scout) and every object's entries from the log, on recovery and on prune.
 
 Gossip sends records only to a peer it hears. A replica starts knowing
 that each peer is at the zero vector; a rebuilt one knows nothing of its
@@ -183,12 +183,6 @@ class DataCenter:
 
         # durable
         self.log: list[CommitRecord] = []
-        self.by_otid: dict[Otid, CommitRecord] = {}
-        # origin DC -> counter -> the log records holding that alias slot; the
-        # last one is the record the alias names
-        self.by_slot: list[dict[int, list[CommitRecord]]] = [{} for _ in range(num_dcs)]
-        # origin scout -> its records, in log order
-        self.by_origin: dict[ScoutId, list[CommitRecord]] = {}
         # id(record) -> admission number, increasing along the log;
         # `admitted` is the last number given
         self.admission: dict[int, int] = {}
@@ -199,6 +193,7 @@ class DataCenter:
         self.slots: list[set[int]] = [set() for _ in range(num_dcs)]
         self.top_slot = [0] * num_dcs  # highest slot ever marked, per origin
         self.vdc = VersionVector.zero(num_dcs)
+        self._index_log()  # derived from the log: by_otid, by_slot, by_origin
 
         # volatile: the inputs of the last announceable frontier, and that frontier
         self.frontier_memo: Optional[tuple[tuple, VersionVector]] = None
@@ -254,10 +249,10 @@ class DataCenter:
         dc.prune_vector = vector_from_wire(snapshot["prune_vector"])
         for obj_w, cp in snapshot["checkpoints"]:
             dc.store[object_from_wire(*obj_w)] = StoredObject(state_from_wire(cp))
-        for rw in snapshot["records"]:
-            record = record_from_wire(rw)
-            dc._log_record(record)
-            dc._store_effects(record)
+        dc.log = [record_from_wire(rw) for rw in snapshot["records"]]
+        dc.admission = {id(r): n for n, r in enumerate(dc.log, 1)}
+        dc.admitted = len(dc.log)
+        dc._index_log()
         # slots at or below the prune frontier were folded into checkpoints
         for origin, marked in enumerate(snapshot["slots"]):
             dc.slots[origin].update(range(1, dc.prune_vector[origin] + 1), marked)
@@ -303,41 +298,27 @@ class DataCenter:
             return False
         return True
 
-    def _log_record(self, record: CommitRecord) -> None:
-        """Append a record to the log and to every index over it."""
-        self.log.append(record)
-        self.admitted += 1
-        self.admission[id(record)] = self.admitted
+    def _index_record(self, record: CommitRecord) -> None:
         self.by_otid[record.otid] = record
         for g in record.gtids:
             self.by_slot[g.origin].setdefault(g.counter, []).append(record)
         self.by_origin.setdefault(record.otid.origin, []).append(record)
 
-    def _unlog_records(self, dropped: dict[int, CommitRecord]) -> None:
-        """Remove the records just pruned from the log, by identity, from the
-        indexes that list them. With dedup off another record may share an
-        OTID or an alias slot with a dropped one: the index then keeps, or
-        points at, the records left, as a rebuild from the log would."""
-
-        def keep_rest(index: dict, key) -> None:
-            rest = [r for r in index[key] if id(r) not in dropped]
-            if rest:
-                index[key] = rest
-            else:
-                del index[key]
-
-        for n in dropped:
-            del self.admission[n]
-        for origin, counter in {(g.origin, g.counter) for r in dropped.values() for g in r.gtids}:
-            keep_rest(self.by_slot[origin], counter)
-        for scout in {r.otid.origin for r in dropped.values()}:
-            keep_rest(self.by_origin, scout)
-        for otid in {r.otid for r in dropped.values()}:
-            mine = [r for r in self.by_origin.get(otid.origin, ()) if r.otid == otid]
-            if mine:
-                self.by_otid[otid] = mine[-1]
-            else:
-                del self.by_otid[otid]
+    def _index_log(self) -> None:
+        """Derive the indexes over the log and every object's entries from the
+        log, in log order, with the helpers a live admit uses."""
+        self.by_otid: dict[Otid, CommitRecord] = {}
+        # origin DC -> counter -> the log records holding that alias slot, in
+        # log order, as `_merge_aliases` adds an alias to the last record
+        # logged with the OTID; the last one is the record the alias names
+        self.by_slot: list[dict[int, list[CommitRecord]]] = [{} for _ in range(self.num_dcs)]
+        # origin scout -> its records, in log order
+        self.by_origin: dict[ScoutId, list[CommitRecord]] = {}
+        for so in self.store.values():
+            so.entries = []
+        for record in self.log:
+            self._index_record(record)
+            self._store_effects(record)
 
     def _store_effects(self, record: CommitRecord) -> None:
         for e in record.effects:
@@ -349,7 +330,10 @@ class DataCenter:
 
     def _admit_record(self, env, record: CommitRecord, via: str) -> None:
         """Durably log a record, apply its effects once, then advance vdc."""
-        self._log_record(record)
+        self.log.append(record)
+        self.admitted += 1
+        self.admission[id(record)] = self.admitted
+        self._index_record(record)
         prev = self.max_otid.get(record.otid.origin, 0)
         if record.otid.counter > prev:
             self.max_otid[record.otid.origin] = record.otid.counter
@@ -808,31 +792,24 @@ class DataCenter:
 
     def prune_tick(self, env) -> VersionVector:
         """Fold effects processed by every DC into checkpoints, drop records."""
-        pv = self.vdc
-        for j in range(self.num_dcs):
-            if j == self.id:
-                continue
-            pv = pv.meet(self.known_vectors.get(j, VersionVector.zero(self.num_dcs)))
+        pv = self.k_durable_frontier(self.num_dcs)  # the meet of every DC's vector
         if not (self.prune_vector.leq(pv) and pv != self.prune_vector):
             return self.prune_vector
         self.prune_vector = pv
-        folded: dict[int, CommitRecord] = {}
-        for so in self.store.values():
-            keep = []
-            for effect, record in so.entries:
-                # all aliases must be covered: a partially-covered record may
-                # still carry slot information some replica has not marked
-                if all(pv.covers(g) for g in record.gtids):
-                    so.checkpoint = apply_effect(so.checkpoint, effect)
-                    folded[id(record)] = record
-                else:
-                    keep.append((effect, record))
-            if len(keep) < len(so.entries):
-                so.kept = []  # a new checkpoint, and positions moved
-            so.entries = keep
+        # all aliases must be covered: a partially-covered record may still
+        # carry slot information some replica has not marked
+        folded = [r for r in self.log if all(pv.covers(g) for g in r.gtids)]
         if folded:
-            self.log = [r for r in self.log if id(r) not in folded]
-            self._unlog_records(folded)
+            for record in folded:
+                for effect in record.effects:
+                    so = self.store[effect.target]
+                    so.checkpoint = apply_effect(so.checkpoint, effect)
+                    so.kept = []  # a new checkpoint, and positions moved
+            dropped = {id(r) for r in folded}
+            self.log = [r for r in self.log if id(r) not in dropped]
+            # kept records keep their numbers: sessions compare `acked_through`
+            self.admission = {id(r): self.admission[id(r)] for r in self.log}
+            self._index_log()
         env.trace(
             {
                 "ev": "prune",

@@ -37,21 +37,22 @@ from causalsim.scout import Scout, Unavailable
 
 TRACE_SCHEMA = "causalsim-trace-1"
 
-FAULT_KINDS = (
-    "dc_crash",
-    "dc_recover",
-    "dc_crash_on_commit",
-    "partition",
-    "heal",
-    "scout_disconnect",
-    "scout_reconnect",
-)
+# fault kind -> the fields it reads besides `at`; it may set no other
+FAULT_FIELDS = {
+    "dc_crash": ("dc",),
+    "dc_recover": ("dc",),
+    "dc_crash_on_commit": ("dc",),
+    "partition": ("links",),
+    "heal": ("links",),
+    "scout_disconnect": ("scout",),
+    "scout_reconnect": ("scout", "to"),
+}
 
 
 @dataclass
 class FaultEvent:
     at: int
-    kind: str  # one of FAULT_KINDS
+    kind: str  # a key of FAULT_FIELDS
     dc: Optional[int] = None
     scout: Optional[str] = None
     to: Optional[int] = None
@@ -107,17 +108,21 @@ class SimConfig:
             if f.at < 0:
                 raise ValueError("fault times must be non-negative")
             # checked here, since a fault past the horizon never fires
-            if f.kind not in FAULT_KINDS:
+            if f.kind not in FAULT_FIELDS:
                 raise ValueError(f"unknown fault kind {f.kind!r}")
-            # and so are the fields each kind reads
+            # and so are the fields each kind reads, and that it sets no other
             name, last = f"{f.kind} fault at {f.at}", self.num_dcs - 1
-            if f.kind.startswith("dc_") and f.dc not in dcs:
+            reads = FAULT_FIELDS[f.kind]
+            for key in ("dc", "scout", "to", "links"):
+                if key not in reads and getattr(f, key) is not None:
+                    raise ValueError(f"{name} does not read {key!r}, set to {getattr(f, key)!r}")
+            if "dc" in reads and f.dc not in dcs:
                 raise ValueError(f"{name} needs a dc in 0..{last}, not {f.dc!r}")
-            if f.kind.startswith("scout_") and f.scout not in scouts:
+            if "scout" in reads and f.scout not in scouts:
                 raise ValueError(f"{name} needs one of scouts {sorted(scouts)}, not {f.scout!r}")
-            if f.kind.startswith("scout_") and not (f.to is None or f.to in dcs):
+            if "to" in reads and not (f.to is None or f.to in dcs):
                 raise ValueError(f"{name} needs a 'to' of null or 0..{last}, not {f.to!r}")
-            if f.kind in ("partition", "heal") and (
+            if "links" in reads and (
                 f.links is None or any(len(ln) != 2 or not nodes.issuperset(ln) for ln in f.links)
             ):
                 raise ValueError(f"{name} needs links, each a pair of known nodes, not {f.links!r}")

@@ -153,8 +153,14 @@ class TestRun:
             ({"at": 10, "kind": "scout_disconnect", "scout": "s99"}, "not 's99'"),
             ({"at": 10, "kind": "scout_reconnect", "scout": "s0", "to": 5}, "needs a 'to'"),
             ({"at": 10, "kind": "partition", "links": [["dc0", "dc9"]]}, "'dc9'"),
+            ({"at": 10, "kind": "scout_disconnect", "scout": "s0", "to": 1}, "not read 'to'"),
+            ({"at": 10, "kind": "dc_crash", "dc": 0, "scout": "s0"}, "not read 'scout'"),
+            ({"at": 10, "kind": "partition", "links": [], "dc": 0}, "not read 'dc'"),
         ],
-        ids=["no-dc", "dc-7", "no-links", "scout-s99", "to-5", "dc9"],
+        ids=[
+            "no-dc", "dc-7", "no-links", "scout-s99", "to-5", "dc9",
+            "to-unread", "scout-unread", "dc-unread",
+        ],
     )
     def test_a_fault_missing_a_field_its_kind_reads_is_an_error(
         self, small_scenario, capsys, monkeypatch, fault, named

@@ -393,6 +393,11 @@ class TestValidation:
             (FaultEvent(at=10, kind="heal"), "needs links"),
             (FaultEvent(at=10, kind="partition", links=[["dc0", "dc1", "s0"]]), "needs links"),
             (FaultEvent(at=10, kind="partition", links=[["s0", "s2"]]), "needs links"),
+            # a field the kind does not read would be ignored silently
+            (FaultEvent(at=10, kind="scout_disconnect", scout="s0", to=1), "not read 'to'"),
+            (FaultEvent(at=10, kind="dc_crash", dc=0, scout="s0"), "not read 'scout'"),
+            (FaultEvent(at=10, kind="partition", dc=1, links=[]), "not read 'dc', set to 1"),
+            (FaultEvent(at=10, kind="heal", links=[], to=0), "not read 'to'"),
         ],
     )
     def test_a_fault_without_the_fields_its_kind_reads_rejected(self, fault, named):
