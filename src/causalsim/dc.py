@@ -3,7 +3,7 @@
 A DC is a single logical state machine; the simulator invokes one handler
 at a time. Its durable state is the stream of `durable_snapshot`: the
 commit log with its per-object checkpoints, the per-scout high-water OTID
-map, the prune frontier and the alias slots marked above it. A crash
+map, the prune frontier, vdc and the alias slots marked above vdc. A crash
 keeps nothing else: the simulator replaces the replica with one that
 `from_durable` rebuilds from that stream, so sessions, peer knowledge,
 send marks and deferred work are lost by construction. One method,
@@ -42,7 +42,8 @@ rebuilt only when a slot moves it.
 Commit identity is tracked at slot granularity: every alias GTID of a
 record occupies one slot in its origin DC's gapless sequence, and the
 replica's version vector advances along the contiguous prefix of applied
-slots. Dependency checks therefore treat all aliases of a transaction
+slots, which it summarizes: only the slots above it stay marked.
+Dependency checks therefore treat all aliases of a transaction
 equivalently.
 """
 
@@ -147,7 +148,6 @@ class Session:
     epoch: int
     subscriptions: set[ObjectId]
     last_announced: VersionVector
-    acked: set[Otid] = field(default_factory=set)
     acked_through: int = 0  # admission number of the last record examined for acks
     caches: bool = True  # False: the scout keeps no cache, so nothing is subscribed
 
@@ -190,9 +190,10 @@ class DataCenter:
         self.max_otid: dict[ScoutId, int] = {}
         self.prune_vector = VersionVector.zero(num_dcs)
         self.store: dict[ObjectId, StoredObject] = {}
-        self.slots: list[set[int]] = [set() for _ in range(num_dcs)]
-        self.top_slot = [0] * num_dcs  # highest slot ever marked, per origin
         self.vdc = VersionVector.zero(num_dcs)
+        # per origin, the marked slots above vdc, and the highest slot marked
+        self.slots: list[set[int]] = [set() for _ in range(num_dcs)]
+        self.top_slot = [0] * num_dcs
         self._index_log()  # derived from the log: by_otid, by_slot, by_origin
 
         # volatile: the inputs of the last announceable frontier, and that frontier
@@ -232,12 +233,10 @@ class DataCenter:
             ],
             "max_otid": dict(sorted(self.max_otid.items())),
             "prune_vector": vector_to_wire(self.prune_vector),
-            # per origin, the marked slots above the prune frontier; this
-            # includes aliases of records already pruned here
-            "slots": [
-                sorted(c for c in marked if c > self.prune_vector[origin])
-                for origin, marked in enumerate(self.slots)
-            ],
+            "vdc": vector_to_wire(self.vdc),
+            # per origin, the marked slots above vdc; these may include
+            # aliases of records already pruned here
+            "slots": [sorted(marked) for marked in self.slots],
         }
 
     @classmethod
@@ -253,12 +252,9 @@ class DataCenter:
         dc.admission = {id(r): n for n, r in enumerate(dc.log, 1)}
         dc.admitted = len(dc.log)
         dc._index_log()
-        # slots at or below the prune frontier were folded into checkpoints
-        for origin, marked in enumerate(snapshot["slots"]):
-            dc.slots[origin].update(range(1, dc.prune_vector[origin] + 1), marked)
-        dc.top_slot = [max(s, default=0) for s in dc.slots]
-        dc.vdc = dc.prune_vector
-        dc._advance_vdc()
+        dc.vdc = vector_from_wire(snapshot["vdc"])
+        dc.slots = [set(marked) for marked in snapshot["slots"]]
+        dc.top_slot = [max(marked, default=v) for marked, v in zip(dc.slots, dc.vdc)]
         return dc
 
     def seed_store(self, states: dict[ObjectId, Any]) -> None:
@@ -353,20 +349,22 @@ class DataCenter:
         )
 
     def _mark_slots(self, gtids: tuple[Gtid, ...]) -> None:
-        for g in gtids:
-            if g.counter > self.top_slot[g.origin]:
-                self.top_slot[g.origin] = g.counter
-            self.slots[g.origin].add(g.counter)
+        for counter, origin in gtids:
+            if counter > self.vdc[origin]:
+                if counter > self.top_slot[origin]:
+                    self.top_slot[origin] = counter
+                self.slots[origin].add(counter)
         self._advance_vdc()
 
     def _advance_vdc(self) -> None:
-        """Move vdc along the contiguous prefix of marked slots; a vdc that
-        does not move stays the same object."""
+        """Move vdc along the contiguous prefix of marked slots, unmarking
+        each slot it passes; a vdc that does not move stays the same object."""
         vdc = list(self.vdc)
         moved = False
         for origin, marked in enumerate(self.slots):
             while vdc[origin] + 1 in marked:
                 vdc[origin] += 1
+                marked.remove(vdc[origin])
                 moved = True
         if moved:
             self.vdc = VersionVector(vdc)
@@ -772,21 +770,17 @@ class DataCenter:
         return bool(mine) and self.admission[id(mine[-1])] > session.acked_through
 
     def _take_acks(self, session: Session) -> list[tuple[Otid, Gtid]]:
-        """Ack the session scout's logged records, in log order, once per
-        OTID; acks go out before the records are K-durable. Only records
-        admitted since the last call are examined."""
+        """Ack the session scout's records admitted since the last call, in
+        log order; acks go out before the records are K-durable. The
+        duplicate filter logs one record per OTID, so each OTID is acked
+        once per session."""
         mine = self.by_origin.get(session.scout, [])
         start = len(mine)
         while start and self.admission[id(mine[start - 1])] > session.acked_through:
             start -= 1
-        acks = []
-        for record in mine[start:]:
-            if record.otid not in session.acked:
-                session.acked.add(record.otid)
-                acks.append((record.otid, record.primary_gtid))
         if mine:
             session.acked_through = self.admission[id(mine[-1])]
-        return acks
+        return [(record.otid, record.primary_gtid) for record in mine[start:]]
 
     # -- pruning ---------------------------------------------------------------
 

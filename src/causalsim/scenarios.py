@@ -57,7 +57,6 @@ def build_simulation(
     seed=None,
     overrides: dict | None = None,
     workload_overrides: dict | None = None,
-    procedures: dict | None = None,
 ) -> Simulation:
     config = sim_config(scenario, seed=seed, overrides=overrides)
     wl = scenario.get("workload", {"kind": "none"})
@@ -66,8 +65,6 @@ def build_simulation(
     scripts, initial, procs = workload.build(
         wl, config.num_scouts, config.seed, config.cache_capacity
     )
-    procs = dict(procs)
-    procs.update(procedures or {})
     sim = Simulation(config, scripts=scripts, initial_states=initial, procedures=procs)
     sim.meta = {
         "scenario": {

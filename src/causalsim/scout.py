@@ -74,6 +74,9 @@ class CacheEntry:
 
 @dataclass
 class PendingCommit:
+    """A local commit not yet K-durable: local with no alias, global with
+    one. It leaves `Scout.pending` once K-durable."""
+
     # the request as first sent, which every resend sends again
     request: CommitRequest
     # the aliases acks named; none while the commit is unacknowledged
@@ -134,7 +137,6 @@ class Scout:
         # clock; they join the clock when it reaches that frontier
         self.waiting: dict[VersionVector, set[ObjectId]] = {}
         self.pending: list[PendingCommit] = []
-        self.durability: dict[int, str] = {}
         self.otid_counter = 0
         self.session: Optional[DcId] = None
         self.session_epoch = 0
@@ -289,7 +291,6 @@ class Scout:
             self.clock = self.clock.with_local(tx.otid.counter)
             request = CommitRequest(self.id, tx.otid, tx.snapshot, tuple(tx.effects))
             self.pending.append(PendingCommit(request))
-            self.durability[tx.otid.counter] = "local"
         touched = []
         for e in tx.effects:
             pair = object_to_wire(e.target)
@@ -327,9 +328,6 @@ class Scout:
         self.tx = None
         self.tx_stash = {}
         self.fetch = None
-
-    def tx_status(self, counter: int) -> str:
-        return self.durability.get(counter, "unknown")
 
     # -- commit pump -------------------------------------------------------------
 
@@ -369,30 +367,22 @@ class Scout:
         if reply.status == "null":
             # pruned everywhere: globally processed, safe to forget
             self.pending.remove(pc)
-            self.durability[reply.otid.counter] = "k_durable"
             return
         self._sweep_k_durable()
 
     def _ack(self, otid: Otid, gtid: Optional[Gtid]) -> Optional[PendingCommit]:
         """Note alias `gtid` of the pending record `otid`, and return the
-        record; None if it is no longer pending. A pending record is never
-        K-durable, so it is now global. Only a `null` reply has no GTID, and
-        its caller drops the record."""
+        record; None if it is no longer pending. Only a `null` reply has no
+        GTID, and its caller drops the record."""
         pc = next((p for p in self.pending if p.request.otid == otid), None)
-        if pc is not None:
-            if gtid is not None and gtid not in pc.gtids:
-                pc.gtids.append(gtid)
-            self.durability[otid.counter] = "global"
+        if pc is not None and gtid is not None and gtid not in pc.gtids:
+            pc.gtids.append(gtid)
         return pc
 
     def _sweep_k_durable(self) -> None:
-        kept = []
-        for pc in self.pending:
-            if any(self.clock.dc_part.covers(g) for g in pc.gtids):
-                self.durability[pc.request.otid.counter] = "k_durable"
-            else:
-                kept.append(pc)
-        self.pending = kept
+        """Drop the pending records that the clock covers: K-durable."""
+        dc_part = self.clock.dc_part
+        self.pending = [pc for pc in self.pending if not any(dc_part.covers(g) for g in pc.gtids)]
 
     # -- cache ----------------------------------------------------------------------
 
@@ -579,7 +569,6 @@ class Scout:
                 if self.cache.pop(obj, None) is not None:
                     self.pending_unsub.append(obj)
             self.clock = self.clock.with_local(reply.otid.counter)
-            self.durability[reply.otid.counter] = "global"
         env.trace(
             {
                 "ev": "stored_tx",

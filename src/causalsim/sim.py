@@ -135,6 +135,10 @@ class SimConfig:
             not self.scout_rtt_ms or any(len(p) < self.num_dcs for p in self.scout_rtt_ms)
         ):
             raise ValueError(f"each scout_rtt_ms profile needs {self.num_dcs} entries")
+        # a negative RTT fails a DC's gossip tick, or runs as 0 ms to a scout
+        for key in ("rtt_dc_ms", "scout_rtt_ms"):
+            if any(rtt < 0 for row in getattr(self, key) or () for rtt in row):
+                raise ValueError(f"{key} entries must be non-negative")
 
     def dc_rtt(self, a: int, b: int) -> int:
         if a == b:
@@ -316,9 +320,9 @@ class Simulation:
         self.delays: dict[tuple[str, str], int] = {}
         for i in range(config.num_dcs):
             for j in range(config.num_dcs):
-                self.delays[f"dc{i}", f"dc{j}"] = max(config.dc_rtt(i, j) // 2, 0)
+                self.delays[f"dc{i}", f"dc{j}"] = config.dc_rtt(i, j) // 2
             for idx, sid in enumerate(self.scouts):
-                delay = max(config.scout_rtt(idx, i) // 2, 0)
+                delay = config.scout_rtt(idx, i) // 2
                 self.delays[sid, f"dc{i}"] = self.delays[f"dc{i}", sid] = delay
         self.meta: dict = {}
         for hook in hooks:

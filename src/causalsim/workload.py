@@ -3,7 +3,7 @@
 Scripts are deterministic functions of (config, seed): each scout gets a
 list of transaction specs the simulator's driver executes. The social
 data model keeps one mergeable map per user holding a profile register
-and add-wins sets for wall posts, events, friend requests and friends.
+and add-wins sets for wall posts, events and friends.
 Users and the symmetric friendship graph are created before the run by
 seeding identical checkpoints at every DC, which sidesteps the uniqueness
 problem of registration transactions.
@@ -29,7 +29,6 @@ from causalsim.crdt import AwSetState, CmapState, CrdtType, EffectTag, LwwState,
 PROFILE = ("profile", CrdtType.LWW_REGISTER)
 WALL = ("wall", CrdtType.AW_SET)
 EVENTS = ("events", CrdtType.AW_SET)
-FRIEND_REQ = ("freq", CrdtType.AW_SET)
 FRIENDS = ("friends", CrdtType.AW_SET)
 
 

@@ -456,6 +456,33 @@ class TestSessionsAndNotify:
         dc.on_session_request(env, SessionRequest("S", 1, vv(23, 0, 0), []))
         assert env.replies("SessionReply")[0].accepted
 
+    def test_each_logged_record_is_acked_once_per_session(self):
+        def acks(dc, env):
+            env.sent.clear()
+            dc.notify_tick(env)
+            return [a for b in env.replies("NotifyBatch") for a in b.acks]
+
+        # the duplicate filter logs a re-sent commit once, so it is acked once
+        resend = commit_req("C", 1, [set_add(B_FRD, "C", Otid(1, "C"))])
+        env, dc = friendship_dc()
+        dc.on_session_request(env, SessionRequest("C", 1, vv(0, 0), []))
+        assert acks(dc, env) == [(Otid(1, "C"), Gtid(2, 0))]
+        dc.on_commit_request(env, resend)
+        assert acks(dc, env) == []
+        # without the filter, both logged records are acked in one session
+        dedup_off = mutants.compose(["disable_dedup"], DataCenter, Scout)[0]
+        env, off = FakeEnv(), dedup_off(0, num_dcs=2, k=2)
+        off.on_session_request(env, SessionRequest("C", 1, vv(0, 0), []))
+        off.on_commit_request(env, resend)
+        assert acks(off, env) == [(Otid(1, "C"), Gtid(1, 0))]
+        off.on_commit_request(env, resend)
+        assert acks(off, env) == [(Otid(1, "C"), Gtid(2, 0))]
+        # a new session acks every logged record of its scout again
+        dc.on_session_request(env, SessionRequest("C", 2, vv(0, 0), []))
+        off.on_session_request(env, SessionRequest("C", 2, vv(0, 0), []))
+        assert acks(dc, env) == [(Otid(1, "C"), Gtid(2, 0))]
+        assert acks(off, env) == [(Otid(1, "C"), Gtid(1, 0)), (Otid(1, "C"), Gtid(2, 0))]
+
     def test_an_idle_session_is_skipped_until_its_scout_commits(self, monkeypatch):
         env, dc = friendship_dc()
         dc.on_session_request(env, SessionRequest("C", 1, vv(0, 0), []))
@@ -659,13 +686,18 @@ def brute_suffix(dc, known):
     return [r for r in dc.log if not all(known.covers(g) for g in r.gtids)]
 
 
-def brute_acks(dc, session):
-    """The acks a notify would carry, by scanning the whole log."""
-    acked, out = set(session.acked), []
-    for r in dc.log:
-        if r.otid.origin == session.scout and r.otid not in acked:
-            acked.add(r.otid)
-            out.append((r.otid, r.primary_gtid))
+def brute_acks(dc, session, sent):
+    """The acks a notify would carry, by scanning the whole log: every
+    logged record of the session's scout that the session was not sent an
+    ack for. `sent` holds the acks sent so far, by (scout, epoch), which
+    names one session of the run."""
+    done = sent.setdefault((session.scout, session.epoch), set())
+    out = [
+        (r.otid, r.primary_gtid)
+        for r in dc.log
+        if r.otid.origin == session.scout and (r.otid, r.primary_gtid) not in done
+    ]
+    done.update(out)
     return out
 
 
@@ -720,6 +752,7 @@ def test_indexed_suffix_and_acks_match_whole_log_scans(name, monkeypatch):
     seen = dict.fromkeys(
         ("suffixes", "records", "acks", "pruned", "aliases", "after_reset", "shared_otid"), 0
     )
+    sent = {}
     gossip_suffix, take_acks, prune_tick = (
         DataCenter.gossip_suffix,
         DataCenter._take_acks,
@@ -738,7 +771,7 @@ def test_indexed_suffix_and_acks_match_whole_log_scans(name, monkeypatch):
         return got
 
     def checked_acks(dc, session):
-        expected = brute_acks(dc, session)
+        expected = brute_acks(dc, session, sent)
         got = take_acks(dc, session)
         assert got == expected
         seen["acks"] += len(got)
@@ -1497,13 +1530,14 @@ def replica_state(dc):
 
 
 def unlogged_marks(dc):
-    """Marked slots above the prune frontier that no logged record holds."""
+    """Marked slots above the prune frontier that no logged record holds:
+    the slots up to vdc, and the marks above it."""
     held = {(g.origin, g.counter) for r in dc.log for g in r.gtids}
     return [
         (origin, c)
         for origin, marked in enumerate(dc.slots)
-        for c in marked
-        if c > dc.prune_vector[origin] and (origin, c) not in held
+        for c in [*range(dc.prune_vector[origin] + 1, dc.vdc[origin] + 1), *marked]
+        if (origin, c) not in held
     ]
 
 
@@ -1515,6 +1549,8 @@ def test_a_crash_rebuilds_the_replica_that_crashed(name, monkeypatch):
 
     def checked_crash(simulation, dc_id):
         before = simulation.dcs[dc_id]
+        # a replica keeps no mark at or below vdc
+        assert all(c > v for v, marked in zip(before.vdc, before.slots) for c in marked)
         state = replica_state(before)
         seen["pruned"] += before.prune_vector != VersionVector.zero(3)
         seen["unlogged_marks"] += bool(unlogged_marks(before))

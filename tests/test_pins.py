@@ -115,7 +115,7 @@ PINS = {
         "def8a63b98abc889e2255aad1c40f124020f46fbe7946d8ebc5e77b2285ee224",
     ),
     "dedup-off": (
-        "ddf08f578998088faae98317eb62c71dbe8d8217e17e4029cea5e8d637983d79",
+        "800dca41033ad97c3294333ec229e0c379617083ea951b2278cec3110b20842e",
         "4946084261611b6257c202f4bfb0ea875f91e5e5da063613e66555a4c718a3d8",
     ),
     "failover-demo": (
@@ -171,8 +171,8 @@ def pinned_run(name: str):
     return run_scenario(scenario, seed=seed, overrides=overrides)
 
 
-def digests(name: str) -> tuple[str, str, dict]:
-    result = pinned_run(name)
+def digests(result) -> tuple[str, str, dict]:
+    """The trace and report digests of a run, and its report."""
     report = run_checks(result.trace)
     report_bytes = json.dumps(report, sort_keys=True).encode()
     return _sha(result.trace_bytes()), _sha(report_bytes), report
@@ -180,13 +180,19 @@ def digests(name: str) -> tuple[str, str, dict]:
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_trace_and_report_digests_are_pinned(name):
-    trace_sha, report_sha, report = digests(name)
+    result = pinned_run(name)
+    trace_sha, report_sha, report = digests(result)
     flagged_by = RUNS[name][2]
     if flagged_by is None:
         assert report["ok"], report["verdicts"]
     else:
         assert not report["verdicts"][flagged_by]["ok"]
     assert (trace_sha, report_sha) == PINS[name]
+    if result.synced:
+        # a live replica's vdc then covers every slot: it keeps no mark
+        live = next(e for e in result.trace if e["ev"] == "quiesce")["dcs"]
+        marks = {dc.id: dc.slots for dc in result.dcs if f"dc{dc.id}" in live}
+        assert not any(any(slots) for slots in marks.values()), marks
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -259,7 +265,7 @@ if __name__ == "__main__":
         sys.stdout.buffer.write(b"".join(wire_lines(sys.argv[2])))
         sys.exit(0)
     for name in sorted(RUNS):
-        trace_sha, report_sha, _ = digests(name)
+        trace_sha, report_sha, _ = digests(pinned_run(name))
         print(f'    "{name}": (\n        "{trace_sha}",\n        "{report_sha}",\n    ),')
     for name in sorted(WIRE_RUNS):
         print(f'    "{name}": "{wire_digest(name)}",')

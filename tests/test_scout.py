@@ -115,8 +115,8 @@ class TestLifecycle:
         s.update(sim, tx, SET, ("add", "x"))
         s.commit(sim, tx)
         assert str(s.clock) == "[0,0|1]"
-        assert len(s.pending) == 1
-        assert s.tx_status(1) == "local"
+        # local: pending, with no alias acked
+        assert [(pc.request.otid, pc.gtids) for pc in s.pending] == [(Otid(1, "s0"), [])]
 
     def test_read_only_commit_skips_queue(self):
         sim = harness()
@@ -348,7 +348,8 @@ class TestDurabilityStatus:
         }
         sim, res = run_pair({"s0": [update]})
         s = sim.scouts["s0"]
-        assert s.tx_status(1) == "k_durable"
+        # K-durable: the clock covers the record, which left the queue
+        assert s.clock.dc_part != VersionVector.zero(2)
         assert s.pending == []
 
     def test_k2_requires_second_replica(self):
@@ -367,8 +368,9 @@ class TestDurabilityStatus:
             drain_ms=300,
         )
         s = sim.scouts["s0"]
-        assert s.tx_status(1) == "global"
+        # global: acked with an alias, and still pending
         assert len(s.pending) == 1
+        assert s.pending[0].gtids and not any(s.clock.dc_part.covers(g) for g in s.pending[0].gtids)
 
 
 class TestFailover:
@@ -494,8 +496,6 @@ class SweepScout(Scout):
             if pc is not None:
                 if gtid not in pc.gtids:
                     pc.gtids.append(gtid)
-                if self.durability.get(otid.counter) == "local":
-                    self.durability[otid.counter] = "global"
         self._sweep_k_durable()
         env.trace(
             {

@@ -425,6 +425,11 @@ class TestValidation:
             small_cfg(scout_rtt_ms=[[20, 50], [20]]).validate()
         with pytest.raises(ValueError, match="scout_rtt_ms"):
             small_cfg(scout_rtt_ms=[]).validate()
+        # a negative RTT once failed a gossip tick, or ran as 0 ms to a scout
+        with pytest.raises(ValueError, match="rtt_dc_ms"):
+            small_cfg(rtt_dc_ms=[[0, -200], [-200, 0]]).validate()
+        with pytest.raises(ValueError, match="scout_rtt_ms"):
+            small_cfg(scout_rtt_ms=[[20, 50], [20, -50]]).validate()
 
     # zero notify, prune or retry periods loop at one instant, a zero gossip
     # period divides by zero, and negative values fail in mid-run; so these
