@@ -224,7 +224,7 @@ class DataCenter:
         """The crash-surviving state as an append-only record stream plus a
         checkpoint section, in canonical form."""
         return {
-            "schema": "causalsim-log-1",
+            "schema": "causalsim-log-2",
             "dc": self.id,
             "records": [record_to_wire(r) for r in self.log],
             "checkpoints": [
@@ -417,7 +417,7 @@ class DataCenter:
         """Give a scout's transaction (a commit or stored request) this DC's
         next GTID, then log and apply its record."""
         gtid = Gtid(self.vdc[self.id] + 1, self.id)
-        record = CommitRecord(msg.otid, (gtid,), msg.deps, effects, msg.scout, results)
+        record = CommitRecord(msg.otid, (gtid,), msg.deps, effects, results)
         self._admit_record(env, record, via="commit")
         return gtid
 
@@ -553,7 +553,7 @@ class DataCenter:
             for obj in msg.unsub:
                 session.subscriptions.discard(obj)
         if not self.prune_vector.leq(msg.snapshot.dc_part):
-            env.send(f"dc{self.id}", msg.scout, FetchReply(msg.scout, msg.req_id, "pruned"))
+            env.send(f"dc{self.id}", msg.scout, FetchReply(msg.req_id, "pruned"))
             return
         if not self._try_fetch(env, msg):
             self.pending_fetches.setdefault((msg.scout, msg.req_id), msg)
@@ -654,15 +654,11 @@ class DataCenter:
                 for obj in msg.objects
             ]
         except VersionPruned:
-            env.send(f"dc{self.id}", msg.scout, FetchReply(msg.scout, msg.req_id, "pruned"))
+            env.send(f"dc{self.id}", msg.scout, FetchReply(msg.req_id, "pruned"))
             return
         if session is not None and caches:
             session.subscriptions.update(msg.objects)
-        env.send(
-            f"dc{self.id}",
-            msg.scout,
-            FetchReply(msg.scout, msg.req_id, "ok", versions, admit_frontier),
-        )
+        env.send(f"dc{self.id}", msg.scout, FetchReply(msg.req_id, "ok", versions, admit_frontier))
 
     # -- sessions and notification --------------------------------------------
 
@@ -676,11 +672,7 @@ class DataCenter:
                 last_announced=msg.dc_part,
                 caches=msg.caches,
             )
-        env.send(
-            f"dc{self.id}",
-            msg.scout,
-            SessionReply(msg.scout, self.id, msg.epoch, eligible, self.k_durable_frontier()),
-        )
+        env.send(f"dc{self.id}", msg.scout, SessionReply(self.id, msg.epoch, eligible))
 
     def _session_eligible(self, dc_part: VersionVector) -> bool:
         """A session opens only where the scout's clock is K-durable."""
@@ -837,7 +829,7 @@ class DataCenter:
                     msg.otid,
                     "existing",
                     record.primary_gtid,
-                    record.stored_results,
+                    record.results,
                     record.objects(),
                 )
             else:

@@ -15,15 +15,15 @@ through the codec and back, and requires the same trace bytes.
 
 A message's wire dict is `{"m": kind}` and one key per dataclass field, in
 field order, each encoded by the codec of its annotation (`_CODECS`;
-`Optional[X]` uses X's and keeps None); a `bool` field that defaults to
-True (a flag) goes on the wire only when False, and flags come last. A
-message is decoded by calling its class with its field values in order.
-At import, `_plan` turns each message class's fields into a plan of
-(name, encode, decode, is-flag) entries, which `message_to_wire` and
-`message_from_wire` loop over. An annotation with neither a codec nor a
-plain JSON value, or a field after a flag, raises TypeError there. The
-JSON form of each value type is spelled out once: OTIDs, GTIDs, vectors
-and clocks in `clocks.py`, object ids, effects and states in `crdt.py`.
+`Optional[X]` uses X's and keeps None). A message is decoded by calling
+its class with its field values in order. At import, `_plan` turns each
+message class's fields, and a commit record's, into a plan of (name,
+encode, decode) entries, which `message_to_wire`, `message_from_wire`,
+`record_to_wire` and `record_from_wire` loop over; a record's wire dict is
+a message's without the `"m"`. An annotation with neither a codec nor a
+plain JSON value raises TypeError there. The JSON form of each value type
+is spelled out once: OTIDs, GTIDs, vectors and clocks in `clocks.py`,
+object ids, effects and states in `crdt.py`.
 
 The codec is off a run's path: only a wire tap, a crash's durable
 snapshot and the tests call it. An effect keeps its wire form in its
@@ -63,8 +63,8 @@ class CommitRecord:
     gtids: tuple[Gtid, ...]
     deps: CausalClock
     effects: tuple[EffectOp, ...]
-    origin_session: ScoutId
-    stored_results: Any = None
+    # a stored procedure's results, which a duplicate call is answered with
+    results: Any = None
 
     @property
     def primary_gtid(self) -> Gtid:
@@ -74,9 +74,7 @@ class CommitRecord:
         """A record sharing every field with this one. A gossip batch
         carries copies, so the receiver sees the aliases as they were at
         the send, whatever merges here rebind later."""
-        return CommitRecord(
-            self.otid, self.gtids, self.deps, self.effects, self.origin_session, self.stored_results
-        )
+        return CommitRecord(self.otid, self.gtids, self.deps, self.effects, self.results)
 
     def objects(self) -> list[ObjectId]:
         seen = []
@@ -99,11 +97,9 @@ class SessionRequest:
 
 @dataclass(slots=True)
 class SessionReply:
-    scout: ScoutId
     dc: DcId
     epoch: int
     accepted: bool
-    frontier: VersionVector
 
 
 @dataclass(slots=True)
@@ -132,7 +128,6 @@ class FetchRequest:
 
 @dataclass(slots=True)
 class FetchReply:
-    scout: ScoutId
     req_id: int
     status: str  # "ok" | "pruned"
     # per object: state at the requested snapshot, plus the state the cache
@@ -183,28 +178,6 @@ class NotifyBatch:
 # ---------------------------------------------------------------------------
 
 
-def record_to_wire(r: CommitRecord) -> dict:
-    return {
-        "otid": otid_to_wire(r.otid),
-        "gtids": [gtid_to_wire(g) for g in r.gtids],
-        "deps": clock_to_wire(r.deps),
-        "effects": [effect_to_wire(e) for e in r.effects],
-        "session": r.origin_session,
-        "results": r.stored_results,
-    }
-
-
-def record_from_wire(w: dict) -> CommitRecord:
-    return CommitRecord(
-        otid=otid_from_wire(w["otid"]),
-        gtids=tuple(map(gtid_from_wire, w["gtids"])),
-        deps=clock_from_wire(w["deps"]),
-        effects=tuple(map(effect_from_wire, w["effects"])),
-        origin_session=w["session"],
-        stored_results=w["results"],
-    )
-
-
 _OBJECTS = (
     lambda objs: list(map(object_to_wire, objs)),
     lambda ws: list(starmap(object_from_wire, ws)),
@@ -221,6 +194,10 @@ _PAYLOADS = {"effects": _EFFECTS, "invalidate": _OBJECTS}
 _CODECS = {
     "VersionVector": (vector_to_wire, vector_from_wire),
     "Gtid": (gtid_to_wire, gtid_from_wire),
+    "tuple[Gtid, ...]": (
+        lambda gtids: list(map(gtid_to_wire, gtids)),
+        lambda ws: tuple(map(gtid_from_wire, ws)),
+    ),
     "CausalClock": (clock_to_wire, clock_from_wire),
     "Otid": (otid_to_wire, otid_from_wire),
     "list[ObjectId]": _OBJECTS,
@@ -276,18 +253,12 @@ def _optional(codec):
 
 
 def _plan(cls) -> tuple:
-    """The field plan of `cls`: per field, in field order, its name, the
-    encode(value) and decode(wire) of its annotation, and whether it is a
-    flag, a `bool` field that defaults to True. Flags go on the wire only
-    when False and must be the last fields. Raises TypeError for an
-    annotation with neither a codec nor a plain JSON value, or for a field
-    after a flag."""
+    """The field plan of `cls`: per field, in field order, its name and the
+    encode(value) and decode(wire) of its annotation. Raises TypeError for
+    an annotation with neither a codec nor a plain JSON value."""
     plan = []
     for f in fields(cls):
         name, annotation = f.name, f.type
-        flag = annotation == "bool" and f.default is True
-        if plan and plan[-1][3] and not flag:
-            raise TypeError(f"{cls.__name__}.{name}: a field after a flag")
         optional = annotation.startswith("Optional[") and annotation[9:-1] in _CODECS
         if optional:
             annotation = annotation[9:-1]
@@ -299,12 +270,23 @@ def _plan(cls) -> tuple:
             encode = decode = _same
         else:
             raise TypeError(f"{cls.__name__}.{name}: no wire codec for {f.type!r}")
-        plan.append((name, encode, decode, flag))
+        plan.append((name, encode, decode))
     return tuple(plan)
 
 
 # kind -> (class, field plan), built once
 _PLANS = {kind: (cls, _plan(cls)) for cls, kind in _KINDS.items()}
+_RECORD_PLAN = _plan(CommitRecord)
+
+
+def record_to_wire(r: CommitRecord) -> dict:
+    """One key per field, in field order."""
+    return {name: encode(getattr(r, name)) for name, encode, _ in _RECORD_PLAN}
+
+
+def record_from_wire(w: dict) -> CommitRecord:
+    """A fresh record, holding fresh effects."""
+    return CommitRecord(*[decode(w[name]) for name, _, decode in _RECORD_PLAN])
 
 
 def message_kind(msg) -> str:
@@ -316,14 +298,11 @@ def message_kind(msg) -> str:
 
 
 def message_to_wire(msg) -> dict:
-    """`{"m": kind}` and then one key per field, in field order; a flag
-    only when it is False."""
+    """`{"m": kind}` and then one key per field, in field order."""
     kind = message_kind(msg)
     w = {"m": kind}
-    for name, encode, _, flag in _PLANS[kind][1]:
-        value = getattr(msg, name)
-        if not (flag and value):
-            w[name] = encode(value)
+    for name, encode, _ in _PLANS[kind][1]:
+        w[name] = encode(getattr(msg, name))
     return w
 
 
@@ -333,4 +312,4 @@ def message_from_wire(w: dict):
     if entry is None:
         raise TypeError(f"unknown message kind {w['m']!r}")
     cls, plan = entry
-    return cls(*[decode(w.get(name, True) if flag else w[name]) for name, _, decode, flag in plan])
+    return cls(*[decode(w[name]) for name, _, decode in plan])

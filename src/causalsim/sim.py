@@ -132,7 +132,7 @@ class SimConfig:
         ):
             raise ValueError(f"rtt_dc_ms must be {self.num_dcs}x{self.num_dcs}")
         if self.scout_rtt_ms is not None and (
-            not self.scout_rtt_ms or any(len(p) < self.num_dcs for p in self.scout_rtt_ms)
+            not self.scout_rtt_ms or any(len(p) != self.num_dcs for p in self.scout_rtt_ms)
         ):
             raise ValueError(f"each scout_rtt_ms profile needs {self.num_dcs} entries")
         # a negative RTT fails a DC's gossip tick, or runs as 0 ms to a scout

@@ -94,8 +94,9 @@ class TestRun:
 
     # each of these once ran as something else: a drain or horizon below 1
     # as a convergence failure, a negative think time, cache or scout RTT as
-    # zero, and a negative session count or length as a shorter workload; or
-    # died with a message that names no key
+    # zero, a negative session count or length as a shorter workload, and a
+    # scout RTT profile longer than the DC count as a shorter one; or died
+    # with a message that names no key
     @pytest.mark.parametrize(
         "section, entry, key",
         [
@@ -112,6 +113,7 @@ class TestRun:
             ("sim", {"horizon_ms": 0}, "horizon_ms"),
             ("sim", {"rtt_dc_ms": [[0, -161, 86], [-161, 0, 92], [86, 92, 0]]}, "rtt_dc_ms"),
             ("sim", {"scout_rtt_ms": [[30, 170, -110]]}, "scout_rtt_ms"),
+            ("sim", {"scout_rtt_ms": [[30, 170, 110, 50]]}, "scout_rtt_ms"),
         ],
     )
     def test_a_negative_setting_or_count_is_an_error(

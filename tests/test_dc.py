@@ -204,7 +204,6 @@ class TestRemoteCommit:
             gtids=(Gtid(1, 1),),
             deps=t3.deps,
             effects=t3.effects,
-            origin_session=t3.origin_session,
         )
         dc.on_gossip(env, GossipBatch(1, [copy], vv(0, 1)))
         merged = dc.by_otid[Otid(1, "C")]
@@ -239,7 +238,7 @@ class TestGossipTick:
         dc.gossip_tick(env)
         (_, _, batch), = [m for m in env.sent if isinstance(m[2], GossipBatch)]
         t3 = dc.by_otid[Otid(1, "C")]
-        alias = type(t3)(t3.otid, (Gtid(1, 1),), t3.deps, t3.effects, t3.origin_session)
+        alias = type(t3)(t3.otid, (Gtid(1, 1),), t3.deps, t3.effects)
         hear(dc, 1, vv(0, 1), [alias])
         assert t3.gtids == (Gtid(2, 0), Gtid(1, 1))
         peer = DataCenter(1, num_dcs=2, k=2)
@@ -338,7 +337,7 @@ class TestSendMarks:
     def test_a_record_above_a_gap_goes_out_until_the_gap_fills(self):
         dc = DataCenter(0, num_dcs=3, k=2)
         first, second = (
-            CommitRecord(otid, [Gtid(n, 1)], CausalClock.zero(3), (inc(otid),), otid.origin)
+            CommitRecord(otid, [Gtid(n, 1)], CausalClock.zero(3), (inc(otid),))
             for n, otid in ((1, Otid(1, "x")), (2, Otid(1, "y")))
         )
         # slot 2 of DC1 arrives relayed by DC2, ahead of slot 1
@@ -553,7 +552,7 @@ class TestFetch:
         assert len(dc.pending_commits) == 1 and len(dc.pending_fetches) == 1
         dc.crash_on_next_commit = True
         effect = set_add(B_FRD, "A", first)
-        record = CommitRecord(first, (Gtid(1, 0),), clock([0, 0]), (effect,), "A")
+        record = CommitRecord(first, (Gtid(1, 0),), clock([0, 0]), (effect,))
         dc.on_gossip(env, GossipBatch(0, [record], vv(1, 0)))
         # the parked commit crashed the replica; its parked fetch stays unserved
         assert env.crashes == [1] and dc.dead
@@ -647,7 +646,7 @@ class TestCrashRecovery:
         dc.known_vectors[1] = vv(1, 0)
         dc.prune_tick(env)  # fold the first record into checkpoints
         snap = dc.durable_snapshot()
-        assert snap["schema"] == "causalsim-log-1"
+        assert snap["schema"] == "causalsim-log-2"
         import json
 
         json.dumps(snap)  # canonical and serializable
@@ -819,8 +818,8 @@ def admit_more(dc, top):
     env, late, far, old = FakeEnv(), Otid(1, "late"), Otid(1, "far"), dc.log[0]
     dc.on_commit_request(env, CommitRequest("late", late, CausalClock.zero(3), (inc(late),)))
     records = [
-        CommitRecord(far, [Gtid(top + 1, 1)], CausalClock.zero(3), (inc(far),), "far"),
-        CommitRecord(old.otid, [Gtid(top + 2, 1)], old.deps, old.effects, old.origin_session),
+        CommitRecord(far, [Gtid(top + 1, 1)], CausalClock.zero(3), (inc(far),)),
+        CommitRecord(old.otid, [Gtid(top + 2, 1)], old.deps, old.effects),
     ]
     dc.on_gossip(env, GossipBatch(1, records, dc.known_vectors.get(1, vv(0, 0, 0))))
     dc.sessions["late"] = Session("late", 1, set(), VersionVector.zero(3))
@@ -1435,8 +1434,8 @@ def test_kept_versions_serve_what_a_replay_from_scratch_gives(data):
             dc.on_commit_request(env, CommitRequest(scout, otid, CausalClock(dc.vdc, 0), effects))
         elif step == "gossip":
             remote += 1
-            scout, otid, effects = draw_update()
-            record = CommitRecord(otid, (Gtid(remote, 1),), clock([0, remote - 1]), effects, scout)
+            _, otid, effects = draw_update()
+            record = CommitRecord(otid, (Gtid(remote, 1),), clock([0, remote - 1]), effects)
             dc.on_gossip(env, GossipBatch(1, [record], vv(0, remote)))
         elif step == "alias" and dc.log:
             # dc1 sequenced one of our records too: it gains an alias slot

@@ -57,22 +57,19 @@ def _effects():
 
 
 def _record():
-    return CommitRecord(OTID, (Gtid(5, 0), Gtid(7, 2)), DEPS, _effects(), "s1", [1, "x"])
+    return CommitRecord(OTID, (Gtid(5, 0), Gtid(7, 2)), DEPS, _effects(), [1, "x"])
 
 
 MESSAGES = {
     "session_req": SessionRequest("s1", 2, VersionVector((4, 0, 2)), [CTR, SET]),
     "session_req_cacheless": SessionRequest("s1", 2, VersionVector((4, 0, 2)), [], False),
-    "session_rep": SessionReply("s1", 2, 2, True, VersionVector((4, 1, 2))),
+    "session_rep": SessionReply(2, 2, True),
     "commit_req": CommitRequest("s1", OTID, DEPS, _effects()),
     "commit_rep": CommitReply(OTID, "new", Gtid(5, 0)),
     "commit_rep_null": CommitReply(OTID, "null", None),
     "fetch_req": FetchRequest("s1", 9, [SET, MAP], DEPS, [CTR]),
-    "fetch_rep_shared": FetchReply(
-        "s1", 9, "ok", [(CTR, CounterState(4), None)], VersionVector((4, 0, 2))
-    ),
+    "fetch_rep_shared": FetchReply(9, "ok", [(CTR, CounterState(4), None)], VersionVector((4, 0, 2))),
     "fetch_rep_admit": FetchReply(
-        "s1",
         9,
         "ok",
         [
@@ -81,8 +78,8 @@ MESSAGES = {
         ],
         VersionVector((3, 0, 2)),
     ),
-    "fetch_rep_cacheless": FetchReply("s1", 9, "ok", [(CTR, CounterState(4), None)]),
-    "fetch_rep_pruned": FetchReply("s1", 9, "pruned"),
+    "fetch_rep_cacheless": FetchReply(9, "ok", [(CTR, CounterState(4), None)]),
+    "fetch_rep_pruned": FetchReply(9, "pruned"),
     "stored_req": StoredTxRequest("s1", "wall", {"obj": "ctr"}, OTID, DEPS),
     "stored_rep": StoredTxReply(OTID, "new", Gtid(5, 0), [4, None], [CTR]),
     "gossip": GossipBatch(0, [_record()], VersionVector((7, 0, 2))),
@@ -114,9 +111,7 @@ def test_json_round_trip(name):
 @pytest.mark.parametrize("name", sorted(MESSAGES))
 def test_wire_keys_are_the_kind_then_the_fields_in_order(name):
     msg = MESSAGES[name]
-    # a bool field that defaults to True, such as `caches`, only when False
-    expected = [f.name for f in fields(msg) if f.default is not True or not getattr(msg, f.name)]
-    assert list(message_to_wire(msg)) == ["m", *expected]
+    assert list(message_to_wire(msg)) == ["m", *(f.name for f in fields(msg))]
 
 
 def planned(monkeypatch, cls, kind):
@@ -138,9 +133,7 @@ def test_a_field_without_a_codec_fails_when_its_plan_is_built(monkeypatch):
         flag: "bool" = True
 
     plan = planned(monkeypatch, Probe, "probe")
-    assert [(name, flag) for name, _, _, flag in plan] == [
-        ("scout", False), ("at", False), ("gtid", False), ("effects", False), ("flag", True)
-    ]
+    assert [name for name, _, _ in plan] == ["scout", "at", "gtid", "effects", "flag"]
     effects = _effects()
     probe = Probe("s0", VersionVector((1, 2)), None, effects)
     wire = message_to_wire(probe)
@@ -150,6 +143,7 @@ def test_a_field_without_a_codec_fails_when_its_plan_is_built(monkeypatch):
         "at": [1, 2],
         "gtid": None,
         "effects": [effect_to_wire(e) for e in effects],
+        "flag": True,
     }
     assert message_from_wire(wire) == probe
     lowered = Probe("s0", VersionVector(()), Gtid(3, 1), (), False)
@@ -173,17 +167,6 @@ def test_a_field_without_a_codec_fails_when_its_plan_is_built(monkeypatch):
         messages._plan(UnknownOptional)
 
 
-def test_a_field_after_a_flag_fails_when_its_plan_is_built():
-    @dataclass
-    class Late:
-        scout: "ScoutId"
-        flag: "bool" = True
-        epoch: "int" = 0
-
-    with pytest.raises(TypeError, match="Late.epoch"):
-        messages._plan(Late)
-
-
 def test_a_one_field_message_round_trips(monkeypatch):
     @dataclass
     class Lone:
@@ -201,11 +184,25 @@ def test_what_is_not_a_message_is_refused():
         message_from_wire({"m": "nope"})
 
 
-def test_only_a_cacheless_session_request_carries_the_cache_flag():
+def test_both_session_request_forms_carry_the_cache_flag():
+    keys = ["m", "scout", "epoch", "dc_part", "cached", "caches"]
     caching = message_to_wire(MESSAGES["session_req"])
-    assert set(caching) == {"m", "scout", "epoch", "dc_part", "cached"}
     cacheless = message_to_wire(MESSAGES["session_req_cacheless"])
-    assert set(cacheless) - set(caching) == {"caches"} and cacheless["caches"] is False
+    assert list(caching) == list(cacheless) == keys
+    assert caching["caches"] is True and cacheless["caches"] is False
+
+
+def test_gossiped_records_are_encoded_by_their_field_plan():
+    bare = CommitRecord(Otid(1, "s0"), (Gtid(2, 1),), DEPS, _effects()[:1])
+    batch = GossipBatch(1, [_record(), bare], VersionVector((7, 2, 2)))
+    wire = message_to_wire(batch)
+    names = [f.name for f in fields(CommitRecord)]
+    assert names == ["otid", "gtids", "deps", "effects", "results"]
+    assert [list(w) for w in wire["records"]] == [names, names]
+    assert [w["results"] for w in wire["records"]] == [[1, "x"], None]
+    assert wire["records"][0]["gtids"] == [[5, 0], [7, 2]]
+    assert wire["records"] == list(map(messages.record_to_wire, batch.records))
+    assert message_from_wire(json.loads(json.dumps(wire))) == batch
 
 
 def test_shared_admit_state_is_null_on_the_wire():
@@ -242,10 +239,6 @@ KINDS = {
 }
 
 
-def is_flag(f) -> bool:
-    return f.type == "bool" and f.default is True
-
-
 def reference_to_wire(value):
     """The wire form of a message or of any value in one, chosen by the
     value's type alone: what the codec must reproduce byte for
@@ -269,15 +262,12 @@ def reference_to_wire(value):
             "gtids": reference_to_wire(value.gtids),
             "deps": reference_to_wire(value.deps),
             "effects": reference_to_wire(value.effects),
-            "session": value.origin_session,
-            "results": value.stored_results,
+            "results": value.results,
         }
     if type(value) in KINDS:
         out = {"m": KINDS[type(value)]}
         for f in fields(value):
-            v = getattr(value, f.name)
-            if not (is_flag(f) and v is True):
-                out[f.name] = reference_to_wire(v)
+            out[f.name] = reference_to_wire(getattr(value, f.name))
         return out
     if isinstance(value, (list, tuple)):
         return [reference_to_wire(v) for v in value]
@@ -323,7 +313,7 @@ def states(draw):
 
 versions = st.lists(st.tuples(objects, states(), st.none() | states()), max_size=3)
 records = st.builds(
-    CommitRecord, otids, st.lists(gtids, min_size=1, max_size=3).map(tuple), clocks, effect_tuples(), scouts, json_values
+    CommitRecord, otids, st.lists(gtids, min_size=1, max_size=3).map(tuple), clocks, effect_tuples(), json_values
 )
 items = st.lists(
     st.tuples(st.just("effects"), effect_tuples().map(list))
@@ -332,11 +322,11 @@ items = st.lists(
 )
 GENERATED = {
     SessionRequest: st.builds(SessionRequest, scouts, counts, vectors, object_lists, st.booleans()),
-    SessionReply: st.builds(SessionReply, scouts, dcs, counts, st.booleans(), vectors),
+    SessionReply: st.builds(SessionReply, dcs, counts, st.booleans()),
     CommitRequest: st.builds(CommitRequest, scouts, otids, clocks, effect_tuples()),
     CommitReply: st.builds(CommitReply, otids, statuses, st.none() | gtids),
     FetchRequest: st.builds(FetchRequest, scouts, counts, object_lists, clocks, object_lists),
-    FetchReply: st.builds(FetchReply, scouts, counts, statuses, versions, st.none() | vectors),
+    FetchReply: st.builds(FetchReply, counts, statuses, versions, st.none() | vectors),
     StoredTxRequest: st.builds(StoredTxRequest, scouts, st.text(max_size=5), json_values, otids, clocks),
     StoredTxReply: st.builds(StoredTxReply, otids, statuses, st.none() | gtids, json_values, object_lists),
     GossipBatch: st.builds(GossipBatch, dcs, st.lists(records, max_size=3), vectors),
@@ -357,6 +347,5 @@ def test_the_codec_matches_the_reference_encoder(msg):
     wire = message_to_wire(msg)
     assert message_from_wire(wire) == msg
     assert message_from_wire(json.loads(json.dumps(wire))) == msg
-    shown = [f.name for f in fields(msg) if not (is_flag(f) and getattr(msg, f.name) is True)]
-    assert list(wire) == ["m", *shown]
+    assert list(wire) == ["m", *(f.name for f in fields(msg))]
     assert json.dumps(wire).encode() == json.dumps(reference_to_wire(msg)).encode()

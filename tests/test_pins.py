@@ -154,8 +154,8 @@ WIRE_RUNS = {
 # name -> sha256 over the compact JSON of each message `Simulation.send`
 # gives the wire tap, one line per message
 WIRE_PINS = {
-    "churn-faults": "5fa55baf2861a8db2f0c439885be00d37c81f7f9b1500e646bdffdb915e60c6c",
-    "social-90-10@6": "47e6e6fa13403b38f1cc6aeebefce22bf1fb1859bbc65eaa348e635888376954",
+    "churn-faults": "3cfd17eedc9876e23dd60edc55f68a7665a22eb9f8fb56b9e506a2140ffcb86c",
+    "social-90-10@6": "eeb635a74c34b1284586fc51f21264fae70e9f706f369609d340b7141df977c3",
 }
 
 

@@ -204,7 +204,7 @@ class TestFetchReply:
     def _reply(self, s, snap, admit):
         admit_state = None if admit is None else CounterState(admit)
         versions = [(CTR, CounterState(snap), admit_state)]
-        return FetchReply("s0", s.fetch.req_id, "ok", versions, VersionVector.zero(2))
+        return FetchReply(s.fetch.req_id, "ok", versions, VersionVector.zero(2))
 
     def test_one_state_serves_the_transaction_and_the_cache(self):
         sim, s, tx = self._fetching()
@@ -226,13 +226,13 @@ class TestFetchReply:
         # what a DC sends a session without a cache
         sim, s, tx = self._fetching()
         versions = [(CTR, CounterState(3), None)]
-        s.on_fetch_reply(sim, FetchReply("s0", s.fetch.req_id, "ok", versions))
+        s.on_fetch_reply(sim, FetchReply(s.fetch.req_id, "ok", versions))
         assert s.read(sim, tx, CTR) == 3
         assert CTR not in s.cache and s.fetch is None
 
     def test_a_pruned_reply_rolls_the_transaction_back(self):
         sim, s, tx = self._fetching()
-        s.on_fetch_reply(sim, FetchReply("s0", s.fetch.req_id, "pruned", []))
+        s.on_fetch_reply(sim, FetchReply(s.fetch.req_id, "pruned", []))
         assert tx.status == "rolledBack" and s.tx is None and s.fetch is None
         failed, aborted = events(sim, "read_failed"), events(sim, "tx_abort")
         assert sim.trace_log[-2:] == failed + aborted
@@ -243,7 +243,7 @@ class TestFetchReply:
         sim, s, tx = self._fetching(mutations=[] if guards else ["disable_guards"])
         ahead = VersionVector((1, 0))
         versions = [(CTR, CounterState(3), None)]
-        s.on_fetch_reply(sim, FetchReply("s0", s.fetch.req_id, "ok", versions, ahead))
+        s.on_fetch_reply(sim, FetchReply(s.fetch.req_id, "ok", versions, ahead))
         s.commit(sim, tx)
         tx = s.begin(sim)
         if guards:
@@ -425,7 +425,7 @@ class TestFailover:
         def connect(dc):
             s.ensure_session(env)
             assert s.probe_inflight == dc
-            reply = SessionReply("s0", dc, s.session_epoch, True, VersionVector.zero(2))
+            reply = SessionReply(dc, s.session_epoch, True)
             s.on_session_reply(env, reply)
 
         connect(0)

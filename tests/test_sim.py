@@ -430,6 +430,9 @@ class TestValidation:
             small_cfg(rtt_dc_ms=[[0, -200], [-200, 0]]).validate()
         with pytest.raises(ValueError, match="scout_rtt_ms"):
             small_cfg(scout_rtt_ms=[[20, 50], [20, -50]]).validate()
+        # a longer profile's extra entries were once ignored
+        with pytest.raises(ValueError, match="each scout_rtt_ms profile needs 2 entries"):
+            small_cfg(scout_rtt_ms=[[20, 50, 999]]).validate()
 
     # zero notify, prune or retry periods loop at one instant, a zero gossip
     # period divides by zero, and negative values fail in mid-run; so these

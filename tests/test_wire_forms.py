@@ -86,7 +86,7 @@ def effects():
 
 
 def record():
-    return CommitRecord(OTID, (Gtid(5, 0),), DEPS, effects(), "s1", [1, "x"])
+    return CommitRecord(OTID, (Gtid(5, 0),), DEPS, effects(), [1, "x"])
 
 
 class TestEffectMemo:
@@ -334,8 +334,9 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
         ("messages", "records", "pending", "merged", "reencoded_after_merge", "states", "reads"), 0
     )
     merged: dict[int, CommitRecord] = {}  # records whose aliases grew in a merge
-    # (scout, req_id) -> per object, memo-free encodings at the snapshot and admit clocks
-    served: dict[tuple, list[tuple[dict, dict]]] = {}
+    # req_id -> per object, memo-free encodings at the snapshot and admit
+    # clocks; a fetch reply is encoded as `_serve_fetch` sends it
+    served: dict[int, list[tuple[dict, dict]]] = {}
     # (value traced, its memo-free render) and (state sent, its memo-free
     # encoding), compared again at the end: a shared value or state mutated
     # after it went out no longer matches
@@ -355,7 +356,7 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
             for r, rw in zip(msg.records, wire["records"]):
                 check_record(r, rw)
         if isinstance(msg, FetchReply) and msg.status == "ok":
-            for (_, snap, admit), want in zip(msg.versions, served.pop((msg.scout, msg.req_id))):
+            for (_, snap, admit), want in zip(msg.versions, served.pop(msg.req_id)):
                 got = (snap, snap if admit is None else admit)
                 assert tuple(map(state_to_wire, got)) == want
                 sent_states.extend(zip(got, want))
@@ -371,7 +372,7 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
             session.last_announced if session else msg.snapshot.dc_part, msg.snapshot.local_part
         )
         try:
-            served[msg.scout, msg.req_id] = [
+            served[msg.req_id] = [
                 tuple(
                     state_to_wire(fresh_state(dc.materialize(obj, c, msg.scout)))
                     for c in (msg.snapshot, admit)
@@ -455,7 +456,7 @@ def test_every_wire_form_matches_a_memo_free_encode(name, monkeypatch):
     if name == "failover-demo":
         assert seen["merged"] and seen["reencoded_after_merge"], seen
     if name == "stored":
-        assert any(r.stored_results is not None for dc in simulation.dcs for r in dc.log)
+        assert any(r.results is not None for dc in simulation.dcs for r in dc.log)
 
 
 # -- what receivers share ----------------------------------------------------------
