@@ -215,6 +215,17 @@ class _ObjectLog:
         return state
 
 
+def _malformed(trace: list[dict], ev: dict, key) -> ValueError:
+    """The error for event `ev` of `trace`, on which a lookup of `key`
+    failed: it lacks the key, or names something no earlier event made."""
+    index = next(i for i, e in enumerate(trace) if e is ev)
+    if isinstance(key, str) and key not in ev:
+        what = f"lacks key {key!r}"
+    else:
+        what = f"names unknown {key!r}"
+    return ValueError(f"malformed trace: event {index} ({ev.get('ev')!r}) {what}")
+
+
 class TraceAnalysis:
     """Indexes a trace for the checkers."""
 
@@ -257,94 +268,98 @@ class TraceAnalysis:
     def _parse(self, trace: list[dict]) -> None:
         records, reads, reads_by_tx = self.records, self.reads, self.reads_by_tx
         txs, tx_order, tx_updates, by_alias = self.txs, self.tx_order, self.tx_updates, self.by_alias
-        # event kinds in order of frequency; the rest are skipped
-        for ev in trace:
-            kind = ev["ev"]
-            if kind == "read":
-                otid = tuple(ev["otid"])
-                ver = ev["ver"]
-                read = ReadInfo(
-                    ev["node"],
-                    otid,
-                    tuple(ev["obj"]),
-                    ev["value"],
-                    tuple(ver[0]),
-                    ver[1],
-                    ev["t"],
-                    ev["src"],
-                    ev.get("dc"),
-                    len(tx_updates.get(otid, ())),
-                )
-                reads.append(read)
-                tx_reads = reads_by_tx.get(otid)
-                if tx_reads is None:
-                    reads_by_tx[otid] = [read]
-                else:
-                    tx_reads.append(read)
-            elif kind == "tx_begin":
-                otid = tuple(ev["otid"])
-                node, snap = ev["node"], ev["snap"]
-                txs[otid] = TxInfo(node, otid, tuple(snap[0]), snap[1], ev["t"])
-                order = tx_order.get(node)
-                if order is None:
-                    tx_order[node] = [otid]
-                else:
-                    order.append(otid)
-                tx_updates[otid] = []
-            elif kind == "local_commit":
-                tx = txs[tuple(ev["otid"])]
-                tx.committed = True
-                tx.read_only = ev["read_only"]
-                tx.rts = ev["rts"]
-                tx.dur = ev["dur"]
-            elif kind == "apply":
-                otid = tuple(ev["otid"])
-                dc = int(ev["node"][2:])
-                t = ev["t"]
-                rec = records.get(otid)
-                if rec is None:
-                    deps = ev["deps"]
-                    rec = records[otid] = RecordInfo(
+        # event kinds in order of frequency; the rest are skipped. The loop
+        # is wrapped once: a well-formed event costs nothing more
+        try:
+            for ev in trace:
+                kind = ev["ev"]
+                if kind == "read":
+                    otid = tuple(ev["otid"])
+                    ver = ev["ver"]
+                    read = ReadInfo(
+                        ev["node"],
                         otid,
-                        otid[1],
-                        tuple(deps[0]),
-                        deps[1],
-                        [],
-                        {tuple(o) for o in ev["objs"]},
-                        [],
-                        t,
-                        {},
+                        tuple(ev["obj"]),
+                        ev["value"],
+                        tuple(ver[0]),
+                        ver[1],
+                        ev["t"],
+                        ev["src"],
+                        ev.get("dc"),
+                        len(tx_updates.get(otid, ())),
                     )
-                if ev.get("effects"):
-                    rec.effects = ev["effects"]
-                aliases = rec.aliases
-                for g in ev["gtids"]:
-                    alias = (g[0], g[1])
-                    if alias not in aliases:
-                        aliases.append(alias)
-                    by_alias[alias] = otid
-                if t < rec.commit_time:
-                    rec.commit_time = t
-                if dc in rec.apply_times:
-                    self.duplicate_applies.append(f"record {otid} applied twice at dc{dc}")
-                else:
-                    rec.apply_times[dc] = t
-            elif kind == "update":
-                tx_updates[tuple(ev["otid"])].append(ev["effect"])
-            elif kind == "tx_abort":
-                txs[tuple(ev["otid"])].aborted = True
-            elif kind == "fault":
-                fault = ev["kind"]
-                if fault == "partition":
-                    self.partitioned.update(map(frozenset, ev["links"]))
-                elif fault == "heal":
-                    self.partitioned.difference_update(map(frozenset, ev["links"]))
-                elif fault == "scout_disconnect":
-                    self.disconnected.add(ev["scout"])
-                elif fault == "scout_reconnect":
-                    self.disconnected.discard(ev["scout"])
-            elif kind == "quiesce":
-                self.quiesce = ev
+                    reads.append(read)
+                    tx_reads = reads_by_tx.get(otid)
+                    if tx_reads is None:
+                        reads_by_tx[otid] = [read]
+                    else:
+                        tx_reads.append(read)
+                elif kind == "tx_begin":
+                    otid = tuple(ev["otid"])
+                    node, snap = ev["node"], ev["snap"]
+                    txs[otid] = TxInfo(node, otid, tuple(snap[0]), snap[1], ev["t"])
+                    order = tx_order.get(node)
+                    if order is None:
+                        tx_order[node] = [otid]
+                    else:
+                        order.append(otid)
+                    tx_updates[otid] = []
+                elif kind == "local_commit":
+                    tx = txs[tuple(ev["otid"])]
+                    tx.committed = True
+                    tx.read_only = ev["read_only"]
+                    tx.rts = ev["rts"]
+                    tx.dur = ev["dur"]
+                elif kind == "apply":
+                    otid = tuple(ev["otid"])
+                    dc = int(ev["node"][2:])
+                    t = ev["t"]
+                    rec = records.get(otid)
+                    if rec is None:
+                        deps = ev["deps"]
+                        rec = records[otid] = RecordInfo(
+                            otid,
+                            otid[1],
+                            tuple(deps[0]),
+                            deps[1],
+                            [],
+                            {tuple(o) for o in ev["objs"]},
+                            [],
+                            t,
+                            {},
+                        )
+                    if ev.get("effects"):
+                        rec.effects = ev["effects"]
+                    aliases = rec.aliases
+                    for g in ev["gtids"]:
+                        alias = (g[0], g[1])
+                        if alias not in aliases:
+                            aliases.append(alias)
+                        by_alias[alias] = otid
+                    if t < rec.commit_time:
+                        rec.commit_time = t
+                    if dc in rec.apply_times:
+                        self.duplicate_applies.append(f"record {otid} applied twice at dc{dc}")
+                    else:
+                        rec.apply_times[dc] = t
+                elif kind == "update":
+                    tx_updates[tuple(ev["otid"])].append(ev["effect"])
+                elif kind == "tx_abort":
+                    txs[tuple(ev["otid"])].aborted = True
+                elif kind == "fault":
+                    fault = ev["kind"]
+                    if fault == "partition":
+                        self.partitioned.update(map(frozenset, ev["links"]))
+                    elif fault == "heal":
+                        self.partitioned.difference_update(map(frozenset, ev["links"]))
+                    elif fault == "scout_disconnect":
+                        self.disconnected.add(ev["scout"])
+                    elif fault == "scout_reconnect":
+                        self.disconnected.discard(ev["scout"])
+                elif kind == "quiesce":
+                    self.quiesce = ev
+        except KeyError as exc:
+            raise _malformed(trace, ev, exc.args[0]) from None
 
     @gc_paused()
     def _load_workload(self) -> dict:

@@ -44,6 +44,9 @@ class _TypeByValue(dict):
 
 
 _TYPE_BY_VALUE = _TypeByValue((t.value, t) for t in CrdtType)
+# CrdtType member -> its wire value; a dict lookup costs less than the
+# enum's `.value` descriptor, which every object's wire form would call
+_VALUE_OF_TYPE = {t: t.value for t in CrdtType}
 
 
 class ObjectId(NamedTuple):
@@ -67,7 +70,7 @@ _OBJECT_IDS: dict[tuple[str, str], ObjectId] = {}
 
 
 def object_to_wire(obj: ObjectId) -> list:
-    return [obj.key, obj.crdt_type.value]
+    return [obj.key, _VALUE_OF_TYPE[obj.crdt_type]]
 
 
 def object_from_wire(key: str, type_value: str) -> ObjectId:
@@ -326,7 +329,7 @@ class CmapState(_Memo):
 
     def _render(self):
         return {
-            f"{name}#{entry_type.value}": sub.render()
+            f"{name}#{_VALUE_OF_TYPE[entry_type]}": sub.render()
             for (name, entry_type), sub in sorted(self.entries.items())
         }
 
@@ -334,7 +337,7 @@ class CmapState(_Memo):
         return {
             "t": "cmap",
             "entries": [
-                [name, entry_type.value, sub.to_wire()]
+                [name, _VALUE_OF_TYPE[entry_type], sub.to_wire()]
                 for (name, entry_type), sub in sorted(self.entries.items())
             ],
         }
@@ -425,7 +428,8 @@ def effect_from_wire(w: dict) -> EffectOp:
 def _payload_to_wire(kind: str, payload: tuple) -> list:
     if kind == "entry":
         name, entry_type, inner_kind, inner_payload = payload
-        return [name, entry_type.value, inner_kind, _payload_to_wire(inner_kind, inner_payload)]
+        inner = _payload_to_wire(inner_kind, inner_payload)
+        return [name, _VALUE_OF_TYPE[entry_type], inner_kind, inner]
     return list(payload)
 
 

@@ -32,12 +32,15 @@ that end a run are read through the same versions.
 A session is sent only what its scout keeps. A scout whose session
 request says it keeps no cache gets no admit states in its fetch replies
 and is subscribed to nothing, so its notify batches carry the frontier and
-its acks only, and its tick does not scan the records announced. A
-notify tick skips an idle session: one already announced at the target
-frontier, with no own records admitted since its last acks. The tick's
-frontier is recomputed only when vdc, K or a peer's known vector changed:
-a gossip batch that adds nothing keeps the peer's vector, and vdc is
-rebuilt only when a slot moves it.
+its acks only. A notify tick skips an idle session: one already announced
+at the target frontier, with no own records admitted since its last acks.
+The records a tick announces from one base are indexed by object once, so
+a session visits only those that touch an object it subscribes to. The
+tick's frontier is recomputed only when vdc, K or a peer's known vector
+changed: a gossip batch that adds nothing keeps the peer's vector, and vdc
+is rebuilt only when a slot moves it. A drain retests the parked fetches
+only when vdc or the OTID high-water marks moved, or a session opened,
+since it last did: nothing else can make one ready.
 
 Commit identity is tracked at slot granularity: every alias GTID of a
 record occupies one slot in its origin DC's gapless sequence, and the
@@ -214,6 +217,10 @@ class DataCenter:
         self.pending_commits: dict[Otid, CommitRequest] = {}
         self.pending_fetches: dict[tuple[ScoutId, int], FetchRequest] = {}
         self.pending_stored: dict[Otid, StoredTxRequest] = {}
+        # sessions opened; with vdc and `admitted`, the inputs of
+        # `_fetch_ready` when the parked fetches were last retested
+        self.sessions_opened = 0
+        self.fetch_inputs: Optional[tuple] = None
         self.crash_on_next_commit = False
         # set on a crashed instance, whose handler may still be on the stack
         self.dead = False
@@ -518,6 +525,16 @@ class DataCenter:
                 (self.pending_stored, self._try_stored),
                 (self.pending_fetches, self._try_fetch),
             ):
+                if pending is self.pending_fetches:
+                    # a parked fetch failed `_fetch_ready` at the last inputs:
+                    # vdc, the high-water marks, which only an admit moves,
+                    # and the sessions. A notify tick moves a session's
+                    # announced frontier from at or below vdc to at or below
+                    # vdc, which keeps the result, so only an opening counts
+                    inputs = (self.vdc, self.admitted, self.sessions_opened)
+                    if inputs == self.fetch_inputs:
+                        continue
+                    self.fetch_inputs = inputs
                 for key, item in list(pending.items()):
                     if self.dead:
                         return
@@ -672,6 +689,7 @@ class DataCenter:
                 last_announced=msg.dc_part,
                 caches=msg.caches,
             )
+            self.sessions_opened += 1
         env.send(f"dc{self.id}", msg.scout, SessionReply(self.id, msg.epoch, eligible))
 
     def _session_eligible(self, dc_part: VersionVector) -> bool:
@@ -685,7 +703,7 @@ class DataCenter:
     def notify_tick(self, env) -> None:
         target = self.announceable_frontier()
         # most sessions share their last frontier, and so the delta from it
-        deltas: dict[VersionVector, tuple[bool, list]] = {}
+        deltas: dict[VersionVector, tuple] = {}
         for session in list(self.sessions.values()):
             base = session.last_announced
             if base == target and not self._acks_due(session):
@@ -698,10 +716,13 @@ class DataCenter:
 
     def _notify_delta(
         self, base: VersionVector, target: VersionVector
-    ) -> tuple[bool, list[tuple[CommitRecord, list[ObjectId]]]]:
+    ) -> tuple[bool, list[tuple[CommitRecord, list[ObjectId]]], dict[ObjectId, list[int]], set]:
         """The records first announced by moving from `base` to `target`, each
-        with its objects, and whether some slot between them is pruned."""
+        with its objects, and whether some slot between them is pruned; then
+        the delta's index: each object to the positions in the delta of the
+        records that touch it, and the set of those objects."""
         delta = []
+        by_object: dict[ObjectId, list[int]] = {}
         gap_in_log = False
         seen: set[Otid] = set()
         for origin in range(self.num_dcs):
@@ -719,8 +740,15 @@ class DataCenter:
                 # even though an older alias was announced long ago
                 if any(base.covers(g) for g in record.gtids):
                     continue
-                delta.append((record, record.objects()))
-        return gap_in_log, delta
+                objs = record.objects()
+                for obj in objs:
+                    positions = by_object.get(obj)
+                    if positions is None:
+                        by_object[obj] = [len(delta)]
+                    else:
+                        positions.append(len(delta))
+                delta.append((record, objs))
+        return gap_in_log, delta, by_object, set(by_object)
 
     def _notify_session(
         self,
@@ -729,23 +757,25 @@ class DataCenter:
         target: VersionVector,
         gap_in_log: bool,
         delta: list[tuple[CommitRecord, list[ObjectId]]],
+        by_object: dict[ObjectId, list[int]],
+        objects: set[ObjectId],
     ) -> None:
         items: list[tuple[str, list]] = []
         subscriptions = session.subscriptions
         if gap_in_log and subscriptions:
             items.append(("invalidate", sorted(subscriptions)))
-        # a session subscribed to nothing is sent no items
-        for record, objs in delta if subscriptions else ():
+        # the records that touch a subscribed object, in delta order; the
+        # positions are sorted, since a set of objects iterates in hash order
+        hits = objects & subscriptions
+        for p in sorted({p for obj in hits for p in by_object[obj]}) if hits else ():
+            record, objs = delta[p]
             if record.otid.origin == session.scout:
                 continue  # the scout applied its own updates at local commit
-            touched = [o for o in objs if o in subscriptions]
-            if not touched:
-                continue
             if self.notify_mode == "effects":
                 effects = [e for e in record.effects if e.target in subscriptions]
                 items.append(("effects", effects))
             else:
-                items.append(("invalidate", touched))
+                items.append(("invalidate", [o for o in objs if o in subscriptions]))
         acks = self._take_acks(session)
         if target == session.last_announced and not acks:
             return

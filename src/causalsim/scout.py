@@ -485,7 +485,8 @@ class Scout:
         """Note the acks of an applied batch, and trace it."""
         for otid, gtid in batch.acks:
             self._ack(otid, gtid)
-        self._sweep_k_durable()
+        if self.pending:
+            self._sweep_k_durable()
         env.trace(
             {
                 "ev": "notify",

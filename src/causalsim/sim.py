@@ -350,9 +350,11 @@ class Simulation:
         return self.time
 
     def trace(self, ev: dict) -> None:
-        out = {"t": self.time}
-        out.update(ev)
-        self.trace_log.append(out)
+        """Log an event stamped with the time. Every caller passes a fresh
+        dict, so the stamp goes into it: key order is not part of a trace,
+        whose bytes sort the keys."""
+        ev["t"] = self.time
+        self.trace_log.append(ev)
 
     def schedule(self, at: int, kind: str, payload) -> None:
         self.seq += 1
@@ -364,9 +366,11 @@ class Simulation:
         `message_to_wire`, which sees every message sent, dropped or not."""
         if message_to_wire is not messages.message_to_wire:
             message_to_wire(msg)
-        kind = message_kind(msg)
-        self.stats["messages"][kind] = self.stats["messages"].get(kind, 0) + 1
-        if self._blocked(src, dst):
+        # the kind by class; `message_kind` raises for a class that has none
+        kind = messages._KINDS.get(type(msg)) or message_kind(msg)
+        counts = self.stats["messages"]
+        counts[kind] = counts.get(kind, 0) + 1
+        if (self.partitions or self.crashed or self.disconnected) and self._blocked(src, dst):
             self.stats["dropped"] += 1
             return
         link = (src, dst)
@@ -385,8 +389,8 @@ class Simulation:
     # -- network model ---------------------------------------------------------
 
     def _blocked(self, a: str, b: str) -> bool:
-        if not (self.partitions or self.crashed or self.disconnected):
-            return False
+        """Whether the link is cut; the callers ask only while some
+        partition, crash or disconnect is active."""
         if frozenset((a, b)) in self.partitions:
             return True
         for n in (a, b):
@@ -514,7 +518,7 @@ class Simulation:
     def _handle(self, kind: str, payload) -> None:
         if kind == "deliver":
             src, dst, msg = payload
-            if self._blocked(src, dst):
+            if (self.partitions or self.crashed or self.disconnected) and self._blocked(src, dst):
                 self.stats["dropped"] += 1
                 return
             dst_kind, idx = self.addrs[dst]

@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import causalsim
+from causalsim.checker import TraceAnalysis
 from causalsim.cli import main
-from causalsim.scenarios import PRESETS, load_scenario, sim_config
+from causalsim.scenarios import PRESETS, load_scenario, run_scenario, sim_config
 from causalsim.sim import Simulation
+from test_pins import CHURN
 
 
 @pytest.fixture()
@@ -213,6 +217,61 @@ class TestCheck:
         again = json.loads(out2.read_text())
         assert again["verdicts"] == first["verdicts"]
         assert again["staleness"] == first["staleness"]
+
+
+# event kind (a fault's by its `kind`) -> the keys `TraceAnalysis._parse`
+# reads from it with `ev[...]`, but not those it looks up with `ev.get`
+# first; the churn pin has an event of each kind
+PARSED_KEYS = {
+    "read": ("ev", "otid", "ver", "node", "obj", "value", "t", "src"),
+    "tx_begin": ("otid", "node", "snap", "t"),
+    "local_commit": ("otid", "read_only", "rts", "dur"),
+    "apply": ("otid", "node", "t", "deps", "objs", "gtids"),
+    "update": ("otid", "effect"),
+    "tx_abort": ("otid",),
+    "partition": ("kind", "links"),
+    "heal": ("links",),
+    "scout_disconnect": ("scout",),
+    "scout_reconnect": ("scout",),
+}
+
+
+def test_the_parsed_keys_are_every_key_the_parser_reads():
+    source = inspect.getsource(TraceAnalysis._parse)
+    read = set(re.findall(r'ev\["(\w+)"\]', source))
+    guarded = set(re.findall(r'ev\.get\("(\w+)"\)', source))
+    assert read - guarded == {key for keys in PARSED_KEYS.values() for key in keys}
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, keys in PARSED_KEYS.items() for key in keys]
+)
+def test_a_trace_event_without_a_key_it_needs_is_an_error(tmp_path, capsys, kind, key):
+    """Once, such a trace ended in a traceback and exit code 1, which is
+    the code for a violation."""
+    trace = run_scenario(CHURN, seed=1).trace
+    index, ev = next(
+        (i, e) for i, e in enumerate(trace) if kind == (e["kind"] if e["ev"] == "fault" else e["ev"])
+    )
+    del ev[key]
+    path = tmp_path / "malformed.jsonl"
+    path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in trace))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed trace:") and "Traceback" not in err
+    assert f"event {index} " in err and repr(key) in err
+
+
+def test_a_trace_event_naming_an_unknown_transaction_is_an_error(tmp_path, capsys):
+    trace = run_scenario(CHURN, seed=1).trace
+    index = next(i for i, e in enumerate(trace) if e["ev"] == "tx_begin")
+    otid = trace.pop(index)["otid"]
+    path = tmp_path / "malformed.jsonl"
+    path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in trace))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed trace:") and "Traceback" not in err
+    assert f"names unknown {tuple(otid)!r}" in err
 
 
 class TestSweep:
