@@ -194,9 +194,8 @@ class DataCenter:
         self.prune_vector = VersionVector.zero(num_dcs)
         self.store: dict[ObjectId, StoredObject] = {}
         self.vdc = VersionVector.zero(num_dcs)
-        # per origin, the marked slots above vdc, and the highest slot marked
+        # per origin, the marked slots above vdc
         self.slots: list[set[int]] = [set() for _ in range(num_dcs)]
-        self.top_slot = [0] * num_dcs
         self._index_log()  # derived from the log: by_otid, by_slot, by_origin
 
         # volatile: the inputs of the last announceable frontier, and that frontier
@@ -261,7 +260,6 @@ class DataCenter:
         dc._index_log()
         dc.vdc = vector_from_wire(snapshot["vdc"])
         dc.slots = [set(marked) for marked in snapshot["slots"]]
-        dc.top_slot = [max(marked, default=v) for marked, v in zip(dc.slots, dc.vdc)]
         return dc
 
     def seed_store(self, states: dict[ObjectId, Any]) -> None:
@@ -358,8 +356,6 @@ class DataCenter:
     def _mark_slots(self, gtids: tuple[Gtid, ...]) -> None:
         for counter, origin in gtids:
             if counter > self.vdc[origin]:
-                if counter > self.top_slot[origin]:
-                    self.top_slot[origin] = counter
                 self.slots[origin].add(counter)
         self._advance_vdc()
 
@@ -504,7 +500,9 @@ class DataCenter:
         when first sent, and on every tick until it does if not."""
         found: dict[int, CommitRecord] = {}
         for origin, slot_records in enumerate(self.by_slot):
-            for counter in range(known[origin] + 1, self.top_slot[origin] + 1):
+            # the highest slot marked: vdc moves only through marked slots
+            top = max(self.slots[origin], default=self.vdc[origin])
+            for counter in range(known[origin] + 1, top + 1):
                 for record in slot_records.get(counter, ()):
                     found[self.admission[id(record)]] = record
         return [found[n] for n in sorted(found)]
@@ -716,11 +714,11 @@ class DataCenter:
 
     def _notify_delta(
         self, base: VersionVector, target: VersionVector
-    ) -> tuple[bool, list[tuple[CommitRecord, list[ObjectId]]], dict[ObjectId, list[int]], set]:
+    ) -> tuple[bool, list[tuple[CommitRecord, list[ObjectId]]], dict[ObjectId, list[int]]]:
         """The records first announced by moving from `base` to `target`, each
         with its objects, and whether some slot between them is pruned; then
         the delta's index: each object to the positions in the delta of the
-        records that touch it, and the set of those objects."""
+        records that touch it."""
         delta = []
         by_object: dict[ObjectId, list[int]] = {}
         gap_in_log = False
@@ -748,7 +746,7 @@ class DataCenter:
                     else:
                         positions.append(len(delta))
                 delta.append((record, objs))
-        return gap_in_log, delta, by_object, set(by_object)
+        return gap_in_log, delta, by_object
 
     def _notify_session(
         self,
@@ -758,15 +756,15 @@ class DataCenter:
         gap_in_log: bool,
         delta: list[tuple[CommitRecord, list[ObjectId]]],
         by_object: dict[ObjectId, list[int]],
-        objects: set[ObjectId],
     ) -> None:
         items: list[tuple[str, list]] = []
         subscriptions = session.subscriptions
         if gap_in_log and subscriptions:
             items.append(("invalidate", sorted(subscriptions)))
         # the records that touch a subscribed object, in delta order; the
-        # positions are sorted, since a set of objects iterates in hash order
-        hits = objects & subscriptions
+        # positions are sorted, since a set of objects iterates in hash order.
+        # A keys view intersects a set by walking the smaller side
+        hits = by_object.keys() & subscriptions
         for p in sorted({p for obj in hits for p in by_object[obj]}) if hits else ():
             record, objs = delta[p]
             if record.otid.origin == session.scout:

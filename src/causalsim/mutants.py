@@ -14,7 +14,7 @@ mixins, and the hooks that change the simulation itself.
   has applied, durable at K DCs or not (`causal_snapshots`). Its scouts
   must take what it sends, so they are unguarded.
 - `disable_guards`: an unguarded scout, which takes a notify batch at any
-  base.
+  base and caches a fetch reply at any frontier.
 - `reorder_session`: one notify batch to `s0` that moves its frontier is
   delivered 120 ms late, after its successors (`session_guarantees`). Its
   scouts are unguarded too: a guarded scout stops the run at the
@@ -33,7 +33,6 @@ import weakref
 from typing import Callable, NamedTuple
 
 from causalsim.clocks import VersionVector
-from causalsim.crdt import apply_effect
 from causalsim.messages import NotifyBatch
 
 # how late the reordered notify batch arrives
@@ -64,37 +63,15 @@ class KGatingOff:
 
 
 class UnguardedScout:
-    """A scout that takes every notify batch. Every entry keeps the frontier
-    it is at in `at`, even at the clock. A batch applies its effects to every
-    valid entry, then moves the valid entries at its base to its frontier. A
-    valid entry is read at any clock."""
+    """A scout that takes every notify batch, whatever its base, and caches
+    every fetch reply, whatever its frontier. A batch applies its effects to
+    every valid entry, and every valid entry is read."""
 
-    def _place(self, obj, entry, at) -> None:
-        entry.at = at
+    def _check_base(self, batch) -> None:
+        pass
 
-    def _readable(self, entry) -> bool:
-        return entry.state is not None
-
-    def _apply_notify(self, env, batch) -> None:
-        for kind, payload in batch.items:
-            if kind == "effects":
-                for effect in payload:
-                    entry = self.cache.get(effect.target)
-                    if effect.tag.origin == self.id or entry is None or entry.state is None:
-                        continue
-                    self._stash_protect(effect.target)
-                    entry.state = apply_effect(entry.state, effect)
-            else:
-                for obj in payload:
-                    entry = self.cache.get(obj)
-                    if entry is not None:
-                        self._stash_protect(obj)
-                        entry.state = None
-        for entry in self.cache.values():
-            if entry.state is not None and entry.at == batch.prev:
-                entry.at = batch.frontier
-        self.clock = self.clock.with_dc_part(batch.frontier)
-        self._take_acks(env, batch)
+    def _admits(self, at) -> bool:
+        return True
 
 
 def hold_one_notify(sim) -> None:

@@ -2,10 +2,13 @@
 
 A scout executes one transaction at a time against a frozen snapshot
 clock. Reads are served from the cache when possible; misses fetch the
-snapshot version from the session DC in one round trip per batch. Commits
-are local and immediate: effects apply to the cache, the record joins a
-durable pending queue, and global commit happens asynchronously with
-at-least-once retries (the DC-side OTID filter removes duplicates).
+snapshot version from the session DC in one round trip per batch. Every
+valid cache entry is at the scout's clock: a notify batch of the session
+applies on arrival and moves the clock, and the entries with it, to its
+frontier, and a fetch reply is cached only at the clock. Commits are local
+and immediate: effects apply to the cache, the record joins a durable
+pending queue, and global commit happens asynchronously with at-least-once
+retries (the DC-side OTID filter removes duplicates).
 
 A pending record leaves the queue only once it is K-durable. On failover
 the scout connects to a DC whose K-durable frontier covers its own clock
@@ -65,10 +68,7 @@ class ProtocolError(Exception):
 
 @dataclass
 class CacheEntry:
-    state: Any  # None once invalidated
-    # None while the entry is at the scout's clock, advancing with it; else
-    # the frontier it was admitted at, which it waits for in `Scout.waiting`
-    at: Optional[VersionVector] = None
+    state: Any  # at the scout's clock; None once invalidated
     pinned: bool = False
 
 
@@ -126,16 +126,12 @@ class Scout:
         commit_dc: Optional[DcId] = None,
     ):
         self.id = scout_id
-        self.num_dcs = num_dcs
         self.capacity = cache_capacity
         self.dc_preference = dc_preference or list(range(num_dcs))
         self.commit_dc = commit_dc
 
         self.clock = CausalClock.zero(num_dcs)
         self.cache: OrderedDict[ObjectId, CacheEntry] = OrderedDict()
-        # frontier -> objects whose entries were admitted there, ahead of the
-        # clock; they join the clock when it reaches that frontier
-        self.waiting: dict[VersionVector, set[ObjectId]] = {}
         self.pending: list[PendingCommit] = []
         self.otid_counter = 0
         self.session: Optional[DcId] = None
@@ -150,7 +146,6 @@ class Scout:
         # the fetch and the stored call in flight, as sent
         self.fetch: Optional[FetchRequest] = None
         self.stored: Optional[StoredTxRequest] = None
-        self.notify_backlog: list[NotifyBatch] = []
         self.pending_unsub: list[ObjectId] = []
         self.req_counter = 0
         self.ever_connected = False
@@ -225,15 +220,10 @@ class Scout:
         if obj in self.tx_stash:
             return self.tx_stash[obj]
         entry = self.cache.get(obj)
-        if entry is not None and self._readable(entry):
+        if entry is not None and entry.state is not None:
             self.cache.move_to_end(obj)
             return entry.state
         return None
-
-    def _readable(self, entry: CacheEntry) -> bool:
-        # an entry admitted ahead of the clock waits for the clock: a DC
-        # crash can lose the notify batches that would bring it there
-        return entry.state is not None and entry.at is None
 
     def _issue_fetch(self, env, tx: TxHandle, objs: list[ObjectId]) -> None:
         self.req_counter += 1
@@ -386,20 +376,13 @@ class Scout:
 
     # -- cache ----------------------------------------------------------------------
 
-    def _place(self, obj: ObjectId, entry: CacheEntry, at: VersionVector) -> None:
-        """Put an entry admitted at frontier `at` at the clock, or make it
-        wait there."""
-        if at == self.clock.dc_part:
-            entry.at = None
-        else:
-            entry.at = at
-            self.waiting.setdefault(at, set()).add(obj)
-
     def admit(self, env, obj: ObjectId, state, at: VersionVector, pin: bool = False) -> None:
+        """Cache `state`, the object at frontier `at`, if `at` is the clock."""
+        if not self._admits(at):
+            return
         entry = self.cache.get(obj)
         if entry is not None:
             entry.state = state
-            self._place(obj, entry, at)
             entry.pinned = entry.pinned or pin
             self.cache.move_to_end(obj)
             return
@@ -413,8 +396,12 @@ class Scout:
                 raise CachePinOverflow(f"{self.id}: all {len(self.cache)} entries pinned")
             del self.cache[victim]
             self.pending_unsub.append(victim)
-        entry = self.cache[obj] = CacheEntry(state, pinned=pin)
-        self._place(obj, entry, at)
+        self.cache[obj] = CacheEntry(state, pinned=pin)
+
+    def _admits(self, at: VersionVector) -> bool:
+        # a reply off the clock is read but not cached: a DC crash can lose
+        # the notify batches that would bring the clock to it
+        return at == self.clock.dc_part
 
     def pin(self, objs: list[ObjectId]) -> None:
         pinned = sum(1 for e in self.cache.values() if e.pinned)
@@ -437,40 +424,24 @@ class Scout:
         # keep the version an open snapshot needs before changing the entry
         if self.tx is not None and obj not in self.tx_stash:
             entry = self.cache.get(obj)
-            readable = entry is not None and self._readable(entry)
-            self.tx_stash[obj] = entry.state if readable else None
+            self.tx_stash[obj] = None if entry is None else entry.state
 
     # -- notifications -----------------------------------------------------------------
 
     def on_notify(self, env, batch: NotifyBatch) -> None:
+        """Apply a batch of the session on arrival: the link is FIFO, so it
+        starts at the clock, and moves the clock and every valid entry to
+        its frontier."""
         if batch.dc != self.session or batch.epoch != self.session_epoch:
             return  # stale batch from a previous session
-        if self.fetch is not None:
-            self.notify_backlog.append(batch)
-            return
-        self._apply_notify(env, batch)
-
-    def _apply_notify(self, env, batch: NotifyBatch) -> None:
-        if batch.prev != self.clock.dc_part or not self.clock.dc_part.leq(batch.frontier):
-            raise ProtocolError(
-                f"{self.id}: notify base {batch.prev} does not match clock {self.clock}"
-            )
+        self._check_base(batch)
         for kind, payload in batch.items:
             if kind == "effects":
                 for effect in payload:
-                    if effect.tag.origin == self.id:
-                        continue
                     entry = self.cache.get(effect.target)
-                    if entry is None or entry.state is None:
+                    if effect.tag.origin == self.id or entry is None or entry.state is None:
                         continue
-                    # an entry is at batch.prev iff it is at the clock
-                    if entry.at is not None:
-                        if not batch.prev.leq(entry.at):
-                            entry.state = None  # behind this batch: invalid
-                        continue  # else admitted ahead of this batch already
                     self._stash_protect(effect.target)
-                    # the entry reaches the frontier with the clock below,
-                    # after every effect of this batch has been applied
                     entry.state = apply_effect(entry.state, effect)
             else:
                 for obj in payload:
@@ -478,8 +449,15 @@ class Scout:
                     if entry is not None:
                         self._stash_protect(obj)
                         entry.state = None
-        self._advance_clock(batch.frontier)
+        self.clock = self.clock.with_dc_part(batch.frontier)
         self._take_acks(env, batch)
+
+    def _check_base(self, batch: NotifyBatch) -> None:
+        # a batch starts at the clock and does not move it back
+        if batch.prev != self.clock.dc_part or not self.clock.dc_part.leq(batch.frontier):
+            raise ProtocolError(
+                f"{self.id}: notify base {batch.prev} does not match clock {self.clock}"
+            )
 
     def _take_acks(self, env, batch: NotifyBatch) -> None:
         """Note the acks of an applied batch, and trace it."""
@@ -497,27 +475,7 @@ class Scout:
             }
         )
 
-    def _advance_clock(self, frontier: VersionVector) -> None:
-        """Move the clock, and the entries at it, to `frontier`; entries
-        admitted there join the clock."""
-        self.clock = self.clock.with_dc_part(frontier)
-        for obj in self.waiting.pop(frontier, ()):
-            entry = self.cache.get(obj)
-            if entry is not None and entry.at == frontier:
-                # an open transaction's snapshot is behind the entry
-                self._stash_protect(obj)
-                entry.at = None
-        # the clock only grows, so it cannot reach these again
-        for dc_part in [v for v in self.waiting if v.leq(frontier)]:
-            del self.waiting[dc_part]
-
     # -- fetch replies --------------------------------------------------------------------
-
-    def _drain_notify_backlog(self, env) -> None:
-        backlog, self.notify_backlog = self.notify_backlog, []
-        for batch in backlog:
-            if batch.dc == self.session and batch.epoch == self.session_epoch:
-                self._apply_notify(env, batch)
 
     def on_fetch_reply(self, env, reply: FetchReply) -> None:
         if self.fetch is None or reply.req_id != self.fetch.req_id:
@@ -530,7 +488,6 @@ class Scout:
         self.fetch = None
         tx = self.tx
         if reply.status == "pruned":
-            self._drain_notify_backlog(env)
             env.trace({"ev": "read_failed", "node": self.id, "reason": "pruned"})
             if tx is not None:
                 self.rollback(env, tx)
@@ -545,7 +502,6 @@ class Scout:
                 continue  # sent to a session without a cache: nothing to admit
             self._stash_protect(obj)
             self.admit(env, obj, snap if admit is None else admit, reply.admit_frontier)
-        self._drain_notify_backlog(env)
 
     # -- stored transactions -----------------------------------------------------------------
 
@@ -590,7 +546,6 @@ class Scout:
         env.trace({"ev": "session", "node": self.id, "dc": self.session, "result": "lost"})
         self.session = None
         self.probe_inflight = None
-        self.notify_backlog = []
 
     def ensure_session(self, env) -> None:
         """Probe candidate DCs until one whose frontier covers us accepts."""

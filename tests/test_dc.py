@@ -854,8 +854,8 @@ def test_rebuilt_replica_indexes_match_the_original():
     knowns = [VersionVector.zero(3), dc.prune_vector, dc.vdc, *dc.known_vectors.values()]
     assert replica_views(rebuilt, knowns, scouts) == replica_views(dc, knowns, scouts)
 
-    assert rebuilt.top_slot == dc.top_slot
-    top = dc.top_slot[1]
+    assert (rebuilt.slots, rebuilt.vdc) == (dc.slots, dc.vdc)
+    top = max(dc.slots[1], default=dc.vdc[1])  # the highest slot marked
     old = admit_more(dc, top)
     admit_more(rebuilt, top)
     knowns += [dc.vdc, VersionVector((dc.vdc[0], top + 1, dc.vdc[2]))]
@@ -1540,7 +1540,7 @@ REBUILD_RUNS = {
 
 
 def replica_state(dc):
-    fields = ("vdc", "slots", "top_slot", "max_otid", "prune_vector")
+    fields = ("vdc", "slots", "max_otid", "prune_vector")
     return {**{f: getattr(dc, f) for f in fields}, "values": dc.object_values()}
 
 
@@ -1724,10 +1724,10 @@ def test_the_delta_index_picks_what_a_per_session_filter_picks(mode):
         for scout in scouts + ("D",):
             subscriptions = set(rng.sample(NOTIFY_OBJECTS, rng.randint(0, len(NOTIFY_OBJECTS))))
             session = Session(scout, 1, subscriptions, vv(0, rng.randint(0, top - 1)))
-            gap_in_log, delta, by_object, objects = dc._notify_delta(session.last_announced, target)
+            gap_in_log, delta, by_object = dc._notify_delta(session.last_announced, target)
             expected = scanned_items(dc, session, gap_in_log, delta)
             env.sent.clear()
-            dc._notify_session(env, session, target, gap_in_log, delta, by_object, objects)
+            dc._notify_session(env, session, target, gap_in_log, delta, by_object)
             (batch,) = env.replies("NotifyBatch")
             assert batch.items == expected
             touching = [(r, set(objs) & subscriptions) for r, objs in delta]

@@ -99,47 +99,47 @@ RUNS.update({name: (scenario, {}, None) for name, scenario in BENCH_RUNS.items()
 # BENCH_SEED for the benchmark workloads
 PINS = {
     "bench-churn-faults": (
-        "0cfc8cec2f97f8137b210ebfebaf16c205a05b4aa8928941fe8deced47f8df08",
+        "6236e910a6eec32c87d78766c5f62ee56690b26e5c65631562b39dcdd2f651ce",
         "5ba2c3c417b31fc687491ac45ba5d96a78ccad69c7d638188ac2ccdb5103760d",
     ),
     "bench-fetch-bound": (
-        "f4981b80b90a1a4394c3ac583c9d150db05a6bd918ff2fb24e8c16d1fcc20485",
+        "03ae12313ec83fc49056ede826ee20ae6273e352a63902506aece11212b2fe1e",
         "b8488a62db8bc8b7cf0f8a0a888b56c9de0cac1f9888d13f69133fae15f7c2d1",
     ),
     "bench-social-cached": (
-        "52449e4d3917f15debbe84f19b994105a95569a31218cd29f8878bc3619f1ec8",
+        "e48e37597d04af4da14de30cdaee2b986e0e411af6694c4fce02152a790e496c",
         "41a6a7164795a3ebb3b92e6185c973936cfcf4b4785f9157895727f8b709a610",
     ),
     "churn-faults": (
-        "7cdce01a5d2fb6b3ec40fe61bd304284ddc94da799b1bc644d91d53fc9403f28",
+        "792275a3e1d77e3bdde2d5987bcfdc9fed4e17507f18625f8f20e283566a8920",
         "def8a63b98abc889e2255aad1c40f124020f46fbe7946d8ebc5e77b2285ee224",
     ),
     "dedup-off": (
-        "800dca41033ad97c3294333ec229e0c379617083ea951b2278cec3110b20842e",
-        "4946084261611b6257c202f4bfb0ea875f91e5e5da063613e66555a4c718a3d8",
+        "5b3e35d9fd61d22d9d150f1aa3b95dca151362c1068eebce88d297165edb7263",
+        "75bfff04d3f9d2d862857972f69278e549ba085628fbfb1c53204feef2a96170",
     ),
     "failover-demo": (
-        "dd326e42edd6bf124272a5a88dbd652e7ecf77507d65dc85a1359acffdfae2fb",
+        "f181dd4d56d708cebda6e8636a195739a4cb2befefb66fbe7cfb944f2e2f05d4",
         "36ffa32435eb91607594f3d49aace957c408c9ead8e0e434091e61055c62c087",
     ),
     "k-gating-off": (
-        "1b80689cae38af3aa53ac8cb6803f42c9ece1649b50753ef8935e28fda81e387",
+        "70b84d4bd49e1d1882fe95285c5adcffd14caedb1d0c012c3f5874b563a8b29e",
         "3b1995be5392869453dfeffa5cad49d4fd349ac44c13edaa50ebb37253a935df",
     ),
     "session-reorder": (
-        "1f2a5b6a8ba9c031429af28ea8a5e9a1fd8b00d55e2d012e718acfef09018cd8",
-        "20250bca029ce461b6583fcb9d50f011c6c38e9e881fab5549ec47fc410657ea",
+        "02e7ecfed475bf7c2346ec8e155997f1ae2ce184b3a95dd8a062ae84ef17171c",
+        "d7f54895d75aea99941b1cf3a40a52ea23ecae110ba9049590d5f9baac8b7ff8",
     ),
     "social-50-50": (
-        "df569ea48f81b47b41d496dfe3bf7d4078bb397f8113ffb45a9e7d4b7a2156db",
+        "c93194d9687657f6d5d22746bbfedff5058fdcb56b422ab752d07e9da61f1b5d",
         "55a5b7328a8c45f1bcec21cbcfc19bbc26d2c45b8636f9a7721df98a187e36d5",
     ),
     "social-90-10": (
-        "7b3127b775850af2577f98f4ffbe919c6a27bd62572653a5e7ae04bfc8490a97",
+        "a2d3e2365fbb3a50774db717652f2bbfaa59c021eb6fcbc7b01ad54b5cdd864b",
         "528256edbfe339958b3ecc155b0fb9e0da4f06f8e508c6f00bbf48fee423dfdd",
     ),
     "staleness-stress": (
-        "db8fef0d90841b953b6157c7fab40e95d06985a143d4b0534f826a941c04a2f5",
+        "ab96cd569c9ba8d04baf9864ae12602d935497adca450531b37f7223dd05f5cd",
         "9e638166cde710a52782a30505b8ae6b7a3b9ef351d5b55d366c66e41b2260ea",
     ),
 }
@@ -154,7 +154,7 @@ WIRE_RUNS = {
 # name -> sha256 over the compact JSON of each message `Simulation.send`
 # gives the wire tap, one line per message
 WIRE_PINS = {
-    "churn-faults": "3cfd17eedc9876e23dd60edc55f68a7665a22eb9f8fb56b9e506a2140ffcb86c",
+    "churn-faults": "af33b21df05fd54820dbeb4ce3354b8ce6dc7d37de0a9c6bc24daca17e53e8a0",
     "social-90-10@6": "eeb635a74c34b1284586fc51f21264fae70e9f706f369609d340b7141df977c3",
 }
 

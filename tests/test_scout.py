@@ -1,12 +1,20 @@
 import pytest
 
-from causalsim import sim as sim_module
 from causalsim.clocks import CausalClock, Otid, VersionVector
-from causalsim.crdt import CounterState, CrdtType, ObjectId, apply_effect, new_state
+from causalsim.crdt import (
+    CounterState,
+    CrdtType,
+    EffectTag,
+    ObjectId,
+    new_state,
+    object_to_wire,
+    prepare,
+    value_to_wire,
+)
 from causalsim.messages import FetchReply, NotifyBatch, SessionReply, SessionRequest
 from causalsim.scenarios import PRESETS, load_scenario, run_scenario, sim_config
-from causalsim.checker import run_checks
-from causalsim.scout import CachePinOverflow, ProtocolError, Scout, Unavailable, UsageError
+from causalsim.checker import TraceAnalysis, run_checks
+from causalsim.scout import CachePinOverflow, Scout, Unavailable, UsageError
 from causalsim.sim import SimConfig, Simulation
 from causalsim.workload import counter_scripts
 from test_pins import CHURN
@@ -238,54 +246,69 @@ class TestFetchReply:
         assert sim.trace_log[-2:] == failed + aborted
         assert failed[0]["t"] == aborted[0]["t"]
 
+    def test_a_batch_that_arrives_during_a_fetch_is_applied_at_once(self):
+        sim, s, tx = self._fetching()
+        nxt = VersionVector((1, 0))
+        s.on_notify(sim, NotifyBatch(0, s.session_epoch, VersionVector.zero(2), nxt, [], []))
+        assert s.fetch is not None
+        assert s.clock.dc_part == nxt
+        assert events(sim, "notify")[-1]["frontier"] == [1, 0]
+        # the reply, sent after the batch on the same link, is at the clock
+        versions = [(CTR, CounterState(3), None)]
+        s.on_fetch_reply(sim, FetchReply(s.fetch.req_id, "ok", versions, nxt))
+        assert s.cache[CTR].state is versions[0][1]
+
     @pytest.mark.parametrize("guards", [True, False])
-    def test_an_entry_admitted_ahead_of_the_clock_waits_for_it(self, guards):
+    def test_a_reply_off_the_clock_is_cached_only_without_guards(self, guards):
         sim, s, tx = self._fetching(mutations=[] if guards else ["disable_guards"])
         ahead = VersionVector((1, 0))
         versions = [(CTR, CounterState(3), None)]
         s.on_fetch_reply(sim, FetchReply(s.fetch.req_id, "ok", versions, ahead))
+        assert s.read(sim, tx, CTR) == 3  # its transaction reads it either way
         s.commit(sim, tx)
+        assert (CTR in s.cache) is not guards
         tx = s.begin(sim)
         if guards:
             assert s.read(sim, tx, CTR) is None  # a miss: the fetch is out
-            s.rollback(sim, tx)
-            s._advance_clock(ahead)
-            tx = s.begin(sim)
-        assert s.read(sim, tx, CTR) == 3
+        else:
+            assert s.read(sim, tx, CTR) == 3
 
 
 class TestStash:
     """An open transaction reads an object as the cache held it when a
     change to the object's entry came in."""
 
-    AHEAD = VersionVector((1, 0))
+    NEXT = VersionVector((1, 0))
 
-    def _waiting(self):
-        # s0, connected to dc0, with ctr:0 admitted ahead of its clock
+    def _cached(self):
+        # s0, connected to dc0, with ctr:0 cached at its clock
         sim = harness()
         s = sim.scouts["s0"]
         s.session, s.session_epoch, s.ever_connected = 0, 1, True
-        s.admit(sim, CTR, CounterState(5), self.AHEAD)
+        s.admit(sim, CTR, CounterState(5), VersionVector.zero(2))
         tx = s.begin(sim)
-        assert tx.snapshot.dc_part == VersionVector.zero(2)
         return sim, s, tx
 
     def _notify(self, sim, s, items):
-        s.on_notify(sim, NotifyBatch(0, 1, VersionVector.zero(2), self.AHEAD, items, []))
+        s.on_notify(sim, NotifyBatch(0, 1, VersionVector.zero(2), self.NEXT, items, []))
+        assert s.clock.dc_part == self.NEXT
 
-    def test_an_invalidated_entry_that_waited_ahead_is_a_miss(self):
-        sim, s, tx = self._waiting()
+    def test_an_invalidated_entry_is_read_as_it_was_then_missed(self):
+        sim, s, tx = self._cached()
         self._notify(sim, s, [("invalidate", [CTR])])
-        assert s.read(sim, tx, CTR) is None  # a miss: the fetch is out
+        assert s.cache[CTR].state is None
+        assert s.read(sim, tx, CTR) == 5
+        s.rollback(sim, tx)
+        assert s.read(sim, s.begin(sim), CTR) is None  # a miss: the fetch is out
         assert s.fetch is not None
 
-    def test_an_entry_that_joins_the_clock_is_a_miss_for_an_older_snapshot(self):
-        sim, s, tx = self._waiting()
-        self._notify(sim, s, [])
-        assert s.cache[CTR].at is None  # at the clock now
-        assert s.read(sim, tx, CTR) is None
+    def test_an_entry_a_batch_changes_is_read_as_it_was_by_an_older_snapshot(self):
+        sim, s, tx = self._cached()
+        effect = prepare(CTR, CounterState(5), ("inc", 2), EffectTag(1, "s1", 0))
+        self._notify(sim, s, [("effects", [effect])])
+        assert s.read(sim, tx, CTR) == 5
         s.rollback(sim, tx)
-        assert s.read(sim, s.begin(sim), CTR) == 5
+        assert s.read(sim, s.begin(sim), CTR) == 7
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -450,108 +473,69 @@ class TestFailover:
         assert all(a is b for (_, a), (_, b) in zip(again, first))
 
 
-# -- entries at the clock against the whole-cache sweep ----------------------------
+# -- every valid entry is at the clock -------------------------------------------
 
-
-class SweepScout(Scout):
-    """Every entry keeps its frontier in `at`, even at the clock, and every
-    notify batch sweeps the cache to move the entries at its base to its
-    frontier."""
-
-    def _place(self, obj, entry, at):
-        entry.at = at
-
-    def _readable(self, entry):
-        return entry.state is not None and entry.at == self.clock.dc_part
-
-    def _apply_notify(self, env, batch):
-        if batch.prev != self.clock.dc_part or not self.clock.dc_part.leq(batch.frontier):
-            raise ProtocolError(f"{self.id}: notify base {batch.prev} off {self.clock}")
-        for kind, payload in batch.items:
-            if kind == "effects":
-                for effect in payload:
-                    if effect.tag.origin == self.id:
-                        continue
-                    entry = self.cache.get(effect.target)
-                    if entry is None or entry.state is None:
-                        continue
-                    if entry.at != batch.prev:
-                        if not batch.prev.leq(entry.at):
-                            entry.state = None
-                        continue
-                    self._stash_protect(effect.target)
-                    entry.state = apply_effect(entry.state, effect)
-            else:
-                for obj in payload:
-                    entry = self.cache.get(obj)
-                    if entry is not None:
-                        self._stash_protect(obj)
-                        entry.state = None
-        for entry in self.cache.values():
-            if entry.state is not None and entry.at == batch.prev:
-                entry.at = batch.frontier
-        self.clock = self.clock.with_dc_part(batch.frontier)
-        for otid, gtid in batch.acks:
-            pc = next((p for p in self.pending if p.request.otid == otid), None)
-            if pc is not None:
-                if gtid not in pc.gtids:
-                    pc.gtids.append(gtid)
-        self._sweep_k_durable()
-        env.trace(
-            {
-                "ev": "notify",
-                "node": self.id,
-                "dc": batch.dc,
-                "frontier": list(batch.frontier),
-                "acks": [[o.counter, o.origin] for o, _ in batch.acks],
-            }
-        )
-
-
-SWEEP_RUNS = {
+# name -> (scenario, sim overrides)
+CLOCK_RUNS = {
     "preset": ("social-90-10", {}),
     "invalidations": ("social-90-10", {"notify_mode": "invalidations"}),
+    "churn-pin": (CHURN, {}),
 }
 
 
-def entry_frontiers_after_each_batch(base, overrides, scout_cls, monkeypatch):
-    """Every scout's cache entries after each notify batch, each with whether
-    it is valid and, if so, its frontier (an entry with `at` None is at the
-    scout's clock); how many valid entries were off the clock then; and the
-    trace bytes."""
-    seen, off = [], [0]
-    apply = scout_cls._apply_notify
+def entries_and_admits(name, monkeypatch):
+    """Run `name` of CLOCK_RUNS. Return every valid cache entry after each
+    batch a scout applies, as (object, value, the scout's clock as dc part,
+    local part and id); the number of admits; the number of those off the
+    scout's clock; and the trace."""
+    seen, admits = [], [0, 0]
+    on_notify, admit = Scout.on_notify, Scout.admit
 
-    def recorded(scout, env, batch):
-        apply(scout, env, batch)
-        clock = scout.clock.dc_part
-        entries = [
-            (obj, e.state is not None, e.state is not None and (clock if e.at is None else e.at))
-            for obj, e in scout.cache.items()
-        ]
-        seen.append((scout.id, entries))
-        off[0] += sum(valid and at != clock for _, valid, at in entries)
+    def noting_notify(scout, env, batch):
+        applied = batch.dc == scout.session and batch.epoch == scout.session_epoch
+        on_notify(scout, env, batch)
+        if applied:
+            ver = (tuple(scout.clock.dc_part), scout.clock.local_part, scout.id)
+            seen.extend(
+                (tuple(object_to_wire(obj)), value_to_wire(e.state), ver)
+                for obj, e in scout.cache.items()
+                if e.state is not None
+            )
 
-    monkeypatch.setattr(scout_cls, "_apply_notify", recorded)
-    monkeypatch.setattr(sim_module, "Scout", scout_cls)
-    result = run_scenario(load_scenario(base), seed=1, overrides=overrides)
-    return seen, off[0], result.trace_bytes()
+    def noting_admit(scout, env, obj, state, at, pin=False):
+        admits[0] += 1
+        admits[1] += at != scout.clock.dc_part
+        admit(scout, env, obj, state, at, pin)
+
+    monkeypatch.setattr(Scout, "on_notify", noting_notify)
+    monkeypatch.setattr(Scout, "admit", noting_admit)
+    base, overrides = CLOCK_RUNS[name]
+    scenario = load_scenario(base) if isinstance(base, str) else base
+    result = run_scenario(scenario, seed=1, overrides=overrides)
+    return seen, *admits, result.trace
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP_RUNS))
-def test_implicit_entry_clocks_match_the_sweep(name, monkeypatch):
-    base, overrides = SWEEP_RUNS[name]
-    entries, off, trace = entry_frontiers_after_each_batch(base, overrides, Scout, monkeypatch)
-    ref_entries, _, ref_trace = entry_frontiers_after_each_batch(
-        base, overrides, SweepScout, monkeypatch
-    )
-    assert entries and off
-    assert entries == ref_entries
-    assert trace == ref_trace
+@pytest.mark.parametrize("name", sorted(CLOCK_RUNS))
+def test_every_valid_entry_holds_the_oracle_value_at_the_clock(name, monkeypatch):
+    seen, _, _, trace = entries_and_admits(name, monkeypatch)
+    tr = TraceAnalysis(trace)
+    assert seen
+    wrong = [
+        (obj, value, ver)
+        for obj, value, ver in seen
+        if value_to_wire(tr.oracle_value(obj, *ver)) != value
+    ]
+    assert not wrong, wrong[:3]
+
+
+@pytest.mark.parametrize("name", ["preset", "churn-pin"])
+def test_no_admit_lands_off_the_clock(name, monkeypatch):
+    _, admits, off, _ = entries_and_admits(name, monkeypatch)
+    assert admits and not off
 
 
 # CHURN's faults and five more DC crashes, with fast pruning: a fetch reply
-# that reaches s0 after its DC crashed and recovered admits ctr:0 at a
+# that reaches s0 after its DC crashed and recovered carries ctr:0 at a
 # frontier whose notify batches the crash lost, ahead of s0's clock
 AHEAD_CRASHES = ((1, 31, 142), (2, 507, 537), (0, 873, 932), (1, 980, 1018), (2, 1366, 1401))
 
